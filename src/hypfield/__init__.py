@@ -4,5 +4,3 @@ Wick-ordered exponential interactions, up to the decay experiment for the
 boundary generating functional."""
 
 __version__ = "0.1.0"
-
-from ._kernels import BACKEND as kernel_backend

@@ -1,8 +1,8 @@
-"""Pure-numpy implementations of the hot kernels.
+"""The Green's-function kernel: G_plus and the Neumann image sums, in numpy.
 
-Used when the compiled extension is unavailable; also the reference the
-compiled backend is tested against.  All Green's-function evaluation
-funnels through four argument regimes:
+This is the package's only kernel; greens.py calls it for every
+evaluation.  All Green's-function evaluation funnels through four
+argument regimes:
 
     rho >= 2          direct series at  z = -1/sinh^2(rho/2)   (alternating)
     1.0986 <= rho < 2 Pfaff-mapped series at z = sech^2(rho/2)
@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from ..errors import PrecisionLossError
-
-BACKEND = "python"
+from .errors import PrecisionLossError
+from .geometry import ETA_DIAG
 
 RHO_DIRECT = 2.0
 RHO_PFAFF = 2.0 * math.acosh(1.0 / math.sqrt(0.75))  # series argument 0.75
@@ -69,11 +68,6 @@ def _series_vec(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
     return sw.reshape(z.shape)
 
 
-def _log_sinh(x):
-    """log(sinh(x)) without overflow for large x."""
-    return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x)) if x > 18 else math.log(math.sinh(x))
-
-
 def gplus_array(rho, delta, b, c, gamma, splice_rho, splice_const, use_splice):
     """Free Green's function on an array of geodesic distances (all > 0)."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -111,11 +105,6 @@ def gplus_array(rho, delta, b, c, gamma, splice_rho, splice_const, use_splice):
     return out
 
 
-def _apply_mats(mats, y):
-    """(K,3,3) @ (3,) -> (K,3) for stacked Lorentz matrices."""
-    return mats @ y
-
-
 def image_sum_block(xs, ys, mats, rmax, delta, b, c, gamma, splice_rho, splice_const, use_splice):
     """S[i, j] = sum over images gamma(y_j) within distance rmax of x_i of G_plus."""
     xs = np.asarray(xs, dtype=float)
@@ -123,9 +112,9 @@ def image_sum_block(xs, ys, mats, rmax, delta, b, c, gamma, splice_rho, splice_c
     cosh_max = math.cosh(rmax)
     n, m = xs.shape[0], ys.shape[0]
     out = np.zeros((n, m))
-    eta_x = xs * np.array([1.0, 1.0, -1.0])
+    eta_x = xs * ETA_DIAG
     for j in range(m):
-        imgs = _apply_mats(mats, ys[j])  # (K, 3)
+        imgs = mats @ ys[j]  # (K, 3)
         coshes = -(eta_x @ imgs.T)  # (n, K)
         np.maximum(coshes, 1.0, out=coshes)
         sel = coshes <= cosh_max
@@ -154,8 +143,8 @@ def image_sum_self(xs, mats, rmax, delta, b, c, gamma, splice_rho, splice_const,
     nearest = np.full(n, np.inf)
     for i in range(n):
         x = xs[i]
-        imgs = _apply_mats(mats, x)
-        coshes = -(imgs @ (x * np.array([1.0, 1.0, -1.0])))
+        imgs = mats @ x
+        coshes = -(imgs @ (x * ETA_DIAG))
         np.maximum(coshes, 1.0, out=coshes)
         # identity (and any fixed-point) images: cosh - 1 below the fp noise
         # floor of the Lorentz product, which scales like x3^2

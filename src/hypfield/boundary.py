@@ -21,8 +21,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError
-from .geometry import convert, eta_to_boundary_angle
-from .tessellation import tile_area
+from .geometry import convert
 
 _TWO_PI = 2.0 * math.pi
 
@@ -313,7 +312,3 @@ def k_table(mp, h, alpha, tess, tile_ids, grid=4):
             }
         )
     return rows
-
-
-def tile_area_of(tile):
-    return tile_area(tile)

@@ -72,9 +72,5 @@ class ConfigurationError(HypfieldError):
     """Run configuration is inconsistent (missing key, misaligned source, ...)."""
 
 
-class UnreliableEstimateError(HypfieldError):
-    """Monte Carlo effective sample size collapsed."""
-
-
 class NearSingularWarning(UserWarning):
     """Evaluation close to a singular configuration; value still returned."""

@@ -25,7 +25,7 @@ from numpy.polynomial import hermite_e
 from . import boundary as bd
 from . import greens
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
-from .geometry import Point, dist, lorentz_dot
+from .geometry import ETA_DIAG, Point, dist, lorentz_dot
 from .tessellation import TriangleParams, conical_sequence, generate, tile_area
 
 logger = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ class Quadrature:
 
 def _subtriangle_cells(vertices):
     """Incenter and Gauss-Bonnet weight of one geodesic triangle."""
-    from .geometry import Geodesic, Point, angle_at, geodesic_through
+    from .geometry import Point, angle_at, geodesic_through
 
     pts = [Point.from_vec(v) for v in vertices]
     area = math.pi - (
@@ -72,7 +72,7 @@ def _subtriangle_cells(vertices):
         normals.append(v)
     # incenter: equal signed distance to all three sides
     w = np.cross(normals[0] - normals[1], normals[1] - normals[2])
-    w = w * np.array([1.0, 1.0, -1.0])
+    w = w * ETA_DIAG
     q = -lorentz_dot(w, w)
     inc = w / math.sqrt(q) if q > 0 else vertices.mean(axis=0)
     if inc[2] < 0:
@@ -158,7 +158,7 @@ def build_covariance(mp, nt, quad, kind):
         raise ValueError("kind must be 'free' or 'neumann'")
     pts, wts = quad.points, quad.weights
     n = len(wts)
-    coshes = np.maximum(-(pts * np.array([1.0, 1.0, -1.0])) @ pts.T, 1.0)
+    coshes = np.maximum(-(pts * ETA_DIAG) @ pts.T, 1.0)
     rho = np.arccosh(coshes)
     off = ~np.eye(n, dtype=bool)
     if n > 1 and rho[off].min() < 1e-6:

@@ -24,7 +24,9 @@ from .errors import (
     InvalidNormalError,
 )
 
-ETA = np.diag([1.0, 1.0, -1.0])
+ETA_DIAG = np.array([1.0, 1.0, -1.0])  # the Lorentz signature
+ETA_DIAG.setflags(write=False)
+ETA = np.diag(ETA_DIAG)
 
 _HYPERBOLOID_TOL = 1e-12
 _REORTH_EVERY = 16  # matrix compositions between Lorentz re-projections
@@ -185,7 +187,8 @@ def convert(p, target):
     return p.to_disk() if target == "disk" else p.to_halfplane()
 
 
-def _as_lorentz_vec(p):
+def as_lorentz_vec(p):
+    """The Lorentz vector of a point given in any model."""
     if isinstance(p, Point):
         return p.vec
     return p.to_lorentz().vec
@@ -193,7 +196,7 @@ def _as_lorentz_vec(p):
 
 def dist(a, b):
     """Geodesic distance; accepts points in any model."""
-    c = -lorentz_dot(_as_lorentz_vec(a), _as_lorentz_vec(b))
+    c = -lorentz_dot(as_lorentz_vec(a), as_lorentz_vec(b))
     # rounding can push the cosh argument a hair below 1 for nearby points
     return math.acosh(max(c, 1.0))
 
@@ -243,11 +246,7 @@ class Isometry:
     def apply(self, p):
         if isinstance(p, Point):
             return Point.from_vec(self.m @ p.vec)
-        return convert(Point.from_vec(self.m @ _as_lorentz_vec(p)), _model_of(p))
-
-    def apply_vecs(self, vecs):
-        """Apply to an (n, 3) array of Lorentz vectors without renormalizing."""
-        return np.asarray(vecs) @ self.m.T
+        return convert(Point.from_vec(self.m @ as_lorentz_vec(p)), _model_of(p))
 
     def __matmul__(self, other):
         m = self.m @ other.m
@@ -319,16 +318,10 @@ class Geodesic:
 
     def signed_eval(self, p):
         """(p, v)_L; equals sinh of the signed distance to the geodesic."""
-        return lorentz_dot(_as_lorentz_vec(p), self.v)
+        return lorentz_dot(as_lorentz_vec(p), self.v)
 
     def distance_to(self, p):
         return math.asinh(abs(self.signed_eval(p)))
-
-    def contains(self, p, tol=1e-10):
-        return abs(self.signed_eval(p)) <= tol
-
-    def flipped(self):
-        return Geodesic(-self.v)
 
     def __repr__(self):
         return f"Geodesic(v={self.v!r})"
@@ -336,7 +329,7 @@ class Geodesic:
 
 def geodesic_through(a, b):
     """The unique geodesic through two distinct points."""
-    av, bv = _as_lorentz_vec(a), _as_lorentz_vec(b)
+    av, bv = as_lorentz_vec(a), as_lorentz_vec(b)
     scale = max(1.0, np.abs(av).max(), np.abs(bv).max())
     if np.abs(av - bv).max() <= 1e-12 * scale:
         raise DegenerateGeodesicError("coincident points do not determine a geodesic")
@@ -353,15 +346,15 @@ def reflect_in(geo):
 
 
 def midpoint(a, b):
-    return Point.from_vec(_as_lorentz_vec(a) + _as_lorentz_vec(b))
+    return Point.from_vec(as_lorentz_vec(a) + as_lorentz_vec(b))
 
 
 def angle_at(vertex, p, q):
     """Interior angle at `vertex` between the geodesic rays toward p and q."""
-    vv = _as_lorentz_vec(vertex)
+    vv = as_lorentz_vec(vertex)
 
     def tangent(toward):
-        t = _as_lorentz_vec(toward) + lorentz_dot(vv, _as_lorentz_vec(toward)) * vv
+        t = as_lorentz_vec(toward) + lorentz_dot(vv, as_lorentz_vec(toward)) * vv
         n2 = lorentz_dot(t, t)
         if n2 <= 0:
             raise DegenerateGeodesicError("tangent direction degenerate at vertex")

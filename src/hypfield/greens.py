@@ -27,13 +27,12 @@ from .errors import (
     ThresholdError,
     TruncationError,
 )
-from .geometry import Point, dist, lorentz_dot, midpoint, origin
+from .geometry import ETA_DIAG, Point, as_lorentz_vec, dist, lorentz_dot, midpoint, origin
 from .tessellation import orbital_count
 
 ALPHA_MAX = math.sqrt(4.0 * math.pi)
 SPLICE_RHO = 0.05
 
-_RHO_DIRECT = 2.0
 _Z_PLAIN_MAX = 0.75
 
 
@@ -215,8 +214,8 @@ def g_neumann(mp, nt, x, y):
     if tx != ty:
         return 0.0
     nt.check_tail(mp)
-    xv = _pull_back(tess, tx, [_vec(x)])[0]
-    yv = _pull_back(tess, ty, [_vec(y)])[0]
+    xv = _pull_back(tess, tx, [as_lorentz_vec(x)])[0]
+    yv = _pull_back(tess, ty, [as_lorentz_vec(y)])[0]
     # acosh resolves nothing below ~1e-8, so coincidence is tested there
     if dist(Point.from_vec(xv), Point.from_vec(yv)) < 1e-6:
         raise DiagonalSingularityError("G_N diverges at x = y")
@@ -240,7 +239,7 @@ def delta_g(mp, nt, x):
     The divergent diagonal cancels; what remains is the image sum over
     gamma != e, which blows up as x approaches a tile side.
     """
-    out = delta_g_many(mp, nt, [_vec(x)], warn=True)
+    out = delta_g_many(mp, nt, [as_lorentz_vec(x)], warn=True)
     return float(out[0])
 
 
@@ -259,17 +258,13 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
     if warn:
         fund_normals = tess.fund_normals
         for v in pulled:
-            side_gap = np.abs(fund_normals @ (v * np.array([1.0, 1.0, -1.0]))).min()
+            side_gap = np.abs(fund_normals @ (v * ETA_DIAG)).min()
             if side_gap < 1e-9:
                 warnings.warn(
                     "Delta G evaluated within 1e-9 of a tile side; value is near-singular",
                     NearSingularWarning,
                 )
     return sums
-
-
-def _vec(p):
-    return p.vec if isinstance(p, Point) else p.to_lorentz().vec
 
 
 def sample_tile_points(tess, tile_id, n, rng, min_side_gap=0.0):
@@ -282,7 +277,7 @@ def sample_tile_points(tess, tile_id, n, rng, min_side_gap=0.0):
         cand = wts @ verts
         cand /= np.sqrt(-lorentz_dot(cand, cand))[:, None]
         if min_side_gap > 0.0:
-            gaps = np.abs(np.einsum("sk,nk->ns", normals * np.array([1.0, 1.0, -1.0]), cand))
+            gaps = np.abs(np.einsum("sk,nk->ns", normals * ETA_DIAG, cand))
             cand = cand[gaps.min(axis=1) > min_side_gap]
         pts.extend(cand)
     return np.asarray(pts[:n])
@@ -309,8 +304,8 @@ def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
         xv = 0.55 * fund.centroid.vec + 0.45 * y0.vec
         xv = xv / math.sqrt(-lorentz_dot(xv, xv))
     else:
-        xv = _vec(x)
-    refl = np.eye(3) - 2.0 * np.outer(v, np.array([1.0, 1.0, -1.0]) * v)
+        xv = as_lorentz_vec(x)
+    refl = np.eye(3) - 2.0 * np.outer(v, ETA_DIAG * v)
     xref = refl @ xv
 
     def geodesic_point(t):
@@ -375,7 +370,7 @@ def domination_audit(mp, nt, n_pairs=10_000, seed=0, min_separation=1e-3):
     xs = sample_tile_points(nt.tess, 0, m, rng)
     ys = sample_tile_points(nt.tess, 0, m, rng)
     block = g_neumann_block(mp, nt, xs, ys, 0)
-    coshes = np.maximum(-(xs * np.array([1.0, 1.0, -1.0])) @ ys.T, 1.0)
+    coshes = np.maximum(-(xs * ETA_DIAG) @ ys.T, 1.0)
     rho = np.arccosh(coshes)
     ok = rho >= min_separation
     gp = np.zeros_like(rho)
@@ -442,7 +437,7 @@ def exp_kernel_integral(mp, alpha, tess, tile_ids, mesh, resolution=None):
         resolution = min(24, max(2, math.ceil(tess.tile_diameter / mesh)))
     quad = build_quadrature(tess, tile_ids, resolution)
     pts, wts = quad.points, quad.weights
-    coshes = np.maximum(-(pts * np.array([1.0, 1.0, -1.0])) @ pts.T, 1.0)
+    coshes = np.maximum(-(pts * ETA_DIAG) @ pts.T, 1.0)
     rho = np.arccosh(coshes)
     off = rho > mesh
     kern = np.zeros_like(rho)

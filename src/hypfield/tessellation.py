@@ -26,10 +26,12 @@ from .errors import (
     NotHyperbolicError,
 )
 from .geometry import (
+    ETA_DIAG,
     Geodesic,
     Isometry,
     Point,
     angle_at,
+    as_lorentz_vec,
     dist,
     geodesic_through,
     lorentz_dot,
@@ -105,18 +107,8 @@ class Tile:
             angle_at(v[2], v[0], v[1]),
         )
 
-    def contains(self, p, slack_scale=1e-12):
-        vals = self.side_normals @ (np.asarray(_lorentz_vec(p)) * np.array([1.0, 1.0, -1.0]))
-        return bool((vals <= slack_scale * max(1.0, _lorentz_vec(p)[2])).all())
-
     def disk_vertices(self):
         return [pt.to_disk() for pt in self.vertices]
-
-
-def _lorentz_vec(p):
-    if isinstance(p, Point):
-        return p.vec
-    return p.to_lorentz().vec
 
 
 def fundamental_triangle(tp):
@@ -204,7 +196,7 @@ class Tessellation:
         Boundary points resolve to the smallest claiming id.  The slack
         scales with x3 because the Lorentz products do.
         """
-        x = np.asarray(_lorentz_vec(p)) * np.array([1.0, 1.0, -1.0])
+        x = np.asarray(as_lorentz_vec(p)) * ETA_DIAG
         vals = self.side_normals @ x  # (n, 3)
         inside = (vals <= slack * max(1.0, abs(x[2]))).all(axis=1)
         idx = int(np.argmax(inside))
@@ -370,7 +362,7 @@ def orbital_count(tess, theta, x, y):
     Requires enough enumeration that the count is provably complete:
     rho(o, g(c1)) <= rho(o, x) + theta + rho(y, c1) for every counted g.
     """
-    xv, yv = _lorentz_vec(x), _lorentz_vec(y)
+    xv, yv = as_lorentz_vec(x), as_lorentz_vec(y)
     o = origin()
     guard = tess.radius - dist(o, Point.from_vec(xv)) - dist(Point.from_vec(yv), Point.from_vec(tess.centroids[0]))
     if theta > guard:
@@ -391,7 +383,7 @@ def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
     """
     if n == 0:
         return []
-    av = _lorentz_vec(a)
+    av = as_lorentz_vec(a)
     tile_a = tess.locate(Point.from_vec(av))
     if tile_a is None:
         raise EnumerationTooSmallError("anchor point lies outside the enumerated region")
@@ -399,8 +391,8 @@ def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
     ray_dir = np.array([math.cos(p_angle), math.sin(p_angle), 0.0])
 
     pts = tess.mats @ av  # all gamma(a)
-    off = pts @ (ray_normal * np.array([1.0, 1.0, -1.0]))
-    forward = pts @ (ray_dir * np.array([1.0, 1.0, -1.0])) > 0.0
+    off = pts @ (ray_normal * ETA_DIAG)
+    forward = pts @ (ray_dir * ETA_DIAG) > 0.0
     in_tube = (np.abs(np.arcsinh(off)) <= c) & forward
     depth = np.arccosh(np.maximum(pts[:, 2], 1.0))
     usable = in_tube & (depth <= tess.radius - tess.tile_diameter)

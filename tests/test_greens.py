@@ -12,7 +12,7 @@ from hypfield.errors import (
     TruncationError,
 )
 from hypfield import _kernels
-from hypfield.geometry import Point, dist
+from hypfield.geometry import Point, dist, lorentz_dot
 from hypfield.greens import (
     ALPHA_MAX,
     ModelParams,
@@ -321,6 +321,42 @@ def test_two_element_group_exact_evenness(mp2, tess344_small):
         fp = _kernels.image_sum_block(xr[None], yp[None], mats, 50.0, *mp2.gplus_args())[0, 0]
         fm = _kernels.image_sum_block(x[None], ym[None], mats, 50.0, *mp2.gplus_args())[0, 0]
         assert abs(fp - fm) < 1e-13
+
+
+def _image_distances(mats, x, y, rmax, skip_identity=False):
+    """Per-image oracle: distances rho(x, g y) <= rmax, one matrix at a time."""
+    out = []
+    for k, g in enumerate(mats):
+        if skip_identity and k == 0:
+            continue
+        rho = math.acosh(max(-float(lorentz_dot(x, g @ y)), 1.0))
+        if rho <= rmax:
+            out.append(rho)
+    return np.array(out)
+
+
+def test_image_sums_match_per_image_oracle(nt6, mp2):
+    mats, rmax = nt6._mats, nt6.max_orbit_radius
+    assert np.array_equal(mats[0], np.eye(3))
+    # two interior points and one 1e-4 of the way from a side midpoint, whose
+    # reflected image is the near image the identity cut must keep
+    c1 = nt6.tess.tiles[0].centroid.vec
+    side_mid = Point.from_vec(nt6.tess.fund_vertices[0] + nt6.tess.fund_vertices[1]).vec
+    near_side = Point.from_vec(1e-4 * c1 + (1.0 - 1e-4) * side_mid).vec
+    interior = sample_tile_points(nt6.tess, 0, 2, np.random.default_rng(11), min_side_gap=0.05)
+    pts = np.vstack([interior, near_side])
+    xs, ys = pts[:1], pts[1:]
+    block = _kernels.image_sum_block(xs, ys, mats, rmax, *mp2.gplus_args())
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            rho = _image_distances(mats, x, y, rmax)
+            assert 0 < rho.size < len(mats)  # the radius cut drops images
+            assert block[i, j] == pytest.approx(g_plus(mp2, rho).sum(), rel=1e-12)
+    sums, nearest = _kernels.image_sum_self(pts, mats, rmax, *mp2.gplus_args())
+    for i, x in enumerate(pts):
+        rho = _image_distances(mats, x, x, rmax, skip_identity=True)
+        assert sums[i] == pytest.approx(g_plus(mp2, rho).sum(), rel=1e-12)
+        assert nearest[i] == pytest.approx(rho.min(), rel=1e-12)
 
 
 def test_domination_audit(nt6, mp2):

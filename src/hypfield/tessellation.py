@@ -1,19 +1,27 @@
 """Regular tessellations of H^2 from triangle reflection groups.
 
 A (p, q, r) triangle with angles pi/p, pi/q, pi/r and angle sum below pi
-tiles the hyperbolic plane under the group generated by reflections in
-its sides.  Tiles are enumerated breadth-first in order of centroid
-distance from the origin, deduplicated geometrically (reflection groups
-have relations, so words are not canonical identifiers).  The group acts
-simply transitively on tiles, so the tile list doubles as an enumeration
-of the group itself; that is what the Green's-function image sums and
-the orbital counting function consume.
+tiles the hyperbolic plane under the Coxeter group W generated by the
+reflections s_0, s_1, s_2 in its sides.  The group acts simply
+transitively on tiles, so the tile list doubles as an enumeration of the
+group itself; that is what the Green's-function image sums and the
+orbital counting function consume.
+
+Tile identity is exact group structure, not a coordinate comparison.
+Every element w has one canonical reduced word, the one that ends in its
+largest right descent (the largest i with l(w s_i) < l(w)), and a right
+descent is a sign test on the matrix whose margin does not shrink with
+depth.  `generate` walks the tree these words form, level by level in
+word length, and the tessellation is stored as arrays indexed by tile
+id; `Tile` objects are built only when asked for.
 """
 
-import bisect
 import csv
-import heapq
+import logging
 import math
+import operator
+import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,14 +43,14 @@ from .geometry import (
     dist,
     geodesic_through,
     lorentz_dot,
-    lorentz_project,
     origin,
     point_at,
     reflect_in,
 )
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_TILE_CAP = 200_000
-_DEDUP_WINDOW = 1e-5  # centroid-distance window scanned for duplicates
 
 
 @dataclass(frozen=True)
@@ -150,25 +158,30 @@ def tile_area(tile):
 
 
 class Tessellation:
-    """The enumerated tile ball plus fast array views used by locate and
-    the image sums."""
+    """The enumerated tile ball, stored as arrays indexed by tile id.
 
-    def __init__(self, params, tiles, radius, dedup_tol, fund_vertices, fund_normals, reflections):
+    `mats[k]` is the group element of tile k.  `parent[k]` and `gen[k]`
+    place it in the descent tree, mats[k] = mats[parent[k]] @ R[gen[k]]
+    with R the side reflections; both are -1 for the identity, tile 0.
+    `tiles` is a read-only sequence that builds `Tile` views on access.
+    """
+
+    def __init__(self, params, radius, mats, parent, gen, fund_vertices, fund_normals, reflections):
         self.params = params
-        self.tiles = tiles
         self.radius = radius
-        self.dedup_tol = dedup_tol
+        self.mats = mats
+        self.parent = parent
+        self.gen = gen
         self.fund_vertices = fund_vertices
         self.fund_normals = fund_normals
         self.reflections = reflections
-        self.mats = np.stack([t.g.m for t in tiles])
-        self.centroids = self.mats @ (fund_vertices.sum(axis=0) / math.sqrt(-lorentz_dot(fund_vertices.sum(axis=0), fund_vertices.sum(axis=0))))
+        self.centroids = mats @ _unit_centroid(fund_vertices)
         self.centroid_rho = np.arccosh(np.maximum(self.centroids[:, 2], 1.0))
-        self.side_normals = np.einsum("tab,ib->tia", self.mats, fund_normals)
-        self.adjacency = None  # built on demand
+        self.side_normals = np.einsum("tab,ib->tia", mats, fund_normals)
+        self.tiles = _TileSequence(self)
 
     def __len__(self):
-        return len(self.tiles)
+        return len(self.mats)
 
     @cached_property
     def tile_diameter(self):
@@ -205,24 +218,42 @@ class Tessellation:
         return idx
 
     def neighbors(self, tile_id):
-        """Ids of the three side-sharing neighbors (None beyond the frontier)."""
-        if self.adjacency is None:
-            self._build_adjacency()
-        return self.adjacency[tile_id]
+        """Ids of the three side-sharing neighbors (None beyond the frontier).
 
-    def _build_adjacency(self):
-        index = _CentroidIndex(self.dedup_tol)
-        c1 = self.centroids[0]
-        for i in range(len(self.tiles)):
-            index.add(self.centroids[i], self.centroid_rho[i], i)
-        adj = []
-        for t in self.tiles:
-            row = []
-            for refl in self.reflections:
-                cand = (t.g.m @ refl.m) @ c1
-                row.append(index.find(cand, math.acosh(max(cand[2], 1.0))))
-            adj.append(tuple(row))
-        self.adjacency = adj
+        The neighbor of tile w across its side i is w s_i.
+        """
+        return tuple(self._id_of(self.mats[tile_id] @ r.m) for r in self.reflections)
+
+    @cached_property
+    def _children(self):
+        # _children[k, i] is the id of the tree child mats[k] @ R[i], or -1
+        out = np.full((len(self), 3), -1)
+        out[self.parent[1:], self.gen[1:]] = np.arange(1, len(self))
+        return out
+
+    def _id_of(self, m):
+        """Tile id of the group element m, or None outside the enumerated ball.
+
+        Peels the canonical word off m by repeated largest-right-descent
+        tests, then walks the descent tree from the root along it.
+        """
+        word = []
+        while (d := int(_largest_descent(m, self.centroids[0], self.fund_normals))) >= 0:
+            word.append(d)
+            m = m @ self.reflections[d].m
+        k = 0
+        for i in reversed(word):
+            k = int(self._children[k, i])
+            if k < 0:
+                return None
+        return k
+
+    def _word(self, k):
+        out = []
+        while k:
+            out.append(int(self.gen[k]))
+            k = int(self.parent[k])
+        return tuple(reversed(out))
 
     def export_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -236,124 +267,133 @@ class Tessellation:
                 writer.writerow(row)
 
 
-class _CentroidIndex:
-    """Duplicate detection among centroids, windowed on distance from o.
+class _TileSequence(Sequence):
+    """`tess.tiles`: a `Tile` for each id, built when it is asked for."""
 
-    Two distinct tile centroids are at least an inradius apart while
-    re-derivations of the same tile agree to fp noise, so a cosh-space
-    threshold with an x3^2-scaled noise floor separates them cleanly.
-    Entries arrive in nondecreasing rho order (the BFS pops that way),
-    so storage is append-only.
+    def __init__(self, tess):
+        self._tess = tess
+
+    def __len__(self):
+        return len(self._tess)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"tile id {k} out of range for {n} tiles")
+        k %= n
+        t = self._tess
+        return Tile(k, t._word(k), Isometry(t.mats[k], check=False), t.fund_vertices, t.fund_normals)
+
+
+def _unit_centroid(fund_vertices):
+    csum = fund_vertices.sum(axis=0)
+    return csum / math.sqrt(-lorentz_dot(csum, csum))
+
+
+def _largest_descent(mats, c1, normals):
+    """Largest right descent of each matrix in `mats` (..., 3, 3); -1 for none.
+
+    j is a right descent of w, l(w s_j) < l(w), exactly when the wall
+    w(H_j) separates the fundamental triangle C from w(C), that is when
+    <w n_j, c1> > 0 for the outward side normals n_j and the centroid c1
+    of C.  That product is sinh of the signed distance from c1 to the
+    wall, and no wall of the tessellation enters C, so its modulus is at
+    least sinh of the distance from c1 to the sides of C at any depth.
+    Rounding in w moves it by about |w| * 1e-16, orders of magnitude
+    below that margin, so the sign test needs no tolerance.
     """
-
-    def __init__(self, dedup_tol):
-        self.rhos = []
-        self.vecs = []
-        self.ids = []
-        self.dedup_tol = dedup_tol
-
-    def find(self, vec, rho):
-        lo = bisect.bisect_left(self.rhos, rho - _DEDUP_WINDOW)
-        hi = bisect.bisect_right(self.rhos, rho + _DEDUP_WINDOW)
-        if hi <= lo:
-            return None
-        window = np.asarray(self.vecs[lo:hi])
-        cd = -(window[:, 0] * vec[0] + window[:, 1] * vec[1] - window[:, 2] * vec[2])
-        thr = 1.0 + max(0.5 * self.dedup_tol**2, 1e-12 * vec[2] * vec[2])
-        j = int(np.argmin(cd))
-        if cd[j] <= thr:
-            return self.ids[lo + j]
-        return None
-
-    def add(self, vec, rho, tile_id):
-        # BFS and adjacency both insert in nondecreasing rho order
-        if self.rhos and rho < self.rhos[-1] - _DEDUP_WINDOW:
-            raise AssertionError("centroid index expects near-sorted insertion")
-        self.rhos.append(rho)
-        self.vecs.append(vec)
-        self.ids.append(tile_id)
+    desc = ((c1 * ETA_DIAG) @ mats @ normals.T) > 0.0
+    last = desc.shape[-1] - 1 - np.argmax(desc[..., ::-1], axis=-1)
+    return np.where(desc.any(axis=-1), last, -1)
 
 
-def generate(tp, radius, dedup_tol=1e-9, cap=DEFAULT_TILE_CAP):
+def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     """Enumerate all tiles whose centroid lies within `radius` of the origin.
 
-    Breadth-first over reflection words with the frontier keyed by
-    centroid distance, so truncation yields a metric ball of tiles.  The
-    frontier runs one tile circumradius past `radius`: every ball tile is
-    dual-graph reachable through tiles of that padded ball (the tiles
-    crossed by the geodesic from o to its centroid), which makes the
-    returned set complete.  The cap counts the returned ball.
+    Tile w is w(C) for w in the reflection group and C the fundamental
+    triangle with centroid c1.  Each w other than the identity has one
+    parent, w s_d with d its largest right descent, one letter shorter;
+    so the largest-right-descent tree holds every group element exactly
+    once, at depth l(w).  The tree is walked level by level: the children
+    of w are the w s_i whose largest right descent is i (which makes i a
+    non-descent of w), kept when rho(o, w s_i c1) <= radius (+1e-9).
+
+    Completeness: the ball is closed under descent parents, so pruning
+    the children outside it loses no tile.  If j is a right descent of
+    w, the wall w(H_j) separates C from w(C).  The origin o is a vertex
+    of C, so it lies on C's closed side of that wall.  Reflecting w c1
+    across the wall gives w s_j c1, which is then no farther from o: the
+    segment from o to w c1 meets the wall at some x, the reflection fixes
+    x, and so rho(o, w c1) = rho(o, x) + rho(x, w s_j c1), which is at
+    least rho(o, w s_j c1).  So every ancestor of a ball tile is a ball
+    tile, and the walk reaches each ball tile through ball tiles only.
+    No frontier padding and no duplicate check are needed.
+
+    Tile 0 is the identity; the others follow in nondecreasing centroid
+    distance, ties (distances within 1e-11) in enumeration order.  The
+    cap counts the returned ball and is checked after every level; the
+    CapacityError carries the levels completed so far, a tessellation in
+    which every parent is present.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not radius >= 0:  # also rejects NaN, whose comparisons are all false
+        raise ValueError(f"radius must be a number >= 0, got {radius}")
+    t_start = time.perf_counter()
     fund = fundamental_triangle(tp)
     fund_vertices = fund._fund_vertices
     fund_normals = fund._fund_normals
     reflections = [reflect_in(Geodesic(v)) for v in fund_normals]
-    refl_mats = [r.m for r in reflections]
+    refl = np.stack([r.m for r in reflections])
+    c1 = _unit_centroid(fund_vertices)
 
-    csum = fund_vertices.sum(axis=0)
-    c1 = csum / math.sqrt(-lorentz_dot(csum, csum))
-    circum = max(dist(Point.from_vec(c1), Point.from_vec(v)) for v in fund_vertices)
-    frontier_radius = radius + circum + 0.1
+    # one entry per level: matrices, parent ids, generators, centroid distances
+    mats, parent, gen = [np.eye(3)[None]], [np.array([-1])], [np.array([-1])]
+    rho = [np.array([math.acosh(c1[2])])]
 
-    index = _CentroidIndex(dedup_tol)
-    # accepted rows: (parent_index, generator, word_length, matrix, centroid_rho)
-    accepted = []
-    in_ball = 0
-    heap = [(math.acosh(max(c1[2], 1.0)), 0, -1, -1, 0, np.eye(3))]
-    counter = 1
+    def assemble():
+        # Distances within 1e-11 count as equal and keep enumeration order,
+        # so ids never hang on last-digit rounding: equal distances spread
+        # by under 4e-15 here, distinct ones differ by 6e-8 or more ((3,4,4)
+        # to radius 9.86, (2,3,7) to radius 6).
+        r = np.concatenate(rho)[1:]
+        by_rho = np.argsort(r)
+        group = np.empty_like(by_rho)
+        group[by_rho] = np.cumsum(np.diff(r[by_rho], prepend=-np.inf) > 1e-11)
+        order = np.concatenate([[0], 1 + np.argsort(group, kind="stable")])
+        new_id = np.empty_like(order)
+        new_id[order] = np.arange(len(order))
+        par = np.concatenate(parent)[order]
+        par[1:] = new_id[par[1:]]
+        return Tessellation(
+            tp, radius, np.concatenate(mats)[order], par, np.concatenate(gen)[order],
+            fund_vertices, fund_normals, reflections,
+        )
 
-    while heap:
-        rho_c, _, parent, gen, depth, m = heapq.heappop(heap)
-        if rho_c > frontier_radius:
+    frontier, first, n = mats[0], 0, 1
+    while True:
+        kids = frontier[:, None] @ refl  # kids[f, i] = w_f s_i
+        kid_rho = np.arccosh(np.maximum(kids[..., 2, :] @ c1, 1.0))
+        keep = (_largest_descent(kids, c1, fund_normals) == np.arange(3)) & (kid_rho <= radius + 1e-9)
+        f, i = np.nonzero(keep)
+        if len(f) == 0:
             break
-        cvec = m @ c1
-        if index.find(cvec, rho_c) is not None:
-            continue
-        index.add(cvec, rho_c, len(accepted))
-        accepted.append((parent, gen, depth, m, rho_c))
-        if rho_c <= radius + 1e-9:
-            in_ball += 1
-            if in_ball > cap:
-                partial = _finalize(
-                    tp, accepted, radius, dedup_tol, fund_vertices, fund_normals, reflections
-                )
-                raise CapacityError(f"tile cap {cap} exceeded at radius {radius}", partial=partial)
-        me = len(accepted) - 1
-        for i in range(3):
-            if i == gen:
-                continue  # immediate backtrack reproduces the parent
-            child = m @ refl_mats[i]
-            if (depth + 1) % 16 == 0:
-                child = lorentz_project(child)
-            crho = math.acosh(max(child[2, 0] * c1[0] + child[2, 1] * c1[1] + child[2, 2] * c1[2], 1.0))
-            if crho > frontier_radius:
-                continue
-            heapq.heappush(heap, (crho, counter, me, i, depth + 1, child))
-            counter += 1
+        frontier = kids[f, i]
+        mats.append(frontier)
+        parent.append(first + f)
+        gen.append(i)
+        rho.append(kid_rho[f, i])
+        first, n = n, n + len(f)
+        if n > cap:
+            raise CapacityError(f"tile cap {cap} exceeded at radius {radius}", partial=assemble())
 
-    return _finalize(tp, accepted, radius, dedup_tol, fund_vertices, fund_normals, reflections)
-
-
-def _finalize(tp, accepted, radius, dedup_tol, fund_vertices, fund_normals, reflections):
-    def word_of(idx):
-        out = []
-        while idx >= 0:
-            parent, gen, _, _, _ = accepted[idx]
-            if gen >= 0:
-                out.append(gen)
-            idx = parent
-        return tuple(reversed(out))
-
-    tiles = []
-    for idx, (parent, gen, depth, m, rho_c) in enumerate(accepted):
-        # the fundamental tile is always part of the result (radius 0 ball)
-        if idx > 0 and rho_c > radius + 1e-9:
-            continue
-        g = Isometry(lorentz_project(m), check=False)
-        tiles.append(Tile(len(tiles), word_of(idx), g, fund_vertices, fund_normals))
-    return Tessellation(tp, tiles, radius, dedup_tol, fund_vertices, fund_normals, reflections)
+    tess = assemble()
+    logger.info(
+        "generate (%d,%d,%d) radius %g: %d tiles, %d levels, %.3f s",
+        tp.p, tp.q, tp.r, radius, len(tess), len(mats) - 1, time.perf_counter() - t_start,
+    )
+    return tess
 
 
 def orbital_count(tess, theta, x, y):

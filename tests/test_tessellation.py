@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypfield.errors import (
     IncompleteOrbitError,
     NotHyperbolicError,
 )
-from hypfield.geometry import Point, dist, origin, point_at, reflect_in
+from hypfield.geometry import Point, dist, lorentz_dot, origin, point_at, reflect_in
 from hypfield.tessellation import (
     TriangleParams,
     Tile,
@@ -86,13 +87,17 @@ def _brute_force_words(tp, max_len):
     return found
 
 
-def test_generate_matches_word_oracle():
-    tp = TriangleParams(3, 4, 4)
-    radius = 1.5
+@pytest.mark.parametrize(
+    "pqr, radius, max_len",
+    [((3, 4, 4), 1.5, 8), ((3, 4, 4), 3.0, 8), ((2, 3, 7), 2.0, 15), ((4, 4, 4), 3.0, 8)],
+    ids=["344-r1.5", "344-r3", "237-r2", "444-r3"],
+)
+def test_generate_matches_word_oracle(pqr, radius, max_len):
+    tp = TriangleParams(*pqr)
     tess = generate(tp, radius)
     # saturate the oracle: word length L and L+1 give the same ball
     prev = None
-    for L in (8, 9):
+    for L in (max_len, max_len + 1):
         oracle = _brute_force_words(tp, L)
         ball = {
             k: m
@@ -105,6 +110,49 @@ def test_generate_matches_word_oracle():
     assert len(tess) == len(prev)
     mine = {tuple(np.round(c, 7)) for c in tess.centroids}
     assert mine == prev
+
+
+def test_descent_tree_invariants():
+    tess = generate(TriangleParams(3, 4, 4), 8.0)
+    assert len(tess) == 17_898
+    assert tess.parent[0] == -1 and np.array_equal(tess.mats[0], np.eye(3))
+    # after the identity, nondecreasing centroid distance up to rounding
+    assert (np.diff(tess.centroid_rho[1:]) >= -1e-11).all()
+    c1 = tess.centroids[0]
+    refls = np.stack([r.m for r in tess.reflections])
+    for k in range(1, len(tess)):
+        # j is a right descent of w when the wall w(H_j) separates C from w(C)
+        descents = [j for j, n in enumerate(tess.fund_normals) if lorentz_dot(tess.mats[k] @ n, c1) > 0]
+        assert tess.gen[k] == max(descents)
+    rebuilt = tess.mats[tess.parent[1:]] @ refls[tess.gen[1:]]
+    scale = np.abs(tess.mats[1:]).max(axis=(1, 2))
+    assert (np.abs(rebuilt - tess.mats[1:]).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    words = [t.word for t in tess.tiles]
+    assert len(set(words)) == len(tess)
+    # equal distances keep enumeration order, which is by word length
+    depth = np.array([len(w) for w in words])
+    tie = np.diff(tess.centroid_rho[1:]) < 1e-11
+    assert (np.diff(depth[1:])[tie] >= 0).all()
+
+
+def test_deep_matrices_match_exact_products(tess344_big):
+    import mpmath
+
+    tess = tess344_big
+    depth = np.zeros(len(tess), dtype=int)
+    anc = tess.parent.copy()
+    while (anc >= 0).any():
+        depth += anc >= 0
+        anc = np.where(anc >= 0, tess.parent[anc], -1)
+    for k in np.argsort(depth, kind="stable")[-20:]:
+        word = tess.tiles[k].word
+        assert len(word) == depth[k]
+        with mpmath.workdps(50):
+            m = mpmath.eye(3)
+            for i in word:
+                m = m * mpmath.matrix(tess.reflections[i].m.tolist())
+            exact = np.array(m.tolist(), dtype=float)
+        assert np.abs(tess.mats[k] - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 def test_words_reproduce_tiles(tess344_small):
@@ -241,11 +289,50 @@ def test_adjacency(tess344_small):
         assert np.abs(expect - tess.centroids[other]).max() < 1e-9
 
 
+def test_neighbors_match_geometry(tess344_small):
+    # every side of every tile: the neighbor w s_i is found exactly when
+    # its centroid is inside the enumerated ball
+    tess = tess344_small
+    c1 = tess.centroids[0]
+    for k in range(len(tess)):
+        for side, other in enumerate(tess.neighbors(k)):
+            expect = tess.mats[k] @ tess.reflections[side].m @ c1
+            if other is None:
+                assert math.acosh(expect[2]) > tess.radius
+            else:
+                assert np.abs(expect - tess.centroids[other]).max() < 1e-9 * expect[2]
+
+
 def test_capacity_error():
     with pytest.raises(CapacityError) as exc:
         generate(TriangleParams(3, 4, 4), 6.0, cap=100)
     assert exc.value.partial is not None
     assert len(exc.value.partial) >= 100
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1.0])
+def test_generate_rejects_bad_radius(radius):
+    with pytest.raises(ValueError):
+        generate(TriangleParams(3, 4, 4), radius)
+
+
+def test_infinite_radius_hits_cap():
+    with pytest.raises(CapacityError) as exc:
+        generate(TriangleParams(3, 4, 4), math.inf, cap=50)
+    part = exc.value.partial
+    assert len(part) > 50
+    assert part.parent[0] == -1
+    assert ((part.parent[1:] >= 0) & (part.parent[1:] < len(part))).all()
+    refls = np.stack([r.m for r in part.reflections])
+    assert np.allclose(part.mats[part.parent[1:]] @ refls[part.gen[1:]], part.mats[1:])
+
+
+def test_generate_logs_summary(caplog):
+    with caplog.at_level(logging.INFO, logger="hypfield.tessellation"):
+        tess = generate(TriangleParams(3, 4, 4), 3.0)
+    [record] = caplog.records
+    assert f"{len(tess)} tiles" in record.getMessage()
+    assert f"{max(len(t.word) for t in tess.tiles)} levels" in record.getMessage()
 
 
 def test_export_csv(tmp_path, tess344_small):

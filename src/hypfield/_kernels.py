@@ -1,13 +1,15 @@
 """The Green's-function kernel: G_plus and the Neumann image sums, in numpy.
 
 This is the package's only kernel; greens.py calls it for every
-evaluation.  All Green's-function evaluation funnels through four
-argument regimes:
+evaluation.  Each kernel takes the model as one `greens.ModelParams`
+argument `mp` and reads delta_plus, hyp_b, hyp_c, gamma_plus,
+splice_const and d from it.  All Green's-function evaluation funnels
+through four argument regimes:
 
-    rho >= 2          direct series at  z = -1/sinh^2(rho/2)   (alternating)
-    1.0986 <= rho < 2 Pfaff-mapped series at z = sech^2(rho/2)
-    splice <= rho     quadratic-transformation series at z = sech^2(rho)
-    rho < splice      matched logarithmic form (d = 2 only)
+    rho >= 2                 direct series at  z = -1/sinh^2(rho/2)   (alternating)
+    1.0986 <= rho < 2        Pfaff-mapped series at z = sech^2(rho/2)
+    SPLICE_RHO <= rho        quadratic-transformation series at z = sech^2(rho)
+    rho < SPLICE_RHO         matched logarithmic form (d = 2 only)
 
 The hypergeometric parameters are a = Delta, b = Delta + (2-d)/2,
 c = 2*Delta + 2 - d; c = 2b holds for every d, which is what makes the
@@ -23,6 +25,7 @@ from .geometry import ETA_DIAG
 
 RHO_DIRECT = 2.0
 RHO_PFAFF = 2.0 * math.acosh(1.0 / math.sqrt(0.75))  # series argument 0.75
+SPLICE_RHO = 0.05
 _SERIES_TOL = 5e-16
 _SERIES_MAXITER = 200000
 
@@ -68,15 +71,16 @@ def _series_vec(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
     return sw.reshape(z.shape)
 
 
-def gplus_array(rho, delta, b, c, gamma, splice_rho, splice_const, use_splice):
+def gplus_array(rho, mp):
     """Free Green's function on an array of geodesic distances (all > 0)."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     out = np.empty_like(rho)
+    delta, b, c, gamma = mp.delta_plus, mp.hyp_b, mp.hyp_c, mp.gamma_plus
 
-    lo = rho < splice_rho if use_splice else np.zeros(rho.shape, dtype=bool)
+    lo = rho < SPLICE_RHO if mp.d == 2 else np.zeros(rho.shape, dtype=bool)
     if lo.any():
         # cosh(rho) - 1 = 2 sinh^2(rho/2), stable near zero
-        out[lo] = -np.log(2.0 * np.sinh(rho[lo] / 2.0) ** 2) / (4.0 * math.pi) + splice_const
+        out[lo] = -np.log(2.0 * np.sinh(rho[lo] / 2.0) ** 2) / (4.0 * math.pi) + mp.splice_const
 
     hi = rho >= RHO_DIRECT
     if hi.any():
@@ -105,7 +109,7 @@ def gplus_array(rho, delta, b, c, gamma, splice_rho, splice_const, use_splice):
     return out
 
 
-def image_sum_block(xs, ys, mats, rmax, delta, b, c, gamma, splice_rho, splice_const, use_splice):
+def image_sum_block(xs, ys, mats, rmax, mp):
     """S[i, j] = sum over images gamma(y_j) within distance rmax of x_i of G_plus."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -123,14 +127,15 @@ def image_sum_block(xs, ys, mats, rmax, delta, b, c, gamma, splice_rho, splice_c
         rho = np.arccosh(coshes[sel])
         vals = np.zeros_like(rho)
         pos = rho > 0.0
-        vals[pos] = gplus_array(rho[pos], delta, b, c, gamma, splice_rho, splice_const, use_splice)
+        vals[pos] = gplus_array(rho[pos], mp)
         vals[~pos] = np.inf  # coincident image: diagonal singularity
         acc = np.zeros((n, mats.shape[0]))
         acc[sel] = vals
         out[:, j] = acc.sum(axis=1)
     return out
 
-def image_sum_self(xs, mats, rmax, delta, b, c, gamma, splice_rho, splice_const, use_splice):
+
+def image_sum_self(xs, mats, rmax, mp):
     """Per point x: sum of G_plus over non-identity images gamma(x) within rmax.
 
     Returns (sums, nearest) where nearest[i] is the smallest included
@@ -153,6 +158,6 @@ def image_sum_self(xs, mats, rmax, delta, b, c, gamma, splice_rho, splice_const,
         if not sel.any():
             continue
         rho = np.arccosh(coshes[sel])
-        sums[i] = gplus_array(rho, delta, b, c, gamma, splice_rho, splice_const, use_splice).sum()
+        sums[i] = gplus_array(rho, mp).sum()
         nearest[i] = rho.min()
     return sums, nearest

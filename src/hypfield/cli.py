@@ -11,6 +11,7 @@ CSV dialect: comma separated, '.' decimal point, one header row, reals at
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,10 +22,12 @@ import time
 import numpy as np
 
 from . import __version__, boundary as bd, fieldmc as fm, greens, render
-from .errors import HypfieldError
+from .errors import ConfigurationError, HypfieldError
 from .geometry import Sector
-from .tessellation import TriangleParams, generate
+from .tessellation import DEFAULT_TILE_CAP, TriangleParams, generate
 
+# required keys of a triviality config; the other TrivialityConfig fields
+# keep their dataclass defaults when absent
 _CONFIG_KEYS = (
     "m2 alpha lambda p q r beta0 beta1 amplitude p_angle cone_c q_max n_mc "
     "resolution orbit_radius seed"
@@ -54,38 +57,32 @@ class RunConfig:
     def dumps(self):
         return self.text
 
-    def require(self, key, cast=float):
-        if key not in self.values:
-            raise HypfieldError(f"missing config key: {key}")
-        return cast(self.values[key])
-
-    def get(self, key, default, cast=float):
-        return cast(self.values[key]) if key in self.values else default
-
     def to_triviality(self):
-        return fm.TrivialityConfig(
-            m2=self.require("m2"),
-            alpha=self.require("alpha"),
-            lam=self.require("lambda"),
-            p=self.require("p", int),
-            q=self.require("q", int),
-            r=self.require("r", int),
-            beta0=self.require("beta0"),
-            beta1=self.require("beta1"),
-            amplitude=self.require("amplitude"),
-            p_angle=self.require("p_angle"),
-            cone_c=self.require("cone_c"),
-            q_max=self.require("q_max", int),
-            n_mc=self.require("n_mc", int),
-            resolution=self.require("resolution", int),
-            orbit_radius=self.require("orbit_radius"),
-            seed=self.require("seed", int),
-            min_step=self.get("min_step", 0.35),
-            tail_tol=self.get("tail_tol", 1e-2),
-            k_grid=self.get("k_grid", 4, int),
-            tess_radius=self.get("tess_radius", 0.0),
-            threads=self.get("threads", 1, int),
-        )
+        """The TrivialityConfig whose fields the keys name (`lambda` for `lam`).
+
+        Each value is cast to its field's type; an unknown or missing
+        required key raises ConfigurationError.
+        """
+        fields = {
+            "lambda" if f.name == "lam" else f.name: f
+            for f in dataclasses.fields(fm.TrivialityConfig)
+        }
+        unknown = [key for key in self.values if key not in fields]
+        if unknown:
+            raise ConfigurationError(f"unknown config key: {', '.join(unknown)}")
+        missing = [key for key in _CONFIG_KEYS if key not in self.values]
+        if missing:
+            raise ConfigurationError(f"missing config key: {', '.join(missing)}")
+        kwargs = {}
+        for key, raw in self.values.items():
+            f = fields[key]
+            try:
+                kwargs[f.name] = f.type(raw)
+            except ValueError:
+                raise ConfigurationError(
+                    f"config key {key}: {raw!r} is not a valid {f.type.__name__}"
+                ) from None
+        return fm.TrivialityConfig(**kwargs)
 
 
 def _fmt(x):
@@ -335,7 +332,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_TILE_CAP)
     p.add_argument("--csv")
     p.add_argument("--svg")
     p.add_argument("--manifest")
@@ -415,6 +412,9 @@ def main(argv=None):
     except HypfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # an argument out of range: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,11 +4,15 @@ The field lives on quadrature cells of a tile union: a Gaussian vector
 with free or Neumann covariance (cell-averaged on the diagonal at the
 effective radius r_i = sqrt(w_i / pi), standing in for the mollified
 field).  On top of it sit the Wick powers, the normal-ordered
-exponential, Laplace-transform estimators, and the chain of bounds that
-drives the decay of the boundary generating functional:
+exponential X, and the stable estimator of log L_X(s) = log E[exp(-s X)]
+that bounds the decay of the boundary generating functional:
 
     log Z(h, Lambda_q) - log Z(0, Lambda_q)
         <=  U(q) = sum_j [ log L_{X_1}(lambda k_j) + lambda |T_1| ].
+
+`triviality_run` evaluates U(q) along a conical tile sequence and fits
+its decay rate eps_hat; `z_ratio` estimates the left-hand side directly
+on a small region.
 
 Monte Carlo batches draw from counter-based streams keyed by
 (seed, batch index) and reduce in fixed batch order, so results are
@@ -25,8 +29,8 @@ from numpy.polynomial import hermite_e
 from . import boundary as bd
 from . import greens
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
-from .geometry import ETA_DIAG, Point, dist, lorentz_dot
-from .tessellation import TriangleParams, conical_sequence, generate, tile_area
+from .geometry import ETA_DIAG, Point, angle_at, dist, lorentz_dot
+from .tessellation import TriangleParams, _outward_normals, conical_sequence, generate, tile_area
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +46,6 @@ class Quadrature:
     weights: np.ndarray  # (n,)
     tile_ids: np.ndarray  # (n,) int
     resolution: int
-    congruent: bool  # all tiles carry the same cell pattern mapped by g_t
 
     def __len__(self):
         return len(self.weights)
@@ -57,19 +60,13 @@ class Quadrature:
 
 def _subtriangle_cells(vertices):
     """Incenter and Gauss-Bonnet weight of one geodesic triangle."""
-    from .geometry import Point, angle_at, geodesic_through
-
     pts = [Point.from_vec(v) for v in vertices]
     area = math.pi - (
         angle_at(pts[0], pts[1], pts[2])
         + angle_at(pts[1], pts[0], pts[2])
         + angle_at(pts[2], pts[0], pts[1])
     )
-    normals = []
-    for ia, ib, iopp in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        geo = geodesic_through(pts[ia], pts[ib])
-        v = geo.v if lorentz_dot(geo.v, vertices[iopp]) < 0 else -geo.v
-        normals.append(v)
+    normals = _outward_normals(vertices)
     # incenter: equal signed distance to all three sides
     w = np.cross(normals[0] - normals[1], normals[1] - normals[2])
     w = w * ETA_DIAG
@@ -85,7 +82,7 @@ def build_quadrature(tess, tile_ids, resolution):
     """Geodesic barycentric refinement: resolution^2 cells per tile.
 
     Cells are built once on the fundamental tile and mapped by each
-    tile's isometry, so congruent tiles carry congruent cells and the
+    tile's isometry, so every tile carries the same cell pattern and the
     per-tile weight vectors are identical.
     """
     if resolution < 1:
@@ -125,7 +122,6 @@ def build_quadrature(tess, tile_ids, resolution):
         weights=np.concatenate(wts),
         tile_ids=np.concatenate(ids),
         resolution=res,
-        congruent=True,
     )
 
 
@@ -136,9 +132,6 @@ class CovarianceModel:
     kind: str  # "free" | "neumann"
     matrix: np.ndarray
     factor: np.ndarray  # lower triangular
-    free_diag: np.ndarray  # G_plus(r_i) per cell
-    delta_g_diag: np.ndarray  # Delta G(x_i) per cell (zeros for free kind)
-    effective_radii: np.ndarray
     ridge: float
 
     @property
@@ -164,29 +157,21 @@ def build_covariance(mp, nt, quad, kind):
     if n > 1 and rho[off].min() < 1e-6:
         raise ValueError("quadrature cells closer than 1e-6; refine differently")
 
-    radii = np.sqrt(wts / math.pi)
-    free_diag = greens.g_plus(mp, radii)
-
+    free_diag = greens.g_plus(mp, np.sqrt(wts / math.pi))
+    c = np.zeros((n, n))
     if kind == "free":
-        c = np.zeros((n, n))
         c[off] = greens.g_plus(mp, rho[off])
         np.fill_diagonal(c, free_diag)
-        dg = np.zeros(n)
     else:
-        # block diagonal over tiles; congruent cell patterns share one block
-        c = np.zeros((n, n))
+        # block diagonal over tiles; every tile carries the first tile's cell
+        # pattern mapped by its isometry, so all tiles share the first block
+        first = quad.tile_ids[0]
+        sub = pts[quad.tile_mask(first)]
+        block = greens.g_neumann_block(mp, nt, sub, sub, first)
+        dgt = greens.delta_g_many(mp, nt, sub, tile_id=first)
         dg = np.zeros(n)
-        shared = None
         for tid in dict.fromkeys(quad.tile_ids.tolist()):
             mask = quad.tile_mask(tid)
-            sub = pts[mask]
-            if quad.congruent and shared is not None:
-                block, dgt = shared
-            else:
-                block = greens.g_neumann_block(mp, nt, sub, sub, tid)
-                dgt = greens.delta_g_many(mp, nt, sub, tile_id=tid)
-                if quad.congruent:
-                    shared = (block, dgt)
             idx = np.nonzero(mask)[0]
             c[np.ix_(idx, idx)] = block
             dg[mask] = dgt
@@ -194,15 +179,7 @@ def build_covariance(mp, nt, quad, kind):
 
     c = 0.5 * (c + c.T)  # symmetrize fp noise
     factor, ridge = _factor_with_ridge(c)
-    return CovarianceModel(
-        kind=kind,
-        matrix=c,
-        factor=factor,
-        free_diag=np.asarray(free_diag, dtype=float),
-        delta_g_diag=dg,
-        effective_radii=radii,
-        ridge=ridge,
-    )
+    return CovarianceModel(kind=kind, matrix=c, factor=factor, ridge=ridge)
 
 
 def _factor_with_ridge(c):
@@ -220,24 +197,13 @@ def _factor_with_ridge(c):
     )
 
 
-class FieldSamples:
-    """A batch of Gaussian field samples; values[s, i] is sample s at cell i."""
-
-    def __init__(self, values, seed, batch_size):
-        self.values = values
-        self.seed = seed
-        self.batch_size = batch_size
-
-    def __len__(self):
-        return self.values.shape[0]
-
-
 def sample_fields(cov, n, seed, batch_size=8192, threads=None):
     """n covariance-distributed Gaussian vectors, bit-reproducible from seed.
 
-    Each batch b draws from a Philox stream keyed by (seed, b) and the
-    batches land at fixed offsets, so the result is independent of worker
-    count and scheduling.
+    Returns an (n, cells) array whose row s is sample s.  Each batch b
+    draws from a Philox stream keyed by (seed, b) and the batches land at
+    fixed offsets, so the result is independent of worker count and
+    scheduling.
     """
     m = cov.factor.shape[0]
     out = np.empty((n, m))
@@ -265,11 +231,7 @@ def sample_fields(cov, n, seed, batch_size=8192, threads=None):
     else:
         for span in spans:
             fill(span)
-    return FieldSamples(out, seed, batch_size)
-
-
-def _as_values(samples):
-    return samples.values if isinstance(samples, FieldSamples) else np.atleast_2d(samples)
+    return out
 
 
 def _check_alpha(alpha):
@@ -284,10 +246,9 @@ def wick_exp(samples, cov, quad, alpha, g=None):
     Returns one value per sample.
     """
     _check_alpha(alpha)
-    phi = _as_values(samples)
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
     half_var = 0.5 * alpha * alpha * cov.diag
-    return np.exp(alpha * phi - half_var) @ wg
+    return np.exp(alpha * samples - half_var) @ wg
 
 
 @dataclass
@@ -310,12 +271,11 @@ def wick_power_estimate(samples, cov, quad, k, g=None):
     """
     if not 0 <= k <= WICK_POWER_CAP:
         raise ValueError(f"need 0 <= k <= {WICK_POWER_CAP} for conditioning")
-    phi = _as_values(samples)
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
     sd = np.sqrt(cov.diag)
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
-    wick = sd**k * hermite_e.hermeval(phi / sd, coeffs)
+    wick = sd**k * hermite_e.hermeval(samples / sd, coeffs)
     w = wick @ wg
     s = len(w)
     second = float((w**2).mean())
@@ -335,54 +295,11 @@ def shift_audit(samples, cov, quad, alpha, f, g=None):
     equal to machine precision, exact algebra at the discrete level.
     """
     _check_alpha(alpha)
-    phi = _as_values(samples)
     f = np.asarray(f, dtype=float)
-    lhs = wick_exp(FieldSamples(phi + f, None, 0), cov, quad, alpha, g=g)
+    lhs = wick_exp(samples + f, cov, quad, alpha, g=g)
     gmult = np.exp(alpha * f) if g is None else np.exp(alpha * f) * np.asarray(g, dtype=float)
     rhs = wick_exp(samples, cov, quad, alpha, g=gmult)
     return lhs, rhs
-
-
-def reorder_to_plus(samples, cov, quad, alpha, tile_id):
-    """X_j: the Neumann-field exponential re-ordered to the free covariance.
-
-    The Wick factor uses the free diagonal, equivalently a multiplier
-    exp(alpha^2 DeltaG / 2) on the Neumann-ordered exponential, so
-    X_j >= the Neumann-ordered value samplewise (DeltaG >= 0).
-    """
-    _check_alpha(alpha)
-    if cov.kind != "neumann":
-        raise ValueError("reorder_to_plus expects the Neumann covariance model")
-    phi = _as_values(samples)
-    mask = quad.tile_mask(tile_id)
-    half_var = 0.5 * alpha * alpha * cov.free_diag[mask]
-    return np.exp(alpha * phi[:, mask] - half_var) @ quad.weights[mask]
-
-
-@dataclass
-class LaplaceEstimate:
-    s: np.ndarray
-    value: np.ndarray
-    stderr: np.ndarray
-
-    def log_value(self):
-        return np.log(self.value)
-
-
-def laplace_transform(x, s_grid):
-    """L(s) = E[exp(-s X)] estimated over the sample set, with stderr."""
-    x = np.asarray(x, dtype=float)
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    if (s_grid < 0).any():
-        raise ValueError("Laplace grid must have s >= 0")
-    vals = np.empty_like(s_grid)
-    errs = np.empty_like(s_grid)
-    n = len(x)
-    for i, s in enumerate(s_grid):
-        e = np.exp(-s * x)
-        vals[i] = e.mean()
-        errs[i] = e.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-    return LaplaceEstimate(s=s_grid, value=vals, stderr=errs)
 
 
 def log_laplace_stable(x, log_s):
@@ -453,130 +370,6 @@ def z_ratio(mp, nt, quad, alpha, lam, h, n, seed):
     return ZRatioResult(ratio=float(ratio), stderr=float(stderr), ess=ess, unreliable=ess < 100.0)
 
 
-def bound_chain_audit(mp, nt, tile_ids, alpha, lam, h=None, n_mc=20_000, seed=0, resolution=3):
-    """Numerical audit of the inequality chain on a small tile union.
-
-    Checks, within Monte Carlo error bars:
-      * conditioning: Z_free(h, Lambda) <= prod_j L_{X_1}(lambda k_j)
-      * Jensen:       Z_free(0, Lambda) >= exp(-lambda |Lambda|)
-      * single tile:  Z_free(0, T) <= Z_Neumann(0, T)
-      * independence: the Laplace estimator factorizes across tiles
-    """
-    if len(tile_ids) > 4:
-        raise ConfigurationError("bound-chain audit is designed for <= 4 tiles")
-    if lam < 0:
-        raise ValueError("need lambda >= 0")
-    log_lam = math.log(lam) if lam > 0 else -math.inf
-    tess = nt.tess
-    quad = build_quadrature(tess, tile_ids, resolution)
-    cov_f = build_covariance(mp, nt, quad, "free")
-    cov_n = build_covariance(mp, nt, quad, "neumann")
-    s_free = sample_fields(cov_f, n_mc, seed)
-    s_neum = sample_fields(cov_n, n_mc, seed + 1)
-
-    if h is None or h.is_zero:
-        f = np.zeros(len(quad))
-        log_ks = [0.0 for _ in tile_ids]
-    else:
-        f = bd.h_plus_at_points(mp, h, [Point.from_vec(p) for p in quad.points])
-        log_ks = [bd.k_constant_log(mp, h, alpha, tess.tiles[t])[0] for t in tile_ids]
-
-    area = tile_area(tess.tiles[tile_ids[0]])
-    total_area = len(tile_ids) * area
-
-    # lhs: free-field partition function with boundary shift
-    v_h = lam * wick_exp(s_free, cov_f, quad, alpha, g=np.exp(alpha * f))
-    z_h = np.exp(-v_h)
-    z_h_mean, z_h_se = z_h.mean(), z_h.std(ddof=1) / math.sqrt(n_mc)
-
-    # rhs: product of Laplace transforms of the per-tile Neumann exponential.
-    # Each side of the conditioning inequality is Wick-ordered by its own
-    # covariance; fixing + ordering on both sides reverses the inequality
-    # at small coupling (see the re-ordered diagnostic below).
-    yj = {t: wick_exp(s_neum, cov_n, quad, alpha, g=quad.tile_mask(t).astype(float)) for t in tile_ids}
-    y1 = yj[tile_ids[0]]
-    log_rhs, var_log = 0.0, 0.0
-    for lk in log_ks:
-        ll, se, _ = log_laplace_stable(y1, log_lam + lk)
-        log_rhs += ll
-        var_log += se * se
-    rhs = math.exp(log_rhs)
-    rhs_se = rhs * math.sqrt(var_log)
-    cond_sigma = math.hypot(z_h_se, rhs_se)
-    conditioning_ok = z_h_mean <= rhs + 5.0 * cond_sigma
-
-    # Jensen at h = 0
-    v_0 = lam * wick_exp(s_free, cov_f, quad, alpha)
-    z_0 = np.exp(-v_0)
-    z0_mean, z0_se = z_0.mean(), z_0.std(ddof=1) / math.sqrt(n_mc)
-    jensen_lhs = z0_mean * math.exp(lam * total_area)
-    jensen_ok = jensen_lhs >= 1.0 - 5.0 * z0_se * math.exp(lam * total_area)
-
-    # free <= Neumann on the same region (h = 0)
-    vn_0 = lam * sum(yj.values())
-    zn_0 = np.exp(-vn_0)
-    zn_mean, zn_se = zn_0.mean(), zn_0.std(ddof=1) / math.sqrt(n_mc)
-    free_le_neumann = z0_mean <= zn_mean + 5.0 * math.hypot(z0_se, zn_se)
-
-    # diagnostic: the +-re-ordered Neumann partition function sits BELOW the
-    # free one at small coupling, which is why the chain uses own ordering
-    x_plus = sum(reorder_to_plus(s_neum, cov_n, quad, alpha, t) for t in tile_ids)
-    zn_plus = float(np.exp(-lam * x_plus).mean())
-
-    # independence: joint Laplace factorizes across the first two tiles
-    independence = None
-    if len(tile_ids) >= 2:
-        s = lam
-        xa, xb = yj[tile_ids[0]], yj[tile_ids[1]]
-        joint = np.exp(-s * (xa + xb))
-        jm, jse = joint.mean(), joint.std(ddof=1) / math.sqrt(n_mc)
-        pa, pb = np.exp(-s * xa), np.exp(-s * xb)
-        prod = pa.mean() * pb.mean()
-        prod_se = prod * math.sqrt(
-            (pa.std(ddof=1) / (pa.mean() * math.sqrt(n_mc))) ** 2
-            + (pb.std(ddof=1) / (pb.mean() * math.sqrt(n_mc))) ** 2
-        )
-        gap_sigma = math.hypot(jse, prod_se)
-        independence = {
-            "joint": float(jm),
-            "product": float(prod),
-            "gap_sigmas": float(abs(jm - prod) / gap_sigma) if gap_sigma > 0 else 0.0,
-            "passed": bool(abs(jm - prod) <= 5.0 * gap_sigma),
-        }
-
-    report = {
-        "audit_name": "bound_chain",
-        "params": {
-            "tile_ids": [int(t) for t in tile_ids],
-            "alpha": alpha,
-            "lambda": lam,
-            "n_mc": n_mc,
-            "seed": seed,
-            "resolution": resolution,
-        },
-        "n_samples": int(n_mc),
-        "z_free_h": float(z_h_mean),
-        "laplace_product": float(rhs),
-        "conditioning_passed": bool(conditioning_ok),
-        "jensen_value": float(jensen_lhs),
-        "jensen_passed": bool(jensen_ok),
-        "z_free_0": float(z0_mean),
-        "z_neumann_0": float(zn_mean),
-        "z_neumann_plus_ordered": zn_plus,
-        "free_le_neumann_passed": bool(free_le_neumann),
-        "independence": independence,
-        "max_violation": float(max(z_h_mean - rhs, 1.0 - jensen_lhs, z0_mean - zn_mean, 0.0)),
-        "tail_bound": nt.tail_bound(mp),
-        "passed": bool(
-            conditioning_ok
-            and jensen_ok
-            and free_le_neumann
-            and (independence is None or independence["passed"])
-        ),
-    }
-    return report
-
-
 @dataclass
 class TrivialityConfig:
     m2: float = 2.0
@@ -598,13 +391,7 @@ class TrivialityConfig:
     min_step: float = 0.35
     tail_tol: float = 1e-2
     k_grid: int = 4
-    tess_radius: float = 0.0  # 0 -> derived
     threads: int = 1
-
-    def derived_radius(self, margin):
-        if self.tess_radius > 0.0:
-            return self.tess_radius
-        return self.orbit_radius + margin
 
 
 @dataclass
@@ -678,7 +465,8 @@ def triviality_run(cfg):
     """The decay experiment: certify U(q) <= -eps*q along a conical tile
     sequence approaching a boundary point inside the support of h.
 
-    The tiles are congruent and the Neumann field decouples across them,
+    Every tile is an isometric image of the fundamental one and the
+    Neumann field decouples across them,
     so one Laplace-transform sample set (X_1 on the fundamental tile)
     serves every factor.  h = 0 runs are the control: all k_j = 1 and no
     decay should be certified.  The smallness condition on lambda
@@ -692,7 +480,7 @@ def triviality_run(cfg):
     tp = TriangleParams(cfg.p, cfg.q, cfg.r)
     probe = generate(tp, 0.0)  # fundamental tile only
     margin = probe.anchor_spread + probe.circumradius
-    tess = generate(tp, cfg.derived_radius(margin))
+    tess = generate(tp, cfg.orbit_radius + margin)
     nt = greens.NeumannTruncation(tess, cfg.orbit_radius, tail_tol=cfg.tail_tol)
 
     control = cfg.amplitude == 0.0

@@ -28,9 +28,6 @@ ETA_DIAG = np.array([1.0, 1.0, -1.0])  # the Lorentz signature
 ETA_DIAG.setflags(write=False)
 ETA = np.diag(ETA_DIAG)
 
-_HYPERBOLOID_TOL = 1e-12
-_REORTH_EVERY = 16  # matrix compositions between Lorentz re-projections
-
 
 def lorentz_dot(a, b):
     """Lorentz inner product on stacked 3-vectors (broadcasts over leading axes)."""
@@ -65,18 +62,6 @@ class Point:
     @classmethod
     def from_vec(cls, v, renormalize=True):
         return cls(v[0], v[1], v[2], renormalize=renormalize)
-
-    @property
-    def x1(self):
-        return self.vec[0]
-
-    @property
-    def x2(self):
-        return self.vec[1]
-
-    @property
-    def x3(self):
-        return self.vec[2]
 
     def hyperboloid_residual(self):
         """Defect of x1^2 + x2^2 - x3^2 = -1, relative to the height scale.
@@ -206,21 +191,12 @@ def halfplane_z(p):
     return convert(p, "halfplane").z
 
 
-def boundary_angle_to_eta(beta):
-    """Boundary circle angle -> real boundary coordinate of the half-plane chart."""
-    return math.tan(beta / 2.0)
-
-
-def eta_to_boundary_angle(eta):
-    return 2.0 * math.atan(eta)
-
-
 class Isometry:
     """An element of O+(2,1) acting on the hyperboloid by matrix multiplication."""
 
-    __slots__ = ("m", "det_sign", "_depth")
+    __slots__ = ("m", "det_sign")
 
-    def __init__(self, m, check=True, _depth=0):
+    def __init__(self, m, check=True):
         m = np.array(m, dtype=float)
         if check:
             scale = max(1.0, float(np.abs(m).max()) ** 2)
@@ -232,16 +208,10 @@ class Isometry:
         self.m = m
         self.m.setflags(write=False)
         self.det_sign = 1 if np.linalg.det(m) > 0 else -1
-        self._depth = _depth
 
     @classmethod
     def identity(cls):
         return cls(np.eye(3), check=False)
-
-    @classmethod
-    def rotation(cls, theta):
-        c, s = math.cos(theta), math.sin(theta)
-        return cls(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), check=False)
 
     def apply(self, p):
         if isinstance(p, Point):
@@ -249,16 +219,11 @@ class Isometry:
         return convert(Point.from_vec(self.m @ as_lorentz_vec(p)), _model_of(p))
 
     def __matmul__(self, other):
-        m = self.m @ other.m
-        depth = self._depth + other._depth + 1
-        if depth >= _REORTH_EVERY:
-            m = lorentz_project(m)
-            depth = 0
-        return Isometry(m, check=False, _depth=depth)
+        return Isometry(self.m @ other.m, check=False)
 
     def inverse(self):
         # Lorentz inverse is exact: m^-1 = eta m^T eta
-        return Isometry(ETA @ self.m.T @ ETA, check=False, _depth=self._depth)
+        return Isometry(ETA @ self.m.T @ ETA, check=False)
 
     def lorentz_residual(self):
         """Form defect |m^T eta m - eta| relative to the entry scale.
@@ -282,23 +247,6 @@ def _model_of(p):
     return "lorentz"
 
 
-def lorentz_project(m):
-    """Polar-type correction pulling a near-Lorentz matrix back onto O(2,1).
-
-    Newton iteration for eta m^T eta m = I; quadratically convergent for
-    small defects, which is the regime deep reflection words produce.
-    """
-    m = np.array(m, dtype=float)
-    scale = max(1.0, float(np.abs(m).max()) ** 2)
-    for _ in range(4):
-        b = ETA @ m.T @ ETA @ m
-        defect = np.abs(b - np.eye(3)).max()
-        if defect < 1e-15 * scale:
-            break
-        m = m @ (1.5 * np.eye(3) - 0.5 * b)
-    return m
-
-
 class Geodesic:
     """A complete geodesic {x : (x, v)_L = 0} with unit spacelike normal v.
 
@@ -319,9 +267,6 @@ class Geodesic:
     def signed_eval(self, p):
         """(p, v)_L; equals sinh of the signed distance to the geodesic."""
         return lorentz_dot(as_lorentz_vec(p), self.v)
-
-    def distance_to(self, p):
-        return math.asinh(abs(self.signed_eval(p)))
 
     def __repr__(self):
         return f"Geodesic(v={self.v!r})"

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from . import _kernels
+from ._kernels import SPLICE_RHO
 from .errors import (
     DiagonalSingularityError,
     DivergentTailError,
@@ -31,7 +32,6 @@ from .geometry import ETA_DIAG, Point, as_lorentz_vec, dist, lorentz_dot, midpoi
 from .tessellation import orbital_count
 
 ALPHA_MAX = math.sqrt(4.0 * math.pi)
-SPLICE_RHO = 0.05
 
 _Z_PLAIN_MAX = 0.75
 
@@ -60,25 +60,12 @@ class ModelParams:
         self.gamma_plus = gp
         self.hyp_b = dp + (2.0 - d) / 2.0
         self.hyp_c = 2.0 * dp + 2.0 - d
-        self.use_splice = self.d == 2
-        if self.use_splice:
-            bare = _kernels.gplus_array(
-                np.array([SPLICE_RHO]), dp, self.hyp_b, self.hyp_c, gp, 0.0, 0.0, False
-            )[0]
+        # the kernel's log branch is rho < SPLICE_RHO, so this call never reads
+        # splice_const; it fixes the constant that makes G_plus continuous there
+        self.splice_const = 0.0
+        if self.d == 2:
+            bare = _kernels.gplus_array(np.array([SPLICE_RHO]), self)[0]
             self.splice_const = bare + math.log(2.0 * math.sinh(SPLICE_RHO / 2.0) ** 2) / (4.0 * math.pi)
-        else:
-            self.splice_const = 0.0
-
-    def gplus_args(self):
-        return (
-            self.delta_plus,
-            self.hyp_b,
-            self.hyp_c,
-            self.gamma_plus,
-            SPLICE_RHO,
-            self.splice_const,
-            self.use_splice,
-        )
 
     def __repr__(self):
         return f"ModelParams(m2={self.m2}, d={self.d}, delta_plus={self.delta_plus})"
@@ -106,7 +93,7 @@ def g_plus(mp, rho):
     arr = np.atleast_1d(np.asarray(rho, dtype=float))
     if (arr <= 0).any():
         raise DiagonalSingularityError("G_plus diverges on the diagonal (rho <= 0)")
-    out = _kernels.gplus_array(arr, *mp.gplus_args())
+    out = _kernels.gplus_array(arr, mp)
     return float(out[0]) if np.isscalar(rho) or np.asarray(rho).ndim == 0 else out
 
 
@@ -220,7 +207,7 @@ def g_neumann(mp, nt, x, y):
     if dist(Point.from_vec(xv), Point.from_vec(yv)) < 1e-6:
         raise DiagonalSingularityError("G_N diverges at x = y")
     block = _kernels.image_sum_block(
-        xv[None, :], yv[None, :], nt._mats, nt.max_orbit_radius, *mp.gplus_args()
+        xv[None, :], yv[None, :], nt._mats, nt.max_orbit_radius, mp
     )
     return float(block[0, 0])
 
@@ -230,7 +217,7 @@ def g_neumann_block(mp, nt, xs, ys, tile_id):
     nt.check_tail(mp)
     xv = _pull_back(nt.tess, tile_id, xs)
     yv = _pull_back(nt.tess, tile_id, ys)
-    return _kernels.image_sum_block(xv, yv, nt._mats, nt.max_orbit_radius, *mp.gplus_args())
+    return _kernels.image_sum_block(xv, yv, nt._mats, nt.max_orbit_radius, mp)
 
 
 def delta_g(mp, nt, x):
@@ -254,7 +241,7 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
         ids = [tile_id] * len(vecs)
     nt.check_tail(mp)
     pulled = np.stack([_pull_back(tess, i, [v])[0] for i, v in zip(ids, vecs)])
-    sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, *mp.gplus_args())
+    sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp)
     if warn:
         fund_normals = tess.fund_normals
         for v in pulled:
@@ -313,14 +300,13 @@ def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
 
     sel = tess.centroid_rho <= nt.max_orbit_radius
     fixed_mats = np.ascontiguousarray(tess.mats[sel])
-    args = mp.gplus_args()
     big = 500.0  # effectively untruncated for the fixed-subset flavor
 
     def f_orbit(t):
         src = xv if t < 0 else xref
         return float(
             _kernels.image_sum_block(
-                src[None, :], geodesic_point(t)[None, :], nt._mats, nt.max_orbit_radius, *args
+                src[None, :], geodesic_point(t)[None, :], nt._mats, nt.max_orbit_radius, mp
             )[0, 0]
         )
 
@@ -328,7 +314,7 @@ def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
         src = xv if t < 0 else xref
         return float(
             _kernels.image_sum_block(
-                src[None, :], geodesic_point(t)[None, :], fixed_mats, big, *args
+                src[None, :], geodesic_point(t)[None, :], fixed_mats, big, mp
             )[0, 0]
         )
 

@@ -119,6 +119,17 @@ class Tile:
         return [pt.to_disk() for pt in self.vertices]
 
 
+def _outward_normals(vertices):
+    """Outward unit side normals of the geodesic triangle with Lorentz
+    vertex rows `vertices`, one row per side in the order v0-v1, v0-v2, v1-v2."""
+    pts = [Point.from_vec(v) for v in vertices]
+    normals = []
+    for ia, ib, iopp in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        geo = geodesic_through(pts[ia], pts[ib])
+        normals.append(geo.v if lorentz_dot(geo.v, vertices[iopp]) < 0 else -geo.v)
+    return np.stack(normals)
+
+
 def fundamental_triangle(tp):
     """Canonical (p, q, r) triangle: the pi/p vertex at the disk origin and
     one side along the positive real axis."""
@@ -133,18 +144,8 @@ def fundamental_triangle(tp):
     v2 = point_at(0.0, len_12)
     v3 = point_at(a1, len_13)
     vertices = np.stack([v1.vec, v2.vec, v3.vec])
-
-    # outward unit normals; side i is opposite vertex i+... side order:
-    # 0: v1-v2 (real axis), 1: v1-v3, 2: v2-v3
-    pairs = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-    normals = []
-    for ia, ib, iopp in pairs:
-        geo = geodesic_through(Point.from_vec(vertices[ia]), Point.from_vec(vertices[ib]))
-        v = geo.v if lorentz_dot(geo.v, vertices[iopp]) < 0 else -geo.v
-        normals.append(v)
-    normals = np.stack(normals)
-
-    tile = Tile(0, (), Isometry.identity(), vertices, normals)
+    # side 0 lies on the real axis
+    tile = Tile(0, (), Isometry.identity(), vertices, _outward_normals(vertices))
     measured = tile.angles
     for got, want in zip(measured, (a1, a2, a3)):
         if abs(got - want) > 1e-10:
@@ -198,10 +199,6 @@ class Tessellation:
     def circumradius(self):
         c = Point.from_vec(self.centroids[0])
         return max(dist(c, Point.from_vec(v)) for v in self.fund_vertices)
-
-    @cached_property
-    def fundamental_area(self):
-        return tile_area(self.tiles[0])
 
     def locate(self, p, slack=1e-12):
         """Tile id whose three outward side tests all pass, or None.
@@ -440,15 +437,15 @@ def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
     order = np.argsort(depth[usable], kind="stable")
     cand = np.nonzero(usable)[0][order]
     ids = []
-    last_depth = -math.inf
+    deepest = -math.inf
     for k in cand:
-        if depth[k] <= last_depth + max(min_step, 1e-12):
+        if depth[k] <= deepest + max(min_step, 1e-12):
             continue
         tid = tess.locate(Point.from_vec(pts[k]))
         if tid is None:
             continue
         ids.append(int(tid))
-        last_depth = depth[k]
+        deepest = depth[k]
         if len(ids) == n:
             return ids
     raise EnumerationTooSmallError(

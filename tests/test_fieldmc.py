@@ -35,6 +35,15 @@ def test_wick_exp_mean_is_tile_area(cov_neumann, quad3):
     assert abs(x.mean() - TILE_AREA_344) <= 5.0 * se
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wick_power_second_moment(cov_neumann, quad3, k):
+    # E[(:phi^k:(w))^2] = k! w . C^k . w, with C^k taken entrywise
+    samples = fm.sample_fields(cov_neumann, 20_000, seed=4)
+    est = fm.wick_power_estimate(samples, cov_neumann, quad3, k)
+    oracle = math.factorial(k) * quad3.weights @ cov_neumann.matrix**k @ quad3.weights
+    assert abs(est.second_moment - oracle) <= 5.0 * est.second_moment_stderr
+
+
 def test_shift_identity(cov_neumann, quad3):
     samples = fm.sample_fields(cov_neumann, 2_000, seed=5)
     f = np.random.default_rng(5).normal(scale=0.5, size=len(quad3))

@@ -318,8 +318,8 @@ def test_two_element_group_exact_evenness(mp2, tess344_small):
     for t in (0.05, 0.1, 0.2):
         yp = math.cosh(t) * y0.vec + math.sinh(t) * v
         ym = math.cosh(-t) * y0.vec + math.sinh(-t) * v
-        fp = _kernels.image_sum_block(xr[None], yp[None], mats, 50.0, *mp2.gplus_args())[0, 0]
-        fm = _kernels.image_sum_block(x[None], ym[None], mats, 50.0, *mp2.gplus_args())[0, 0]
+        fp = _kernels.image_sum_block(xr[None], yp[None], mats, 50.0, mp2)[0, 0]
+        fm = _kernels.image_sum_block(x[None], ym[None], mats, 50.0, mp2)[0, 0]
         assert abs(fp - fm) < 1e-13
 
 
@@ -346,13 +346,13 @@ def test_image_sums_match_per_image_oracle(nt6, mp2):
     interior = sample_tile_points(nt6.tess, 0, 2, np.random.default_rng(11), min_side_gap=0.05)
     pts = np.vstack([interior, near_side])
     xs, ys = pts[:1], pts[1:]
-    block = _kernels.image_sum_block(xs, ys, mats, rmax, *mp2.gplus_args())
+    block = _kernels.image_sum_block(xs, ys, mats, rmax, mp2)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             rho = _image_distances(mats, x, y, rmax)
             assert 0 < rho.size < len(mats)  # the radius cut drops images
             assert block[i, j] == pytest.approx(g_plus(mp2, rho).sum(), rel=1e-12)
-    sums, nearest = _kernels.image_sum_self(pts, mats, rmax, *mp2.gplus_args())
+    sums, nearest = _kernels.image_sum_self(pts, mats, rmax, mp2)
     for i, x in enumerate(pts):
         rho = _image_distances(mats, x, x, rmax, skip_identity=True)
         assert sums[i] == pytest.approx(g_plus(mp2, rho).sum(), rel=1e-12)

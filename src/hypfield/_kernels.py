@@ -3,12 +3,21 @@
 This is the package's only kernel; greens.py calls it for every
 evaluation.  Each kernel takes the model as one `greens.ModelParams`
 argument `mp` and reads delta_plus, hyp_b, hyp_c, gamma_plus,
-splice_const and d from it.  All Green's-function evaluation funnels
-through four argument regimes:
+splice_const, d and gplus_interp from it.
+
+Production path.  `gplus_array` evaluates G_plus for rho >= SPLICE_RHO
+from `GplusInterpolant`: e^(Delta rho) G_plus as two Chebyshev series in
+t = e^(-rho) on [0, e^(-SPLICE_RHO)], built once per model in
+`ModelParams.__init__`.  Below SPLICE_RHO it calls `gplus_series`.
+
+Reference and build path.  `gplus_series` sums the Gauss series in
+four argument regimes; it computes the interpolant's node values and is
+the oracle the tests compare the interpolant against:
 
     rho >= 2                 direct series at  z = -1/sinh^2(rho/2)   (alternating)
     1.0986 <= rho < 2        Pfaff-mapped series at z = sech^2(rho/2)
-    SPLICE_RHO <= rho        quadratic-transformation series at z = sech^2(rho)
+    rho < 1.0986             quadratic-transformation series at z = sech^2(rho)
+                             (for d = 2 down to SPLICE_RHO only)
     rho < SPLICE_RHO         matched logarithmic form (d = 2 only)
 
 The hypergeometric parameters are a = Delta, b = Delta + (2-d)/2,
@@ -19,6 +28,7 @@ quadratic transformation applicable.
 import math
 
 import numpy as np
+from numpy.polynomial import Chebyshev, chebyshev, polyutils
 
 from .errors import PrecisionLossError
 from .geometry import ETA_DIAG
@@ -28,6 +38,10 @@ RHO_PFAFF = 2.0 * math.acosh(1.0 / math.sqrt(0.75))  # series argument 0.75
 SPLICE_RHO = 0.05
 _SERIES_TOL = 5e-16
 _SERIES_MAXITER = 200000
+# interpolant pieces (t_lo, t_hi, degree) in t = e^-rho; t = 0.6 is rho = 0.51
+_FAR_PIECE = (0.0, 0.6, 30)
+_NEAR_PIECE = (0.6, math.exp(-SPLICE_RHO), 60)
+INTERP_RTOL = 2e-13
 
 
 def hyp2f1_series(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
@@ -71,8 +85,8 @@ def _series_vec(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
     return sw.reshape(z.shape)
 
 
-def gplus_array(rho, mp):
-    """Free Green's function on an array of geodesic distances (all > 0)."""
+def gplus_series(rho, mp):
+    """Free Green's function by the series regimes (reference path, all rho > 0)."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     out = np.empty_like(rho)
     delta, b, c, gamma = mp.delta_plus, mp.hyp_b, mp.hyp_c, mp.gamma_plus
@@ -106,6 +120,71 @@ def gplus_array(rho, mp):
         f = _series_vec(delta / 2.0, (delta + 1.0) / 2.0, b + 0.5, 1.0 / ch**2)
         out[qd] = gamma * 2.0 ** (-delta) * ch ** (-delta) * f
 
+    return out
+
+
+class GplusInterpolant:
+    """e^(Delta rho) G_plus as Chebyshev series in t = e^(-rho), rho >= SPLICE_RHO.
+
+    In t the function is analytic on [0, 1): its nearest singularity is
+    the diagonal t = 1.  The near piece ends at t = e^(-SPLICE_RHO), 0.049
+    short of it, and gets twice the degree of the far piece.  The node
+    values come from `gplus_series`.  The build compares the interpolant
+    with the series midway between consecutive nodes and raises
+    PrecisionLossError when the largest relative error exceeds INTERP_RTOL.
+    """
+
+    def __init__(self, mp):
+        self.delta = mp.delta_plus
+        pieces = (_FAR_PIECE, _NEAR_PIECE)
+        nodes = [
+            polyutils.mapdomain(chebyshev.chebpts1(deg + 1), (-1.0, 1.0), (lo, hi))
+            for lo, hi, deg in pieces
+        ]
+        mids = [0.5 * (x[:-1] + x[1:]) for x in nodes]
+        # one series call for every point: its cost is set by the slowest
+        # converging point, next to t = 1, not by the number of points
+        rho = -np.log(np.concatenate(nodes + mids))
+        series = gplus_series(rho, mp)
+        self.nodes = sum(len(x) for x in nodes)
+        scaled = series[: self.nodes] * np.exp(self.delta * rho[: self.nodes])
+        # a degree-deg fit through deg + 1 points is the interpolant
+        self.far, self.near = (
+            Chebyshev.fit(x, y, deg, domain=(lo, hi))
+            for x, y, (lo, hi, deg) in zip(nodes, np.split(scaled, [len(nodes[0])]), pieces)
+        )
+        check = slice(self.nodes, None)
+        self.max_rel_err = float(np.max(np.abs(self(rho[check]) / series[check] - 1.0)))
+        if not self.max_rel_err <= INTERP_RTOL:
+            raise PrecisionLossError(
+                f"G_plus interpolant for m2={mp.m2}, d={mp.d} misses the series by "
+                f"{self.max_rel_err:.2e} relative (limit {INTERP_RTOL:.0e}); "
+                f"a mass this large needs more interpolation nodes"
+            )
+
+    def __call__(self, rho):
+        """G_plus at an array of distances rho >= SPLICE_RHO."""
+        t = np.exp(-rho)
+        out = np.empty_like(t)
+        near = t >= _NEAR_PIECE[0]
+        out[~near] = self.far(t[~near])
+        out[near] = self.near(t[near])
+        return out * t**self.delta
+
+
+def gplus_array(rho, mp):
+    """Free Green's function on an array of geodesic distances (all > 0).
+
+    rho >= SPLICE_RHO: the model's interpolant; below it `gplus_series`,
+    which is the log splice for d = 2 and the series for d > 2.
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    below = rho < SPLICE_RHO
+    if not below.any():
+        return mp.gplus_interp(rho)
+    out = np.empty_like(rho)
+    out[below] = gplus_series(rho[below], mp)
+    out[~below] = mp.gplus_interp(rho[~below])
     return out
 
 

@@ -49,7 +49,10 @@ class TruncationError(HypfieldError):
 
 
 class PrecisionLossError(HypfieldError):
-    """Series evaluation failed to converge; carries the partial value."""
+    """A series did not converge, or the G_plus interpolant missed the series.
+
+    A series that did not converge carries its partial sum in ``partial``.
+    """
 
     def __init__(self, message, partial=None):
         super().__init__(message)

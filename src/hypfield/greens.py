@@ -13,7 +13,9 @@ d = 2 Legendre identity G_plus = Q_{Delta-1}(cosh rho) / (2 pi), which
 the test suite pins against an independent Legendre evaluation.
 """
 
+import logging
 import math
+import time
 import warnings
 
 import numpy as np
@@ -35,12 +37,23 @@ ALPHA_MAX = math.sqrt(4.0 * math.pi)
 
 _Z_PLAIN_MAX = 0.75
 
+logger = logging.getLogger(__name__)
+
 
 class ModelParams:
     """Mass, conformal weight and normalization of the free kernel.
 
     delta_plus = (d-1)/2 + sqrt((d-1)^2 + 4 m^2)/2
     gamma_plus = Gamma(delta) / (2 pi^((d-1)/2) Gamma(delta + 1 - (d-1)/2))
+
+    The constructor also builds `gplus_interp`, the Chebyshev interpolant
+    through which `_kernels.gplus_array` evaluates G_plus for
+    rho >= SPLICE_RHO, and logs the build at INFO on `hypfield.greens`.
+    It raises PrecisionLossError when the interpolant misses the series
+    by more than `_kernels.INTERP_RTOL`; with its 92 nodes that happens
+    from about m2 = 160 (Delta_+ = 13) up.  For d = 2, `splice_const`
+    continues G_plus below SPLICE_RHO by the matched logarithmic form,
+    fixed so that the two agree at SPLICE_RHO.
     """
 
     def __init__(self, m2, d=2, delta_plus=None, gamma_plus=None):
@@ -60,12 +73,17 @@ class ModelParams:
         self.gamma_plus = gp
         self.hyp_b = dp + (2.0 - d) / 2.0
         self.hyp_c = 2.0 * dp + 2.0 - d
-        # the kernel's log branch is rho < SPLICE_RHO, so this call never reads
-        # splice_const; it fixes the constant that makes G_plus continuous there
+        t_start = time.perf_counter()
+        self.gplus_interp = _kernels.GplusInterpolant(self)
         self.splice_const = 0.0
         if self.d == 2:
-            bare = _kernels.gplus_array(np.array([SPLICE_RHO]), self)[0]
-            self.splice_const = bare + math.log(2.0 * math.sinh(SPLICE_RHO / 2.0) ** 2) / (4.0 * math.pi)
+            at_splice = self.gplus_interp(np.array([SPLICE_RHO]))[0]
+            self.splice_const = at_splice + math.log(2.0 * math.sinh(SPLICE_RHO / 2.0) ** 2) / (4.0 * math.pi)
+        logger.info(
+            "G_plus interpolant m2=%g d=%d: %d nodes, max rel err %.1e, %.3f s",
+            self.m2, self.d, self.gplus_interp.nodes, self.gplus_interp.max_rel_err,
+            time.perf_counter() - t_start,
+        )
 
     def __repr__(self):
         return f"ModelParams(m2={self.m2}, d={self.d}, delta_plus={self.delta_plus})"

@@ -14,7 +14,7 @@ from hypfield.boundary import (
     sector_lower_bound_audit,
 )
 from hypfield.errors import ConfigurationError
-from hypfield.geometry import DiskPoint, Point, Sector, convert
+from hypfield.geometry import Point, Sector, convert
 from hypfield.greens import ModelParams
 from hypfield.tessellation import conical_sequence
 

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
 from hypfield import cli
 from hypfield import fieldmc as fm
 from hypfield.errors import ConfigurationError
+from hypfield.greens import ModelParams, g_plus
 from hypfield.tessellation import TriangleParams, generate
 
 
@@ -26,6 +28,81 @@ def test_tessellate_writes_outputs_and_manifest(tmp_path):
     for out in manifest["outputs"]:
         with open(out["path"], "rb") as fh:
             assert out["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def _assert_manifest_matches(manifest_path, command, outputs):
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    assert [o["path"] for o in manifest["outputs"]] == [str(p) for p in outputs]
+    for out in manifest["outputs"]:
+        with open(out["path"], "rb") as fh:
+            assert out["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_green_audits_production_kernel(tmp_path, d):
+    csv_path = tmp_path / "green.csv"
+    argv = ["green", "--m2", "2", "--d", str(d), "--steps", "40", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "rho,g_plus_G2,g_plus_G3,g_plus,rel_dev"
+    assert len(lines) == 41
+    mp = ModelParams(2.0, d=d)
+    for line in lines[1:]:
+        rho, g2, g3, gp, dev = map(float, line.split(","))
+        assert gp == pytest.approx(g_plus(mp, rho), rel=1e-15)
+        assert abs(gp - g2) / g2 <= dev * (1.0 + 1e-9)
+        assert dev < 1e-9
+        assert (d == 2) != math.isnan(g3)
+    _assert_manifest_matches(tmp_path / "green.csv.manifest.json", "green", [csv_path])
+
+
+def test_green_flags_the_log_splice(tmp_path, capsys):
+    # below SPLICE_RHO the d = 2 kernel is the matched logarithmic form,
+    # about 1e-3 off the closed forms at rho = 0.02
+    csv_path = tmp_path / "green.csv"
+    argv = ["green", "--m2", "2", "--rho-min", "0.02", "--rho-max", "1", "--steps", "5"]
+    assert cli.main(argv + ["--csv", str(csv_path)]) == 1
+    first = csv_path.read_text().splitlines()[1].split(",")
+    assert float(first[4]) > 1e-9
+    assert abs(float(first[2]) - float(first[1])) < 1e-9 * float(first[1])
+
+
+def test_neumann_audit_writes_report_and_manifest(tmp_path):
+    json_path = tmp_path / "audit.json"
+    argv = ["neumann-audit", "--orbit-radius", "4", "--tail-tol", "1", "--pairs", "400"]
+    assert cli.main(argv + ["--json", str(json_path)]) == 0
+
+    reports = json.loads(json_path.read_text())
+    assert [r["audit_name"] for r in reports] == ["neumann_symmetry", "domination"]
+    assert all(r["passed"] for r in reports)
+    _assert_manifest_matches(tmp_path / "audit.json.manifest.json", "neumann-audit", [json_path])
+
+
+def test_sample_audit_writes_report_and_manifest(tmp_path):
+    json_path = tmp_path / "samples.json"
+    argv = ["sample-audit", "--orbit-radius", "4", "--tail-tol", "1", "--n", "4000", "--resolution", "2"]
+    assert cli.main(argv + ["--json", str(json_path)]) == 0
+
+    report = json.loads(json_path.read_text())
+    assert report["passed"] and report["n_samples"] == 4000
+    assert [w["k"] for w in report["wick_powers"]] == [1, 2, 3, 4]
+    _assert_manifest_matches(tmp_path / "samples.json.manifest.json", "sample-audit", [json_path])
+
+
+def test_propagator_writes_tables_and_manifest(tmp_path):
+    csv_path, json_path = tmp_path / "prop.csv", tmp_path / "sector.json"
+    argv = ["propagator", "--grid", "3", "--sector-r0", "0.3", "--sector-samples", "50"]
+    assert cli.main(argv + ["--csv", str(csv_path), "--json", str(json_path)]) == 0
+
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "z,zeta,h_plus_direct,h_plus_substituted,rel_dev"
+    assert len(lines) == 1 + 3 * 3
+    assert json.loads(json_path.read_text())["passed"]
+    _assert_manifest_matches(
+        tmp_path / "prop.csv.manifest.json", "propagator", [csv_path, json_path]
+    )
 
 
 @pytest.mark.parametrize(

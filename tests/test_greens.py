@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -28,7 +29,6 @@ from hypfield.greens import (
     neumann_symmetry_audit,
     sample_tile_points,
 )
-from hypfield.tessellation import TriangleParams, generate
 
 
 # ---------------------------------------------------------------- parameters
@@ -182,6 +182,60 @@ def test_g_plus_isometry_invariance(tess344_small):
     assert g_plus(mp, dist(g.apply(a), g.apply(b))) == pytest.approx(
         g_plus(mp, dist(a, b)), rel=1e-12
     )
+
+
+# -------------------------------------------------- G_plus interpolant
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0])
+def test_gplus_interpolant_matches_series(m2, d):
+    mp = ModelParams(m2, d=d)
+    rho = np.linspace(_kernels.SPLICE_RHO, 60.0, 20_001)
+    vals = _kernels.gplus_array(rho, mp)
+    assert np.max(np.abs(vals / _kernels.gplus_series(rho, mp) - 1.0)) <= 2e-13
+    assert (np.diff(vals) < 0).all()
+
+
+@pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0])
+def test_gplus_continuous_at_splice(m2):
+    mp = ModelParams(m2)
+    below, at = _kernels.gplus_array(
+        np.array([np.nextafter(_kernels.SPLICE_RHO, 0.0), _kernels.SPLICE_RHO]), mp
+    )
+    assert abs(below - at) <= 1e-13 * at
+
+
+def test_gplus_interpolant_built_once(monkeypatch):
+    mp = ModelParams(2.0)
+    interp = mp.gplus_interp
+    assert isinstance(interp, _kernels.GplusInterpolant)
+
+    def fail(*args):
+        raise AssertionError("evaluation rebuilt the interpolant or summed the series")
+
+    monkeypatch.setattr(_kernels, "GplusInterpolant", fail)
+    monkeypatch.setattr(_kernels, "gplus_series", fail)
+    rho = np.linspace(_kernels.SPLICE_RHO, 30.0, 100)
+    _kernels.gplus_array(rho, mp)
+    g_plus(mp, 1.5)
+    assert mp.gplus_interp is interp
+
+
+def test_model_params_logs_interpolant_build(caplog):
+    with caplog.at_level(logging.INFO, logger="hypfield.greens"):
+        mp = ModelParams(6.0, d=3)
+    [record] = caplog.records
+    msg = record.getMessage()
+    assert "m2=6 d=3" in msg
+    assert f"{mp.gplus_interp.nodes} nodes" in msg
+    assert f"max rel err {mp.gplus_interp.max_rel_err:.1e}" in msg
+
+
+def test_interpolant_self_check_names_the_model():
+    # at m2 = 1000 (Delta_+ = 32) the interpolant misses the series by ~7e-7
+    with pytest.raises(PrecisionLossError, match=r"m2=1000\.0, d=2"):
+        ModelParams(1000.0)
 
 
 # ---------------------------------------------------------------- G_Neumann
@@ -351,11 +405,11 @@ def test_image_sums_match_per_image_oracle(nt6, mp2):
         for j, y in enumerate(ys):
             rho = _image_distances(mats, x, y, rmax)
             assert 0 < rho.size < len(mats)  # the radius cut drops images
-            assert block[i, j] == pytest.approx(g_plus(mp2, rho).sum(), rel=1e-12)
+            assert block[i, j] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
     sums, nearest = _kernels.image_sum_self(pts, mats, rmax, mp2)
     for i, x in enumerate(pts):
         rho = _image_distances(mats, x, x, rmax, skip_identity=True)
-        assert sums[i] == pytest.approx(g_plus(mp2, rho).sum(), rel=1e-12)
+        assert sums[i] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
         assert nearest[i] == pytest.approx(rho.min(), rel=1e-12)
 
 

@@ -13,7 +13,6 @@ from hypfield.errors import (
 from hypfield.geometry import Point, dist, lorentz_dot, origin, point_at, reflect_in
 from hypfield.tessellation import (
     TriangleParams,
-    Tile,
     conical_sequence,
     fundamental_triangle,
     generate,

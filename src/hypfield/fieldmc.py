@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite_e
+from scipy import special
 
 from . import boundary as bd
 from . import greens
@@ -36,6 +37,11 @@ logger = logging.getLogger(__name__)
 
 WICK_POWER_CAP = 8
 _RIDGES = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+# The decay rate's standard error comes from this many sample batches;
+# its one-sided 95% bound uses the Student t quantile on n - 1 degrees
+# of freedom.
+SLOPE_BATCHES = 10
+T95 = float(special.stdtrit(SLOPE_BATCHES - 1, 0.95))
 
 
 @dataclass
@@ -537,7 +543,7 @@ def triviality_run(cfg):
     fit_qs = [r.q for r in fit_records]
     eps_hat = _fit_decay([r.q for r in fit_records], [r.u for r in fit_records])
     eps_se = _slope_se_by_batches(x1, log_ks, log_lam, cfg.lam * area, fit_qs)
-    ci95_low = eps_hat - 1.645 * eps_se  # one-sided 95%
+    ci95_low = eps_hat - T95 * eps_se  # one-sided 95%
     plateau, _, _ = log_laplace_stable(x1, log_lam + log_ks[-1])
 
     # direct ratio check on a small region: the anchor tile plus the first
@@ -575,7 +581,7 @@ def _fit_decay(qs, us):
     return -float(slope)
 
 
-def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=10):
+def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=SLOPE_BATCHES):
     """Standard error of the fitted decay rate by sample batching.
 
     The U(q) points share one sample set and are nested partial sums, so

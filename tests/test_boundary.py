@@ -1,8 +1,12 @@
+import bisect
+import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from hypfield import boundary as bd
 from hypfield.boundary import (
     BoundarySource,
     h_plus,
@@ -13,7 +17,7 @@ from hypfield.boundary import (
     k_table,
     sector_lower_bound_audit,
 )
-from hypfield.errors import ConfigurationError
+from hypfield.errors import ConfigurationError, PrecisionLossError
 from hypfield.geometry import Point, Sector, convert
 from hypfield.greens import ModelParams
 from hypfield.tessellation import conical_sequence
@@ -182,3 +186,153 @@ def test_h_plus_at_points_matches_scalar(mp2, tess344_small):
     for p, v in zip(pts, vec):
         hp = convert(p, "halfplane")
         assert v == pytest.approx(h_plus(mp2, h, hp.z, hp.zeta), rel=1e-12)
+
+
+# --- the batched adaptive evaluator against a 30-digit reference ---------
+
+TAB_ANGLES = np.linspace(-math.pi, math.pi, 17)[:-1]
+SOURCES = {
+    # (source, support ends in eta or None, theta breakpoints in beta)
+    "bump": (BoundarySource.bump(B0, B1), (math.tan(B0 / 2), math.tan(B1 / 2)), ()),
+    "wrapping": (BoundarySource.bump(2.5, 4.0), (math.tan(1.25), math.tan(2.0)), ()),
+    "tabulated": (
+        BoundarySource.tabulated(TAB_ANGLES, 1.0 + 0.5 * np.sin(TAB_ANGLES) + 0.2 * np.cos(3 * TAB_ANGLES)),
+        None,
+        TAB_ANGLES,
+    ),
+}
+
+
+def _zetas(ends):
+    """zeta inside the support, 1e-2 inside each end, and outside it."""
+    if ends is None:  # a tabulated source is supported everywhere
+        return (-1.0, 0.4, 2.0)
+    e0, e1 = ends
+    if e0 < e1:
+        return ((e0 + e1) / 2, e0 + 1e-2, e1 - 1e-2, 1.5)
+    return (5.0, e0 + 1e-2, e1 - 1e-2, 0.0)  # support (e0, inf) and (-inf, e1)
+
+
+def _mp_source(h):
+    """h as a function of mpmath beta: the bump formula, or the spline's
+    cubic pieces from its knots and coefficients."""
+    two_pi = 2 * mpmath.pi
+    if h.kind == "bump":
+        span = mpmath.mpf(h.beta1) - mpmath.mpf(h.beta0)
+        log_peak = h.smoothness / (span / 2) ** 2
+
+        def value(beta):
+            t = (beta - h.beta0) % two_pi
+            if not 0 < t < span:
+                return mpmath.mpf(0)
+            return h.amplitude * mpmath.exp(-h.smoothness / (t * (span - t)) + log_peak)
+
+        return value
+    knots, coef = h._spline.x.tolist(), h._spline.c.T.tolist()
+
+    def value(beta):
+        t = (beta - knots[0]) % two_pi + knots[0]
+        i = min(bisect.bisect_right(knots, t) - 1, len(knots) - 2)
+        c3, c2, c1, c0 = coef[i]
+        dt = t - knots[i]
+        return ((c3 * dt + c2) * dt + c1) * dt + c0
+
+    return value
+
+
+def _mp_h_plus(mp, h, z, zeta, breaks):
+    """30-digit tanh-sinh quadrature of the theta form, split at the theta
+    images of the support ends and of the tabulation knots."""
+    with mpmath.workdps(30):
+        dp = mpmath.mpf(mp.delta_plus)
+        z_mp, zeta_mp = mpmath.mpf(z), mpmath.mpf(zeta)
+        source = _mp_source(h)
+
+        def integrand(theta):
+            beta = 2 * mpmath.atan(zeta_mp + z_mp * mpmath.tan(theta))
+            return mpmath.cos(theta) ** (2 * dp - 2) * source(beta)
+
+        def theta_of(beta):
+            return mpmath.atan((mpmath.tan(mpmath.mpf(beta) / 2) - zeta_mp) / z_mp)
+
+        half = mpmath.pi / 2
+        if h.kind == "bump":
+            b0 = (h.beta0 + math.pi) % (2 * math.pi) - math.pi
+            b1 = b0 + h.beta1 - h.beta0
+            lo, hi = theta_of(b0), theta_of(b1)
+            pieces = [(lo, hi)] if b1 <= math.pi else [(-half, hi), (lo, half)]
+        else:
+            pieces = [(-half, half)]
+        total = mpmath.mpf(0)
+        for a, b in pieces:
+            cuts = sorted({a, b} | {t for t in map(theta_of, breaks) if a < t < b})
+            total += mpmath.quad(integrand, cuts)
+        return float(z_mp ** (1 - dp) * total)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_h_plus_matches_mpmath(mp2, name):
+    h, ends, breaks = SOURCES[name]
+    worst = 0.0
+    for z in (1e-3, 2.4e-3, 0.1, 2.0):
+        for zeta in _zetas(ends):
+            ref = _mp_h_plus(mp2, h, z, zeta, breaks)
+            worst = max(worst, abs(h_plus(mp2, h, z, zeta) - ref) / abs(ref))
+    assert worst <= 1e-10
+
+
+def test_h_plus_array_equals_scalar_calls(mp2):
+    h = BoundarySource.bump(B0, B1)
+    z = np.array([[1e-3, 2.4e-3, 0.1], [0.5, 2.0, 4.0]])
+    zeta = np.array([[0.3, 0.569, -1.0], [0.4, 2.5, 0.0]])
+    vec = h_plus(mp2, h, z, zeta)
+    assert vec.shape == z.shape
+    scalar = np.array([[h_plus(mp2, h, a, b) for a, b in zip(ra, rb)] for ra, rb in zip(z, zeta)])
+    assert isinstance(scalar[0, 0], float)
+    assert np.abs(vec - scalar).max() <= 1e-14 * np.abs(scalar).max()
+    assert np.all(np.abs(vec - scalar) <= 1e-14 * np.abs(scalar))
+
+
+def test_h_plus_repeated_calls_bit_identical(mp2):
+    h = BoundarySource.bump(2.5, 4.0)
+    rng = np.random.default_rng(11)
+    z, zeta = np.exp(rng.uniform(-7.0, 1.5, 200)), rng.uniform(-3.0, 4.0, 200)
+    first = h_plus(mp2, h, z, zeta)
+    assert np.array_equal(first, h_plus(mp2, h, z, zeta))
+    assert np.array_equal(first[::-1], h_plus(mp2, h, z[::-1], zeta[::-1]))
+
+
+def test_h_plus_round_cap_raises(mp2, monkeypatch):
+    # zeta sits 8e-3 inside the support end eta_1 = 0.577 at small z
+    monkeypatch.setattr(bd, "_MAX_ROUNDS", 1)
+    h = BoundarySource.bump(B0, B1)
+    with pytest.raises(PrecisionLossError, match=r"z=0\.0024, zeta=0\.569, m2=2\.0"):
+        h_plus(mp2, h, 2.4e-3, 0.569)
+
+
+def test_h_plus_panel_cap_raises(mp2, monkeypatch):
+    # the hard point keeps two panels open for 9 rounds
+    monkeypatch.setattr(bd, "_MAX_PANELS", 1)
+    h = BoundarySource.bump(B0, B1)
+    with pytest.raises(PrecisionLossError, match=r"z=0\.0024, zeta=0\.569, m2=2\.0"):
+        h_plus(mp2, h, 2.4e-3, 0.569)
+
+
+def test_h_plus_rejects_bad_points(mp2):
+    h = BoundarySource.bump(B0, B1)
+    for z, zeta in ((0.0, 0.4), (-1.0, 0.4), (math.nan, 0.4), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            h_plus(mp2, h, z, zeta)
+
+
+def test_k_constant_log_logs_its_work(mp2, tess344_small, caplog):
+    h = BoundarySource.bump(B0, B1)
+    with caplog.at_level(logging.INFO, logger="hypfield.boundary"):
+        k_constant_log(mp2, h, 1.0, tess344_small.tiles[1], grid=3)
+    (record,) = [r for r in caplog.records if r.name == "hypfield.boundary"]
+    assert record.levelno == logging.INFO
+    msg = record.getMessage()
+    assert msg.startswith("k_constant_log tile 1: ")
+    points = int(msg.split(": ")[1].split(" points")[0])
+    assert points >= 10  # the 10 grid points of grid 3, then the refinement
+    assert "panels refined" in msg and "rounds" in msg and msg.endswith(" s")

@@ -132,6 +132,20 @@ def _config_text(cfg, **extra):
     return "\n".join(lines) + "\n"
 
 
+def test_triviality_writes_outputs_and_manifest(tmp_path):
+    cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, n_mc=2_000)
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg_path.write_text(_config_text(cfg))
+    assert cli.main(["triviality", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    outputs = [out / name for name in ("decay.csv", "report.json", "decay.svg", "config.echo")]
+    assert all(p.is_file() for p in outputs)
+    _assert_manifest_matches(out / "manifest.json", "triviality", outputs)
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
+    assert math.isfinite(report["eps_hat"])
+
+
 def test_full_config_round_trips():
     cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, seed=3, threads=1)
     assert cli.RunConfig(_config_text(cfg)).to_triviality() == cfg

@@ -77,3 +77,13 @@ def test_triviality_control_does_not_certify():
     run = _small_run(amplitude=0.0)
     assert run.passed is False
     assert run.control is True
+
+
+def test_ci95_low_uses_student_t():
+    # one-sided 95% Student t quantile on SLOPE_BATCHES - 1 = 9 degrees of freedom
+    assert fm.SLOPE_BATCHES == 10
+    assert fm.T95 == pytest.approx(1.8331, abs=5e-5)
+    run = _small_run()
+    assert math.isfinite(run.eps_stderr) and run.eps_stderr > 0.0
+    assert run.ci95_low == pytest.approx(run.eps_hat - 1.8331 * run.eps_stderr, abs=1e-4 * run.eps_stderr)
+    assert run.passed is (run.ci95_low > 0.0)

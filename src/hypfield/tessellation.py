@@ -179,10 +179,15 @@ class Tessellation:
         self.centroids = mats @ _unit_centroid(fund_vertices)
         self.centroid_rho = np.arccosh(np.maximum(self.centroids[:, 2], 1.0))
         self.side_normals = np.einsum("tab,ib->tia", mats, fund_normals)
-        self.tiles = _TileSequence(self)
 
     def __len__(self):
         return len(self.mats)
+
+    @property
+    def tiles(self):
+        # a fresh view on each access: storing it would make a reference
+        # cycle that keeps the arrays alive until a full garbage collection
+        return _TileSequence(self)
 
     @cached_property
     def tile_diameter(self):

@@ -1,5 +1,7 @@
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -342,3 +344,17 @@ def test_export_csv(tmp_path, tess344_small):
     assert len(lines) == len(tess344_small) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "e"
+
+
+def test_tessellation_freed_by_reference_counting():
+    # no reference cycle: dropping the last reference frees the arrays at
+    # once, without waiting for a full garbage collection
+    gc.disable()
+    try:
+        tess = generate(TriangleParams(3, 4, 4), 2.0)
+        assert tess.tiles[1].id == 1
+        ref = weakref.ref(tess)
+        del tess
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -24,6 +24,7 @@ bisected, and only they are evaluated again.
 The audit route `h_plus_forms` integrates the raw kernel over beta with
 `scipy.integrate.quad`, independently of the production evaluator.
 """
+
 import logging
 import math
 import time
@@ -148,8 +149,9 @@ def h_plus(mp, h, z, zeta=None):
     16-node value matches the sum over its halves to 1e-13 of the
     point's value.  Scalar coordinates or a Point give a float, arrays an
     array of their broadcast shape.  A point that does not converge
-    within 40 rounds raises PrecisionLossError naming z, zeta and m2;
-    `h_plus_forms` is the independent audit of this evaluator.
+    within 40 rounds, or that holds more than 2048 open panels, raises
+    PrecisionLossError naming z, zeta and m2.  `h_plus_forms` is the
+    independent audit of this evaluator.
     """
     if zeta is None:
         hp = convert(z, "halfplane")

@@ -1,7 +1,9 @@
 """Free and Neumann Green's functions on H^2.
 
-The free kernel G_plus of (-Laplacian + m^2)^-1 is evaluated in closed
-hypergeometric form; the Neumann kernel G_N on a reflection tessellation
+The free kernel G_plus of (-Laplacian + m^2)^-1 is a Gauss hypergeometric
+function of the geodesic distance; it is evaluated from a piecewise
+polynomial interpolant built once per model from the hypergeometric
+series (see `_kernels`).  The Neumann kernel G_N on a reflection tessellation
 is the image sum over the group orbit, truncated by orbit radius
 rho(x, gamma(y)) <= R with a reported tail bound.  Between distinct
 tiles G_N is identically zero, which is what decouples the field.
@@ -46,12 +48,14 @@ class ModelParams:
     delta_plus = (d-1)/2 + sqrt((d-1)^2 + 4 m^2)/2
     gamma_plus = Gamma(delta) / (2 pi^((d-1)/2) Gamma(delta + 1 - (d-1)/2))
 
-    The constructor also builds `gplus_interp`, the Chebyshev interpolant
+    The constructor also builds `gplus_interp`, the piecewise interpolant
     through which `_kernels.gplus_array` evaluates G_plus for
     rho >= SPLICE_RHO, and logs the build at INFO on `hypfield.greens`.
     It raises PrecisionLossError when the interpolant misses the series
-    by more than `_kernels.INTERP_RTOL`; with its 92 nodes that happens
-    from about m2 = 160 (Delta_+ = 13) up.  For d = 2, `splice_const`
+    by more than `_kernels.INTERP_RTOL`; with the 98 nodes of its three
+    pieces that happens at some masses from about m2 = 140 (Delta_+ = 12)
+    up, where the reference series itself is noisy near rho = 2.  For
+    d = 2, `splice_const`
     continues G_plus below SPLICE_RHO by the matched logarithmic form,
     fixed so that the two agree at SPLICE_RHO.
     """
@@ -178,10 +182,10 @@ class NeumannTruncation:
         c1 = self.tess.tiles[0].centroid
         rc1 = dist(origin(), c1)
         theta_max = self.tess.radius - 2.0 * rc1 - 1e-9
+        thetas = np.linspace(1.0, max(theta_max, 1.0), 24)
         sup = 0.0
-        for theta in np.linspace(1.0, max(theta_max, 1.0), 24):
-            n = orbital_count(self.tess, theta, c1, c1)
-            sup = max(sup, n * math.exp(-theta))
+        for theta, n in zip(thetas, orbital_count(self.tess, thetas, c1, c1)):
+            sup = max(sup, int(n) * math.exp(-theta))
         return sup
 
     def tail_bound(self, mp):

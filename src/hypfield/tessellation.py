@@ -401,19 +401,28 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
 def orbital_count(tess, theta, x, y):
     """N(theta, x, y) = #{group elements g : rho(x, g(y)) < theta}.
 
+    theta may be a number, which gives an int, or an array, which gives
+    an int array of the counts at each of its values from one scan: the
+    image coshes are sorted once and each threshold math.cosh(theta) is
+    placed among them by binary search.
+
     Requires enough enumeration that the count is provably complete:
     rho(o, g(c1)) <= rho(o, x) + theta + rho(y, c1) for every counted g.
     """
+    thetas = np.asarray(theta, dtype=float)
     xv, yv = as_lorentz_vec(x), as_lorentz_vec(y)
     o = origin()
     guard = tess.radius - dist(o, Point.from_vec(xv)) - dist(Point.from_vec(yv), Point.from_vec(tess.centroids[0]))
-    if theta > guard:
+    if thetas.size and not thetas.max() <= guard:
         raise IncompleteOrbitError(
-            f"theta={theta} exceeds the completeness guard {guard:.3f} of this enumeration"
+            f"theta={thetas.max()} exceeds the completeness guard {guard:.3f} of this enumeration"
         )
     imgs = tess.mats @ yv
-    coshes = -(imgs[:, 0] * xv[0] + imgs[:, 1] * xv[1] - imgs[:, 2] * xv[2])
-    return int((coshes < math.cosh(theta)).sum())
+    coshes = np.sort(-(imgs[:, 0] * xv[0] + imgs[:, 1] * xv[1] - imgs[:, 2] * xv[2]))
+    # side="left" counts the coshes strictly below each threshold
+    limits = np.array([math.cosh(t) for t in thetas.ravel()]).reshape(thetas.shape)
+    counts = np.searchsorted(coshes, limits, side="left")
+    return int(counts) if thetas.ndim == 0 else counts
 
 
 def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
@@ -441,15 +450,17 @@ def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
 
     order = np.argsort(depth[usable], kind="stable")
     cand = np.nonzero(usable)[0][order]
+    # gamma_k(a) lies in the tile gamma_k g_a, with g_a the element of a's tile
+    g_a = tess.mats[tile_a]
     ids = []
     deepest = -math.inf
     for k in cand:
         if depth[k] <= deepest + max(min_step, 1e-12):
             continue
-        tid = tess.locate(Point.from_vec(pts[k]))
+        tid = tess._id_of(tess.mats[k] @ g_a)
         if tid is None:
             continue
-        ids.append(int(tid))
+        ids.append(tid)
         deepest = depth[k]
         if len(ids) == n:
             return ids

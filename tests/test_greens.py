@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypfield.errors import (
     TruncationError,
 )
 from hypfield import _kernels
+from hypfield.fieldmc import build_quadrature
 from hypfield.geometry import Point, dist, lorentz_dot
 from hypfield.greens import (
     ALPHA_MAX,
@@ -238,6 +240,23 @@ def test_interpolant_self_check_names_the_model():
         ModelParams(1000.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0, 50.0, 80.0, 100.0, 120.0, 140.0, 150.0, 159.0])
+def test_model_params_builds_for_every_supported_mass(m2, d):
+    mp = ModelParams(m2, d=d)
+    assert mp.gplus_interp.max_rel_err <= _kernels.INTERP_RTOL
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0, 159.0])
+def test_gplus_tail_piece_continuous_at_its_edge(m2, d):
+    interp = ModelParams(m2, d=d).gplus_interp
+    s_edge = _kernels._TAIL_PIECE[1]
+    tail = interp.tail(np.array([s_edge]))[0]
+    far = interp.far(math.sqrt(s_edge))
+    assert abs(tail - far) <= 1e-13 * far
+
+
 # ---------------------------------------------------------------- G_Neumann
 
 
@@ -411,6 +430,95 @@ def test_image_sums_match_per_image_oracle(nt6, mp2):
         rho = _image_distances(mats, x, x, rmax, skip_identity=True)
         assert sums[i] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
         assert nearest[i] == pytest.approx(rho.min(), rel=1e-12)
+
+
+def _edge_points(tess):
+    """A point 1e-4 of the way from a side midpoint, one 1e-3 from a vertex."""
+    c1 = tess.tiles[0].centroid.vec
+    side_mid = Point.from_vec(tess.fund_vertices[0] + tess.fund_vertices[1]).vec
+    near_side = Point.from_vec(1e-4 * c1 + (1.0 - 1e-4) * side_mid).vec
+    near_vertex = Point.from_vec(1e-3 * c1 + (1.0 - 1e-3) * tess.fund_vertices[1]).vec
+    return np.stack([near_side, near_vertex])
+
+
+def test_same_set_block_matches_per_image_oracle(nt6, mp2):
+    mats, rmax = nt6._mats, nt6.max_orbit_radius
+    interior = sample_tile_points(nt6.tess, 0, 2, np.random.default_rng(17), min_side_gap=0.05)
+    pts = np.vstack([interior, _edge_points(nt6.tess)])
+    block = _kernels.image_sum_block(pts, pts, mats, rmax, mp2)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            if i != j:
+                rho = _image_distances(mats, x, y, rmax)
+                assert block[i, j] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
+
+
+def _unpruned_block(xs, ys, mats, rmax, mp):
+    """Every image of every pair, with no reach test and no mirror."""
+    out = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            coshes = -lorentz_dot(mats @ y, x)
+            rho = np.arccosh(np.maximum(coshes[coshes <= math.cosh(rmax)], 1.0))
+            out[i, j] = np.inf if (rho == 0.0).any() else _kernels.gplus_array(rho, mp).sum()
+    return out
+
+
+def test_reach_pruned_block_equals_unpruned_sum(nt8, mp2, tess344_big):
+    mats, rmax = nt8._mats, nt8.max_orbit_radius
+    cells = build_quadrature(tess344_big, [0], 3).points
+    edge = _edge_points(tess344_big)
+    for xs, ys in ((cells, cells), (edge[1:], cells), (cells[:2], edge)):
+        block = _kernels.image_sum_block(xs, ys, mats, rmax, mp2)
+        want = _unpruned_block(xs, ys, mats, rmax, mp2)
+        # a same-set diagonal holds the identity image at a distance set by
+        # rounding alone; the covariance overwrites it
+        off = ~np.eye(len(xs), len(ys), dtype=bool) if xs is ys else np.ones(want.shape, dtype=bool)
+        assert np.max(np.abs(block[off] / want[off] - 1.0)) <= 1e-13
+    # the two-element strip group {e, reflection in side 0}
+    fund = tess344_big.tiles[0]
+    v = fund.side_normals[0]
+    strip = np.stack([np.eye(3), np.eye(3) - 2.0 * np.outer(v, np.array([1.0, 1.0, -1.0]) * v)])
+    y0 = Point.from_vec(fund.vertex_vecs[0] + fund.vertex_vecs[1]).vec
+    ys = np.stack([math.cosh(t) * y0 + math.sinh(t) * v for t in (-0.2, -0.05, 0.1)])
+    xs = np.stack([fund.centroid.vec, strip[1] @ fund.centroid.vec])
+    block = _kernels.image_sum_block(xs, ys, strip, 50.0, mp2)
+    want = _unpruned_block(xs, ys, strip, 50.0, mp2)
+    assert np.max(np.abs(block / want - 1.0)) <= 1e-13
+
+
+def _kernel_counts(caplog, name):
+    """(points, pairs or None, passed, kept, terms) from the one log line of `name`."""
+    [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith(name)]
+    nums = re.match(
+        rf"{name} (\S+) points, (?:(\d+) pairs, )?(\d+) images passed, (\d+) kept by reach, "
+        r"(\d+) terms summed, [0-9.]+ s$",
+        msg,
+    )
+    assert nums, msg
+    return nums.group(1), *(None if g is None else int(g) for g in nums.groups()[1:])
+
+
+def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
+    mats, rmax = nt8._mats, nt8.max_orbit_radius
+    cells = build_quadrature(tess344_big, [0], 3).points
+    n = len(cells)
+    coshes = -np.einsum("ia,kja->ijk", cells, np.einsum("kab,jb->kja", mats, cells) * [1.0, 1.0, -1.0])
+    within = (coshes <= math.cosh(rmax)).sum(axis=2)  # images per (i, j) pair
+    with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
+        _kernels.image_sum_block(cells, cells, mats, rmax, mp2)
+    points, pairs, passed, kept, terms = _kernel_counts(caplog, "image_sum_block")
+    assert points == f"{n}x{n}" and passed == len(mats)
+    assert kept < 0.4 * len(mats)
+    # the same-set block sums the pairs i <= j and no other
+    assert pairs == n * (n + 1) // 2
+    assert terms == within[np.triu_indices(n)].sum()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
+        _kernels.image_sum_self(cells, mats, rmax, mp2)
+    points, pairs, passed, kept_self, terms = _kernel_counts(caplog, "image_sum_self")
+    assert (points, pairs, passed, kept_self) == (str(n), None, len(mats), kept)
+    assert terms == np.diag(within).sum() - n  # all but the identity images
 
 
 def test_domination_audit(nt6, mp2):

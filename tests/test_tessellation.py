@@ -214,6 +214,31 @@ def test_orbital_growth_bound(tess344_big):
     assert max(vals[:-2]) > 0.85 * max(vals)  # no blow-up at the deep end
 
 
+def test_orbital_count_array_equals_scalar_calls(tess344_big):
+    tess = tess344_big
+    c1 = tess.tiles[0].centroid
+    x = Point.from_vec(0.7 * c1.vec + 0.3 * tess.fund_vertices[2])
+    # the orbit-constant grid, plus thetas at image distances where numpy's
+    # cosh and math.cosh, an ulp apart, disagree on whether the image counts
+    coshes = -lorentz_dot(tess.mats @ c1.vec, x.vec)
+    ulp_apart = [
+        th
+        for c in np.sort(coshes[(coshes > 1.5) & (coshes < 300.0)])
+        for th in (np.nextafter(math.acosh(c), 0.0), math.acosh(c), np.nextafter(math.acosh(c), 9.0))
+        if (c < math.cosh(th)) != (c < np.cosh(th))
+    ]
+    thetas = np.concatenate([np.linspace(1.0, 6.0, 24), ulp_apart[:40]])
+    counts = orbital_count(tess, thetas, x, c1)
+    assert counts.shape == thetas.shape
+    # the definition: images with cosh rho(x, g c1) below math.cosh(theta)
+    want = [int((coshes < math.cosh(th)).sum()) for th in thetas]
+    assert [int(n) for n in counts] == want
+    assert [orbital_count(tess, float(th), x, c1) for th in thetas] == want
+    assert isinstance(orbital_count(tess, 2.0, x, c1), int)
+    with pytest.raises(IncompleteOrbitError):
+        orbital_count(tess, np.array([1.0, 10.0]), x, c1)
+
+
 def test_conical_sequence_empty(tess344_small):
     assert conical_sequence(tess344_small, 0.3, tess344_small.tiles[0].centroid, 0, 1.0) == []
 
@@ -247,6 +272,43 @@ def test_conical_sequence_properties(tess344_big):
 def test_conical_sequence_exhaustion(tess344_small):
     with pytest.raises(EnumerationTooSmallError):
         conical_sequence(tess344_small, 0.3, tess344_small.tiles[0].centroid, 50, 0.5)
+
+
+def _conical_by_locate(tess, p_angle, a, n, c, min_step):
+    """The conical walk that finds each candidate's tile by `locate`."""
+    av = a.vec
+    ray_normal = np.array([-math.sin(p_angle), math.cos(p_angle), 0.0])
+    ray_dir = np.array([math.cos(p_angle), math.sin(p_angle), 0.0])
+    eta = np.array([1.0, 1.0, -1.0])
+    pts = tess.mats @ av
+    forward = pts @ (ray_dir * eta) > 0.0
+    in_tube = (np.abs(np.arcsinh(pts @ (ray_normal * eta))) <= c) & forward
+    depth = np.arccosh(np.maximum(pts[:, 2], 1.0))
+    usable = in_tube & (depth <= tess.radius - tess.tile_diameter)
+    ids, deepest = [], -math.inf
+    for k in np.nonzero(usable)[0][np.argsort(depth[usable], kind="stable")]:
+        if depth[k] <= deepest + max(min_step, 1e-12):
+            continue
+        tid = tess.locate(Point.from_vec(pts[k]))
+        if tid is None:
+            continue
+        ids.append(tid)
+        deepest = depth[k]
+        if len(ids) == n:
+            break
+    return ids
+
+
+@pytest.mark.parametrize("cone_c", [0.6, 1.2])
+@pytest.mark.parametrize("tile", [0, 3, 17])
+def test_conical_sequence_matches_locate_walk(tess344_big, tile, cone_c):
+    tess = tess344_big
+    # an interior point of the tile, off its centroid
+    a = Point.from_vec(tess.mats[tile] @ (0.8 * tess.tiles[0].centroid.vec + 0.2 * tess.fund_vertices[1]))
+    assert tess.locate(a) == tile
+    ids = conical_sequence(tess, math.pi / 4, a, 8, cone_c, min_step=0.35)
+    assert len(ids) == 8
+    assert ids == _conical_by_locate(tess, math.pi / 4, a, 8, cone_c, 0.35)
 
 
 def test_tile_area_invariance(tess344_small):

@@ -2,43 +2,36 @@
 
 This is the package's only kernel; greens.py calls it for every
 evaluation.  Each kernel takes the model as one `greens.ModelParams`
-argument `mp` and reads delta_plus, hyp_b, hyp_c, gamma_plus,
-splice_const, d and gplus_interp from it.
+argument `mp` and reads delta_plus, gamma_plus, d and gplus_interp
+from it.
 
-Production path.  `gplus_array` evaluates G_plus for rho >= SPLICE_RHO
-from `GplusInterpolant`, built once per model in `ModelParams.__init__`.
-It holds e^(Delta rho) G_plus, an analytic function of s = t^2 with
-t = e^(-rho), in three pieces:
+Production path.  `gplus_array` calls `mp.gplus_interp`, built once per
+model in `ModelParams.__init__`: for d = 3 the closed form of
+`gplus_series`, for d = 2 a `GplusInterpolant`, which holds
+e^(Delta rho) G_plus with t = e^(-rho), s = t^2, u = 1 - s in four pieces:
 
-    tail   s in [0, 1e-3]              degree 5 in s      rho >= 3.45
-    far    t in [0, 0.6]               degree 30 in t     0.51 <= rho < 3.45
-    near   t in [0.6, e^-SPLICE_RHO]   degree 60 in t     SPLICE_RHO <= rho < 0.51
+    tail      s in [0, 1e-3]          degree 5 in s      rho >= 3.45
+    far       t in [0, 0.6]           degree 30 in t     0.51 <= rho < 3.45
+    near      t in [0.6, sqrt(0.9)]   degree 60 in t     0.0527 <= rho < 0.51
+    diagonal  u in (0, U_DIAG]        A(u) - B(u) ln u   rho < 0.0527
 
-The tail piece is a power series evaluated on every point; the far and
-near pieces, Chebyshev series, fill in the points it does not cover.
-Below SPLICE_RHO `gplus_array` calls `gplus_series`.
+The diagonal piece is the reference's own log form, so G_plus keeps its
+exact -ln(rho)/(2 pi) singularity.
 
 Image sums.  `image_sum_block` and `image_sum_self` drop, before they
 scan, every image that no pair of their points can reach (a triangle
 inequality about the points' Lorentz mean, exact for any set of
-images), and a same-set block sums only its pairs i <= j and mirrors
+images), and a same-set block sums only its pairs i < j and mirrors
 them.  Each call logs at DEBUG on the `hypfield._kernels` logger its
 points, the images passed in, the images kept by the reach test, the
 (pair, image) terms summed and its seconds.
 
-Reference and build path.  `gplus_series` sums the Gauss series in
-four argument regimes; it computes the interpolant's node values and is
-the oracle the tests compare the interpolant against:
-
-    rho >= 2                 direct series at  z = -1/sinh^2(rho/2)   (alternating)
-    1.0986 <= rho < 2        Pfaff-mapped series at z = sech^2(rho/2)
-    rho < 1.0986             quadratic-transformation series at z = sech^2(rho)
-                             (for d = 2 down to SPLICE_RHO only)
-    rho < SPLICE_RHO         matched logarithmic form (d = 2 only)
-
-The hypergeometric parameters are a = Delta, b = Delta + (2-d)/2,
-c = 2*Delta + 2 - d; c = 2b holds for every d, which is what makes the
-quadratic transformation applicable.
+Reference and build path.  `gplus_series` computes the node values and
+is the oracle the tests compare the interpolant against.  For d = 2,
+G_plus = gamma t^Delta F(Delta, 1/2; Delta + 1/2; s): the Gauss series,
+every term positive, where u > U_DIAG, and the c = a + b log form of
+`log_case_coef` (DLMF 15.8.10) where u <= U_DIAG.  For d = 3,
+G_plus = gamma t^Delta / u = e^(-(Delta-1) rho) / (4 pi sinh rho).
 """
 
 import logging
@@ -47,21 +40,22 @@ import time
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial, chebyshev, polyutils
+from scipy.special import digamma
 
 from .errors import PrecisionLossError
 from .geometry import ETA_DIAG, lorentz_dot
 
-RHO_DIRECT = 2.0
-RHO_PFAFF = 2.0 * math.acosh(1.0 / math.sqrt(0.75))  # series argument 0.75
-SPLICE_RHO = 0.05
 _SERIES_TOL = 5e-16
 _SERIES_MAXITER = 200000
+# the log form loses digits to cancellation as u and Delta grow; at
+# u = 0.1 it holds 1e-14 up to m2 = 1000
+U_DIAG = 0.1
 # interpolant pieces (lo, hi, degree): the tail piece in s = e^(-2 rho),
 # where s = 1e-3 is rho = 3.45, the far and near pieces in t = e^(-rho),
 # where t = 0.6 is rho = 0.51
 _TAIL_PIECE = (0.0, 1e-3, 5)
 _FAR_PIECE = (0.0, 0.6, 30)
-_NEAR_PIECE = (0.6, math.exp(-SPLICE_RHO), 60)
+_NEAR_PIECE = (0.6, math.sqrt(1.0 - U_DIAG), 60)
 INTERP_RTOL = 2e-13
 
 logger = logging.getLogger(__name__)
@@ -108,63 +102,71 @@ def _series_vec(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
     return sw.reshape(z.shape)
 
 
-def gplus_series(rho, mp):
-    """Free Green's function by the series regimes (reference path, all rho > 0)."""
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = np.empty_like(rho)
-    delta, b, c, gamma = mp.delta_plus, mp.hyp_b, mp.hyp_c, mp.gamma_plus
+def log_case_coef(a, b, umax):
+    """Power series (A, B), lowest power first, with F(a, b; a+b; 1-u) = A(u) - B(u) ln u.
 
-    lo = rho < SPLICE_RHO if mp.d == 2 else np.zeros(rho.shape, dtype=bool)
-    if lo.any():
-        # cosh(rho) - 1 = 2 sinh^2(rho/2), stable near zero
-        out[lo] = -np.log(2.0 * np.sinh(rho[lo] / 2.0) ** 2) / (4.0 * math.pi) + mp.splice_const
+    DLMF 15.8.10: B_k = P c_k and A_k = B_k (2 psi(k+1) - psi(a+k) - psi(b+k)), with
+    c_k = (a)_k (b)_k / (k!)^2 and P = Gamma(a+b) / (Gamma(a) Gamma(b)), until c_k umax^k <= 1e-17.
+    """
+    c = [1.0]
+    while c[-1] * umax ** (len(c) - 1) > 1e-17:
+        k = len(c) - 1
+        c.append(c[-1] * (a + k) * (b + k) / (k + 1.0) ** 2)
+    k = np.arange(len(c), dtype=float)
+    bk = math.gamma(a + b) / (math.gamma(a) * math.gamma(b)) * np.array(c)
+    return bk * (2.0 * digamma(k + 1.0) - digamma(a + k) - digamma(b + k)), bk
 
-    hi = rho >= RHO_DIRECT
-    if hi.any():
-        r = rho[hi]
-        log_sh = np.where(
-            r > 36.0,
-            r / 2.0 - math.log(2.0) + np.log1p(-np.exp(-np.minimum(r, 700.0))),
-            np.log(np.sinh(np.minimum(r, 36.0) / 2.0)),
-        )
-        z = -np.exp(-2.0 * log_sh)
-        f = _series_vec(delta, b, c, z)
-        out[hi] = gamma * np.exp(-delta * (math.log(4.0) + 2.0 * log_sh)) * f
 
-    mid = (~lo) & (~hi) & (rho >= RHO_PFAFF)
-    if mid.any():
-        w = 1.0 + np.sinh(rho[mid] / 2.0) ** 2
-        f = _series_vec(delta, b, c, 1.0 / w)
-        out[mid] = gamma * (4.0 * w) ** (-delta) * f
-
-    qd = (~lo) & (~hi) & (~mid)
-    if qd.any():
-        ch = np.cosh(rho[qd])
-        f = _series_vec(delta / 2.0, (delta + 1.0) / 2.0, b + 0.5, 1.0 / ch**2)
-        out[qd] = gamma * 2.0 ** (-delta) * ch ** (-delta) * f
-
+def _horner(coef, x):
+    """sum_k coef[k] x^k at an array x, by an in-place Horner loop."""
+    out = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
     return out
 
 
-class GplusInterpolant:
-    """e^(Delta rho) G_plus by piecewise polynomials, rho >= SPLICE_RHO.
+def log_form(coef, u):
+    """A(u) - B(u) ln u for coef = (A, B) from `log_case_coef`, at u > 0."""
+    a_coef, b_coef = coef
+    return _horner(a_coef, u) - _horner(b_coef, u) * np.log(u)
 
-    The function is analytic in s = t^2 = e^(-2 rho) on [0, 1): its
-    nearest singularity is the diagonal s = 1.  On s <= 1e-3, where image
-    sums spend almost all their terms, its Taylor coefficients in s are
-    of order one, so a degree-5 polynomial in s holds it to rounding: the
-    tail piece is that interpolant, held as a power series.  The far and
-    near pieces are Chebyshev series in t; the near piece ends at
-    t = e^(-SPLICE_RHO), 0.049 short of the diagonal, and gets twice the
-    degree of the far one.
+
+def gplus_series(rho, mp):
+    """Free Green's function by the reference regimes (all rho > 0)."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    u = -np.expm1(-2.0 * rho)
+    # t^Delta rather than e^(-Delta rho): its rounding does not grow with rho
+    scale = mp.gamma_plus * np.exp(-rho) ** mp.delta_plus
+    if mp.d == 3:
+        return scale / u
+    f = np.empty_like(rho)
+    far = u > U_DIAG
+    f[far] = _series_vec(mp.delta_plus, 0.5, mp.delta_plus + 0.5, np.exp(-2.0 * rho[far]))
+    f[~far] = log_form(log_case_coef(mp.delta_plus, 0.5, U_DIAG), u[~far])
+    return scale * f
+
+
+class GplusInterpolant:
+    """e^(Delta rho) G_plus for d = 2 by four pieces, all rho > 0.
+
+    The function is gamma F(Delta, 1/2; Delta + 1/2; s), analytic in
+    s = t^2 = e^(-2 rho) on [0, 1) but for the log singularity at the
+    diagonal s = 1.  On s <= 1e-3, where image sums spend almost all
+    their terms, its Taylor coefficients in s are of order one, so a
+    degree-5 polynomial in s holds it to rounding: the tail piece is that
+    interpolant, held as a power series.  The far and near pieces are
+    Chebyshev series in t; the near piece ends at u = 1 - s = U_DIAG,
+    where the diagonal piece, `gplus_series`' own log form, takes over.
     The node values come from `gplus_series`.  The build compares the
     interpolant with the series midway between consecutive nodes of each
-    piece and raises PrecisionLossError when the largest relative error
-    exceeds INTERP_RTOL.
+    fitted piece and raises PrecisionLossError when the largest relative
+    error exceeds INTERP_RTOL.
     """
 
     def __init__(self, mp):
         self.delta = mp.delta_plus
+        self.log_coef = [mp.gamma_plus * c for c in log_case_coef(self.delta, 0.5, U_DIAG)]
         pieces = (_TAIL_PIECE, _FAR_PIECE, _NEAR_PIECE)
         nodes = [
             polyutils.mapdomain(chebyshev.chebpts1(deg + 1), (-1.0, 1.0), (lo, hi))
@@ -174,7 +176,7 @@ class GplusInterpolant:
         # the tail piece's variable is s = e^(-2 rho), the others' t = e^(-rho)
         powers = (2.0, 1.0, 1.0)
         # one series call for every point: its cost is set by the slowest
-        # converging point, next to t = 1, not by the number of points
+        # converging point, next to u = U_DIAG, not by the number of points
         rho = np.concatenate([-np.log(x) / p for x, p in zip(nodes + mids, powers * 2)])
         series = gplus_series(rho, mp)
         self.nodes = sum(len(x) for x in nodes)
@@ -197,43 +199,36 @@ class GplusInterpolant:
             )
 
     def tail(self, s):
-        """The tail piece at an array of s = e^(-2 rho), by Horner's rule."""
-        out = np.full_like(s, self.tail_coef[-1])
-        for c in self.tail_coef[-2::-1]:
-            out *= s
-            out += c
-        return out
+        """The tail piece at an array of s = e^(-2 rho)."""
+        return _horner(self.tail_coef, s)
+
+    def diagonal(self, u):
+        """gamma (A(u) - B(u) ln u) at an array of u = 1 - e^(-2 rho) <= U_DIAG."""
+        return log_form(self.log_coef, u)
 
     def __call__(self, rho):
-        """G_plus at an array of distances rho >= SPLICE_RHO."""
+        """G_plus at an array of distances rho > 0."""
         t = np.exp(-rho)
-        s = t * t
-        out = self.tail(s)
-        rest = s > _TAIL_PIECE[1]
-        if rest.any():
-            tr = t[rest]
-            near = tr >= _NEAR_PIECE[0]
-            vals = np.empty_like(tr)
-            vals[~near] = self.far(tr[~near])
-            vals[near] = self.near(tr[near])
-            out[rest] = vals
+        tail = t <= math.sqrt(_TAIL_PIECE[1])
+        if tail.all():  # nearly every call from the image sums
+            return self.tail(t * t) * t**self.delta
+        out = np.empty_like(t)
+        diag = t > _NEAR_PIECE[1]
+        for sel, piece in (
+            (tail, lambda x: self.tail(x * x)),
+            (~tail & (t <= _FAR_PIECE[1]), self.far),
+            ((t > _FAR_PIECE[1]) & ~diag, self.near),
+        ):
+            if sel.any():
+                out[sel] = piece(t[sel])
+        if diag.any():
+            out[diag] = self.diagonal(-np.expm1(-2.0 * rho[diag]))
         return out * t**self.delta
 
 
 def gplus_array(rho, mp):
-    """Free Green's function on an array of geodesic distances (all > 0).
-
-    rho >= SPLICE_RHO: the model's interpolant; below it `gplus_series`,
-    which is the log splice for d = 2 and the series for d > 2.
-    """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    below = rho < SPLICE_RHO
-    if not below.any():
-        return mp.gplus_interp(rho)
-    out = np.empty_like(rho)
-    out[below] = gplus_series(rho[below], mp)
-    out[~below] = mp.gplus_interp(rho[~below])
-    return out
+    """Free Green's function on an array of geodesic distances (all > 0)."""
+    return mp.gplus_interp(np.atleast_1d(np.asarray(rho, dtype=float)))
 
 
 def _images(mats, y):
@@ -279,11 +274,12 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     when rho(c, gamma c) <= rmax + max_i rho(c, x_i) + max_j rho(c, y_j).
     By the triangle inequality that loses no term, for any `mats`.
 
-    When xs and ys hold the same points, only the pairs i <= j are summed
-    and S[j, i] is set to S[i, j].  That is exact when `mats` holds
-    gamma^-1 for every gamma that brings a pair within rmax, because the
-    terms of S[j, i] are those of S[i, j] with gamma replaced by its
-    inverse.  A `NeumannTruncation`'s images do, for points of tile 0.
+    When xs and ys hold the same points, S[i, i] is inf (the identity
+    image coincides), only the pairs i < j are summed and S[j, i] is set
+    to S[i, j].  That is exact when `mats` holds gamma^-1 for every
+    gamma that brings a pair within rmax, because the terms of S[j, i]
+    are those of S[i, j] with gamma replaced by its inverse.  A
+    `NeumannTruncation`'s images do, for points of tile 0.
     """
     t_start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
@@ -295,8 +291,8 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     out = np.zeros((n, m))
     neg_eta_x = xs * -ETA_DIAG
     terms = 0
-    for j in range(m):
-        rows = j + 1 if same else n
+    for j in range(1 if same else 0, m):  # a same-set j = 0 has no pair i < j
+        rows = j if same else n
         imgs = _images(kept, ys[j])
         # one matrix-vector product per row: a threaded BLAS runs the
         # (rows, 3) x (3, K) product an order of magnitude slower
@@ -315,10 +311,11 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     if same:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]
+        np.fill_diagonal(out, np.inf)
     logger.debug(
         "image_sum_block %dx%d points, %d pairs, %d images passed, %d kept by reach, "
         "%d terms summed, %.4f s",
-        n, m, n * (n + 1) // 2 if same else n * m, len(mats), len(kept), terms,
+        n, m, n * (n - 1) // 2 if same else n * m, len(mats), len(kept), terms,
         time.perf_counter() - t_start,
     )
     return out

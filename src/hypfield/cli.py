@@ -346,7 +346,7 @@ def build_parser():
         "rel_dev is the larger relative deviation of G3 and g_plus from G2",
     )
     p.add_argument("--m2", type=float, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=2, choices=(2, 3))
     p.add_argument("--rho-min", type=float, default=0.05)
     p.add_argument("--rho-max", type=float, default=20.0)
     p.add_argument("--steps", type=int, default=200)

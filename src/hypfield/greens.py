@@ -1,9 +1,9 @@
 """Free and Neumann Green's functions on H^2.
 
 The free kernel G_plus of (-Laplacian + m^2)^-1 is a Gauss hypergeometric
-function of the geodesic distance; it is evaluated from a piecewise
-polynomial interpolant built once per model from the hypergeometric
-series (see `_kernels`).  The Neumann kernel G_N on a reflection tessellation
+function of the geodesic distance; for d = 2 a piecewise interpolant,
+exact next to the diagonal, evaluates it, and for d = 3 a closed form
+(see `_kernels`).  The Neumann kernel G_N on a reflection tessellation
 is the image sum over the group orbit, truncated by orbit radius
 rho(x, gamma(y)) <= R with a reported tail bound.  Between distinct
 tiles G_N is identically zero, which is what decouples the field.
@@ -24,7 +24,6 @@ import numpy as np
 from scipy import integrate
 
 from . import _kernels
-from ._kernels import SPLICE_RHO
 from .errors import (
     DiagonalSingularityError,
     DivergentTailError,
@@ -48,23 +47,21 @@ class ModelParams:
     delta_plus = (d-1)/2 + sqrt((d-1)^2 + 4 m^2)/2
     gamma_plus = Gamma(delta) / (2 pi^((d-1)/2) Gamma(delta + 1 - (d-1)/2))
 
-    The constructor also builds `gplus_interp`, the piecewise interpolant
-    through which `_kernels.gplus_array` evaluates G_plus for
-    rho >= SPLICE_RHO, and logs the build at INFO on `hypfield.greens`.
-    It raises PrecisionLossError when the interpolant misses the series
-    by more than `_kernels.INTERP_RTOL`; with the 98 nodes of its three
-    pieces that happens at some masses from about m2 = 140 (Delta_+ = 12)
-    up, where the reference series itself is noisy near rho = 2.  For
-    d = 2, `splice_const`
-    continues G_plus below SPLICE_RHO by the matched logarithmic form,
-    fixed so that the two agree at SPLICE_RHO.
+    d is 2 or 3.  The constructor also sets `gplus_interp`, the
+    evaluator through which `_kernels.gplus_array` computes G_plus for
+    every rho > 0, and logs it at INFO on `hypfield.greens`.  For d = 2
+    that is a `_kernels.GplusInterpolant`, whose diagonal piece keeps
+    the exact -ln(rho)/(2 pi) singularity; the constructor raises
+    PrecisionLossError when the interpolant misses the series by more
+    than `_kernels.INTERP_RTOL`.  For d = 3 it is the closed form
+    e^(-(Delta-1) rho) / (4 pi sinh rho).
     """
 
     def __init__(self, m2, d=2, delta_plus=None, gamma_plus=None):
         if m2 <= 0:
             raise ValueError("m2 must be > 0 (image sums need delta_plus > 1)")
-        if int(d) != d or d < 2:
-            raise ValueError("d must be an integer >= 2")
+        if d not in (2, 3):
+            raise ValueError("d must be 2 or 3")
         self.d = int(d)
         self.m2 = float(m2)
         dp = (d - 1) / 2.0 + 0.5 * math.sqrt((d - 1) ** 2 + 4.0 * self.m2)
@@ -77,12 +74,12 @@ class ModelParams:
         self.gamma_plus = gp
         self.hyp_b = dp + (2.0 - d) / 2.0
         self.hyp_c = 2.0 * dp + 2.0 - d
+        if self.d == 3:
+            self.gplus_interp = lambda rho: _kernels.gplus_series(rho, self)
+            logger.info("G_plus m2=%g d=3: closed form e^(-(Delta-1) rho) / (4 pi sinh rho)", self.m2)
+            return
         t_start = time.perf_counter()
         self.gplus_interp = _kernels.GplusInterpolant(self)
-        self.splice_const = 0.0
-        if self.d == 2:
-            at_splice = self.gplus_interp(np.array([SPLICE_RHO]))[0]
-            self.splice_const = at_splice + math.log(2.0 * math.sinh(SPLICE_RHO / 2.0) ** 2) / (4.0 * math.pi)
         logger.info(
             "G_plus interpolant m2=%g d=%d: %d nodes, max rel err %.1e, %.3f s",
             self.m2, self.d, self.gplus_interp.nodes, self.gplus_interp.max_rel_err,
@@ -93,17 +90,21 @@ class ModelParams:
         return f"ModelParams(m2={self.m2}, d={self.d}, delta_plus={self.delta_plus})"
 
 
-def hyp2f1(a, b, c, z):
+def hyp2f1(a, b, c, z, u=None):
     """Gauss hypergeometric function by series, for -1 < z < 1.
 
-    Near the convergence boundary (z > 0.75) the quadratic argument
-    transformation is applied when the parameters allow it (c = 2b),
-    which is the case for every Green's-function evaluation here.
+    u = 1 - z, passed by a caller that knows it to more digits than z.
+    c = a + b with u <= 0.03 takes the log form of `_kernels.log_case_coef`
+    (at u = 0.1 it is 1e-9 off for a = b = 12.6).  Otherwise, for z > 0.75,
+    the quadratic argument transformation is applied when c = 2b.
     """
     if c <= 0 and c == int(c):
         raise ValueError("c must not be a nonpositive integer")
-    if not -1.0 < z < 1.0:
+    u = 1.0 - z if u is None else u
+    if not (z > -1.0 and u > 0.0):
         raise ValueError("series evaluation requires -1 < z < 1")
+    if abs(c - a - b) < 1e-13 and u <= 0.03:
+        return float(_kernels.log_form(_kernels.log_case_coef(a, b, u), u))
     if z > _Z_PLAIN_MAX and abs(c - 2.0 * b) < 1e-13:
         pref = (1.0 - z / 2.0) ** (-a)
         return pref * _kernels.hyp2f1_series(a / 2.0, (a + 1.0) / 2.0, b + 0.5, (z / (z - 2.0)) ** 2)
@@ -125,6 +126,7 @@ def g_plus_forms(mp, rho):
     Returns (g2, g3): the sinh^(-2 delta) form and the w^(-delta) form.
     For rho >= 2 the two use genuinely different series (alternating
     versus positive argument); below that they share the series argument
+    1/w and its complement u = tanh^2(rho/2), exact where 1/w rounds to 1,
     but not the prefactor algebra.
     """
     dp, b, c = mp.delta_plus, mp.hyp_b, mp.hyp_c
@@ -139,14 +141,14 @@ def g_plus_forms(mp, rho):
     else:
         # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1)); here c - b = b
         zp = z / (z - 1.0)
-        f2 = hyp2f1(dp, b, c, zp)
-        g2 = mp.gamma_plus * (4.0 * sh2) ** (-dp) * (1.0 - z) ** (-dp) * f2
+        f2 = hyp2f1(dp, b, c, zp, sh2 / w)
+        g2 = mp.gamma_plus * (4.0 * sh2 * (1.0 - z)) ** (-dp) * f2
 
     if mp.d != 2:
         return g2, float("nan")
 
     # (G3), corrected prefactor: gamma * 2^-2delta * w^-delta * F(d,d;2d;1/w)
-    f3 = hyp2f1(dp, dp, 2.0 * dp, 1.0 / w)
+    f3 = hyp2f1(dp, dp, 2.0 * dp, 1.0 / w, sh2 / w)
     g3 = mp.gamma_plus * 2.0 ** (-2.0 * dp) * w ** (-dp) * f3
     return g2, g3
 
@@ -428,9 +430,9 @@ def exp_kernel_integral(mp, alpha, tess, tile_ids, mesh, resolution=None):
     """Double integral of exp(alpha^2 G_plus(x,y)) over a tile union.
 
     Off-diagonal pairs (rho > mesh) are summed by quadrature; the
-    diagonal band is estimated analytically from the logarithmic
-    short-distance form, whose local exponent -alpha^2/(2 pi) makes the
-    band integrable exactly when alpha^2 < 4 pi.  Returns
+    diagonal band integrates exp(alpha^2 G_plus) over rho <= mesh, where
+    the local exponent -alpha^2/(2 pi) of G_plus's log singularity makes
+    it integrable exactly when alpha^2 < 4 pi.  Returns
     (offdiagonal_value, band_estimate).
     """
     if abs(alpha) >= ALPHA_MAX:
@@ -455,9 +457,10 @@ def exp_kernel_integral(mp, alpha, tess, tile_ids, mesh, resolution=None):
     a2 = alpha * alpha
 
     def band_integrand(r):
-        # inside the splice region g_plus IS the matched log-singular form
+        # g_plus keeps the exact -ln(r)/(2 pi) singularity down to r -> 0
         return math.exp(a2 * float(g_plus(mp, np.array([r]))[0])) * math.sinh(r)
 
-    band_per_center, _ = integrate.quad(band_integrand, 0.0, mesh, limit=200)
+    # quad's default epsabs, 1.5e-8, is 1e-5 of the band at mesh 0.05
+    band_per_center, _ = integrate.quad(band_integrand, 0.0, mesh, limit=200, epsabs=0.0, epsrel=1e-12)
     band = float(wts.sum() * 2.0 * math.pi * band_per_center)
     return value, band

@@ -58,15 +58,14 @@ def test_green_audits_production_kernel(tmp_path, d):
     _assert_manifest_matches(tmp_path / "green.csv.manifest.json", "green", [csv_path])
 
 
-def test_green_flags_the_log_splice(tmp_path, capsys):
-    # below SPLICE_RHO the d = 2 kernel is the matched logarithmic form,
-    # about 1e-3 off the closed forms at rho = 0.02
+def test_green_audits_next_to_the_diagonal(tmp_path):
+    # the kernel and both closed forms keep the log singularity to rho = 1e-6
     csv_path = tmp_path / "green.csv"
-    argv = ["green", "--m2", "2", "--rho-min", "0.02", "--rho-max", "1", "--steps", "5"]
-    assert cli.main(argv + ["--csv", str(csv_path)]) == 1
-    first = csv_path.read_text().splitlines()[1].split(",")
-    assert float(first[4]) > 1e-9
-    assert abs(float(first[2]) - float(first[1])) < 1e-9 * float(first[1])
+    argv = ["green", "--m2", "2", "--rho-min", "1e-6", "--rho-max", "1", "--steps", "5"]
+    assert cli.main(argv + ["--csv", str(csv_path)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(float(row[4]) < 1e-9 for row in rows)
 
 
 def test_neumann_audit_writes_report_and_manifest(tmp_path):
@@ -120,6 +119,13 @@ def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_green_accepts_only_d_2_or_3(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["green", "--m2", "2", "--d", "4", "--csv", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice: 4" in capsys.readouterr().err
 
 
 def _config_text(cfg, **extra):

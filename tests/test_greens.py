@@ -53,6 +53,9 @@ def test_model_params_consistency_checks():
         ModelParams(2.0, gamma_plus=0.3)
     with pytest.raises(ValueError):
         ModelParams(-0.5)
+    for d in (1, 4):
+        with pytest.raises(ValueError, match="d must be 2 or 3"):
+            ModelParams(2.0, d=d)
 
 
 # ------------------------------------------------------------------- hyp2f1
@@ -119,17 +122,23 @@ def test_g_plus_legendre_identity_integer_weights():
             assert abs(g_plus(mp, rho) - oracle) <= 1e-9 * oracle
 
 
+def _legendre_g(mpmath, delta, rho):
+    """Oracle: Q_{Delta-1}(cosh rho) / (2 pi) at the working precision of mpmath."""
+    x = mpmath.cosh(mpmath.mpf(rho))
+    return (mpmath.legenq(mpmath.mpf(delta) - 1, 0, x, type=3) / (2 * mpmath.pi)).real
+
+
 def test_g_plus_legendre_identity_deep():
-    # large-rho spot check against arbitrary-precision Legendre Q
+    # every rho from next to the diagonal to deep in the tail, at masses
+    # from the massless limit to Delta_+ = 32, against 30-digit Legendre Q
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    for m2 in (0.5, 2.0, 6.0):
+    rho = np.geomspace(1e-8, 40.0, 60)
+    for m2 in (1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0):
         mp = ModelParams(m2)
-        for rho in (8.0, 15.0):
-            oracle = float(
-                (mpmath.legenq(mp.delta_plus - 1.0, 0, mpmath.cosh(rho), type=3) / (2 * mpmath.pi)).real
-            )
-            assert abs(g_plus(mp, rho) - oracle) <= 1e-9 * abs(oracle)
+        with mpmath.workdps(30):
+            oracle = np.array([float(_legendre_g(mpmath, mp.delta_plus, r)) for r in rho])
+        # below the smallest normal double only absolute accuracy has a meaning
+        np.testing.assert_allclose(g_plus(mp, rho), oracle, rtol=1e-13, atol=np.finfo(float).tiny)
 
 
 def test_g_plus_massless_limit():
@@ -146,6 +155,19 @@ def test_g_plus_forms_agree():
             g2, g3 = g_plus_forms(mp, float(rho))
             assert abs(g2 - g3) <= 1e-9 * abs(g2)
             assert abs(g_plus(mp, float(rho)) - g2) <= 1e-9 * abs(g2)
+
+
+def test_g_plus_forms_match_legendre_next_to_the_diagonal():
+    # both forms take the c = a + b log form where u = tanh^2(rho/2) <= 0.03;
+    # at m2 = 140 it would lose 3e-10 to cancellation if used up to u = 0.1
+    mpmath = pytest.importorskip("mpmath")
+    rho = np.geomspace(1e-8, 1.0, 40)
+    for m2 in (2.0, 140.0):
+        mp = ModelParams(m2)
+        with mpmath.workdps(30):
+            oracle = np.array([float(_legendre_g(mpmath, mp.delta_plus, r)) for r in rho])
+        forms = np.array([g_plus_forms(mp, float(r)) for r in rho])
+        assert np.max(np.abs(forms / oracle[:, None] - 1.0)) <= 1e-12
 
 
 def test_g_plus_log_slope_small_rho():
@@ -193,19 +215,36 @@ def test_g_plus_isometry_invariance(tess344_small):
 @pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0])
 def test_gplus_interpolant_matches_series(m2, d):
     mp = ModelParams(m2, d=d)
-    rho = np.linspace(_kernels.SPLICE_RHO, 60.0, 20_001)
+    rho = np.linspace(1e-8, 60.0, 20_001)
     vals = _kernels.gplus_array(rho, mp)
-    assert np.max(np.abs(vals / _kernels.gplus_series(rho, mp) - 1.0)) <= 2e-13
     assert (np.diff(vals) < 0).all()
+    if d == 2:
+        assert np.max(np.abs(vals / _kernels.gplus_series(rho, mp) - 1.0)) <= 2e-13
+        return
+    # d = 3 is the closed form; check it against the hypergeometric
+    # definition gamma (4 sinh^2(rho/2))^-Delta F(Delta, b; c; -1/sinh^2(rho/2))
+    mpmath = pytest.importorskip("mpmath")
+    rho = np.geomspace(1e-8, 60.0, 40)
+    with mpmath.workdps(40):
+        delta, b, c = (mpmath.mpf(v) for v in (mp.delta_plus, mp.hyp_b, mp.hyp_c))
+        sh2 = [mpmath.sinh(mpmath.mpf(r) / 2) ** 2 for r in rho]
+        oracle = np.array([
+            float(mpmath.mpf(mp.gamma_plus) * (4 * h) ** -delta * mpmath.hyp2f1(delta, b, c, -1 / h))
+            for h in sh2
+        ])
+    assert np.max(np.abs(_kernels.gplus_array(rho, mp) / oracle - 1.0)) <= 1e-15
 
 
-@pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0])
+@pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0])
 def test_gplus_continuous_at_splice(m2):
-    mp = ModelParams(m2)
-    below, at = _kernels.gplus_array(
-        np.array([np.nextafter(_kernels.SPLICE_RHO, 0.0), _kernels.SPLICE_RHO]), mp
-    )
-    assert abs(below - at) <= 1e-13 * at
+    # the far and near pieces meet at t = 0.6, the near and diagonal ones at
+    # u = 1 - t^2 = U_DIAG; the tail piece's edge has a test of its own
+    interp = ModelParams(m2).gplus_interp
+    t_far = _kernels._FAR_PIECE[1]
+    assert abs(interp.far(t_far) - interp.near(t_far)) <= 1e-13 * interp.near(t_far)
+    t_diag = _kernels._NEAR_PIECE[1]
+    diag = interp.diagonal(np.array([1.0 - t_diag**2]))[0]
+    assert abs(interp.near(t_diag) - diag) <= 1e-13 * diag
 
 
 def test_gplus_interpolant_built_once(monkeypatch):
@@ -218,36 +257,65 @@ def test_gplus_interpolant_built_once(monkeypatch):
 
     monkeypatch.setattr(_kernels, "GplusInterpolant", fail)
     monkeypatch.setattr(_kernels, "gplus_series", fail)
-    rho = np.linspace(_kernels.SPLICE_RHO, 30.0, 100)
+    monkeypatch.setattr(_kernels, "log_case_coef", fail)
+    rho = np.geomspace(1e-8, 30.0, 100)
     _kernels.gplus_array(rho, mp)
     g_plus(mp, 1.5)
+    g_plus(mp, 1e-3)
     assert mp.gplus_interp is interp
 
 
 def test_model_params_logs_interpolant_build(caplog):
     with caplog.at_level(logging.INFO, logger="hypfield.greens"):
-        mp = ModelParams(6.0, d=3)
+        mp = ModelParams(6.0)
     [record] = caplog.records
     msg = record.getMessage()
-    assert "m2=6 d=3" in msg
+    assert "m2=6 d=2" in msg
     assert f"{mp.gplus_interp.nodes} nodes" in msg
     assert f"max rel err {mp.gplus_interp.max_rel_err:.1e}" in msg
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="hypfield.greens"):
+        ModelParams(6.0, d=3)
+    [record] = caplog.records
+    assert "m2=6 d=3: closed form" in record.getMessage()
 
 
-def test_interpolant_self_check_names_the_model():
-    # at m2 = 1000 (Delta_+ = 32) the interpolant misses the series by ~7e-7
+def test_interpolant_self_check_names_the_model(monkeypatch):
+    # at m2 = 1000 (Delta_+ = 32) the interpolant builds and holds G_plus
+    # where the alternating direct series used to lose digits
+    mpmath = pytest.importorskip("mpmath")
+    mp = ModelParams(1000.0)
+    for rho in (2.149, 2.369):
+        with mpmath.workdps(40):
+            oracle = float(_legendre_g(mpmath, mp.delta_plus, rho))
+        assert abs(g_plus(mp, rho) - oracle) <= 1e-13 * oracle
+    monkeypatch.setattr(_kernels, "INTERP_RTOL", 0.0)
     with pytest.raises(PrecisionLossError, match=r"m2=1000\.0, d=2"):
         ModelParams(1000.0)
 
 
+_MASSES = [1e-12, 0.5, 2.0, 6.0, 20.0, 50.0, 80.0, 100.0, 120.0, 140.0, 150.0, 159.0, 200.0]
+
+
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0, 50.0, 80.0, 100.0, 120.0, 140.0, 150.0, 159.0])
+@pytest.mark.parametrize("m2", _MASSES)
 def test_model_params_builds_for_every_supported_mass(m2, d):
-    mp = ModelParams(m2, d=d)
-    assert mp.gplus_interp.max_rel_err <= _kernels.INTERP_RTOL
+    if d == 3:
+        # the closed form, against its sinh form
+        mp = ModelParams(m2, d=3)
+        rho = np.geomspace(1e-8, 40.0, 50)
+        want = np.exp(-(mp.delta_plus - 1.0) * rho) / (4.0 * math.pi * np.sinh(rho))
+        assert np.max(np.abs(g_plus(mp, rho) / want - 1.0)) <= 1e-13
+        return
+    # d = 2: the self-check holds at m2 and at every multiple of 0.5 between
+    # it and the mass listed before it, so the ids cover 0.5, 1.0, ..., 200
+    lower = _MASSES[_MASSES.index(m2) - 1] if m2 > _MASSES[0] else m2
+    for m in np.union1d(np.arange(lower + 0.5, m2, 0.5), [m2]):
+        mp = ModelParams(m)
+        assert mp.gplus_interp.max_rel_err <= _kernels.INTERP_RTOL, m
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2])
 @pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0, 159.0])
 def test_gplus_tail_piece_continuous_at_its_edge(m2, d):
     interp = ModelParams(m2, d=d).gplus_interp
@@ -471,9 +539,12 @@ def test_reach_pruned_block_equals_unpruned_sum(nt8, mp2, tess344_big):
     for xs, ys in ((cells, cells), (edge[1:], cells), (cells[:2], edge)):
         block = _kernels.image_sum_block(xs, ys, mats, rmax, mp2)
         want = _unpruned_block(xs, ys, mats, rmax, mp2)
-        # a same-set diagonal holds the identity image at a distance set by
-        # rounding alone; the covariance overwrites it
-        off = ~np.eye(len(xs), len(ys), dtype=bool) if xs is ys else np.ones(want.shape, dtype=bool)
+        off = np.ones(want.shape, dtype=bool)
+        if xs is ys:
+            # the identity image of a same-set diagonal coincides with x_i,
+            # whatever distance rounding gives it
+            assert np.isinf(np.diag(block)).all()
+            off = ~np.eye(len(xs), dtype=bool)
         assert np.max(np.abs(block[off] / want[off] - 1.0)) <= 1e-13
     # the two-element strip group {e, reflection in side 0}
     fund = tess344_big.tiles[0]
@@ -510,9 +581,9 @@ def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
     points, pairs, passed, kept, terms = _kernel_counts(caplog, "image_sum_block")
     assert points == f"{n}x{n}" and passed == len(mats)
     assert kept < 0.4 * len(mats)
-    # the same-set block sums the pairs i <= j and no other
-    assert pairs == n * (n + 1) // 2
-    assert terms == within[np.triu_indices(n)].sum()
+    # the same-set block sums the pairs i < j and no other
+    assert pairs == n * (n - 1) // 2
+    assert terms == within[np.triu_indices(n, 1)].sum()
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
         _kernels.image_sum_self(cells, mats, rmax, mp2)
@@ -561,6 +632,25 @@ def test_exp_kernel_alpha_zero(tess344_big, mp2):
     value, band = exp_kernel_integral(mp2, 0.0, tess344_big, [0], 0.05)
     area = math.pi / 6.0
     assert value + band == pytest.approx(area * area, rel=5e-3)
+
+
+def test_exp_kernel_band_matches_legendre_quadrature(tess344_big, mp2):
+    # the band rho <= mesh is where G_plus is next to its log singularity
+    mpmath = pytest.importorskip("mpmath")
+    alpha, mesh, resolution = 1.0, 0.05, 4
+    _, band = exp_kernel_integral(mp2, alpha, tess344_big, [0], mesh, resolution=resolution)
+    with mpmath.workdps(30):
+        # the integrand tends to 0 as r -> 0, where Q is infinite; it is
+        # below 1e-25 wherever cosh(r) rounds to 1 at 30 digits
+        per_center = mpmath.quad(
+            lambda r: (
+                mpmath.exp(alpha**2 * _legendre_g(mpmath, mp2.delta_plus, r)) * mpmath.sinh(r)
+                if mpmath.cosh(r) > 1 else 0
+            ),
+            [0, mesh],
+        )
+    area = build_quadrature(tess344_big, [0], resolution).weights.sum()
+    assert abs(band / float(2 * mpmath.pi * per_center * area) - 1.0) <= 1e-10
 
 
 def test_exp_kernel_monotone_in_alpha(tess344_big, mp2):

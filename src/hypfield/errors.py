@@ -49,7 +49,8 @@ class TruncationError(HypfieldError):
 
 
 class PrecisionLossError(HypfieldError):
-    """A series did not converge, or the G_plus interpolant missed the series.
+    """A series did not converge, a Gamma factor of a 2F1 connection formula
+    overflowed, or the G_plus interpolant missed the series.
 
     A series that did not converge carries its partial sum in ``partial``.
     """

@@ -17,14 +17,24 @@ on a small region.
 Monte Carlo batches draw from counter-based streams keyed by
 (seed, batch index) and reduce in fixed batch order, so results are
 bit-reproducible regardless of how batches are scheduled.
+
+The reductions over samples (`wick_exp`, `wick_power_estimate`,
+`log_laplace_stable`) stream over blocks of `_BLOCK_ROWS` rows with
+preallocated buffers and in-place ufuncs, so their memory is
+O(n + block * cells) rather than several (n, cells) temporaries.  Each
+row goes through the same elementwise operations as in the whole-array
+formula, so the results equal it bit for bit for every block size.  A
+row's sum over cells runs in fixed cell order, not through a BLAS
+matrix-vector product, whose summation order depends on where the row
+sits in the array and on the BLAS thread count.
 """
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite_e
 from scipy import special
 
 from . import boundary as bd
@@ -42,6 +52,9 @@ _RIDGES = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # of freedom.
 SLOPE_BATCHES = 10
 T95 = float(special.stdtrit(SLOPE_BATCHES - 1, 0.95))
+# Rows per block of the Monte Carlo reductions; one (cells, block) float
+# buffer is 295 KB at the 9 cells of a resolution-3 tile.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -211,6 +224,7 @@ def sample_fields(cov, n, seed, batch_size=8192, threads=None):
     fixed offsets, so the result is independent of worker count and
     scheduling.
     """
+    t_start = time.perf_counter()
     m = cov.factor.shape[0]
     out = np.empty((n, m))
     spans = []
@@ -229,20 +243,43 @@ def sample_fields(cov, n, seed, batch_size=8192, threads=None):
         )
         out[start : start + take] = rng.standard_normal((take, m)) @ cov.factor.T
 
-    if threads and threads > 1 and len(spans) > 1:
+    workers = threads if threads and threads > 1 and len(spans) > 1 else 1
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, spans))
     else:
         for span in spans:
             fill(span)
+    logger.info(
+        "sample_fields %d samples x %d cells: %d batches, %d threads, %.3f s",
+        n, m, len(spans), workers, time.perf_counter() - t_start,
+    )
     return out
 
 
 def _check_alpha(alpha):
     if abs(alpha) >= greens.ALPHA_MAX:
         raise ThresholdError(f"|alpha| = {abs(alpha):.4f} >= sqrt(4 pi)")
+
+
+def _row_blocks(n):
+    """(start, stop) of the consecutive `_BLOCK_ROWS`-row blocks of n rows."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield start, min(start + _BLOCK_ROWS, n)
+
+
+def _weighted_cell_sum(block, wg, out):
+    """out = sum_i wg_i block[i], accumulated over the cells i in order.
+
+    block is (cells, rows) and is overwritten.  The fixed order makes a
+    row's sum independent of the block it sits in.
+    """
+    np.multiply(block[0], wg[0], out=out)
+    for row, w in zip(block[1:], wg[1:]):
+        np.multiply(row, w, out=row)
+        np.add(out, row, out=out)
 
 
 def wick_exp(samples, cov, quad, alpha, g=None):
@@ -253,8 +290,17 @@ def wick_exp(samples, cov, quad, alpha, g=None):
     """
     _check_alpha(alpha)
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
-    half_var = 0.5 * alpha * alpha * cov.diag
-    return np.exp(alpha * samples - half_var) @ wg
+    half_var = (0.5 * alpha * alpha * cov.diag)[:, None]
+    n, m = samples.shape
+    out = np.empty(n)
+    buf = np.empty((m, min(n, _BLOCK_ROWS)))
+    for start, stop in _row_blocks(n):
+        block = buf[:, : stop - start]
+        np.multiply(samples[start:stop].T, alpha, out=block)
+        np.subtract(block, half_var, out=block)
+        np.exp(block, out=block)
+        _weighted_cell_sum(block, wg, out[start:stop])
+    return out
 
 
 @dataclass
@@ -267,22 +313,45 @@ class WickPowerEstimate:
     second_moment_stderr: float
 
 
+def _wick_power_samples(samples, cov, wg, k):
+    """:phi^k:(g) of every sample, by the Wick recurrence in row blocks."""
+    n, m = samples.shape
+    diag = cov.diag[:, None]
+    out = np.empty(n)
+    bufs = [np.empty((m, min(n, _BLOCK_ROWS))) for _ in range(4)]
+    for start, stop in _row_blocks(n):
+        phi, prev, cur, nxt = (b[:, : stop - start] for b in bufs)
+        np.copyto(phi, samples[start:stop].T)
+        cur.fill(1.0)  # W_0
+        if k >= 1:
+            prev, cur = cur, prev
+            np.copyto(cur, phi)  # W_1
+        for j in range(1, k):
+            # W_{j+1} = phi W_j - j C_ii W_{j-1}
+            np.multiply(phi, cur, out=nxt)
+            np.multiply(prev, j * diag, out=prev)
+            np.subtract(nxt, prev, out=nxt)
+            prev, cur, nxt = cur, nxt, prev
+        _weighted_cell_sum(cur, wg, out[start:stop])
+    return out
+
+
 def wick_power_estimate(samples, cov, quad, k, g=None):
     """Monte Carlo moments of the k-th Wick power :phi^k:(g).
 
     The discrete Wick power is C_ii^(k/2) He_k(phi_i / sqrt(C_ii)) with
-    He_k the probabilist Hermite polynomial; its L^2 norm contracts the
-    covariance to k-th power, which the tests pin against the direct
-    matrix evaluation.
+    He_k the probabilist Hermite polynomial, built by the recurrence
+    (DLMF 18.9.1)
+
+        W_0 = 1,  W_1 = phi_i,  W_(j+1) = phi_i W_j - j C_ii W_(j-1);
+
+    its L^2 norm contracts the covariance to k-th power, which the tests
+    pin against the direct matrix evaluation.
     """
     if not 0 <= k <= WICK_POWER_CAP:
         raise ValueError(f"need 0 <= k <= {WICK_POWER_CAP} for conditioning")
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
-    sd = np.sqrt(cov.diag)
-    coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-    wick = sd**k * hermite_e.hermeval(samples / sd, coeffs)
-    w = wick @ wg
+    w = _wick_power_samples(samples, cov, wg, k)
     s = len(w)
     second = float((w**2).mean())
     return WickPowerEstimate(
@@ -308,6 +377,22 @@ def shift_audit(samples, cov, quad, alpha, f, g=None):
     return lhs, rhs
 
 
+def _laplace_weights(x, xmin, log_s):
+    """w = exp(-exp(min(log s + log(x - x_min), 700))) in row blocks; 1 at x_min."""
+    w = np.empty_like(x)
+    with np.errstate(divide="ignore"):
+        for start, stop in _row_blocks(len(x)):
+            block = w[start:stop]
+            np.subtract(x[start:stop], xmin, out=block)
+            np.log(block, out=block)  # -inf where x = x_min
+            np.add(log_s, block, out=block)
+            np.minimum(block, 700.0, out=block)
+            np.exp(block, out=block)
+            np.negative(block, out=block)
+            np.exp(block, out=block)
+    return w
+
+
 def log_laplace_stable(x, log_s):
     """(log L(s), stderr of log L, saturated) for possibly huge s = e^log_s.
 
@@ -324,10 +409,7 @@ def log_laplace_stable(x, log_s):
     if lead > 700.0:
         return -math.inf, math.inf, True
     s_xmin = math.exp(lead)
-    gap = x - xmin
-    with np.errstate(divide="ignore"):
-        expo = log_s + np.log(gap, out=np.full_like(gap, -np.inf), where=gap > 0)
-    w = np.exp(-np.exp(np.minimum(expo, 700.0)))
+    w = _laplace_weights(x, xmin, log_s)
     mean_w = w.mean()
     log_l = -s_xmin + math.log(mean_w)
     se = (w.std(ddof=1) / (mean_w * math.sqrt(n))) if n > 1 else 0.0

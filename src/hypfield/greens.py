@@ -28,6 +28,7 @@ from .errors import (
     DiagonalSingularityError,
     DivergentTailError,
     NearSingularWarning,
+    PrecisionLossError,
     ThresholdError,
     TruncationError,
 )
@@ -94,17 +95,29 @@ def hyp2f1(a, b, c, z, u=None):
     """Gauss hypergeometric function by series, for -1 < z < 1.
 
     u = 1 - z, passed by a caller that knows it to more digits than z.
-    c = a + b with u <= 0.03 takes the log form of `_kernels.log_case_coef`
-    (at u = 0.1 it is 1e-9 off for a = b = 12.6).  Otherwise, for z > 0.75,
-    the quadratic argument transformation is applied when c = 2b.
+    For u <= 0.03, c = a + b takes the log form of `_kernels.log_case_coef`
+    (at u = 0.1 it is 1e-9 off for a = b = 12.6), and a non-integer
+    c - a - b the connection formula DLMF 15.8.4, two Gauss series in u.
+    Otherwise, for z > 0.75, the quadratic argument transformation is
+    applied when c = 2b.
     """
     if c <= 0 and c == int(c):
         raise ValueError("c must not be a nonpositive integer")
     u = 1.0 - z if u is None else u
     if not (z > -1.0 and u > 0.0):
         raise ValueError("series evaluation requires -1 < z < 1")
-    if abs(c - a - b) < 1e-13 and u <= 0.03:
+    s = c - a - b
+    if abs(s) < 1e-13 and u <= 0.03:
         return float(_kernels.log_form(_kernels.log_case_coef(a, b, u), u))
+    if u <= 0.03 and s != round(s):
+        try:
+            g1 = math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
+            g2 = math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
+        except OverflowError:
+            raise PrecisionLossError(f"Gamma function overflows in 2F1 at c = {c}") from None
+        f1 = _kernels.hyp2f1_series(a, b, 1.0 - s, u)
+        f2 = _kernels.hyp2f1_series(c - a, c - b, 1.0 + s, u)
+        return g1 * f1 + u**s * g2 * f2
     if z > _Z_PLAIN_MAX and abs(c - 2.0 * b) < 1e-13:
         pref = (1.0 - z / 2.0) ** (-a)
         return pref * _kernels.hyp2f1_series(a / 2.0, (a + 1.0) / 2.0, b + 0.5, (z / (z - 2.0)) ** 2)

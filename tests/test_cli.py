@@ -68,6 +68,16 @@ def test_green_audits_next_to_the_diagonal(tmp_path):
     assert all(float(row[4]) < 1e-9 for row in rows)
 
 
+def test_green_d3_audits_next_to_the_diagonal(tmp_path):
+    # the d = 3 closed form against G2 through the 2F1 connection formula
+    csv_path = tmp_path / "green.csv"
+    argv = ["green", "--d", "3", "--m2", "2", "--rho-min", "1e-6", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == pytest.approx(1e-6)
+    assert all(float(row[4]) < 1e-9 for row in rows)
+
+
 def test_neumann_audit_writes_report_and_manifest(tmp_path):
     json_path = tmp_path / "audit.json"
     argv = ["neumann-audit", "--orbit-radius", "4", "--tail-tol", "1", "--pairs", "400"]

@@ -1,8 +1,11 @@
 import dataclasses
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
 from hypfield import fieldmc as fm
 
@@ -87,3 +90,162 @@ def test_ci95_low_uses_student_t():
     assert math.isfinite(run.eps_stderr) and run.eps_stderr > 0.0
     assert run.ci95_low == pytest.approx(run.eps_hat - 1.8331 * run.eps_stderr, abs=1e-4 * run.eps_stderr)
     assert run.passed is (run.ci95_low > 0.0)
+
+
+# --- the row-blocked reductions against their whole-array formulas ----------
+
+# not a multiple of any block size used below, and more than one default block
+N_BLOCKED = fm._BLOCK_ROWS + 905
+
+
+@pytest.fixture(scope="module")
+def blocked_samples(cov_neumann):
+    return fm.sample_fields(cov_neumann, N_BLOCKED, seed=11)
+
+
+@pytest.fixture(scope="module")
+def cell_g(quad3):
+    return np.random.default_rng(12).uniform(0.5, 2.0, len(quad3))
+
+
+def _hermite_wick_terms(samples, cov, k):
+    """C_ii^(k/2) He_k(phi_i / sqrt(C_ii)), the whole (samples, cells) array."""
+    sd = np.sqrt(cov.diag)
+    coeffs = np.zeros(k + 1)
+    coeffs[k] = 1.0
+    return sd**k * hermite_e.hermeval(samples / sd, coeffs)
+
+
+def _cell_sum(terms, wg):
+    """sum_i wg_i terms[:, i], accumulated over the cells in order."""
+    out = terms[:, 0] * wg[0]
+    for i in range(1, len(wg)):
+        out += terms[:, i] * wg[i]
+    return out
+
+
+@pytest.mark.parametrize("with_g", [False, True])
+@pytest.mark.parametrize("k", range(fm.WICK_POWER_CAP + 1))
+def test_wick_power_matches_hermite_formula(cov_neumann, quad3, blocked_samples, cell_g, k, with_g):
+    g = cell_g if with_g else None
+    wg = quad3.weights if g is None else quad3.weights * g
+    terms = _hermite_wick_terms(blocked_samples, cov_neumann, k)
+    oracle = terms @ wg
+    got = fm._wick_power_samples(blocked_samples, cov_neumann, wg, k)
+    # per sample, relative to the sum of the absolute terms, which is the
+    # scale of the rounding in a sum that cancels
+    scale = np.abs(terms) @ np.abs(wg)
+    assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
+
+    est = fm.wick_power_estimate(blocked_samples, cov_neumann, quad3, k, g=g)
+    n = len(oracle)
+    want = {
+        "mean": oracle.mean(),
+        "mean_stderr": oracle.std(ddof=1) / math.sqrt(n),
+        "variance": oracle.var(ddof=1),
+        "second_moment": (oracle**2).mean(),
+        "second_moment_stderr": (oracle**2).std(ddof=1) / math.sqrt(n),
+    }
+    assert est.k == k
+    for field, value in want.items():
+        assert getattr(est, field) == pytest.approx(value, rel=1e-12, abs=0.0), field
+
+
+@pytest.mark.parametrize("with_g", [False, True])
+def test_wick_exp_equals_whole_array_formula(cov_neumann, quad3, blocked_samples, cell_g, with_g):
+    g = cell_g if with_g else None
+    wg = quad3.weights if g is None else quad3.weights * g
+    terms = np.exp(ALPHA * blocked_samples - 0.5 * ALPHA * ALPHA * cov_neumann.diag)
+    got = fm.wick_exp(blocked_samples, cov_neumann, quad3, ALPHA, g=g)
+    assert np.array_equal(got, _cell_sum(terms, wg))
+    # a matrix-vector product sums the same positive terms in another order
+    np.testing.assert_allclose(got, terms @ wg, rtol=1e-14, atol=0.0)
+
+
+def _whole_array_log_laplace(x, log_s):
+    n = len(x)
+    xmin = float(x.min())
+    s_xmin = math.exp(log_s + math.log(xmin))
+    gap = x - xmin
+    with np.errstate(divide="ignore"):
+        expo = log_s + np.log(gap, out=np.full_like(gap, -np.inf), where=gap > 0)
+    w = np.exp(-np.exp(np.minimum(expo, 700.0)))
+    mean_w = w.mean()
+    se = w.std(ddof=1) / (mean_w * math.sqrt(n))
+    ess = float(w.sum() ** 2 / (w**2).sum())
+    return -s_xmin + math.log(mean_w), se, bool(ess < 10.0)
+
+
+def test_log_laplace_equals_whole_array_formula(cov_neumann, quad3, blocked_samples):
+    x = fm.wick_exp(blocked_samples, cov_neumann, quad3, ALPHA)
+    for log_s in np.linspace(-6.0, 6.0, 32):
+        assert fm.log_laplace_stable(x, float(log_s)) == _whole_array_log_laplace(x, float(log_s))
+    # s x_min = e^699: a saturated estimate, and the largest s (x - x_min)
+    # is past the e^700 clamp
+    log_s = 699.0 - math.log(float(x.min()))
+    assert log_s + math.log(float(x.max() - x.min())) > 700.0
+    got = fm.log_laplace_stable(x, log_s)
+    assert got == _whole_array_log_laplace(x, log_s)
+    assert got[2] is True
+
+
+@pytest.mark.parametrize("rows", [1, 7, N_BLOCKED + 5])
+def test_reductions_independent_of_block_size(monkeypatch, cov_neumann, quad3, blocked_samples, cell_g, rows):
+    def reductions():
+        x = fm.wick_exp(blocked_samples, cov_neumann, quad3, ALPHA, g=cell_g)
+        wick = [fm._wick_power_samples(blocked_samples, cov_neumann, quad3.weights, k) for k in (0, 1, 4, 8)]
+        laplace = [fm.log_laplace_stable(x, log_s) for log_s in (-3.0, 0.0, 5.0)]
+        return x, wick, laplace
+
+    x, wick, laplace = reductions()
+    monkeypatch.setattr(fm, "_BLOCK_ROWS", rows)
+    x_b, wick_b, laplace_b = reductions()
+    assert np.array_equal(x, x_b)
+    assert all(np.array_equal(a, b) for a, b in zip(wick, wick_b))
+    assert laplace == laplace_b
+
+
+def test_log_laplace_edge_cases():
+    x = np.array([0.5, 0.7, 2.0])
+    # s * min(x) past e^700: saturated, no estimate
+    assert fm.log_laplace_stable(x, 701.0) == (-math.inf, math.inf, True)
+    with pytest.raises(ValueError):
+        fm.log_laplace_stable(np.array([0.0, 1.0]), 0.0)
+    with pytest.raises(ValueError):
+        fm.log_laplace_stable(np.array([-1.0, 1.0]), 0.0)
+    log_l, se, _ = fm.log_laplace_stable(np.array([0.3]), 1.0)
+    assert se == 0.0
+    assert log_l == -math.exp(1.0 + math.log(0.3))
+    flat = np.full(10, 0.4)
+    assert np.array_equal(fm._laplace_weights(flat, 0.4, 2.0), np.ones(10))
+    assert fm.log_laplace_stable(flat, 2.0) == (-math.exp(2.0 + math.log(0.4)), 0.0, False)
+
+
+def _traced_peak(call):
+    """Peak memory traced while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reductions_need_no_samples_by_cells_temporaries(cov_neumann, quad3):
+    samples = fm.sample_fields(cov_neumann, 200_000, seed=13)
+    n = len(samples)
+    x = fm.wick_exp(samples, cov_neumann, quad3, ALPHA)
+    column = 8 * n  # one float array over the samples
+    # one (n, cells) array is 9 columns
+    assert _traced_peak(lambda: fm.wick_exp(samples, cov_neumann, quad3, ALPHA)) < 9 * column
+    assert _traced_peak(lambda: fm.wick_power_estimate(samples, cov_neumann, quad3, 4)) < 9 * column
+    assert _traced_peak(lambda: fm.log_laplace_stable(x, 1.0)) <= 3 * column
+
+
+def test_sample_fields_logs_its_work(caplog, cov_neumann):
+    with caplog.at_level(logging.INFO, logger="hypfield.fieldmc"):
+        fm.sample_fields(cov_neumann, 1_000, seed=9, batch_size=300, threads=2)
+    [record] = [r for r in caplog.records if r.name == "hypfield.fieldmc"]
+    assert record.levelno == logging.INFO
+    assert record.getMessage().startswith("sample_fields 1000 samples x 9 cells: 4 batches, 2 threads, ")

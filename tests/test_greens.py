@@ -90,6 +90,21 @@ def test_hyp2f1_precision_loss_carries_partial():
     assert exc.value.partial is not None and exc.value.partial > 1.0
 
 
+def test_hyp2f1_connection_formula_next_to_one():
+    # u = 1 - z <= 0.03 with c - a - b not an integer: DLMF 15.8.4
+    mpmath = pytest.importorskip("mpmath")
+    for a, b, c in ((1.3, 0.7, 1.1), (0.6, 2.2, 4.5), (3.0, 2.5, 5.0)):
+        for u in (0.03, 1e-3, 1e-9):
+            with mpmath.workdps(30):
+                want = float(mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(u)))
+            assert hyp2f1(a, b, c, 1.0 - u, u) == pytest.approx(want, rel=1e-13)
+
+
+def test_hyp2f1_connection_formula_overflow_is_precision_loss():
+    with pytest.raises(PrecisionLossError, match="Gamma function overflows"):
+        hyp2f1(200.0, 199.5, 399.0, 0.99)
+
+
 def test_hyp2f1_domain():
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 2.0, 1.0)
@@ -168,6 +183,16 @@ def test_g_plus_forms_match_legendre_next_to_the_diagonal():
             oracle = np.array([float(_legendre_g(mpmath, mp.delta_plus, r)) for r in rho])
         forms = np.array([g_plus_forms(mp, float(r)) for r in rho])
         assert np.max(np.abs(forms / oracle[:, None] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("m2", [0.5, 2.0, 20.0, 140.0])
+def test_g_plus_forms_d3_next_to_the_diagonal(m2):
+    # G2 for d = 3 takes hyp2f1's connection formula where u = tanh^2(rho/2)
+    # <= 0.03 (c - a - b = -1/2) and the quadratic transformation above it
+    mp = ModelParams(m2, d=3)
+    rho = np.geomspace(1e-8, 20.0, 60)
+    g2 = np.array([g_plus_forms(mp, float(r))[0] for r in rho])
+    assert np.max(np.abs(g2 / g_plus(mp, rho) - 1.0)) <= 1e-12
 
 
 def test_g_plus_log_slope_small_rho():

@@ -352,70 +352,96 @@ def _tile_coords(tile, bary):
     return _halfplane_coords([Point.from_vec(row) for row in v])
 
 
-def k_constant_log(mp, h, alpha, tile, grid=4):
-    """log k_j = alpha * extremum over the tile of H_plus h.
+def _k_search(mp, h, alpha, tiles, grid):
+    """Extremum of H_plus h over each tile, all tiles in lockstep.
 
-    Minimum for alpha > 0, maximum for alpha < 0 (monotonicity of exp).
-    Barycentric grid scan, all points in one H_plus batch, followed by
-    one golden-section refinement in each barycentric direction around
-    the best cell, one point per evaluation.  Logs the points evaluated,
-    the quadrature panels refined, the most rounds any batch took and
-    the seconds at INFO on the `hypfield.boundary` logger.
+    The minimum for alpha > 0, the maximum for alpha < 0 (exp is
+    monotone).  A barycentric grid scan of every tile is one H_plus
+    batch.  A golden-section search in each barycentric direction around
+    each tile's best grid point follows; each of its steps is one batch
+    with one point per tile, and each tile keeps its own bracket, its own
+    branch and its own rule that a point outside the tile scores +inf.
+    H_plus at a point does not depend on the batch it is evaluated in,
+    so each tile's extremum is the one a search over that tile alone
+    finds.  Returns (extrema, work) with work the points evaluated, the
+    quadrature panels refined and the most rounds any batch took.
     """
-    if h.is_zero:
-        return 0.0, 0.0
-    t_start = time.perf_counter()
     sign = 1.0 if alpha > 0 else -1.0
     work = {"points": 0, "refined": 0, "rounds": 0}
 
-    def scores_at(bary):
-        vals, refined, rounds = _h_plus_batch(mp, h, *_tile_coords(tile, bary))
-        work["points"] += len(bary)
+    def scores_at(points):
+        # points: (tile, barycentric rows) pairs, all in one batch
+        coords = [_tile_coords(tile, bary) for tile, bary in points]
+        vals, refined, rounds = _h_plus_batch(mp, h, *(np.concatenate(c) for c in zip(*coords)))
+        work["points"] += len(vals)
         work["refined"] += refined
         work["rounds"] = max(work["rounds"], rounds)
         return sign * vals
 
-    def score_at(b):
-        if min(b) < 0.0:
-            return math.inf
-        return float(scores_at(np.asarray(b)[None, :])[0])
+    def score_at(bs):
+        # one point per tile; points outside their tile score +inf
+        out = np.full(len(bs), math.inf)
+        inside = bs.min(axis=1) >= 0.0
+        if inside.any():
+            out[inside] = scores_at([(t, b[None, :]) for t, b, ok in zip(tiles, bs, inside) if ok])
+        return out
 
+    n = len(tiles)
     bary = _barycentric_grid(grid)
-    scores = scores_at(bary)
-    best = int(np.argmin(scores))
-    b_best, s_best = bary[best].copy(), float(scores[best])
+    scores = scores_at([(tile, bary) for tile in tiles]).reshape(n, len(bary))
+    best = np.argmin(scores, axis=1)
+    b_best, s_best = bary[best], scores[np.arange(n), best]
     step = 1.0 / grid
     gr = (math.sqrt(5.0) - 1.0) / 2.0
 
     for axis in (0, 1):
         def shifted(t):
             b = b_best.copy()
-            b[axis] += t
-            b[2] -= t
+            b[:, axis] += t
+            b[:, 2] -= t
             return b
 
-        lo, hi = -step, step
+        lo, hi = np.full(n, -step), np.full(n, step)
         c1, c2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
         f1, f2 = score_at(shifted(c1)), score_at(shifted(c2))
         for _ in range(16):
-            if f1 <= f2:
-                hi, c2, f2 = c2, c1, f1
-                c1 = hi - gr * (hi - lo)
-                f1 = score_at(shifted(c1))
-            else:
-                lo, c1, f1 = c1, c2, f2
-                c2 = lo + gr * (hi - lo)
-                f2 = score_at(shifted(c2))
-        t_star, f_star = (c1, f1) if f1 <= f2 else (c2, f2)
-        if f_star < s_best:
-            b_best, s_best = shifted(t_star), f_star
+            # f1 <= f2 keeps [lo, c2] and moves c1 to c2; otherwise it keeps
+            # [c1, hi] and moves c2 to c1.  Either way a tile gets one new point.
+            left = f1 <= f2
+            kept_t, kept_f = np.where(left, c1, c2), np.where(left, f1, f2)
+            hi, lo = np.where(left, c2, hi), np.where(left, lo, c1)
+            new_t = np.where(left, hi - gr * (hi - lo), lo + gr * (hi - lo))
+            new_f = score_at(shifted(new_t))
+            c1, f1 = np.where(left, new_t, kept_t), np.where(left, new_f, kept_f)
+            c2, f2 = np.where(left, kept_t, new_t), np.where(left, kept_f, new_f)
+        first = f1 <= f2
+        t_star, f_star = np.where(first, c1, c2), np.where(first, f1, f2)
+        better = f_star < s_best
+        b_best = np.where(better[:, None], shifted(t_star), b_best)
+        s_best = np.where(better, f_star, s_best)
 
-    m_star = sign * s_best
+    return sign * s_best, work
+
+
+def k_constant_log(mp, h, alpha, tile, grid=4):
+    """log k_j = alpha * extremum over the tile of H_plus h.
+
+    Minimum for alpha > 0, maximum for alpha < 0 (monotonicity of exp).
+    The one-tile case of the lockstep search of `k_table`: a barycentric
+    grid scan in one H_plus batch, then a golden-section refinement in
+    each barycentric direction around the best cell.  Logs the points
+    evaluated, the quadrature panels refined, the most rounds any batch
+    took and the seconds at INFO on the `hypfield.boundary` logger.
+    """
+    if h.is_zero:
+        return 0.0, 0.0
+    t_start = time.perf_counter()
+    (m_star,), work = _k_search(mp, h, alpha, [tile], grid)
     logger.info(
         "k_constant_log tile %d: %d points, %d panels refined, %d rounds, %.3f s",
         tile.id, work["points"], work["refined"], work["rounds"], time.perf_counter() - t_start,
     )
-    return alpha * m_star, m_star
+    return alpha * float(m_star), float(m_star)
 
 
 def k_constant(mp, h, alpha, tile, grid=4):
@@ -425,18 +451,33 @@ def k_constant(mp, h, alpha, tile, grid=4):
 
 
 def k_table(mp, h, alpha, tess, tile_ids, grid=4):
-    """Rows (tile_id, rho_centroid, z_centroid, extremum of H, k_j) per tile."""
+    """Rows (tile_id, rho_centroid, z_centroid, extremum of H, k_j) per tile.
+
+    One lockstep search (`_k_search`) covers every tile, so the extrema
+    equal `k_constant_log`'s bit for bit.  Logs the tiles, points,
+    panels refined, rounds and seconds of the batch at INFO on the
+    `hypfield.boundary` logger.
+    """
+    t_start = time.perf_counter()
+    tiles = [tess.tiles[tid] for tid in tile_ids]
+    if h.is_zero or not tiles:
+        m_stars = [0.0] * len(tiles)
+    else:
+        m_stars, work = _k_search(mp, h, alpha, tiles, grid)
+        logger.info(
+            "k_table: %d tiles, %d points, %d panels refined, %d rounds, %.3f s",
+            len(tiles), work["points"], work["refined"], work["rounds"], time.perf_counter() - t_start,
+        )
     rows = []
-    for tid in tile_ids:
-        tile = tess.tiles[tid]
-        log_k, m_star = k_constant_log(mp, h, alpha, tile, grid)
+    for tile, m_star in zip(tiles, m_stars):
+        log_k = alpha * float(m_star)
         cen = tile.centroid
         rows.append(
             {
-                "tile_id": int(tid),
+                "tile_id": int(tile.id),
                 "rho_centroid": dist(origin(), cen),
                 "z_centroid": convert(cen, "halfplane").z,
-                "Hmin_or_max": m_star,
+                "Hmin_or_max": float(m_star),
                 "k_j": math.exp(log_k) if log_k < 700.0 else math.inf,
                 "log_k_j": log_k,
             }

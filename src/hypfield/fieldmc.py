@@ -289,6 +289,13 @@ def wick_exp(samples, cov, quad, alpha, g=None):
     Returns one value per sample.
     """
     _check_alpha(alpha)
+    return _wick_exp(samples, cov, quad, alpha, g, None)
+
+
+def _wick_exp(samples, cov, quad, alpha, g, shift):
+    """`wick_exp` of the samples shifted by the per-cell vector `shift`
+    (None for no shift), added block by block: each row of samples + shift
+    goes through the same operations as in the whole-array formula."""
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
     half_var = (0.5 * alpha * alpha * cov.diag)[:, None]
     n, m = samples.shape
@@ -296,7 +303,11 @@ def wick_exp(samples, cov, quad, alpha, g=None):
     buf = np.empty((m, min(n, _BLOCK_ROWS)))
     for start, stop in _row_blocks(n):
         block = buf[:, : stop - start]
-        np.multiply(samples[start:stop].T, alpha, out=block)
+        if shift is None:
+            np.multiply(samples[start:stop].T, alpha, out=block)
+        else:
+            np.add(samples[start:stop].T, shift.reshape(-1, 1), out=block)
+            np.multiply(block, alpha, out=block)
         np.subtract(block, half_var, out=block)
         np.exp(block, out=block)
         _weighted_cell_sum(block, wg, out[start:stop])
@@ -371,7 +382,7 @@ def shift_audit(samples, cov, quad, alpha, f, g=None):
     """
     _check_alpha(alpha)
     f = np.asarray(f, dtype=float)
-    lhs = wick_exp(samples + f, cov, quad, alpha, g=g)
+    lhs = _wick_exp(samples, cov, quad, alpha, g, f)
     gmult = np.exp(alpha * f) if g is None else np.exp(alpha * f) * np.asarray(g, dtype=float)
     rhs = wick_exp(samples, cov, quad, alpha, g=gmult)
     return lhs, rhs
@@ -455,7 +466,8 @@ def z_ratio(mp, nt, quad, alpha, lam, h, n, seed):
         max(va / am**2 + vb / bm**2 - 2.0 * cab / (am * bm), 0.0) / n
     )
     ess = float(a.sum() ** 2 / (a**2).sum())
-    return ZRatioResult(ratio=float(ratio), stderr=float(stderr), ess=ess, unreliable=ess < 100.0)
+    # a NaN ESS (every weight underflowed) is unreliable too
+    return ZRatioResult(ratio=float(ratio), stderr=float(stderr), ess=ess, unreliable=not ess >= 100.0)
 
 
 @dataclass
@@ -587,7 +599,7 @@ def triviality_run(cfg):
 
     anchor = tess.tiles[0].centroid
     ids = conical_sequence(tess, cfg.p_angle, anchor, cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
-    log_ks = [bd.k_constant_log(mp, h, cfg.alpha, tess.tiles[t], grid=cfg.k_grid)[0] for t in ids]
+    log_ks = [row["log_k_j"] for row in bd.k_table(mp, h, cfg.alpha, tess, ids, grid=cfg.k_grid)]
     if not control:
         diffs = np.diff(log_ks)
         if (diffs <= 0).any():

@@ -336,3 +336,37 @@ def test_k_constant_log_logs_its_work(mp2, tess344_small, caplog):
     points = int(msg.split(": ")[1].split(" points")[0])
     assert points >= 10  # the 10 grid points of grid 3, then the refinement
     assert "panels refined" in msg and "rounds" in msg and msg.endswith(" s")
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+@pytest.mark.parametrize("cone_c", [0.6, 1.2])
+def test_k_table_equals_per_tile_k_constant_log(mp2, tess344_big, cone_c, alpha):
+    # one lockstep search over all tiles finds each tile's extremum bit for bit
+    h = BoundarySource.bump(B0, B1)
+    a = tess344_big.tiles[0].centroid
+    ids = conical_sequence(tess344_big, math.pi / 4, a, 8, cone_c, min_step=0.35)
+    rows = k_table(mp2, h, alpha, tess344_big, ids)
+    assert [r["tile_id"] for r in rows] == ids
+    for r, tid in zip(rows, ids):
+        log_k, m_star = k_constant_log(mp2, h, alpha, tess344_big.tiles[tid])
+        assert r["log_k_j"] == log_k and r["Hmin_or_max"] == m_star
+
+
+def test_k_table_zero_source_and_no_tiles(mp2, tess344_small):
+    h = BoundarySource.bump(B0, B1, amplitude=0.0)
+    rows = k_table(mp2, h, 1.0, tess344_small, [0, 3])
+    assert [(r["log_k_j"], r["k_j"]) for r in rows] == [(0.0, 1.0), (0.0, 1.0)]
+    assert k_table(mp2, BoundarySource.bump(B0, B1), 1.0, tess344_small, []) == []
+
+
+def test_k_table_logs_one_line_per_batch(mp2, tess344_small, caplog):
+    h = BoundarySource.bump(B0, B1)
+    with caplog.at_level(logging.INFO, logger="hypfield.boundary"):
+        k_table(mp2, h, 1.0, tess344_small, [0, 1, 2], grid=3)
+    (record,) = [r for r in caplog.records if r.name == "hypfield.boundary"]
+    assert record.levelno == logging.INFO
+    msg = record.getMessage()
+    assert msg.startswith("k_table: 3 tiles, ")
+    points = int(msg.split(", ")[1].split(" points")[0])
+    assert points >= 30  # the 10 grid points of grid 3 per tile, then the refinement
+    assert "panels refined" in msg and "rounds" in msg and msg.endswith(" s")

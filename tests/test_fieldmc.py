@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import hermite_e
 
 from hypfield import fieldmc as fm
+from hypfield.boundary import BoundarySource
 
 ALPHA = 1.0
 TILE_AREA_344 = math.pi / 6  # pi - (pi/3 + pi/4 + pi/4)
@@ -249,3 +250,32 @@ def test_sample_fields_logs_its_work(caplog, cov_neumann):
     [record] = [r for r in caplog.records if r.name == "hypfield.fieldmc"]
     assert record.levelno == logging.INFO
     assert record.getMessage().startswith("sample_fields 1000 samples x 9 cells: 4 batches, 2 threads, ")
+
+
+def test_shift_audit_needs_no_samples_copy(cov_neumann, quad3):
+    samples = fm.sample_fields(cov_neumann, 200_000, seed=13)
+    f = np.random.default_rng(5).normal(scale=0.5, size=len(quad3))
+    column = 8 * len(samples)
+    # the shift is added block by block: no (n, cells) copy of the samples
+    assert _traced_peak(lambda: fm.shift_audit(samples, cov_neumann, quad3, ALPHA, f)) < 9 * column
+    lhs, _ = fm.shift_audit(samples, cov_neumann, quad3, ALPHA, f)
+    assert np.array_equal(lhs, fm.wick_exp(samples + f, cov_neumann, quad3, ALPHA))
+
+
+def test_z_ratio_marks_underflow_unreliable(mp2, nt6, tess344_big):
+    # at lambda = 1e4 every exp(-v_h) underflows: the ratio is 0/0 or 0 and
+    # the ESS NaN, which must not pass as reliable
+    quad = fm.build_quadrature(tess344_big, [0], 2)
+    h = BoundarySource.bump(math.pi / 6, math.pi / 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = fm.z_ratio(mp2, nt6, quad, ALPHA, 1e4, h, 200, seed=3)
+    assert math.isnan(res.ess)
+    assert res.unreliable is True
+
+
+def test_decay_seed0_regression_pin():
+    cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, seed=0, threads=1)
+    run = fm.triviality_run(cfg)
+    assert run.records[-1].tile_ids == [0, 6, 13, 37, 67, 121, 415, 1693]
+    assert run.eps_hat == pytest.approx(0.3701013801767741, rel=1e-12, abs=0.0)
+    assert run.passed is True

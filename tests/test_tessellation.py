@@ -420,3 +420,147 @@ def test_tessellation_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# --- generate against the previous full-children level loop ----------------
+
+def _previous_generate(tp, radius):
+    """(mats, parent, gen) from the former level loop: it formed all three
+    child matrices of every frontier tile and tested their descents as
+    (F, 3, 3, 3) stacks."""
+    fund = fundamental_triangle(tp)
+    normals = fund._fund_normals
+    refl = np.stack([reflect_in(s).m for s in fund.sides])
+    csum = fund._fund_vertices.sum(axis=0)
+    c1 = csum / math.sqrt(-lorentz_dot(csum, csum))
+
+    def largest_descent(m):
+        desc = ((c1 * np.array([1.0, 1.0, -1.0])) @ m @ normals.T) > 0.0
+        last = desc.shape[-1] - 1 - np.argmax(desc[..., ::-1], axis=-1)
+        return np.where(desc.any(axis=-1), last, -1)
+
+    mats, parent, gen = [np.eye(3)[None]], [np.array([-1])], [np.array([-1])]
+    rho = [np.array([math.acosh(c1[2])])]
+    frontier, first, n = mats[0], 0, 1
+    while True:
+        kids = frontier[:, None] @ refl
+        kid_rho = np.arccosh(np.maximum(kids[..., 2, :] @ c1, 1.0))
+        keep = (largest_descent(kids) == np.arange(3)) & (kid_rho <= radius + 1e-9)
+        f, i = np.nonzero(keep)
+        if len(f) == 0:
+            break
+        frontier = kids[f, i]
+        mats.append(frontier)
+        parent.append(first + f)
+        gen.append(i)
+        rho.append(kid_rho[f, i])
+        first, n = n, n + len(f)
+    r = np.concatenate(rho)[1:]
+    by_rho = np.argsort(r)
+    group = np.empty_like(by_rho)
+    group[by_rho] = np.cumsum(np.diff(r[by_rho], prepend=-np.inf) > 1e-11)
+    order = np.concatenate([[0], 1 + np.argsort(group, kind="stable")])
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    par = np.concatenate(parent)[order]
+    par[1:] = new_id[par[1:]]
+    return np.concatenate(mats)[order], par, np.concatenate(gen)[order]
+
+
+def _decay_radius():
+    probe = generate(TriangleParams(3, 4, 4), 0.0)
+    return 8.0 + probe.anchor_spread + probe.circumradius
+
+
+@pytest.mark.parametrize(
+    "pqr, radius, tiles",
+    [((3, 4, 4), None, 114_990), ((2, 3, 7), 6.0, None), ((4, 4, 4), 8.0, None), ((3, 3, 4), 8.0, None)],
+    ids=["344-decay", "237-r6", "444-r8", "334-r8"],
+)
+def test_generate_equals_previous_level_loop(pqr, radius, tiles):
+    tp = TriangleParams(*pqr)
+    radius = _decay_radius() if radius is None else radius
+    tess = generate(tp, radius)
+    mats, parent, gen = _previous_generate(tp, radius)
+    if tiles is not None:
+        assert len(tess) == tiles
+    assert np.array_equal(tess.mats, mats)
+    assert np.array_equal(tess.parent, parent)
+    assert np.array_equal(tess.gen, gen)
+
+
+def test_side_normals_are_built_on_first_use():
+    tess = generate(TriangleParams(3, 4, 4), 2.0)
+    assert "side_normals" not in vars(tess)
+    tess.locate(Point.from_vec(tess.centroids[5]))
+    assert "side_normals" not in vars(tess)
+    want = np.stack([t.side_normals for t in tess.tiles])
+    assert np.abs(tess.side_normals - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# --- locate by folding --------------------------------------------------------
+
+def _scan_locate(tess, x, slack=1e-12):
+    """The former locate: the smallest id whose three outward side tests
+    pass, with a slack that scales with x3."""
+    vals = (tess.side_normals.reshape(-1, 3) @ (x * np.array([1.0, 1.0, -1.0]))).reshape(-1, 3)
+    inside = (vals <= slack * max(1.0, abs(x[2]))).all(axis=1)
+    return int(np.argmax(inside)) if inside.any() else None
+
+
+def _unit(v):
+    return v / math.sqrt(-lorentz_dot(v, v))
+
+
+def test_locate_matches_scan_on_interior_points(tess344_small, tess344_big):
+    rng = np.random.default_rng(23)
+    inner = tess344_small.radius - tess344_small.tile_diameter
+    for _ in range(500):
+        p = point_at(rng.uniform(0, 2 * math.pi), rng.uniform(0, inner))
+        assert tess344_small.locate(p) == _scan_locate(tess344_small, p.vec)
+    tess = tess344_big
+    for k in rng.choice(len(tess), 300, replace=False):
+        assert tess.locate(Point.from_vec(tess.centroids[k])) == k == _scan_locate(tess, tess.centroids[k])
+        # barycentric weights >= 0.05: well inside tile k
+        bary = 0.05 + 0.85 * rng.dirichlet([1.0, 1.0, 1.0])
+        x = _unit(tess.mats[k] @ (bary @ tess.fund_vertices))
+        assert tess.locate(Point.from_vec(x)) == k == _scan_locate(tess, x)
+
+
+def _star(tess, tile_id, sides):
+    """The tiles reached from tile_id by crossing the given sides, through
+    `neighbors`: the two tiles of a side, the 2m tiles around a vertex."""
+    seen, front = {tile_id}, [tile_id]
+    while front:
+        nxt = []
+        for t in front:
+            nb = tess.neighbors(t)
+            for s in sides:
+                if nb[s] is not None and nb[s] not in seen:
+                    seen.add(nb[s])
+                    nxt.append(nb[s])
+        front = nxt
+    return seen
+
+
+def test_locate_boundary_points_take_the_smallest_id_of_their_star(tess344_big):
+    tess = tess344_big
+    fv = tess.fund_vertices
+    # vertex i lies on the sides vertex_sides[i]; side j joins side_ends[j]
+    vertex_sides = ((0, 1), (0, 2), (1, 2))
+    side_ends = ((0, 1), (0, 2), (1, 2))
+    rng = np.random.default_rng(29)
+    deep = np.argsort(tess.centroid_rho)[-2000:]
+    picks = np.concatenate([rng.choice(deep, 40, replace=False), rng.choice(len(tess), 40, replace=False)])
+    for k in picks:
+        cases = [(tess.mats[k] @ fv[i], vertex_sides[i]) for i in range(3)]
+        cases += [(tess.mats[k] @ _unit(fv[a] + fv[b]), (j,)) for j, (a, b) in enumerate(side_ends)]
+        for x, sides in cases:
+            star = _star(tess, int(k), sides)
+            got = tess.locate(Point.from_vec(x))
+            assert got == min(star), (k, sides)
+            # the returned tile's closure holds the point, to the rounding
+            # of the Lorentz products at this height
+            vals = tess.tiles[got].side_normals @ (x * np.array([1.0, 1.0, -1.0]))
+            assert (vals <= 1e-13 * x[2] ** 2).all()
+            assert (np.abs(vals) <= 1e-13 * x[2] ** 2).sum() == len(sides)

@@ -1,6 +1,18 @@
 """Hyperbolic-plane reflection tessellations, image-sum Neumann Green's
 functions, the bulk-to-boundary propagator, and Monte Carlo estimation of
 Wick-ordered exponential interactions, up to the decay experiment for the
-boundary generating functional."""
+boundary generating functional.
+
+Importing any hypfield module loads numpy and no scipy module.  Each
+scipy module loads in the function that uses it:
+
+- ``scipy.special`` (``digamma``) at the first d = 2 ``greens.ModelParams``;
+- ``scipy.integrate`` (``quad``) in ``boundary.h_plus_forms``,
+  ``greens.gk_norm`` and ``greens.exp_kernel_integral``;
+- ``scipy.interpolate`` (``CubicSpline``) for a tabulated
+  ``boundary.BoundarySource``;
+- the top-level ``scipy`` package for the version field of the run
+  manifest the CLI writes.
+"""
 
 __version__ = "0.1.0"

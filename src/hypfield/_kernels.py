@@ -40,7 +40,6 @@ import time
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial, chebyshev, polyutils
-from scipy.special import digamma
 
 from .errors import PrecisionLossError
 from .geometry import ETA_DIAG, lorentz_dot
@@ -108,6 +107,8 @@ def log_case_coef(a, b, umax):
     DLMF 15.8.10: B_k = P c_k and A_k = B_k (2 psi(k+1) - psi(a+k) - psi(b+k)), with
     c_k = (a)_k (b)_k / (k!)^2 and P = Gamma(a+b) / (Gamma(a) Gamma(b)), until c_k umax^k <= 1e-17.
     """
+    from scipy.special import digamma
+
     c = [1.0]
     while c[-1] * umax ** (len(c) - 1) > 1e-17:
         k = len(c) - 1

@@ -30,8 +30,6 @@ import math
 import time
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, PrecisionLossError
 from .geometry import DiskPoint, Point, convert, dist, lorentz_dot, origin
@@ -73,6 +71,8 @@ class BoundarySource:
             self._log_peak = self.smoothness / (half * half)
             self._spline = None
         elif kind == "tabulated":
+            from scipy.interpolate import CubicSpline
+
             angles = np.asarray(angles, dtype=float)
             values = np.asarray(values, dtype=float)
             if angles[0] + _TWO_PI != angles[-1]:
@@ -275,6 +275,8 @@ def h_plus_forms(mp, h, z, zeta):
     with the tan(beta/2) change of variables; the substituted route is
     the production evaluator.
     """
+    from scipy import integrate
+
     dp = mp.delta_plus
 
     def direct_integrand(beta):

@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import boundary as bd
 from . import greens
@@ -49,9 +48,10 @@ WICK_POWER_CAP = 8
 _RIDGES = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # The decay rate's standard error comes from this many sample batches;
 # its one-sided 95% bound uses the Student t quantile on n - 1 degrees
-# of freedom.
+# of freedom: T95 is float(scipy.special.stdtrit(9, 0.95)), written out
+# so that importing the module does not load scipy.special.
 SLOPE_BATCHES = 10
-T95 = float(special.stdtrit(SLOPE_BATCHES - 1, 0.95))
+T95 = 1.833112932656237
 # Rows per block of the Monte Carlo reductions; one (cells, block) float
 # buffer is 295 KB at the 9 cells of a resolution-3 tile.
 _BLOCK_ROWS = 4096
@@ -436,18 +436,19 @@ class ZRatioResult:
     unreliable: bool
 
 
-def z_ratio(mp, nt, quad, alpha, lam, h, n, seed):
+def z_ratio(mp, nt, quad, alpha, lam, h, n, seed, threads=None):
     """Direct estimate of Z(h, Lambda)/Z(0, Lambda) on common random numbers.
 
     The numerator shifts the field by H_plus h through the exact shift
     identity, so both estimators share every sample and most of the
-    variance cancels in the ratio.
+    variance cancels in the ratio.  `threads` goes to `sample_fields`,
+    whose samples do not depend on it.
     """
     _check_alpha(alpha)
     if lam < 0:
         raise ValueError("need lambda >= 0")
     cov = build_covariance(mp, nt, quad, "free")
-    samples = sample_fields(cov, n, seed)
+    samples = sample_fields(cov, n, seed, threads=threads)
     if lam == 0.0:
         return ZRatioResult(ratio=1.0, stderr=0.0, ess=float(n), unreliable=False)
     if h is None or h.is_zero:
@@ -652,7 +653,10 @@ def triviality_run(cfg):
                 direct_ids.append(tid)
                 break
         dq = build_quadrature(tess, direct_ids, cfg.resolution)
-        direct = z_ratio(mp, nt, dq, cfg.alpha, cfg.lam, None if control else h, cfg.n_mc, cfg.seed + 101)
+        direct = z_ratio(
+            mp, nt, dq, cfg.alpha, cfg.lam, None if control else h, cfg.n_mc, cfg.seed + 101,
+            threads=cfg.threads,
+        )
 
     return TrivialityRun(
         config=cfg,

@@ -21,7 +21,6 @@ import time
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from .errors import (
@@ -425,6 +424,8 @@ def gk_norm(mp, k, q):
     """
     if k < 1 or q <= 1.0:
         raise ValueError("need k >= 1 and q > 1")
+    from scipy import integrate
+
     kq = k * q
     if mp.delta_plus * kq <= 1.0:
         raise DivergentTailError(
@@ -454,6 +455,8 @@ def exp_kernel_integral(mp, alpha, tess, tile_ids, mesh, resolution=None):
         )
     if mesh <= 0:
         raise ValueError("mesh must be > 0")
+    from scipy import integrate
+
     from .fieldmc import build_quadrature
 
     if resolution is None:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.polynomial import hermite_e
 
 from hypfield import fieldmc as fm
@@ -86,7 +87,7 @@ def test_triviality_control_does_not_certify():
 def test_ci95_low_uses_student_t():
     # one-sided 95% Student t quantile on SLOPE_BATCHES - 1 = 9 degrees of freedom
     assert fm.SLOPE_BATCHES == 10
-    assert fm.T95 == pytest.approx(1.8331, abs=5e-5)
+    assert fm.T95 == float(scipy.special.stdtrit(fm.SLOPE_BATCHES - 1, 0.95))
     run = _small_run()
     assert math.isfinite(run.eps_stderr) and run.eps_stderr > 0.0
     assert run.ci95_low == pytest.approx(run.eps_hat - 1.8331 * run.eps_stderr, abs=1e-4 * run.eps_stderr)
@@ -271,6 +272,19 @@ def test_z_ratio_marks_underflow_unreliable(mp2, nt6, tess344_big):
         res = fm.z_ratio(mp2, nt6, quad, ALPHA, 1e4, h, 200, seed=3)
     assert math.isnan(res.ess)
     assert res.unreliable is True
+
+
+def test_z_ratio_samples_on_the_threads_it_is_given(caplog, mp2, nt6, tess344_big):
+    # 20,000 samples are three sampling batches, enough for two workers
+    quad = fm.build_quadrature(tess344_big, [0], 2)
+    h = BoundarySource.bump(math.pi / 6, math.pi / 3)
+    results = {}
+    for threads in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="hypfield.fieldmc"):
+            results[threads] = fm.z_ratio(mp2, nt6, quad, ALPHA, 0.1, h, 20_000, seed=3, threads=threads)
+        assert f"3 batches, {threads} threads" in caplog.text
+    assert results[2] == results[1]
 
 
 def test_decay_seed0_regression_pin():

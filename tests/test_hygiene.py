@@ -1,14 +1,22 @@
-"""No dead code: every name the package defines is used somewhere.
+"""Package hygiene: no dead code, and the import contract.
 
-A name counts as used when it occurs as a whole word at least twice in
-the Python sources of src/, tests/ and perfbench/: its definition plus
-one use.  Mentions in docstrings and comments count as uses, which keeps
-the check lenient; it catches names that nothing refers to at all.
+No dead code: every name the package defines is used somewhere.  A name
+counts as used when it occurs as a whole word at least twice in the
+Python sources of src/, tests/ and perfbench/: its definition plus one
+use.  Mentions in docstrings and comments count as uses, which keeps the
+check lenient; it catches names that nothing refers to at all.
+
+The import contract: importing any hypfield module loads numpy and no
+scipy module; each scipy module loads in the function that uses it.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hypfield"
@@ -52,3 +60,33 @@ def test_every_package_name_is_used():
             if len(re.findall(rf"\b{re.escape(bare)}\b", corpus)) < 2:
                 unused.append(f"{path.stem}.{qualified}")
     assert unused == []
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import importlib, pkgutil, sys
+    import hypfield
+
+    def loaded():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    for info in pkgutil.iter_modules(hypfield.__path__):
+        importlib.import_module("hypfield." + info.name)
+    print(loaded())
+    from hypfield import greens
+    greens.ModelParams(2.0)
+    print(loaded())
+""")
+
+
+def test_importing_hypfield_loads_no_scipy():
+    # a fresh interpreter: this one has scipy loaded already
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert ast.literal_eval(out[0]) == []
+    # a d = 2 model loads digamma's scipy.special, and nothing heavier
+    after_model = ast.literal_eval(out[1])
+    for heavy in ("scipy.integrate", "scipy.interpolate", "scipy.optimize"):
+        assert heavy not in after_model

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial, chebyshev, polyutils
 
 from .errors import PrecisionLossError
-from .geometry import ETA_DIAG, lorentz_dot
+from .geometry import ETA_DIAG, lorentz_dot, normalize
 
 _SERIES_TOL = 5e-16
 _SERIES_MAXITER = 200000
@@ -258,8 +258,7 @@ def _within_reach(mats, xs, ys, rmax):
     holds for any set of images.  The 1e-9 slack keeps rounding from
     dropping an image that lies on the cut.
     """
-    c = xs.sum(axis=0) + ys.sum(axis=0)
-    c = c / math.sqrt(-lorentz_dot(c, c))
+    c = normalize(xs.sum(axis=0) + ys.sum(axis=0))
     reach = rmax + _max_dist(c, xs) + _max_dist(c, ys) + 1e-9
     coshes = -(_images(mats, c) @ (c * ETA_DIAG))
     return mats[coshes <= math.cosh(reach)]

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from .errors import ConfigurationError, PrecisionLossError
-from .geometry import DiskPoint, Point, convert, dist, lorentz_dot, origin
+from .geometry import DiskPoint, as_lorentz_vec, convert, halfplane_coords, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -128,12 +128,6 @@ class BoundarySource:
         if self.kind == "bump" and self.amplitude > 0:
             return (self.beta0, self.beta1)
         return None
-
-
-def _halfplane_coords(points):
-    """(z, zeta) arrays of a sequence of points given in any model."""
-    hp = [convert(p, "halfplane") for p in points]
-    return np.array([p.z for p in hp], dtype=float), np.array([p.zeta for p in hp], dtype=float)
 
 
 def h_plus(mp, h, z, zeta=None):
@@ -296,8 +290,11 @@ def h_plus_forms(mp, h, z, zeta):
 
 
 def h_plus_at_points(mp, h, points):
-    """Vector of H_plus h over an iterable of bulk points, in one batch."""
-    return h_plus(mp, h, *_halfplane_coords(points))
+    """Vector of H_plus h in one batch at an (n, 3) array of Lorentz rows,
+    or at a sequence of points in any model, read off by the closed-form
+    half-plane chart."""
+    vecs = np.array([as_lorentz_vec(p) for p in points], dtype=float).reshape(-1, 3)
+    return h_plus(mp, h, *halfplane_coords(vecs))
 
 
 def sector_lower_bound_audit(mp, h, sector, n, seed=0):
@@ -324,8 +321,8 @@ def sector_lower_bound_audit(mp, h, sector, n, seed=0):
     for _ in range(n):
         r = rng.uniform(sector.r0, 1.0 - 1e-7)
         beta = rng.uniform(sector.beta0, sector.beta1)
-        pts.append(DiskPoint(r * math.cos(beta), r * math.sin(beta)))
-    z, zeta = _halfplane_coords(pts)
+        pts.append(as_lorentz_vec(DiskPoint(r * math.cos(beta), r * math.sin(beta))))
+    z, zeta = halfplane_coords(np.array(pts))
     vals = h_plus(mp, h, z, zeta) * z ** (mp.delta_plus - 1.0)
     return {
         "audit_name": "sector_lower_bound",
@@ -347,34 +344,32 @@ def _barycentric_grid(grid):
     return np.asarray(pts)
 
 
-def _tile_coords(tile, bary):
-    """(z, zeta) arrays of the tile points with barycentric rows `bary`."""
-    v = bary @ tile.vertex_vecs
-    v = v / np.sqrt(-lorentz_dot(v, v))[:, None]
-    return _halfplane_coords([Point.from_vec(row) for row in v])
+def _k_search(mp, h, alpha, fund_vertices, mats, grid):
+    """Extremum of H_plus h over each tile m(C), m in the (tiles, 3, 3)
+    `mats` and C the triangle with vertex rows `fund_vertices`, all tiles
+    in lockstep.  The minimum for alpha > 0, the maximum for alpha < 0.
 
-
-def _k_search(mp, h, alpha, tiles, grid):
-    """Extremum of H_plus h over each tile, all tiles in lockstep.
-
-    The minimum for alpha > 0, the maximum for alpha < 0 (exp is
-    monotone).  A barycentric grid scan of every tile is one H_plus
-    batch.  A golden-section search in each barycentric direction around
-    each tile's best grid point follows; each of its steps is one batch
-    with one point per tile, and each tile keeps its own bracket, its own
-    branch and its own rule that a point outside the tile scores +inf.
-    H_plus at a point does not depend on the batch it is evaluated in,
-    so each tile's extremum is the one a search over that tile alone
-    finds.  Returns (extrema, work) with work the points evaluated, the
-    quadrature panels refined and the most rounds any batch took.
+    The point of barycentric row b is m normalize(b C), never
+    renormalised, read off by the closed-form half-plane chart: its z
+    keeps its relative precision at any depth.  A barycentric grid scan
+    of every tile is one H_plus batch.  A golden-section search in each
+    barycentric direction around each tile's best grid point follows;
+    each of its steps is one batch with one point per tile, and each
+    tile keeps its own bracket, its own branch and its own rule that a
+    point outside the tile scores +inf.  A tile's points come from
+    products of the same shapes whatever the other tiles, and H_plus at
+    a point does not depend on its batch, so each tile's extremum is the
+    one a search over that tile alone finds, bit for bit.  Returns
+    (extrema, work) with work the points evaluated, the quadrature
+    panels refined and the most rounds any batch took.
     """
     sign = 1.0 if alpha > 0 else -1.0
     work = {"points": 0, "refined": 0, "rounds": 0}
 
     def scores_at(points):
-        # points: (tile, barycentric rows) pairs, all in one batch
-        coords = [_tile_coords(tile, bary) for tile, bary in points]
-        vals, refined, rounds = _h_plus_batch(mp, h, *(np.concatenate(c) for c in zip(*coords)))
+        # points: (group element, barycentric rows) pairs, all in one batch
+        vecs = np.concatenate([normalize(bary @ fund_vertices) @ m.T for m, bary in points])
+        vals, refined, rounds = _h_plus_batch(mp, h, *halfplane_coords(vecs))
         work["points"] += len(vals)
         work["refined"] += refined
         work["rounds"] = max(work["rounds"], rounds)
@@ -385,12 +380,12 @@ def _k_search(mp, h, alpha, tiles, grid):
         out = np.full(len(bs), math.inf)
         inside = bs.min(axis=1) >= 0.0
         if inside.any():
-            out[inside] = scores_at([(t, b[None, :]) for t, b, ok in zip(tiles, bs, inside) if ok])
+            out[inside] = scores_at([(m, b[None, :]) for m, b, ok in zip(mats, bs, inside) if ok])
         return out
 
-    n = len(tiles)
+    n = len(mats)
     bary = _barycentric_grid(grid)
-    scores = scores_at([(tile, bary) for tile in tiles]).reshape(n, len(bary))
+    scores = scores_at([(m, bary) for m in mats]).reshape(n, len(bary))
     best = np.argmin(scores, axis=1)
     b_best, s_best = bary[best], scores[np.arange(n), best]
     step = 1.0 / grid
@@ -438,7 +433,7 @@ def k_constant_log(mp, h, alpha, tile, grid=4):
     if h.is_zero:
         return 0.0, 0.0
     t_start = time.perf_counter()
-    (m_star,), work = _k_search(mp, h, alpha, [tile], grid)
+    (m_star,), work = _k_search(mp, h, alpha, tile._fund_vertices, tile.g.m[None], grid)
     logger.info(
         "k_constant_log tile %d: %d points, %d panels refined, %d rounds, %.3f s",
         tile.id, work["points"], work["refined"], work["rounds"], time.perf_counter() - t_start,
@@ -456,29 +451,30 @@ def k_table(mp, h, alpha, tess, tile_ids, grid=4):
     """Rows (tile_id, rho_centroid, z_centroid, extremum of H, k_j) per tile.
 
     One lockstep search (`_k_search`) covers every tile, so the extrema
-    equal `k_constant_log`'s bit for bit.  Logs the tiles, points,
+    equal `k_constant_log`'s bit for bit; the centroid columns come from
+    `tess.centroid_rho` and `tess.centroids`.  Logs the tiles, points,
     panels refined, rounds and seconds of the batch at INFO on the
     `hypfield.boundary` logger.
     """
     t_start = time.perf_counter()
-    tiles = [tess.tiles[tid] for tid in tile_ids]
-    if h.is_zero or not tiles:
-        m_stars = [0.0] * len(tiles)
+    ids = np.asarray(tile_ids, dtype=int)
+    if h.is_zero or not len(ids):
+        m_stars = [0.0] * len(ids)
     else:
-        m_stars, work = _k_search(mp, h, alpha, tiles, grid)
+        m_stars, work = _k_search(mp, h, alpha, tess.fund_vertices, tess.mats[ids], grid)
         logger.info(
             "k_table: %d tiles, %d points, %d panels refined, %d rounds, %.3f s",
-            len(tiles), work["points"], work["refined"], work["rounds"], time.perf_counter() - t_start,
+            len(ids), work["points"], work["refined"], work["rounds"], time.perf_counter() - t_start,
         )
+    z_cen, _ = halfplane_coords(tess.centroids[ids])
     rows = []
-    for tile, m_star in zip(tiles, m_stars):
+    for tid, m_star, z in zip(ids, m_stars, z_cen):
         log_k = alpha * float(m_star)
-        cen = tile.centroid
         rows.append(
             {
-                "tile_id": int(tile.id),
-                "rho_centroid": dist(origin(), cen),
-                "z_centroid": convert(cen, "halfplane").z,
+                "tile_id": int(tid),
+                "rho_centroid": float(tess.centroid_rho[tid]),
+                "z_centroid": float(z),
                 "Hmin_or_max": float(m_star),
                 "k_j": math.exp(log_k) if log_k < 700.0 else math.inf,
                 "log_k_j": log_k,

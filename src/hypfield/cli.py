@@ -309,10 +309,9 @@ def _cmd_triviality(args):
     ]
     _write_csv(csv_path, ["q", "n_tiles", "min_k", "max_k", "U_q", "U_q_stderr"], rows)
     _write_json(json_path, run.to_json_dict())
-    fit_pts = [(r.q, r.u) for r in run.records if not r.saturated and math.isfinite(r.u)]
+    fit = fm.fit_records(run.records)
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render.decay_svg([p[0] for p in fit_pts], [p[1] for p in fit_pts],
-                                  run.eps_hat, run.ci95_low))
+        fh.write(render.decay_svg([r.q for r in fit], [r.u for r in fit], run.eps_hat, run.ci95_low))
     with open(cfg_echo, "w", encoding="utf-8") as fh:
         fh.write(cfg_file.dumps())
     print(run.summary())

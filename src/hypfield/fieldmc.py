@@ -39,7 +39,7 @@ import numpy as np
 from . import boundary as bd
 from . import greens
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
-from .geometry import ETA_DIAG, Point, angle_at, dist, lorentz_dot
+from .geometry import ETA_DIAG, angle_at, dist, lorentz_dot, normalize, pairwise_dist
 from .tessellation import TriangleParams, _outward_normals, conical_sequence, generate, tile_area
 
 logger = logging.getLogger(__name__)
@@ -79,7 +79,7 @@ class Quadrature:
 
 def _subtriangle_cells(vertices):
     """Incenter and Gauss-Bonnet weight of one geodesic triangle."""
-    pts = [Point.from_vec(v) for v in vertices]
+    pts = normalize(vertices)
     area = math.pi - (
         angle_at(pts[0], pts[1], pts[2])
         + angle_at(pts[1], pts[0], pts[2])
@@ -93,15 +93,15 @@ def _subtriangle_cells(vertices):
     inc = w / math.sqrt(q) if q > 0 else vertices.mean(axis=0)
     if inc[2] < 0:
         inc = -inc
-    inc = inc / math.sqrt(-lorentz_dot(inc, inc))
-    return inc, area
+    return normalize(inc), area
 
 
 def build_quadrature(tess, tile_ids, resolution):
     """Geodesic barycentric refinement: resolution^2 cells per tile.
 
     Cells are built once on the fundamental tile and mapped by each
-    tile's isometry, so every tile carries the same cell pattern and the
+    tile's group element `tess.mats[k]`, with no renormalisation after
+    the map, so every tile carries the same cell pattern and the
     per-tile weight vectors are identical.
     """
     if resolution < 1:
@@ -113,8 +113,7 @@ def build_quadrature(tess, tile_ids, resolution):
     for i in range(res + 1):
         for j in range(res + 1 - i):
             b = np.array([res - i - j, i, j], dtype=float) / res
-            v = b @ verts
-            nodes[(i, j)] = v / math.sqrt(-lorentz_dot(v, v))
+            nodes[(i, j)] = normalize(b @ verts)
 
     cells = []
     for i in range(res):
@@ -128,18 +127,11 @@ def build_quadrature(tess, tile_ids, resolution):
     base_pts = np.stack([c[0] for c in cells])
     base_wts = np.array([c[1] for c in cells])
 
-    pts, wts, ids = [], [], []
-    for tid in tile_ids:
-        g = tess.tiles[tid].g
-        mapped = base_pts @ g.m.T
-        mapped = mapped / np.sqrt(-(mapped[:, 0] ** 2 + mapped[:, 1] ** 2 - mapped[:, 2] ** 2))[:, None]
-        pts.append(mapped)
-        wts.append(base_wts)
-        ids.append(np.full(len(base_wts), tid, dtype=int))
+    ids = np.asarray(tile_ids, dtype=int)
     return Quadrature(
-        points=np.concatenate(pts),
-        weights=np.concatenate(wts),
-        tile_ids=np.concatenate(ids),
+        points=np.concatenate([base_pts @ tess.mats[tid].T for tid in ids]),
+        weights=np.tile(base_wts, len(ids)),
+        tile_ids=np.repeat(ids, len(base_wts)),
         resolution=res,
     )
 
@@ -170,8 +162,7 @@ def build_covariance(mp, nt, quad, kind):
         raise ValueError("kind must be 'free' or 'neumann'")
     pts, wts = quad.points, quad.weights
     n = len(wts)
-    coshes = np.maximum(-(pts * ETA_DIAG) @ pts.T, 1.0)
-    rho = np.arccosh(coshes)
+    rho = pairwise_dist(pts, pts)
     off = ~np.eye(n, dtype=bool)
     if n > 1 and rho[off].min() < 1e-6:
         raise ValueError("quadrature cells closer than 1e-6; refine differently")
@@ -454,7 +445,7 @@ def z_ratio(mp, nt, quad, alpha, lam, h, n, seed, threads=None):
     if h is None or h.is_zero:
         f = np.zeros(len(quad))
     else:
-        f = bd.h_plus_at_points(mp, h, [Point.from_vec(p) for p in quad.points])
+        f = bd.h_plus_at_points(mp, h, quad.points)
     v0 = lam * wick_exp(samples, cov, quad, alpha)
     vh = lam * wick_exp(samples, cov, quad, alpha, g=np.exp(alpha * f))
     a = np.exp(-vh)
@@ -598,8 +589,7 @@ def triviality_run(cfg):
     x1 = wick_exp(samples, cov, quad, cfg.alpha)
     area = tile_area(tess.tiles[0])
 
-    anchor = tess.tiles[0].centroid
-    ids = conical_sequence(tess, cfg.p_angle, anchor, cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
+    ids = conical_sequence(tess, cfg.p_angle, tess.centroids[0], cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
     log_ks = [row["log_k_j"] for row in bd.k_table(mp, h, cfg.alpha, tess, ids, grid=cfg.k_grid)]
     if not control:
         diffs = np.diff(log_ks)
@@ -610,13 +600,11 @@ def triviality_run(cfg):
             )
 
     records = []
-    terms, ses, sat_flags = [], [], []
     log_lam = math.log(cfg.lam)
-    for lk in log_ks:
-        ll, se, sat = log_laplace_stable(x1, log_lam + lk)
-        terms.append(ll + cfg.lam * area)
-        ses.append(se)
-        sat_flags.append(sat)
+    laplace = [log_laplace_stable(x1, log_lam + lk) for lk in log_ks]
+    terms = [ll + cfg.lam * area for ll, _, _ in laplace]
+    ses = [se for _, se, _ in laplace]
+    sat_flags = [sat for _, _, sat in laplace]
     for qi in range(1, cfg.q_max + 1):
         u = float(sum(terms[:qi]))
         se = float(math.sqrt(sum(s * s for s in ses[:qi])))
@@ -632,14 +620,14 @@ def triviality_run(cfg):
             )
         )
 
-    fit_records = [r for r in records if not r.saturated and math.isfinite(r.u)]
-    if len(fit_records) < 2:
+    fit = fit_records(records)
+    if len(fit) < 2:
         raise ConfigurationError("too few unsaturated U(q) points to fit a decay rate")
-    fit_qs = [r.q for r in fit_records]
-    eps_hat = _fit_decay([r.q for r in fit_records], [r.u for r in fit_records])
+    fit_qs = [r.q for r in fit]
+    eps_hat = _fit_decay(fit_qs, [r.u for r in fit])
     eps_se = _slope_se_by_batches(x1, log_ks, log_lam, cfg.lam * area, fit_qs)
     ci95_low = eps_hat - T95 * eps_se  # one-sided 95%
-    plateau, _, _ = log_laplace_stable(x1, log_lam + log_ks[-1])
+    plateau = laplace[-1][0]
 
     # direct ratio check on a small region: the anchor tile plus the first
     # conical tile separated enough that the cell-averaged free covariance
@@ -649,7 +637,7 @@ def triviality_run(cfg):
     if len(quad) * 2 <= 80:
         direct_ids = [ids[0]]
         for tid in ids[1:]:
-            if dist(Point.from_vec(tess.centroids[ids[0]]), Point.from_vec(tess.centroids[tid])) >= 1.0:
+            if dist(tess.centroids[ids[0]], tess.centroids[tid]) >= 1.0:
                 direct_ids.append(tid)
                 break
         dq = build_quadrature(tess, direct_ids, cfg.resolution)
@@ -671,6 +659,11 @@ def triviality_run(cfg):
         direct_ratio=direct,
         empirical_a=float(nt.empirical_a),
     )
+
+
+def fit_records(records):
+    """The U(q) records `eps_hat` is fitted on: the unsaturated, finite ones."""
+    return [r for r in records if not r.saturated and math.isfinite(r.u)]
 
 
 def _fit_decay(qs, us):

@@ -31,7 +31,7 @@ from .errors import (
     ThresholdError,
     TruncationError,
 )
-from .geometry import ETA_DIAG, Point, as_lorentz_vec, dist, lorentz_dot, midpoint, origin
+from .geometry import ETA_DIAG, Point, as_lorentz_vec, dist, midpoint, normalize, origin, pairwise_dist
 from .tessellation import orbital_count
 
 ALPHA_MAX = math.sqrt(4.0 * math.pi)
@@ -223,9 +223,10 @@ class NeumannTruncation:
 
 
 def _pull_back(tess, tile_id, vecs):
-    """Map points of tile `tile_id` into the fundamental tile frame."""
-    ginv = tess.tiles[tile_id].g.inverse()
-    return np.asarray(vecs) @ ginv.m.T
+    """Rows of tile `tile_id` mapped into the fundamental tile by the exact
+    inverse eta m^T eta of its element m, in one product."""
+    m = tess.mats[tile_id]
+    return np.asarray(vecs, dtype=float) @ (ETA_DIAG[:, None] * m * ETA_DIAG)
 
 
 def g_neumann(mp, nt, x, y):
@@ -273,10 +274,10 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
         ids = [tess.locate(Point.from_vec(v)) for v in vecs]
         if any(i is None for i in ids):
             raise TruncationError("point outside the enumerated tessellation")
+        pulled = np.stack([_pull_back(tess, i, v) for i, v in zip(ids, vecs)])
     else:
-        ids = [tile_id] * len(vecs)
+        pulled = _pull_back(tess, tile_id, vecs)
     nt.check_tail(mp)
-    pulled = np.stack([_pull_back(tess, i, [v])[0] for i, v in zip(ids, vecs)])
     sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp)
     if warn:
         fund_normals = tess.fund_normals
@@ -292,13 +293,12 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
 
 def sample_tile_points(tess, tile_id, n, rng, min_side_gap=0.0):
     """Uniform-ish interior points of a tile via Dirichlet vertex weights."""
-    verts = tess.tiles[tile_id].vertex_vecs
-    normals = tess.tiles[tile_id].side_normals
+    m = tess.mats[tile_id]
+    normals = tess.fund_normals @ m.T
     pts = []
     while len(pts) < n:
         wts = rng.dirichlet((1.0, 1.0, 1.0), size=n)
-        cand = wts @ verts
-        cand /= np.sqrt(-lorentz_dot(cand, cand))[:, None]
+        cand = normalize(wts @ tess.fund_vertices) @ m.T
         if min_side_gap > 0.0:
             gaps = np.abs(np.einsum("sk,nk->ns", normals * ETA_DIAG, cand))
             cand = cand[gaps.min(axis=1) > min_side_gap]
@@ -319,13 +319,10 @@ def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
     tess = nt.tess
     fund = tess.tiles[0]
     pair = ((0, 1), (0, 2), (1, 2))[side_index]
-    y0 = midpoint(
-        Point.from_vec(fund.vertex_vecs[pair[0]]), Point.from_vec(fund.vertex_vecs[pair[1]])
-    )
+    y0 = midpoint(fund.vertex_vecs[pair[0]], fund.vertex_vecs[pair[1]])
     v = fund.side_normals[side_index]
     if x is None:
-        xv = 0.55 * fund.centroid.vec + 0.45 * y0.vec
-        xv = xv / math.sqrt(-lorentz_dot(xv, xv))
+        xv = normalize(0.55 * fund.centroid.vec + 0.45 * y0.vec)
     else:
         xv = as_lorentz_vec(x)
     refl = np.eye(3) - 2.0 * np.outer(v, ETA_DIAG * v)
@@ -392,8 +389,7 @@ def domination_audit(mp, nt, n_pairs=10_000, seed=0, min_separation=1e-3):
     xs = sample_tile_points(nt.tess, 0, m, rng)
     ys = sample_tile_points(nt.tess, 0, m, rng)
     block = g_neumann_block(mp, nt, xs, ys, 0)
-    coshes = np.maximum(-(xs * ETA_DIAG) @ ys.T, 1.0)
-    rho = np.arccosh(coshes)
+    rho = pairwise_dist(xs, ys)
     ok = rho >= min_separation
     gp = np.zeros_like(rho)
     gp[ok] = g_plus(mp, rho[ok])
@@ -463,8 +459,7 @@ def exp_kernel_integral(mp, alpha, tess, tile_ids, mesh, resolution=None):
         resolution = min(24, max(2, math.ceil(tess.tile_diameter / mesh)))
     quad = build_quadrature(tess, tile_ids, resolution)
     pts, wts = quad.points, quad.weights
-    coshes = np.maximum(-(pts * ETA_DIAG) @ pts.T, 1.0)
-    rho = np.arccosh(coshes)
+    rho = pairwise_dist(pts, pts)
     off = rho > mesh
     kern = np.zeros_like(rho)
     kern[off] = np.exp(alpha**2 * g_plus(mp, rho[off]))

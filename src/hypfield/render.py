@@ -57,7 +57,8 @@ def tessellation_svg(tess, size=800):
 
 
 def decay_svg(qs, us, eps_hat, ci95_low, width=640, height=440):
-    """U(q) versus q with its fitted decay line; saturated points excluded."""
+    """U(q) at the fitted points and the fitted line: slope -eps_hat
+    through the points' mean, where the least-squares line passes."""
     pad = 60.0
     if not qs:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>'
@@ -73,14 +74,10 @@ def decay_svg(qs, us, eps_hat, ci95_low, width=640, height=440):
         return x, y
 
     pts = " ".join(f"{px(q, u)[0]:.2f},{px(q, u)[1]:.2f}" for q, u in zip(qs, us))
-    # least-squares line through the plotted points
-    n = len(qs)
-    qbar = sum(qs) / n
-    ubar = sum(us) / n
-    den = sum((q - qbar) ** 2 for q in qs) or 1.0
-    slope = sum((q - qbar) * (u - ubar) for q, u in zip(qs, us)) / den
-    x0, y0 = px(qmin, ubar + slope * (qmin - qbar))
-    x1, y1 = px(qmax, ubar + slope * (qmax - qbar))
+    qbar = sum(qs) / len(qs)
+    ubar = sum(us) / len(us)
+    x0, y0 = px(qmin, ubar - eps_hat * (qmin - qbar))
+    x1, y1 = px(qmax, ubar - eps_hat * (qmax - qbar))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

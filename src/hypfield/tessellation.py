@@ -43,6 +43,7 @@ from .geometry import (
     dist,
     geodesic_through,
     lorentz_dot,
+    normalize,
     origin,
     point_at,
     reflect_in,
@@ -122,7 +123,7 @@ class Tile:
 def _outward_normals(vertices):
     """Outward unit side normals of the geodesic triangle with Lorentz
     vertex rows `vertices`, one row per side in the order v0-v1, v0-v2, v1-v2."""
-    pts = [Point.from_vec(v) for v in vertices]
+    pts = normalize(vertices)
     normals = []
     for ia, ib, iopp in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         geo = geodesic_through(pts[ia], pts[ib])
@@ -179,7 +180,7 @@ class Tessellation:
         self.fund_normals = fund_normals
         self.reflections = reflections
         # one (3n, 3) @ (3,) product: ten times faster than the stacked one
-        self.centroids = (mats.reshape(-1, 3) @ _unit_centroid(fund_vertices)).reshape(-1, 3)
+        self.centroids = (mats.reshape(-1, 3) @ normalize(fund_vertices.sum(axis=0))).reshape(-1, 3)
         self.centroid_rho = np.arccosh(np.maximum(self.centroids[:, 2], 1.0))
 
     def __len__(self):
@@ -331,11 +332,6 @@ class _TileSequence(Sequence):
         return Tile(k, t._word(k), Isometry(t.mats[k], check=False), t.fund_vertices, t.fund_normals)
 
 
-def _unit_centroid(fund_vertices):
-    csum = fund_vertices.sum(axis=0)
-    return csum / math.sqrt(-lorentz_dot(csum, csum))
-
-
 def _largest_descent(vals):
     """Largest right descent per row of descent values (..., 3); -1 for none.
 
@@ -392,7 +388,7 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     fund_normals = fund._fund_normals
     reflections = [reflect_in(Geodesic(v)) for v in fund_normals]
     refl = np.stack([r.m for r in reflections])
-    c1 = _unit_centroid(fund_vertices)
+    c1 = normalize(fund_vertices.sum(axis=0))
 
     # one entry per level: matrices, parent ids, generators, centroid distances
     mats, parent, gen = [np.eye(3)[None]], [np.array([-1])], [np.array([-1])]

@@ -352,6 +352,25 @@ def test_k_table_equals_per_tile_k_constant_log(mp2, tess344_big, cone_c, alpha)
         assert r["log_k_j"] == log_k and r["Hmin_or_max"] == m_star
 
 
+def test_k_table_z_centroid_keeps_its_digits_at_depth(mp2, tess344_big):
+    # The reference maps the exactly normalised centroid of the fundamental
+    # tile by the float mats[k] in 40 digits and applies the chart's closed
+    # form there: 1 / (x1 + x3), with x1 + x3 = (1 + x2^2) / (x3 - x1) for
+    # x1 < 0.  (The float mats are Lorentz only to about eps e^(2 rho), so
+    # the two forms differ by that much on the exact vector; each branch
+    # is checked against its own form.)
+    ids = np.nonzero(tess344_big.centroid_rho >= 5.5)[0][::37]
+    rows = k_table(mp2, BoundarySource.bump(B0, B1, amplitude=0.0), 1.0, tess344_big, ids)
+    with mpmath.workdps(40):
+        c = [mpmath.fsum(mpmath.mpf(float(v)) for v in col) for col in tess344_big.fund_vertices.T]
+        c = [v / mpmath.sqrt(c[2] ** 2 - c[0] ** 2 - c[1] ** 2) for v in c]
+        for r in rows:
+            m = tess344_big.mats[r["tile_id"]]
+            x1, x2, x3 = (mpmath.fsum(mpmath.mpf(float(m[i, j])) * c[j] for j in range(3)) for i in range(3))
+            z = 1 / (x1 + x3) if x1 >= 0 else (x3 - x1) / (1 + x2**2)
+            assert abs(r["z_centroid"] - z) <= 2e-15 * z, r["tile_id"]
+
+
 def test_k_table_zero_source_and_no_tiles(mp2, tess344_small):
     h = BoundarySource.bump(B0, B1, amplitude=0.0)
     rows = k_table(mp2, h, 1.0, tess344_small, [0, 3])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -86,6 +87,31 @@ def test_convert_roundtrips():
         d2 = convert(convert(d, "halfplane"), "disk")
         worst = max(worst, abs(d2.x - d.x), abs(d2.y - d.y))
     assert worst < 1e-12
+
+
+def test_halfplane_chart_keeps_digits_near_the_boundary():
+    # x3 = (1 + z^2 + zeta^2) / (2 z) in closed form, with no renormalisation
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for k in range(1, 13):
+            z = 10.0**-k
+            for zeta in (0.0, 0.3, -2.0, 5.0):
+                zm, tm = mpmath.mpf(z), mpmath.mpf(zeta)
+                ref = mpmath.acosh((1 + zm**2 + tm**2) / (2 * zm))
+                got = dist(origin(), HalfPlanePoint(z, zeta))
+                assert abs(got - ref) <= 1e-15 * ref, (z, zeta)
+                # and back: x1 + x3 is read off without cancellation for x1 < 0
+                back = HalfPlanePoint(z, zeta).to_lorentz().to_halfplane()
+                assert abs(back.z - z) <= 4 * eps * z and abs(back.zeta - zeta) <= 4 * eps * abs(zeta)
+    # the disk chart keeps what 1 - |w|^2 keeps of float inputs
+    with mpmath.workdps(40):
+        for k in range(1, 10):
+            for beta in np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False):
+                x, y = (1.0 - 10.0**-k) * math.cos(beta), (1.0 - 10.0**-k) * math.sin(beta)
+                w = mpmath.sqrt(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2)
+                ref = 2 * mpmath.atanh(w)
+                got = dist(origin(), DiskPoint(x, y))
+                assert abs(got - ref) <= 100 * eps / (1 - w) * ref, (k, beta)
 
 
 def test_chart_overflow_errors():

@@ -6,6 +6,9 @@ Python sources of src/, tests/ and perfbench/: its definition plus one
 use.  Mentions in docstrings and comments count as uses, which keeps the
 check lenient; it catches names that nothing refers to at all.
 
+No unused imports: every name an import binds in a module of src/ or
+tests/ is read somewhere in that module's code.
+
 The import contract: importing any hypfield module loads numpy and no
 scipy module; each scipy module loads in the function that uses it.
 """
@@ -59,6 +62,31 @@ def test_every_package_name_is_used():
                 continue
             if len(re.findall(rf"\b{re.escape(bare)}\b", corpus)) < 2:
                 unused.append(f"{path.stem}.{qualified}")
+    assert unused == []
+
+
+def _unused_imports(tree):
+    """Names bound by the imports of a module that its code never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    unused = []
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            rel = path.relative_to(ROOT)
+            unused.extend(f"{rel}:{line} {name}" for line, name in _unused_imports(tree))
     assert unused == []
 
 

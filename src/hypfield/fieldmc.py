@@ -23,14 +23,27 @@ The reductions over samples (`wick_exp`, `wick_power_estimate`,
 preallocated buffers and in-place ufuncs, so their memory is
 O(n + block * cells) rather than several (n, cells) temporaries.  Each
 row goes through the same elementwise operations as in the whole-array
-formula, so the results equal it bit for bit for every block size.  A
-row's sum over cells runs in fixed cell order, not through a BLAS
-matrix-vector product, whose summation order depends on where the row
-sits in the array and on the BLAS thread count.
+formula, so the per-sample values equal it bit for bit for every block
+size.  A row's sum over cells runs in fixed cell order, not through a
+BLAS matrix-vector product, whose summation order depends on where the
+row sits in the array and on the BLAS thread count.
+
+The statistics over samples sum on one fixed tree: consecutive chunks of
+`_CHUNK` samples counted from sample 0, each summed by numpy, then the
+per-chunk results summed.  Blocks are whole chunks, so the statistics do
+not depend on the block size either.  `log_laplace_stable` takes its
+weights and their statistics in one pass without storing the weights:
+each chunk gives its sum and its squared deviations from its own mean
+M2_c, combined by the parallel-axis formula
+M2 = sum_c M2_c + sum_c n_c (m_c - m)^2 (Chan, Golub & LeVeque, "Algorithms
+for computing the sample variance", Amer. Statist. 37, 1983).
+`wick_power_estimate` has its samples stored, so it takes numpy's mean
+and sums the squared deviations from it on the chunk tree.
 """
 
 import logging
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -55,6 +68,9 @@ T95 = 1.833112932656237
 # Rows per block of the Monte Carlo reductions; one (cells, block) float
 # buffer is 295 KB at the 9 cells of a resolution-3 tile.
 _BLOCK_ROWS = 4096
+# Samples per chunk of the statistics' fixed summation tree; blocks of
+# the reductions that take statistics are rounded up to whole chunks.
+_CHUNK = 512
 
 
 @dataclass
@@ -255,10 +271,78 @@ def _check_alpha(alpha):
         raise ThresholdError(f"|alpha| = {abs(alpha):.4f} >= sqrt(4 pi)")
 
 
-def _row_blocks(n):
-    """(start, stop) of the consecutive `_BLOCK_ROWS`-row blocks of n rows."""
-    for start in range(0, n, _BLOCK_ROWS):
-        yield start, min(start + _BLOCK_ROWS, n)
+def _block_rows(align):
+    """`_BLOCK_ROWS` rounded up to a multiple of align."""
+    return -(-_BLOCK_ROWS // align) * align
+
+
+def _row_blocks(n, align=1):
+    """(start, stop) of the consecutive `_block_rows(align)`-row blocks of n rows."""
+    rows = _block_rows(align)
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
+
+
+def _chunk_rows(v):
+    """v, starting on a chunk boundary, as 2-D views whose rows are its
+    `_CHUNK`-value chunks: the whole chunks, then the short last one."""
+    full = len(v) // _CHUNK * _CHUNK
+    parts = [v[:full].reshape(-1, _CHUNK)] if full else []
+    if full < len(v):
+        parts.append(v[full:].reshape(1, -1))
+    return parts
+
+
+def _sum_sq_dev(v, center):
+    """sum (v - center)^2, block by block over the fixed chunk tree."""
+    sums = np.empty(-(-len(v) // _CHUNK))
+    buf = np.empty(min(len(v), _block_rows(_CHUNK)))
+    for start, stop in _row_blocks(len(v), _CHUNK):
+        dev = buf[: stop - start]
+        np.subtract(v[start:stop], center, out=dev)
+        np.square(dev, out=dev)
+        c = start // _CHUNK
+        for rows in _chunk_rows(dev):
+            np.add.reduce(rows, axis=1, out=sums[c : c + len(rows)])
+            c += len(rows)
+    return float(sums.sum())
+
+
+class _ChunkMoments:
+    """Sum and sum of squared deviations M2 of n values, taken over the
+    fixed `_CHUNK`-value chunks counted from value 0 and combined by the
+    parallel-axis formula, so they do not depend on how the values
+    arrive in blocks.  Holds two floats per chunk, nothing per value."""
+
+    def __init__(self, n):
+        self.n = n
+        self.sums = np.empty(-(-n // _CHUNK))
+        self.m2s = np.empty_like(self.sums)
+
+    def add(self, start, block):
+        """Record values start, ..., start + len(block) - 1; overwrites block.
+
+        start is a multiple of `_CHUNK`, and the block ends on a chunk
+        boundary or at value n.
+        """
+        c = start // _CHUNK
+        for vals in _chunk_rows(block):
+            stop = c + len(vals)
+            sums = self.sums[c:stop]
+            np.add.reduce(vals, axis=1, out=sums)
+            np.subtract(vals, (sums / vals.shape[1])[:, None], out=vals)
+            np.square(vals, out=vals)
+            np.add.reduce(vals, axis=1, out=self.m2s[c:stop])
+            c = stop
+
+    def result(self):
+        """(sum, mean, M2) of all n values."""
+        counts = np.full(len(self.sums), float(_CHUNK))
+        counts[-1] = self.n - _CHUNK * (len(counts) - 1)
+        total = float(self.sums.sum())
+        mean = total / self.n
+        dev = self.sums / counts - mean
+        return total, mean, float(self.m2s.sum() + (counts * np.square(dev)).sum())
 
 
 def _weighted_cell_sum(block, wg, out):
@@ -349,20 +433,29 @@ def wick_power_estimate(samples, cov, quad, k, g=None):
 
     its L^2 norm contracts the covariance to k-th power, which the tests
     pin against the direct matrix evaluation.
+
+    The moments of w and then of w^2 (squared in place) are numpy's
+    mean and the squared deviations from it summed on the fixed chunk
+    tree, so no array beyond w is allocated.
     """
     if not 0 <= k <= WICK_POWER_CAP:
         raise ValueError(f"need 0 <= k <= {WICK_POWER_CAP} for conditioning")
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
     w = _wick_power_samples(samples, cov, wg, k)
     s = len(w)
-    second = float((w**2).mean())
+    mean = float(w.mean())
+    m2 = _sum_sq_dev(w, mean)
+    np.square(w, out=w)
+    second = float(w.mean())
+    m2_sq = _sum_sq_dev(w, second)
+    variance = m2 / (s - 1) if s > 1 else 0.0
     return WickPowerEstimate(
         k=k,
-        mean=float(w.mean()),
-        mean_stderr=float(w.std(ddof=1) / math.sqrt(s)) if s > 1 else 0.0,
-        variance=float(w.var(ddof=1)) if s > 1 else 0.0,
+        mean=mean,
+        mean_stderr=math.sqrt(variance) / math.sqrt(s) if s > 1 else 0.0,
+        variance=variance,
         second_moment=second,
-        second_moment_stderr=float((w**2).std(ddof=1) / math.sqrt(s)) if s > 1 else 0.0,
+        second_moment_stderr=math.sqrt(m2_sq / (s - 1)) / math.sqrt(s) if s > 1 else 0.0,
     )
 
 
@@ -379,29 +472,38 @@ def shift_audit(samples, cov, quad, alpha, f, g=None):
     return lhs, rhs
 
 
-def _laplace_weights(x, xmin, log_s):
-    """w = exp(-exp(min(log s + log(x - x_min), 700))) in row blocks; 1 at x_min."""
-    w = np.empty_like(x)
-    with np.errstate(divide="ignore"):
-        for start, stop in _row_blocks(len(x)):
-            block = w[start:stop]
-            np.subtract(x[start:stop], xmin, out=block)
-            np.log(block, out=block)  # -inf where x = x_min
-            np.add(log_s, block, out=block)
-            np.minimum(block, 700.0, out=block)
-            np.exp(block, out=block)
-            np.negative(block, out=block)
-            np.exp(block, out=block)
-    return w
+def _laplace_weights(x, xmin, log_s, out=None):
+    """w = exp(-s (x - x_min)), s = e^log_s capped at the largest float;
+    exactly 1 at x_min.  Into out (a new array if None); s (x - x_min)
+    may overflow to inf, which gives w = 0."""
+    try:
+        neg_s = -math.exp(log_s)
+    except OverflowError:
+        neg_s = -sys.float_info.max  # not -inf: -inf * 0 would be NaN at x_min
+    out = np.subtract(x, xmin, out=out)
+    np.multiply(out, neg_s, out=out)
+    return np.exp(out, out=out)
 
 
 def log_laplace_stable(x, log_s):
     """(log L(s), stderr of log L, saturated) for possibly huge s = e^log_s.
 
     Shifts by the sample minimum so the estimate stays representable as
-    long as s * min(x) does; `saturated` marks estimates carried by a
-    handful of samples (weight ESS below 10), which the decay fit drops.
+    long as s * min(x) does:
+
+        log L(s) = -s x_min + log mean(w),  w = exp(-s (x - x_min)),
+
+    with one exp per sample.  Past s x_min = e^700 there is no estimate:
+    the result is (-inf, inf, True).  Below it s itself may still
+    overflow (log s > 709.78 when x_min < e^-9.78); s is then taken as
+    the largest float, so w is exactly 1 at x_min and 0 elsewhere.
+    `saturated` marks estimates carried by a handful of samples (weight
+    ESS below 10), which the decay fit drops.  The weights and their
+    statistics are taken block by block in one pass, on the fixed chunk
+    tree of the module docstring; no (n,) array is allocated.  Logs n,
+    log s, ESS, `saturated` and the time at DEBUG.
     """
+    t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
     n = len(x)
     xmin = float(x.min())
@@ -409,14 +511,24 @@ def log_laplace_stable(x, log_s):
         raise ValueError("Laplace argument must be positive (wick_exp output)")
     lead = log_s + math.log(xmin)
     if lead > 700.0:
-        return -math.inf, math.inf, True
-    s_xmin = math.exp(lead)
-    w = _laplace_weights(x, xmin, log_s)
-    mean_w = w.mean()
-    log_l = -s_xmin + math.log(mean_w)
-    se = (w.std(ddof=1) / (mean_w * math.sqrt(n))) if n > 1 else 0.0
-    ess = float(w.sum() ** 2 / (w**2).sum())
-    return log_l, se, bool(ess < 10.0)
+        result, ess = (-math.inf, math.inf, True), math.nan
+    else:
+        moments = _ChunkMoments(n)
+        buf = np.empty(min(n, _block_rows(_CHUNK)))
+        with np.errstate(over="ignore"):
+            for start, stop in _row_blocks(n, _CHUNK):
+                block = _laplace_weights(x[start:stop], xmin, log_s, out=buf[: stop - start])
+                moments.add(start, block)
+        total, mean_w, m2 = moments.result()
+        log_l = -math.exp(lead) + math.log(mean_w)
+        se = math.sqrt(m2 / (n - 1)) / (mean_w * math.sqrt(n)) if n > 1 else 0.0
+        ess = total**2 / (m2 + n * mean_w**2)
+        result = (log_l, se, bool(ess < 10.0))
+    logger.debug(
+        "log_laplace_stable %d samples at log s = %.6g: ESS %.4g, saturated %s, %.4f s",
+        n, log_s, ess, result[2], time.perf_counter() - t_start,
+    )
+    return result
 
 
 @dataclass

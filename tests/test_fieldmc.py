@@ -2,7 +2,9 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -165,17 +167,25 @@ def test_wick_exp_equals_whole_array_formula(cov_neumann, quad3, blocked_samples
 
 
 def _whole_array_log_laplace(x, log_s):
+    """The definition, written out on the whole array: one-exp weights
+    w = exp(-s (x - x_min)), each 512-sample chunk from sample 0 reduced
+    by numpy to its sum and its squared deviations from its own mean, the
+    chunks combined by the parallel-axis formula."""
     n = len(x)
     xmin = float(x.min())
-    s_xmin = math.exp(log_s + math.log(xmin))
-    gap = x - xmin
-    with np.errstate(divide="ignore"):
-        expo = log_s + np.log(gap, out=np.full_like(gap, -np.inf), where=gap > 0)
-    w = np.exp(-np.exp(np.minimum(expo, 700.0)))
-    mean_w = w.mean()
-    se = w.std(ddof=1) / (mean_w * math.sqrt(n))
-    ess = float(w.sum() ** 2 / (w**2).sum())
-    return -s_xmin + math.log(mean_w), se, bool(ess < 10.0)
+    with np.errstate(over="ignore"):
+        w = np.exp((x - xmin) * -math.exp(log_s))
+    chunks = [w[i : i + 512] for i in range(0, n, 512)]
+    sums = np.array([c.sum() for c in chunks])
+    counts = np.array([len(c) for c in chunks], dtype=float)
+    means = sums / counts
+    m2s = np.array([((c - m) ** 2).sum() for c, m in zip(chunks, means)])
+    total = float(sums.sum())
+    mean_w = total / n
+    m2 = float(m2s.sum() + (counts * (means - mean_w) ** 2).sum())
+    se = math.sqrt(m2 / (n - 1)) / (mean_w * math.sqrt(n))
+    ess = total**2 / (m2 + n * mean_w**2)
+    return -math.exp(log_s + math.log(xmin)) + math.log(mean_w), se, bool(ess < 10.0)
 
 
 def test_log_laplace_equals_whole_array_formula(cov_neumann, quad3, blocked_samples):
@@ -183,7 +193,7 @@ def test_log_laplace_equals_whole_array_formula(cov_neumann, quad3, blocked_samp
     for log_s in np.linspace(-6.0, 6.0, 32):
         assert fm.log_laplace_stable(x, float(log_s)) == _whole_array_log_laplace(x, float(log_s))
     # s x_min = e^699: a saturated estimate, and the largest s (x - x_min)
-    # is past the e^700 clamp
+    # is past e^700, where the weights underflow to 0
     log_s = 699.0 - math.log(float(x.min()))
     assert log_s + math.log(float(x.max() - x.min())) > 700.0
     got = fm.log_laplace_stable(x, log_s)
@@ -223,6 +233,100 @@ def test_log_laplace_edge_cases():
     assert fm.log_laplace_stable(flat, 2.0) == (-math.exp(2.0 + math.log(0.4)), 0.0, False)
 
 
+def test_log_laplace_overflow_nan_and_degenerate_inputs():
+    # s = e^715 overflows while s x_min = e^694.3 does not: the weight is
+    # exactly 1 at x_min and 0 past it, with no NaN and no warning
+    x = np.array([1e-9, 0.5, 1e-9, 2e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(fm._laplace_weights(x, 1e-9, 715.0), [1.0, 0.0, 1.0, 0.0])
+        got = fm.log_laplace_stable(x, 715.0)
+    assert got == (-math.exp(715.0 + math.log(1e-9)) + math.log(0.5), math.sqrt(1.0 / 3.0) / (0.5 * 2.0), True)
+    # NaN in, NaN out, not marked saturated
+    log_l, se, saturated = fm.log_laplace_stable(np.array([0.5, np.nan, 2.0]), 0.0)
+    assert math.isnan(log_l) and math.isnan(se) and saturated is False
+    # one sample: no spread, an ESS of 1; constant samples: ESS n
+    assert fm.log_laplace_stable(np.array([0.3]), 1.0) == (-math.exp(1.0 + math.log(0.3)), 0.0, True)
+    assert fm.log_laplace_stable(np.full(9, 0.4), 2.0) == (-math.exp(2.0 + math.log(0.4)), 0.0, True)
+    assert fm.log_laplace_stable(np.full(10, 0.4), 2.0)[2] is False
+
+
+def _mp_log_laplace(x, log_s):
+    """(log L, stderr, ESS) of the float samples x, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        xmin = mpmath.mpf(float(x.min()))
+        s = mpmath.exp(log_s)
+        w = [mpmath.exp(-s * (mpmath.mpf(float(v)) - xmin)) for v in x]
+        n = len(w)
+        total = mpmath.fsum(w)
+        mean = total / n
+        m2 = mpmath.fsum((v - mean) ** 2 for v in w)
+        ess = total**2 / mpmath.fsum(v * v for v in w)
+        return (
+            float(-s * xmin + mpmath.log(mean)),
+            float(mpmath.sqrt(m2 / (n - 1)) / (mean * mpmath.sqrt(n))),
+            float(ess),
+        )
+
+
+def _ess_crossing(x):
+    """log s where the float weight ESS of x falls through 10, by bisection."""
+    lo, hi = 0.0, 12.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        w = np.exp((x - x.min()) * -math.exp(mid))
+        lo, hi = (mid, hi) if w.sum() ** 2 / (w * w).sum() > 10.0 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("case", ["-6", "0", "6", "ess above 10", "ess below 10"])
+def test_log_laplace_matches_mpmath(cov_neumann, quad3, blocked_samples, case):
+    # log s = -6 has mean w near 1, where log L is tiny and log amplifies
+    # the weights' error; the ESS cases sit 1e-3 in log s either side of
+    # the crossing, so the flag is decided well above rounding.  The bound
+    # also holds for the former log-and-two-exp weights with numpy's
+    # whole-array mean and std.
+    x = fm.wick_exp(blocked_samples, cov_neumann, quad3, ALPHA)
+    offsets = {"ess above 10": -1e-3, "ess below 10": 1e-3}
+    log_s = _ess_crossing(x) + offsets[case] if case in offsets else float(case)
+    want_l, want_se, want_ess = _mp_log_laplace(x, log_s)
+    if case in offsets:
+        assert abs(want_ess - 10.0) < 0.05
+    log_l, se, saturated = fm.log_laplace_stable(x, log_s)
+    assert abs(log_l - want_l) <= 1e-14 * (1.0 + math.exp(log_s) * float(x.min()))
+    assert abs(se - want_se) <= 1e-14 * want_se
+    assert saturated is (want_ess < 10.0)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 512, 1536, N_BLOCKED + 5])
+def test_statistics_independent_of_block_size(monkeypatch, cov_neumann, quad3, blocked_samples, cell_g, rows):
+    assert N_BLOCKED % fm._CHUNK != 0
+
+    def statistics():
+        x = fm.wick_exp(blocked_samples, cov_neumann, quad3, ALPHA, g=cell_g)
+        wick = [fm.wick_power_estimate(blocked_samples, cov_neumann, quad3, k, g=cell_g) for k in (0, 1, 4, 8)]
+        laplace = [fm.log_laplace_stable(x, log_s) for log_s in (-6.0, 0.0, 5.0, 8.0)]
+        return wick, laplace
+
+    wick, laplace = statistics()
+    monkeypatch.setattr(fm, "_BLOCK_ROWS", rows)
+    wick_b, laplace_b = statistics()
+    assert wick == wick_b
+    assert laplace == laplace_b
+
+
+def test_log_laplace_logs_ess_and_saturation(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hypfield.fieldmc"):
+        fm.log_laplace_stable(np.full(10, 0.4), 2.0)
+        fm.log_laplace_stable(np.array([0.5, 0.7, 2.0]), 701.0)
+    first, second = [r for r in caplog.records if r.name == "hypfield.fieldmc"]
+    assert first.levelno == logging.DEBUG
+    assert first.getMessage().startswith("log_laplace_stable 10 samples at log s = 2: ESS 10, saturated False, ")
+    assert first.getMessage().endswith(" s")
+    # past s x_min = e^700 no weight is computed: no ESS
+    assert second.getMessage().startswith("log_laplace_stable 3 samples at log s = 701: ESS nan, saturated True, ")
+
+
 def _traced_peak(call):
     """Peak memory traced while call() runs, in bytes."""
     tracemalloc.start()
@@ -243,6 +347,18 @@ def test_reductions_need_no_samples_by_cells_temporaries(cov_neumann, quad3):
     assert _traced_peak(lambda: fm.wick_exp(samples, cov_neumann, quad3, ALPHA)) < 9 * column
     assert _traced_peak(lambda: fm.wick_power_estimate(samples, cov_neumann, quad3, 4)) < 9 * column
     assert _traced_peak(lambda: fm.log_laplace_stable(x, 1.0)) <= 3 * column
+
+
+def test_statistics_allocate_no_sample_columns(monkeypatch, cov_neumann, quad3):
+    samples = fm.sample_fields(cov_neumann, 200_000, seed=13)
+    column = 8 * len(samples)  # one float array over the samples
+    x = fm.wick_exp(samples, cov_neumann, quad3, ALPHA)
+    assert _traced_peak(lambda: fm.log_laplace_stable(x, 1.0)) < 0.5 * column
+    # 1024-row blocks keep the four (cells, block) buffers of the Wick
+    # recurrence at 0.18 of a column, so the bound sees the O(n)
+    # allocations: the one output column of the Wick powers, nothing else
+    monkeypatch.setattr(fm, "_BLOCK_ROWS", 1024)
+    assert _traced_peak(lambda: fm.wick_power_estimate(samples, cov_neumann, quad3, 4)) < 1.5 * column
 
 
 def test_sample_fields_logs_its_work(caplog, cov_neumann):

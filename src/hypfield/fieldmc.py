@@ -19,7 +19,8 @@ Monte Carlo batches draw from counter-based streams keyed by
 bit-reproducible regardless of how batches are scheduled.
 
 The reductions over samples (`wick_exp`, `wick_power_estimate`,
-`log_laplace_stable`) stream over blocks of `_BLOCK_ROWS` rows with
+`log_laplace_stable`) stream over blocks of `_BLOCK_ROWS` rows (the
+loops over one value per sample, `_FLAT` times as many) with
 preallocated buffers and in-place ufuncs, so their memory is
 O(n + block * cells) rather than several (n, cells) temporaries.  Each
 row goes through the same elementwise operations as in the whole-array
@@ -71,6 +72,10 @@ _BLOCK_ROWS = 4096
 # Samples per chunk of the statistics' fixed summation tree; blocks of
 # the reductions that take statistics are rounded up to whole chunks.
 _CHUNK = 512
+# The 1-D loops over samples (`_sum_sq_dev`, `log_laplace_stable`) hold
+# one value per sample, not one per cell, so they take blocks this many
+# times longer: each block pays about 12 us of ufunc calls and slicing.
+_FLAT = 16
 
 
 @dataclass
@@ -271,14 +276,14 @@ def _check_alpha(alpha):
         raise ThresholdError(f"|alpha| = {abs(alpha):.4f} >= sqrt(4 pi)")
 
 
-def _block_rows(align):
-    """`_BLOCK_ROWS` rounded up to a multiple of align."""
-    return -(-_BLOCK_ROWS // align) * align
+def _block_rows(align, scale=1):
+    """scale * `_BLOCK_ROWS` rounded up to a multiple of align."""
+    return -(-(scale * _BLOCK_ROWS) // align) * align
 
 
-def _row_blocks(n, align=1):
-    """(start, stop) of the consecutive `_block_rows(align)`-row blocks of n rows."""
-    rows = _block_rows(align)
+def _row_blocks(n, align=1, scale=1):
+    """(start, stop) of the consecutive `_block_rows(align, scale)`-row blocks of n rows."""
+    rows = _block_rows(align, scale)
     for start in range(0, n, rows):
         yield start, min(start + rows, n)
 
@@ -296,8 +301,8 @@ def _chunk_rows(v):
 def _sum_sq_dev(v, center):
     """sum (v - center)^2, block by block over the fixed chunk tree."""
     sums = np.empty(-(-len(v) // _CHUNK))
-    buf = np.empty(min(len(v), _block_rows(_CHUNK)))
-    for start, stop in _row_blocks(len(v), _CHUNK):
+    buf = np.empty(min(len(v), _block_rows(_CHUNK, _FLAT)))
+    for start, stop in _row_blocks(len(v), _CHUNK, _FLAT):
         dev = buf[: stop - start]
         np.subtract(v[start:stop], center, out=dev)
         np.square(dev, out=dev)
@@ -514,9 +519,9 @@ def log_laplace_stable(x, log_s):
         result, ess = (-math.inf, math.inf, True), math.nan
     else:
         moments = _ChunkMoments(n)
-        buf = np.empty(min(n, _block_rows(_CHUNK)))
+        buf = np.empty(min(n, _block_rows(_CHUNK, _FLAT)))
         with np.errstate(over="ignore"):
-            for start, stop in _row_blocks(n, _CHUNK):
+            for start, stop in _row_blocks(n, _CHUNK, _FLAT):
                 block = _laplace_weights(x[start:stop], xmin, log_s, out=buf[: stop - start])
                 moments.add(start, block)
         total, mean_w, m2 = moments.result()

@@ -50,8 +50,9 @@ class ModelParams:
     d is 2 or 3.  The constructor also sets `gplus_interp`, the
     evaluator through which `_kernels.gplus_array` computes G_plus for
     every rho > 0, and logs it at INFO on `hypfield.greens`.  For d = 2
-    that is a `_kernels.GplusInterpolant`, whose diagonal piece keeps
-    the exact -ln(rho)/(2 pi) singularity; the constructor raises
+    that is a `_kernels.GplusInterpolant` fitted through 82 nodes, whose
+    diagonal piece keeps the exact -ln(rho)/(2 pi) singularity, and
+    which the image sums evaluate from cosh rho; the constructor raises
     PrecisionLossError when the interpolant misses the series by more
     than `_kernels.INTERP_RTOL`.  For d = 3 it is the closed form
     e^(-(Delta-1) rho) / (4 pi sinh rho).

@@ -583,12 +583,105 @@ def test_reach_pruned_block_equals_unpruned_sum(nt8, mp2, tess344_big):
     assert np.max(np.abs(block / want - 1.0)) <= 1e-13
 
 
+def _moved(x, d, w):
+    """The point at distance d from x along the direction of w."""
+    v = w + lorentz_dot(w, x) * x  # tangent at x: <v, x> = 0
+    v = v / math.sqrt(lorentz_dot(v, v))
+    return math.cosh(d) * x + math.sinh(d) * v
+
+
+def test_block_rows_without_terms_are_exactly_zero(nt6, mp2, tess344_big):
+    mats = nt6._mats
+    c = tess344_big.tiles[0].centroid.vec
+    w = np.array([1.0, 0.3, 0.0])
+    ys = np.stack([c, _moved(c, 0.05, np.array([0.0, 1.0, 0.0]))])
+    # rows 0 and 1 reach the identity image of y_0 within rmax, rows 2 and 3
+    # (the last) lie 0.27 from the centroid and reach no image: the nearest
+    # image of the centroid but itself is 0.53 away
+    xs = np.stack([_moved(c, 0.1, w), _moved(c, 0.15, -w), _moved(c, 0.27, w), _moved(c, 0.27, -w)])
+    rmax = 0.2
+    block = _kernels.image_sum_block(xs, ys, mats, rmax, mp2)
+    want = _unpruned_block(xs, ys, mats, rmax, mp2)
+    empty = want == 0.0
+    assert empty[2:].all() and not empty[:2, 0].any()
+    assert (block[empty] == 0.0).all()
+    assert np.max(np.abs(block[~empty] / want[~empty] - 1.0)) <= 1e-13
+    # a block with no term at all
+    block = _kernels.image_sum_block(xs[2:], ys, mats, rmax, mp2)
+    assert block.shape == (2, 2) and (block == 0.0).all()
+
+
+def _in_every_piece():
+    """Distances in the diagonal, near, far and tail pieces of the interpolant."""
+    rho = np.concatenate([
+        np.geomspace(1e-7, 0.05, 30),
+        np.linspace(0.06, 0.5, 30),
+        np.linspace(0.52, 3.4, 60),
+        np.linspace(3.5, 14.0, 40),
+    ])
+    t = np.exp(-rho)
+    assert (t > _kernels._NEAR_PIECE[1]).any() and (t * t <= _kernels._TAIL_PIECE[1]).any()
+    assert ((t > _kernels._FAR_PIECE[1]) & (t <= _kernels._NEAR_PIECE[1])).any()
+    assert ((t <= _kernels._FAR_PIECE[1]) & (t * t > _kernels._TAIL_PIECE[1])).any()
+    return rho
+
+
+@pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0])
+def test_gplus_cosh_entry_equals_rho_entry(m2):
+    interp = ModelParams(m2).gplus_interp
+    c = np.cosh(_in_every_piece())
+    got = interp.from_cosh(c)
+    want = interp(np.arccosh(c))
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0])
+def test_gplus_cosh_matches_series(m2, d):
+    mp = ModelParams(m2, d=d)
+    c = np.cosh(_in_every_piece())
+    got = _kernels.gplus_cosh(c, mp)
+    want = _kernels.gplus_series(np.arccosh(c), mp)
+    assert np.max(np.abs(got / want - 1.0)) <= 2e-13
+    # a coincident point, c = 1 or rounded below it, is the diagonal singularity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(_kernels.gplus_cosh(np.array([1.0, 1.0 - 2.0**-53, 5.0]), mp)[:2]).all()
+
+
+def test_image_sums_evaluate_tail_and_far_distances_without_chebval(monkeypatch, nt6, mp2, tess344_big):
+    from numpy.polynomial import Chebyshev, chebyshev
+
+    mats, rmax = nt6._mats, nt6.max_orbit_radius
+    c = tess344_big.tiles[0].centroid.vec
+    verts = tess344_big.fund_vertices
+    # every image of a vertex lies 0.61 or more from the centroid, every
+    # image of the centroid but itself 0.53 or more: tail and far pieces only
+    near = math.log(1.0 / _kernels._FAR_PIECE[1])
+    assert min(_image_distances(mats, c, y, rmax).min() for y in verts) > near
+    assert _image_distances(mats, c, c, rmax, skip_identity=True).min() > near
+    want_block = _kernels.image_sum_block(c[None], verts, mats, rmax, mp2)
+    want_self = _kernels.image_sum_self(c[None], mats, rmax, mp2)
+
+    def fail(*args):
+        raise AssertionError("chebval evaluated a tail or far distance")
+
+    monkeypatch.setattr(chebyshev, "chebval", fail)
+    monkeypatch.setattr(Chebyshev, "_val", staticmethod(fail))
+    assert np.array_equal(_kernels.image_sum_block(c[None], verts, mats, rmax, mp2), want_block)
+    sums, nearest = _kernels.image_sum_self(c[None], mats, rmax, mp2)
+    assert np.array_equal(sums, want_self[0]) and np.array_equal(nearest, want_self[1])
+    # the patch is live: the near piece still goes through chebval
+    with pytest.raises(AssertionError, match="chebval"):
+        g_plus(mp2, 0.3)
+
+
 def _kernel_counts(caplog, name):
-    """(points, pairs or None, passed, kept, terms) from the one log line of `name`."""
+    """(points, pairs or None, passed, kept, scanned or None, terms) from the one log line of `name`."""
     [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith(name)]
     nums = re.match(
         rf"{name} (\S+) points, (?:(\d+) pairs, )?(\d+) images passed, (\d+) kept by reach, "
-        r"(\d+) terms summed, [0-9.]+ s$",
+        r"(?:(\d+) products scanned, )?(\d+) terms summed, [0-9.]+ s$",
         msg,
     )
     assert nums, msg
@@ -603,17 +696,19 @@ def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
     within = (coshes <= math.cosh(rmax)).sum(axis=2)  # images per (i, j) pair
     with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
         _kernels.image_sum_block(cells, cells, mats, rmax, mp2)
-    points, pairs, passed, kept, terms = _kernel_counts(caplog, "image_sum_block")
+    points, pairs, passed, kept, scanned, terms = _kernel_counts(caplog, "image_sum_block")
     assert points == f"{n}x{n}" and passed == len(mats)
     assert kept < 0.4 * len(mats)
     # the same-set block sums the pairs i < j and no other
     assert pairs == n * (n - 1) // 2
     assert terms == within[np.triu_indices(n, 1)].sum()
+    # the per-column reach scans fewer products than every pair times every kept image
+    assert terms <= scanned < 0.8 * pairs * kept
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
         _kernels.image_sum_self(cells, mats, rmax, mp2)
-    points, pairs, passed, kept_self, terms = _kernel_counts(caplog, "image_sum_self")
-    assert (points, pairs, passed, kept_self) == (str(n), None, len(mats), kept)
+    points, pairs, passed, kept_self, scanned, terms = _kernel_counts(caplog, "image_sum_self")
+    assert (points, pairs, passed, kept_self, scanned) == (str(n), None, len(mats), kept, None)
     assert terms == np.diag(within).sum() - n  # all but the identity images
 
 

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from .errors import ConfigurationError, PrecisionLossError
-from .geometry import DiskPoint, as_lorentz_vec, convert, halfplane_coords, normalize
+from .geometry import disk_to_lorentz, halfplane_coords, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -130,8 +130,8 @@ class BoundarySource:
         return None
 
 
-def h_plus(mp, h, z, zeta=None):
-    """Bulk-to-boundary propagator at the points (z, zeta), or at a Point.
+def h_plus(mp, h, z, zeta):
+    """Bulk-to-boundary propagator at the half-plane points (z, zeta).
 
     Uses the substitution eta = zeta + z tan(theta):
 
@@ -141,15 +141,12 @@ def h_plus(mp, h, z, zeta=None):
     through one batched adaptive Gauss-Legendre pass (`_h_plus_batch`):
     the theta-image of the support of h is bisected until every panel's
     16-node value matches the sum over its halves to 1e-13 of the
-    point's value.  Scalar coordinates or a Point give a float, arrays an
-    array of their broadcast shape.  A point that does not converge
-    within 40 rounds, or that holds more than 2048 open panels, raises
-    PrecisionLossError naming z, zeta and m2.  `h_plus_forms` is the
-    independent audit of this evaluator.
+    point's value.  Scalar coordinates give a float, arrays an array of
+    their broadcast shape; `h_plus_at_points` takes Lorentz rows.  A point
+    that does not converge within 40 rounds, or that holds more than 2048
+    open panels, raises PrecisionLossError naming z, zeta and m2.
+    `h_plus_forms` is the independent audit of this evaluator.
     """
-    if zeta is None:
-        hp = convert(z, "halfplane")
-        z, zeta = hp.z, hp.zeta
     z, zeta = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(zeta, dtype=float))
     if not (np.all(z > 0) and np.isfinite(z).all() and np.isfinite(zeta).all()):
         raise ValueError("need finite z > 0 and zeta")
@@ -291,10 +288,8 @@ def h_plus_forms(mp, h, z, zeta):
 
 def h_plus_at_points(mp, h, points):
     """Vector of H_plus h in one batch at an (n, 3) array of Lorentz rows,
-    or at a sequence of points in any model, read off by the closed-form
-    half-plane chart."""
-    vecs = np.array([as_lorentz_vec(p) for p in points], dtype=float).reshape(-1, 3)
-    return h_plus(mp, h, *halfplane_coords(vecs))
+    read off by the closed-form half-plane chart."""
+    return h_plus(mp, h, *halfplane_coords(np.asarray(points, dtype=float).reshape(-1, 3)))
 
 
 def sector_lower_bound_audit(mp, h, sector, n, seed=0):
@@ -317,12 +312,12 @@ def sector_lower_bound_audit(mp, h, sector, n, seed=0):
     seg = h.positive_segment()
     inconclusive = seg is None or not (seg[0] <= sector.beta0 and sector.beta1 <= seg[1])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(13,)))
-    pts = []
-    for _ in range(n):
+    xs, ys = np.empty(n), np.empty(n)
+    for i in range(n):
         r = rng.uniform(sector.r0, 1.0 - 1e-7)
         beta = rng.uniform(sector.beta0, sector.beta1)
-        pts.append(as_lorentz_vec(DiskPoint(r * math.cos(beta), r * math.sin(beta))))
-    z, zeta = halfplane_coords(np.array(pts))
+        xs[i], ys[i] = r * math.cos(beta), r * math.sin(beta)
+    z, zeta = halfplane_coords(disk_to_lorentz(xs, ys))
     vals = h_plus(mp, h, z, zeta) * z ** (mp.delta_plus - 1.0)
     return {
         "audit_name": "sector_lower_bound",
@@ -420,8 +415,9 @@ def _k_search(mp, h, alpha, fund_vertices, mats, grid):
     return sign * s_best, work
 
 
-def k_constant_log(mp, h, alpha, tile, grid=4):
-    """log k_j = alpha * extremum over the tile of H_plus h.
+def k_constant_log(mp, h, alpha, tess, tile_id, grid=4):
+    """(log k_j, extremum): log k_j = alpha * extremum over the tile
+    `tile_id` of `tess` of H_plus h.
 
     Minimum for alpha > 0, maximum for alpha < 0 (monotonicity of exp).
     The one-tile case of the lockstep search of `k_table`: a barycentric
@@ -433,18 +429,12 @@ def k_constant_log(mp, h, alpha, tile, grid=4):
     if h.is_zero:
         return 0.0, 0.0
     t_start = time.perf_counter()
-    (m_star,), work = _k_search(mp, h, alpha, tile._fund_vertices, tile.g.m[None], grid)
+    (m_star,), work = _k_search(mp, h, alpha, tess.fund_vertices, tess.mats[[tile_id]], grid)
     logger.info(
         "k_constant_log tile %d: %d points, %d panels refined, %d rounds, %.3f s",
-        tile.id, work["points"], work["refined"], work["rounds"], time.perf_counter() - t_start,
+        tile_id, work["points"], work["refined"], work["rounds"], time.perf_counter() - t_start,
     )
     return alpha * float(m_star), float(m_star)
-
-
-def k_constant(mp, h, alpha, tile, grid=4):
-    """k_j = exp(alpha * min_{x in T_j} H_plus h(x))  (max for alpha < 0)."""
-    log_k, _ = k_constant_log(mp, h, alpha, tile, grid)
-    return math.exp(log_k) if log_k < 700.0 else math.inf
 
 
 def k_table(mp, h, alpha, tess, tile_ids, grid=4):

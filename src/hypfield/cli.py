@@ -7,7 +7,8 @@ Audit subcommands exit 1 when an inequality check fails so CI pipelines
 can gate on them; usage errors exit 2.
 
 CSV dialect: comma separated, '.' decimal point, one header row, reals at
-17 significant digits.  JSON reports are UTF-8 with sorted keys.
+17 significant digits.  JSON reports are UTF-8 with sorted keys and strict:
+a NaN or infinite value is written as null.
 """
 
 import argparse
@@ -96,9 +97,21 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, which JSON writes
+    as null: NaN and Infinity are not JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(obj), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -13,10 +13,6 @@ class DegenerateGeodesicError(HypfieldError):
     """Two coincident points do not determine a geodesic."""
 
 
-class InvalidNormalError(HypfieldError):
-    """A geodesic normal must be spacelike for the Lorentz form."""
-
-
 class NotHyperbolicError(HypfieldError):
     """Triangle angles pi/p + pi/q + pi/r >= pi admit no hyperbolic triangle."""
 

@@ -53,8 +53,8 @@ import numpy as np
 from . import boundary as bd
 from . import greens
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
-from .geometry import ETA_DIAG, angle_at, dist, lorentz_dot, normalize, pairwise_dist
-from .tessellation import TriangleParams, _outward_normals, conical_sequence, generate, tile_area
+from .geometry import ETA_DIAG, dist, lorentz_dot, normalize, outward_normals, pairwise_dist, triangle_area
+from .tessellation import TriangleParams, conical_sequence, generate
 
 logger = logging.getLogger(__name__)
 
@@ -100,13 +100,8 @@ class Quadrature:
 
 def _subtriangle_cells(vertices):
     """Incenter and Gauss-Bonnet weight of one geodesic triangle."""
-    pts = normalize(vertices)
-    area = math.pi - (
-        angle_at(pts[0], pts[1], pts[2])
-        + angle_at(pts[1], pts[0], pts[2])
-        + angle_at(pts[2], pts[0], pts[1])
-    )
-    normals = _outward_normals(vertices)
+    area = triangle_area(vertices)
+    normals = outward_normals(vertices)
     # incenter: equal signed distance to all three sides
     w = np.cross(normals[0] - normals[1], normals[1] - normals[2])
     w = w * ETA_DIAG
@@ -118,7 +113,7 @@ def _subtriangle_cells(vertices):
 
 
 def build_quadrature(tess, tile_ids, resolution):
-    """Geodesic barycentric refinement: resolution^2 cells per tile.
+    """Barycentric refinement into geodesic cells: resolution^2 per tile.
 
     Cells are built once on the fundamental tile and mapped by each
     tile's group element `tess.mats[k]`, with no renormalisation after
@@ -704,7 +699,7 @@ def triviality_run(cfg):
     # its own covariance: E[X_1] equals the tile area exactly, so Jensen
     # pins the h = 0 control terms at >= 0 and no decay gets certified.
     x1 = wick_exp(samples, cov, quad, cfg.alpha)
-    area = tile_area(tess.tiles[0])
+    area = tess.tile_area
 
     ids = conical_sequence(tess, cfg.p_angle, tess.centroids[0], cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
     log_ks = [row["log_k_j"] for row in bd.k_table(mp, h, cfg.alpha, tess, ids, grid=cfg.k_grid)]

@@ -31,7 +31,7 @@ from .errors import (
     ThresholdError,
     TruncationError,
 )
-from .geometry import ETA_DIAG, Point, as_lorentz_vec, dist, midpoint, normalize, origin, pairwise_dist
+from .geometry import ETA_DIAG, dist, normalize, pairwise_dist, reflection
 from .tessellation import orbital_count
 
 ALPHA_MAX = math.sqrt(4.0 * math.pi)
@@ -194,8 +194,8 @@ class NeumannTruncation:
         self._mats = np.ascontiguousarray(tess.mats[sel])
 
     def _measure_orbit_constant(self):
-        c1 = self.tess.tiles[0].centroid
-        rc1 = dist(origin(), c1)
+        c1 = self.tess.centroids[0]
+        rc1 = math.acosh(max(c1[2], 1.0))
         theta_max = self.tess.radius - 2.0 * rc1 - 1e-9
         thetas = np.linspace(1.0, max(theta_max, 1.0), 24)
         sup = 0.0
@@ -231,7 +231,8 @@ def _pull_back(tess, tile_id, vecs):
 
 
 def g_neumann(mp, nt, x, y):
-    """Neumann Green's function; exactly 0 across distinct tiles."""
+    """Neumann Green's function at the Lorentz rows x and y; exactly 0
+    across distinct tiles."""
     tess = nt.tess
     tx, ty = tess.locate(x), tess.locate(y)
     if tx is None or ty is None:
@@ -239,10 +240,10 @@ def g_neumann(mp, nt, x, y):
     if tx != ty:
         return 0.0
     nt.check_tail(mp)
-    xv = _pull_back(tess, tx, [as_lorentz_vec(x)])[0]
-    yv = _pull_back(tess, ty, [as_lorentz_vec(y)])[0]
+    xv = _pull_back(tess, tx, [x])[0]
+    yv = _pull_back(tess, ty, [y])[0]
     # acosh resolves nothing below ~1e-8, so coincidence is tested there
-    if dist(Point.from_vec(xv), Point.from_vec(yv)) < 1e-6:
+    if dist(xv, yv) < 1e-6:
         raise DiagonalSingularityError("G_N diverges at x = y")
     block = _kernels.image_sum_block(
         xv[None, :], yv[None, :], nt._mats, nt.max_orbit_radius, mp
@@ -259,12 +260,13 @@ def g_neumann_block(mp, nt, xs, ys, tile_id):
 
 
 def delta_g(mp, nt, x):
-    """Diagonal defect Delta G(x) = G_N(x,x) - G_plus(x,x) >= 0.
+    """Diagonal defect Delta G(x) = G_N(x,x) - G_plus(x,x) >= 0 at the
+    Lorentz row x.
 
     The divergent diagonal cancels; what remains is the image sum over
     gamma != e, which blows up as x approaches a tile side.
     """
-    out = delta_g_many(mp, nt, [as_lorentz_vec(x)], warn=True)
+    out = delta_g_many(mp, nt, [x], warn=True)
     return float(out[0])
 
 
@@ -272,7 +274,7 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
     tess = nt.tess
     vecs = np.asarray(vecs, dtype=float)
     if tile_id is None:
-        ids = [tess.locate(Point.from_vec(v)) for v in vecs]
+        ids = [tess.locate(v) for v in vecs]
         if any(i is None for i in ids):
             raise TruncationError("point outside the enumerated tessellation")
         pulled = np.stack([_pull_back(tess, i, v) for i, v in zip(ids, vecs)])
@@ -318,19 +320,14 @@ def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
     the genuine truncation error and shrinks as the radius grows.
     """
     tess = nt.tess
-    fund = tess.tiles[0]
-    pair = ((0, 1), (0, 2), (1, 2))[side_index]
-    y0 = midpoint(fund.vertex_vecs[pair[0]], fund.vertex_vecs[pair[1]])
-    v = fund.side_normals[side_index]
-    if x is None:
-        xv = normalize(0.55 * fund.centroid.vec + 0.45 * y0.vec)
-    else:
-        xv = as_lorentz_vec(x)
-    refl = np.eye(3) - 2.0 * np.outer(v, ETA_DIAG * v)
-    xref = refl @ xv
+    a, b = ((0, 1), (0, 2), (1, 2))[side_index]
+    y0 = normalize(tess.fund_vertices[a] + tess.fund_vertices[b])
+    v = tess.fund_normals[side_index]
+    xv = normalize(0.55 * tess.centroids[0] + 0.45 * y0) if x is None else np.asarray(x, dtype=float)
+    xref = reflection(v) @ xv
 
     def geodesic_point(t):
-        return math.cosh(t) * y0.vec + math.sinh(t) * v
+        return math.cosh(t) * y0 + math.sinh(t) * v
 
     sel = tess.centroid_rho <= nt.max_orbit_radius
     fixed_mats = np.ascontiguousarray(tess.mats[sel])

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 def _arc_of(w1, w2):
     """(radius, sweep) of the geodesic arc from w1 to w2, or None for a
@@ -34,8 +36,9 @@ def tessellation_svg(tess, size=800):
         f'<rect width="{size}" height="{size}" fill="white"/>',
         f'<circle cx="{half}" cy="{half}" r="{scale}" fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for t in tess.tiles:
-        dv = [(d.x, d.y) for d in t.disk_vertices()]
+    # det g = (-1)^(word length) for a product of reflections
+    even = np.linalg.det(tess.mats) > 0
+    for dv, is_even in zip(tess.disk_vertices().tolist(), even):
         x0, y0 = to_px(dv[0])
         path = [f"M {x0:.6f} {y0:.6f}"]
         order = (0, 1, 2, 0)
@@ -48,7 +51,7 @@ def tessellation_svg(tess, size=800):
                 r, sweep = arc
                 # the pixel y-flip reverses orientation
                 path.append(f"A {r * scale:.6f} {r * scale:.6f} 0 0 {1 - sweep} {x:.6f} {y:.6f}")
-        fill = "#9ecae1" if t.g.det_sign > 0 else "#deebf7"
+        fill = "#9ecae1" if is_even else "#deebf7"
         lines.append(
             f'<path d="{" ".join(path)} Z" fill="{fill}" stroke="#333333" stroke-width="0.4"/>'
         )

@@ -13,7 +13,9 @@ largest right descent (the largest i with l(w s_i) < l(w)), and a right
 descent is a sign test on a 3-vector of w whose margin does not shrink
 with depth.  `generate` walks the tree these words form, level by level in
 word length, and the tessellation is stored as arrays indexed by tile
-id; `Tile` objects are built only when asked for.
+id: group elements, centroids, and the vertex and side-normal rows of
+the fundamental triangle.  Every function here takes and returns Lorentz
+rows and matrices.
 """
 
 import csv
@@ -24,29 +26,28 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     CapacityError,
+    ChartOverflowError,
     EnumerationTooSmallError,
     IncompleteOrbitError,
     NotHyperbolicError,
 )
 from .geometry import (
     ETA_DIAG,
-    Geodesic,
-    Isometry,
-    Point,
-    angle_at,
-    as_lorentz_vec,
+    disk_coords,
     dist,
-    geodesic_through,
     lorentz_dot,
     normalize,
-    origin,
+    outward_normals,
     point_at,
-    reflect_in,
+    reflection,
+    triangle_angles,
+    triangle_area,
 )
 
 logger = logging.getLogger(__name__)
@@ -76,64 +77,28 @@ class TriangleParams:
         return (math.pi / self.p, math.pi / self.q, math.pi / self.r)
 
 
-class Tile:
-    """One tile: a group element g together with g(fundamental triangle)."""
+class Tile(NamedTuple):
+    """One tile as rows: its id, canonical word and group element m, the
+    rows of its vertices and outward side normals, and its centroid row
+    `tess.centroids[id]`.
 
-    def __init__(self, tile_id, word, g, fund_vertices, fund_normals):
-        self.id = tile_id
-        self.word = word
-        self.g = g
-        self._fund_vertices = fund_vertices  # (3, 3) Lorentz rows
-        self._fund_normals = fund_normals  # (3, 3) outward unit side normals
+    The package itself reads the arrays of `Tessellation`; `Tile` and
+    `tess.tiles` remain because the benchmark workloads read
+    `tess.tiles[0].centroid`.
+    """
 
-    @cached_property
-    def vertex_vecs(self):
-        return self._fund_vertices @ self.g.m.T
-
-    @cached_property
-    def vertices(self):
-        return tuple(Point.from_vec(v) for v in self.vertex_vecs)
-
-    @cached_property
-    def side_normals(self):
-        # Lorentz matrices push geodesic normals forward by plain action
-        return self._fund_normals @ self.g.m.T
-
-    @cached_property
-    def sides(self):
-        return tuple(Geodesic(v) for v in self.side_normals)
-
-    @cached_property
-    def centroid(self):
-        return Point.from_vec(self.vertex_vecs.sum(axis=0))
-
-    @cached_property
-    def angles(self):
-        v = self.vertices
-        return (
-            angle_at(v[0], v[1], v[2]),
-            angle_at(v[1], v[0], v[2]),
-            angle_at(v[2], v[0], v[1]),
-        )
-
-    def disk_vertices(self):
-        return [pt.to_disk() for pt in self.vertices]
-
-
-def _outward_normals(vertices):
-    """Outward unit side normals of the geodesic triangle with Lorentz
-    vertex rows `vertices`, one row per side in the order v0-v1, v0-v2, v1-v2."""
-    pts = normalize(vertices)
-    normals = []
-    for ia, ib, iopp in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        geo = geodesic_through(pts[ia], pts[ib])
-        normals.append(geo.v if lorentz_dot(geo.v, vertices[iopp]) < 0 else -geo.v)
-    return np.stack(normals)
+    id: int
+    word: tuple
+    m: np.ndarray
+    vertex_vecs: np.ndarray
+    side_normals: np.ndarray
+    centroid: np.ndarray
 
 
 def fundamental_triangle(tp):
     """Canonical (p, q, r) triangle: the pi/p vertex at the disk origin and
-    one side along the positive real axis."""
+    one side along the positive real axis.  Returns its (3, 3) vertex rows
+    and outward unit side normals (side 0, v0-v1, on the real axis)."""
     a1, a2, a3 = tp.angles
 
     def opposite_side(at1, at2, opp):
@@ -141,22 +106,11 @@ def fundamental_triangle(tp):
 
     len_12 = opposite_side(a1, a2, a3)
     len_13 = opposite_side(a1, a3, a2)
-    v1 = origin()
-    v2 = point_at(0.0, len_12)
-    v3 = point_at(a1, len_13)
-    vertices = np.stack([v1.vec, v2.vec, v3.vec])
-    # side 0 lies on the real axis
-    tile = Tile(0, (), Isometry.identity(), vertices, _outward_normals(vertices))
-    measured = tile.angles
-    for got, want in zip(measured, (a1, a2, a3)):
+    vertices = np.stack([point_at(0.0, 0.0), point_at(0.0, len_12), point_at(a1, len_13)])
+    for got, want in zip(triangle_angles(vertices), (a1, a2, a3)):
         if abs(got - want) > 1e-10:
             raise NotHyperbolicError(f"triangle construction angle off: {got} vs {want}")
-    return tile
-
-
-def tile_area(tile):
-    """Hyperbolic area by the Gauss-Bonnet angle defect."""
-    return math.pi - sum(tile.angles)
+    return vertices, outward_normals(vertices)
 
 
 class Tessellation:
@@ -164,10 +118,11 @@ class Tessellation:
 
     `mats[k]` is the group element of tile k.  `parent[k]` and `gen[k]`
     place it in the descent tree, mats[k] = mats[parent[k]] @ R[gen[k]]
-    with R the side reflections; both are -1 for the identity, tile 0.
-    `tiles` is a read-only sequence that builds `Tile` views on access.
+    with R = `reflections`, the (3, 3, 3) side reflections of the
+    fundamental triangle; both are -1 for the identity, tile 0.
     `side_normals`, the (tiles, 3, 3) outward side normals, is built on
-    first use: `locate` folds instead of scanning them.
+    first use: `locate` folds instead of scanning them.  `tiles` builds a
+    `Tile` on access.
     """
 
     def __init__(self, params, radius, mats, parent, gen, fund_vertices, fund_normals, reflections):
@@ -199,40 +154,55 @@ class Tessellation:
 
     @cached_property
     def tile_diameter(self):
-        vs = [Point.from_vec(v) for v in self.fund_vertices]
+        vs = normalize(self.fund_vertices)
         return max(dist(a, b) for a in vs for b in vs)
 
     @cached_property
     def anchor_spread(self):
         """Max distance from the origin to points of the fundamental tile."""
-        o = origin()
-        return max(dist(o, Point.from_vec(v)) for v in self.fund_vertices)
+        return max(math.acosh(max(v[2], 1.0)) for v in normalize(self.fund_vertices))
 
     @cached_property
     def circumradius(self):
-        c = Point.from_vec(self.centroids[0])
-        return max(dist(c, Point.from_vec(v)) for v in self.fund_vertices)
+        c = normalize(self.centroids[0])
+        return max(dist(c, v) for v in normalize(self.fund_vertices))
 
-    def locate(self, p, slack=1e-13):
-        """Id of the tile holding the point p, or None outside the ball.
+    @cached_property
+    def tile_area(self):
+        """Area of every tile, by the Gauss-Bonnet defect of tile 0."""
+        return triangle_area(self.fund_vertices)
 
-        Folds p into the fundamental triangle C: while p lies beyond a
+    def locate(self, x, slack=1e-13):
+        """Id of the tile holding the Lorentz row x, or None outside the ball.
+
+        Folds x into the fundamental triangle C: while x lies beyond a
         side j of C by more than the tolerance, it is reflected across
-        that side.  Each such side separates p from C, so the folds spell
-        a reduced word of the element w with p in w(C), and `_id_of` finds
+        that side.  Each such side separates x from C, so the folds spell
+        a reduced word of the element w with x in w(C), and `_id_of` finds
         its id.  The folded point lies on the sides of C within the
-        tolerance of it; then p lies on every tile w u with u in the
+        tolerance of it; then x lies on every tile w u with u in the
         subgroup those sides generate (two tiles across a side, 2m around
         a vertex of angle pi/m), and the smallest enumerated id among
         them wins.  The tolerance on sinh of the distance to a side is
         slack * x3^2: folding a point of height x3 rounds the folded
         point by about 1e-16 x3^2 (at most 10.4 eps x3^2 on 24,000
         vertices and side midpoints of a (3,4,4) ball of radius 9.86).
+
+        Raises ChartOverflowError for a row that is not a point of H^2:
+        not finite, x3 <= 0 or not timelike.  Folding such a row never ends.
         """
-        x = np.asarray(as_lorentz_vec(p), dtype=float)
-        tol = slack * max(1.0, abs(float(x[2]))) ** 2
+        x = np.asarray(x, dtype=float)
+        if x.shape != (3,):
+            raise ValueError(f"locate takes one Lorentz row of shape (3,), got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ChartOverflowError(f"cannot locate {x}: the row is not finite")
+        if not x[2] > 0.0:
+            raise ChartOverflowError(f"cannot locate {x}: x3 <= 0, not on the upper sheet")
+        if not lorentz_dot(x, x) < 0.0:
+            raise ChartOverflowError(f"cannot locate {x}: the row is not timelike, <x, x> >= 0")
+        tol = slack * max(1.0, float(x[2])) ** 2
         normals = self.fund_normals * ETA_DIAG
-        refl = [r.m for r in self.reflections]
+        refl = self.reflections
         m = np.eye(3)
         while True:
             vals = normals @ x
@@ -262,7 +232,7 @@ class Tessellation:
 
         The neighbor of tile w across its side i is w s_i.
         """
-        return tuple(self._id_of(self.mats[tile_id] @ r.m) for r in self.reflections)
+        return tuple(self._id_of(self.mats[tile_id] @ r) for r in self.reflections)
 
     @cached_property
     def _children(self):
@@ -284,7 +254,7 @@ class Tessellation:
         normals = self.fund_normals.T
         while (d := int(_largest_descent(u @ normals))) >= 0:
             word.append(d)
-            u = u @ self.reflections[d].m
+            u = u @ self.reflections[d]
         k = 0
         for i in reversed(word):
             k = int(self._children[k, i])
@@ -299,15 +269,18 @@ class Tessellation:
             k = int(self.parent[k])
         return tuple(reversed(out))
 
+    def disk_vertices(self):
+        """(tiles, 3, 2): the disk chart of every tile's vertices, each
+        vertex row normalised before it is charted."""
+        return np.stack(disk_coords(normalize(self.fund_vertices @ self.mats.transpose(0, 2, 1))), axis=-1)
+
     def export_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["tile_id", "word", "v1x", "v1y", "v2x", "v2y", "v3x", "v3y"])
-            for t in self.tiles:
-                dv = t.disk_vertices()
-                row = [t.id, "".join(str(i) for i in t.word) or "e"]
-                for d in dv:
-                    row.extend([f"{d.x:.17g}", f"{d.y:.17g}"])
+            for k, dv in enumerate(self.disk_vertices()):
+                row = [k, "".join(str(i) for i in self._word(k)) or "e"]
+                row.extend(f"{u:.17g}" for u in dv.ravel())
                 writer.writerow(row)
 
 
@@ -329,7 +302,8 @@ class _TileSequence(Sequence):
             raise IndexError(f"tile id {k} out of range for {n} tiles")
         k %= n
         t = self._tess
-        return Tile(k, t._word(k), Isometry(t.mats[k], check=False), t.fund_vertices, t.fund_normals)
+        m = t.mats[k]
+        return Tile(k, t._word(k), m, t.fund_vertices @ m.T, t.fund_normals @ m.T, t.centroids[k])
 
 
 def _largest_descent(vals):
@@ -383,11 +357,11 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     if not radius >= 0:  # also rejects NaN, whose comparisons are all false
         raise ValueError(f"radius must be a number >= 0, got {radius}")
     t_start = time.perf_counter()
-    fund = fundamental_triangle(tp)
-    fund_vertices = fund._fund_vertices
-    fund_normals = fund._fund_normals
-    reflections = [reflect_in(Geodesic(v)) for v in fund_normals]
-    refl = np.stack([r.m for r in reflections])
+    fund_vertices, fund_normals = fundamental_triangle(tp)
+    # The normals are rescaled to unit length once more before they are
+    # reflected in: without that rounding step the (4,4,4) and (5,5,5)
+    # group elements move by up to 3e-13 and the CSV export changes.
+    refl = reflection(fund_normals / np.sqrt(lorentz_dot(fund_normals, fund_normals))[:, None])
     c1 = normalize(fund_vertices.sum(axis=0))
 
     # one entry per level: matrices, parent ids, generators, centroid distances
@@ -412,7 +386,7 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
         par[1:] = new_id[par[1:]]
         return Tessellation(
             tp, radius, np.take(np.concatenate(mats), order, axis=0), par, np.concatenate(gen)[order],
-            fund_vertices, fund_normals, reflections,
+            fund_vertices, fund_normals, refl,
         )
 
     # Descent and radius tests on 3-vectors: with u_w = (c1 eta) w, the
@@ -458,9 +432,8 @@ def orbital_count(tess, theta, x, y):
     rho(o, g(c1)) <= rho(o, x) + theta + rho(y, c1) for every counted g.
     """
     thetas = np.asarray(theta, dtype=float)
-    xv, yv = as_lorentz_vec(x), as_lorentz_vec(y)
-    o = origin()
-    guard = tess.radius - dist(o, Point.from_vec(xv)) - dist(Point.from_vec(yv), Point.from_vec(tess.centroids[0]))
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    guard = tess.radius - math.acosh(max(xv[2], 1.0)) - dist(yv, tess.centroids[0])
     if thetas.size and not thetas.max() <= guard:
         raise IncompleteOrbitError(
             f"theta={thetas.max()} exceeds the completeness guard {guard:.3f} of this enumeration"
@@ -475,15 +448,16 @@ def orbital_count(tess, theta, x, y):
 
 def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
     """Tile ids gamma_i(T_a) marching toward the boundary point at angle
-    p_angle inside the c-tube of the ray from the origin.
+    p_angle inside the c-tube of the ray from the origin, with T_a the
+    tile of the Lorentz row a.
 
     Returned depths rho(o, gamma_i(a)) are strictly increasing (by at
     least min_step); tiles are reported in increasing depth.
     """
     if n == 0:
         return []
-    av = as_lorentz_vec(a)
-    tile_a = tess.locate(Point.from_vec(av))
+    av = np.asarray(a, dtype=float)
+    tile_a = tess.locate(av)
     if tile_a is None:
         raise EnumerationTooSmallError("anchor point lies outside the enumerated region")
     ray_normal = np.array([-math.sin(p_angle), math.cos(p_angle), 0.0])

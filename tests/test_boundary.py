@@ -12,13 +12,12 @@ from hypfield.boundary import (
     h_plus,
     h_plus_at_points,
     h_plus_forms,
-    k_constant,
     k_constant_log,
     k_table,
     sector_lower_bound_audit,
 )
 from hypfield.errors import ConfigurationError, PrecisionLossError
-from hypfield.geometry import Point, Sector, convert
+from hypfield.geometry import Sector, halfplane_coords
 from hypfield.greens import ModelParams
 from hypfield.tessellation import conical_sequence
 
@@ -142,32 +141,36 @@ def test_sector_audit_outside_support_flag(mp2):
     assert rep["inconclusive"]
 
 
+def _k(mp, h, alpha, tess, tile_id, grid=4):
+    """k_j = exp(alpha * min_{x in T_j} H_plus h(x))  (max for alpha < 0)."""
+    return math.exp(k_constant_log(mp, h, alpha, tess, tile_id, grid)[0])
+
+
 def test_k_zero_source(mp2, tess344_small):
     h = BoundarySource.bump(B0, B1, amplitude=0.0)
-    assert k_constant(mp2, h, 1.0, tess344_small.tiles[0]) == 1.0
+    assert _k(mp2, h, 1.0, tess344_small, 0) == 1.0
 
 
 def test_k_grid_refinement_stable(mp2, tess344_small):
     h = BoundarySource.bump(B0, B1)
-    k4 = k_constant(mp2, h, 1.0, tess344_small.tiles[0], grid=4)
-    k8 = k_constant(mp2, h, 1.0, tess344_small.tiles[0], grid=8)
+    k4 = _k(mp2, h, 1.0, tess344_small, 0, grid=4)
+    k8 = _k(mp2, h, 1.0, tess344_small, 0, grid=8)
     assert abs(k8 - k4) <= 0.01 * k4
 
 
 def test_k_sign_of_alpha(mp2, tess344_small):
     h = BoundarySource.bump(B0, B1)
-    tile = tess344_small.tiles[0]
-    _, m_min = k_constant_log(mp2, h, 1.0, tile)
-    _, m_max = k_constant_log(mp2, h, -1.0, tile)
+    _, m_min = k_constant_log(mp2, h, 1.0, tess344_small, 0)
+    _, m_max = k_constant_log(mp2, h, -1.0, tess344_small, 0)
     assert m_min <= m_max  # min of H for alpha > 0, max for alpha < 0
-    assert k_constant(mp2, h, -1.0, tile) < 1.0 < k_constant(mp2, h, 1.0, tile)
+    assert _k(mp2, h, -1.0, tess344_small, 0) < 1.0 < _k(mp2, h, 1.0, tess344_small, 0)
 
 
 def test_k_increases_along_conical_sequence(mp2, tess344_big):
     h = BoundarySource.bump(B0, B1)
-    a = tess344_big.tiles[0].centroid
+    a = tess344_big.centroids[0]
     ids = conical_sequence(tess344_big, math.pi / 4, a, 7, 0.6, min_step=0.35)
-    ks = [k_constant_log(mp2, h, 1.0, tess344_big.tiles[t])[0] for t in ids]
+    ks = [k_constant_log(mp2, h, 1.0, tess344_big, t)[0] for t in ids]
     assert all(b > a_ for a_, b in zip(ks[-5:], ks[-4:]))
 
 
@@ -181,11 +184,11 @@ def test_k_table_rows(mp2, tess344_small):
 
 def test_h_plus_at_points_matches_scalar(mp2, tess344_small):
     h = BoundarySource.bump(B0, B1)
-    pts = [Point.from_vec(v) for v in tess344_small.centroids[:3]]
+    pts = tess344_small.centroids[:3]
     vec = h_plus_at_points(mp2, h, pts)
     for p, v in zip(pts, vec):
-        hp = convert(p, "halfplane")
-        assert v == pytest.approx(h_plus(mp2, h, hp.z, hp.zeta), rel=1e-12)
+        z, zeta = halfplane_coords(p)
+        assert v == pytest.approx(h_plus(mp2, h, z, zeta), rel=1e-12)
 
 
 # --- the batched adaptive evaluator against a 30-digit reference ---------
@@ -328,7 +331,7 @@ def test_h_plus_rejects_bad_points(mp2):
 def test_k_constant_log_logs_its_work(mp2, tess344_small, caplog):
     h = BoundarySource.bump(B0, B1)
     with caplog.at_level(logging.INFO, logger="hypfield.boundary"):
-        k_constant_log(mp2, h, 1.0, tess344_small.tiles[1], grid=3)
+        k_constant_log(mp2, h, 1.0, tess344_small, 1, grid=3)
     (record,) = [r for r in caplog.records if r.name == "hypfield.boundary"]
     assert record.levelno == logging.INFO
     msg = record.getMessage()
@@ -343,12 +346,12 @@ def test_k_constant_log_logs_its_work(mp2, tess344_small, caplog):
 def test_k_table_equals_per_tile_k_constant_log(mp2, tess344_big, cone_c, alpha):
     # one lockstep search over all tiles finds each tile's extremum bit for bit
     h = BoundarySource.bump(B0, B1)
-    a = tess344_big.tiles[0].centroid
+    a = tess344_big.centroids[0]
     ids = conical_sequence(tess344_big, math.pi / 4, a, 8, cone_c, min_step=0.35)
     rows = k_table(mp2, h, alpha, tess344_big, ids)
     assert [r["tile_id"] for r in rows] == ids
     for r, tid in zip(rows, ids):
-        log_k, m_star = k_constant_log(mp2, h, alpha, tess344_big.tiles[tid])
+        log_k, m_star = k_constant_log(mp2, h, alpha, tess344_big, tid)
         assert r["log_k_j"] == log_k and r["Hmin_or_max"] == m_star
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hypfield import cli
@@ -28,6 +29,31 @@ def test_tessellate_writes_outputs_and_manifest(tmp_path):
     for out in manifest["outputs"]:
         with open(out["path"], "rb") as fh:
             assert out["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_tessellate_outputs_keep_their_bytes(tmp_path):
+    # the digests of the (3,4,4) radius-3 CSV and SVG as written when tiles
+    # were per-tile objects: the array paths write the same bytes
+    csv_path, svg_path = tmp_path / "tiles.csv", tmp_path / "tiles.svg"
+    argv = ["tessellate", "--p", "3", "--q", "4", "--r", "4", "--radius", "3"]
+    assert cli.main(argv + ["--csv", str(csv_path), "--svg", str(svg_path)]) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "841f4f3f93752cc26b16dc316fc4721710b161ac64794d05879fb2ff95c1a139"
+    )
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
+        "24301ac91e2a111d3119068ba8a69d58573c4ee98fe64223823fa1437ecd448f"
+    )
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    path = tmp_path / "report.json"
+    cli._write_json(path, {"a": -math.inf, "b": [math.nan, 1.5, (math.inf, 2)], "c": {"d": np.float64("nan")}})
+    assert json.loads(path.read_text(), parse_constant=no_constants) == {
+        "a": None, "b": [None, 1.5, [None, 2]], "c": {"d": None},
+    }
 
 
 def _assert_manifest_matches(manifest_path, command, outputs):

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import logging
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -403,9 +405,14 @@ def test_z_ratio_samples_on_the_threads_it_is_given(caplog, mp2, nt6, tess344_bi
     assert results[2] == results[1]
 
 
-def test_decay_seed0_regression_pin():
-    cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, seed=0, threads=1)
-    run = fm.triviality_run(cfg)
-    assert run.records[-1].tile_ids == [0, 6, 13, 37, 67, 121, 415, 1693]
-    assert run.eps_hat == pytest.approx(0.3701013801767741, rel=1e-12, abs=0.0)
-    assert run.passed is True
+def test_decay_matches_golden_seeds():
+    # tests/data/eps_hat_seeds.json pins the decay run on seeds 0-9; a change
+    # meant to move the physics regenerates it on purpose
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "eps_hat_seeds.json").read_text())
+    assert [g["seed"] for g in golden["runs"]] == list(range(10))
+    for g in golden["runs"]:
+        cfg = dataclasses.replace(fm.TrivialityConfig(), seed=g["seed"], **golden["triviality_run"])
+        run = fm.triviality_run(cfg)
+        assert run.records[-1].tile_ids == g["tile_ids"], g["seed"]
+        assert run.summary().split(":")[0] == g["verdict"], g["seed"]
+        assert run.eps_hat == pytest.approx(g["eps_hat"], rel=1e-12, abs=0.0), g["seed"]

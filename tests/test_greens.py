@@ -15,7 +15,7 @@ from hypfield.errors import (
 )
 from hypfield import _kernels
 from hypfield.fieldmc import build_quadrature
-from hypfield.geometry import Point, dist, lorentz_dot
+from hypfield.geometry import dist, lorentz_dot, normalize
 from hypfield.greens import (
     ALPHA_MAX,
     ModelParams,
@@ -226,9 +226,9 @@ def test_g_plus_diagonal_error():
 def test_g_plus_isometry_invariance(tess344_small):
     # factors through dist, so exact by construction; spot-check anyway
     mp = ModelParams(2.0)
-    g = tess344_small.tiles[7].g
-    a, b = tess344_small.tiles[0].centroid, tess344_small.tiles[2].centroid
-    assert g_plus(mp, dist(g.apply(a), g.apply(b))) == pytest.approx(
+    g = tess344_small.mats[7]
+    a, b = tess344_small.centroids[0], tess344_small.centroids[2]
+    assert g_plus(mp, dist(normalize(g @ a), normalize(g @ b))) == pytest.approx(
         g_plus(mp, dist(a, b)), rel=1e-12
     )
 
@@ -366,8 +366,8 @@ def test_neumann_tail_bound_formula(nt6, mp2):
 
 def test_g_neumann_cross_tile_zero(nt6, mp2):
     tess = nt6.tess
-    x = tess.tiles[0].centroid
-    y = Point.from_vec(tess.mats[3] @ x.vec)
+    x = tess.centroids[0]
+    y = normalize(tess.mats[3] @ x)
     assert g_neumann(mp2, nt6, x, y) == 0.0
 
 
@@ -377,7 +377,7 @@ def test_g_neumann_dominates_identity_term(nt6, mp2):
     xs = sample_tile_points(tess, 0, 20, rng)
     ys = sample_tile_points(tess, 0, 20, rng)
     for xv, yv in zip(xs, ys):
-        x, y = Point.from_vec(xv), Point.from_vec(yv)
+        x, y = normalize(xv), normalize(yv)
         if dist(x, y) < 1e-3:
             continue
         assert g_neumann(mp2, nt6, x, y) >= g_plus(mp2, dist(x, y))
@@ -390,7 +390,7 @@ def test_g_neumann_symmetry(nt6, mp2):
     ys = sample_tile_points(tess, 0, 100, rng)
     worst = 0.0
     for xv, yv in zip(xs, ys):
-        x, y = Point.from_vec(xv), Point.from_vec(yv)
+        x, y = normalize(xv), normalize(yv)
         if dist(x, y) < 1e-3:
             continue
         worst = max(worst, abs(g_neumann(mp2, nt6, x, y) - g_neumann(mp2, nt6, y, x)))
@@ -398,17 +398,17 @@ def test_g_neumann_symmetry(nt6, mp2):
 
 
 def test_g_neumann_diagonal_error(nt6, mp2):
-    x = nt6.tess.tiles[0].centroid
+    x = nt6.tess.centroids[0]
     with pytest.raises(DiagonalSingularityError):
         g_neumann(mp2, nt6, x, x)
 
 
 def test_g_neumann_tail_tol_guard(tess344_big, mp2):
     nt = NeumannTruncation(tess344_big, 4.0, tail_tol=1e-9)
-    x = tess344_big.tiles[0].centroid
-    y = Point.from_vec(0.9 * x.vec + 0.1 * tess344_big.fund_vertices[1])
+    x = tess344_big.centroids[0]
+    y = normalize(0.9 * x + 0.1 * tess344_big.fund_vertices[1])
     with pytest.raises(TruncationError):
-        g_neumann(mp2, nt, x, Point.from_vec(y.vec))
+        g_neumann(mp2, nt, x, y)
 
 
 # ------------------------------------------------------------------ Delta G
@@ -418,12 +418,12 @@ def test_delta_g_nonnegative_and_interior(nt6, mp2):
     tess = nt6.tess
     rng = np.random.default_rng(7)
     for v in sample_tile_points(tess, 0, 50, rng):
-        assert delta_g(mp2, nt6, Point.from_vec(v)) >= 0.0
+        assert delta_g(mp2, nt6, normalize(v)) >= 0.0
 
 
 def test_delta_g_truncation_stability(tess344_big, mp2):
     # value stable under raising the orbit radius, within the tail bound
-    c1 = tess344_big.tiles[0].centroid
+    c1 = tess344_big.centroids[0]
     nt_lo = NeumannTruncation(tess344_big, 5.0, tail_tol=1e-1)
     nt_hi = NeumannTruncation(tess344_big, 7.0, tail_tol=1e-1)
     lo = delta_g(mp2, nt_lo, c1)
@@ -433,21 +433,21 @@ def test_delta_g_truncation_stability(tess344_big, mp2):
 
 def test_delta_g_blows_up_toward_side(nt6, mp2):
     tess = nt6.tess
-    c1 = tess.tiles[0].centroid
+    c1 = tess.centroids[0]
     v = tess.fund_vertices
-    side_mid = Point.from_vec(v[0] + v[1])
+    side_mid = normalize(v[0] + v[1])
     vals = []
     for t in np.linspace(0.3, 0.98, 6):
-        x = Point.from_vec((1 - t) * c1.vec + t * side_mid.vec)
+        x = normalize((1 - t) * c1 + t * side_mid)
         vals.append(delta_g(mp2, nt6, x))
     assert all(b > a for a, b in zip(vals[-5:], vals[-4:]))
 
 
 def test_delta_g_near_side_warns(nt6, mp2):
     tess = nt6.tess
-    c1 = tess.tiles[0].centroid
-    side_mid = Point.from_vec(tess.fund_vertices[0] + tess.fund_vertices[1])
-    x = Point.from_vec(1e-10 * c1.vec + (1.0 - 1e-10) * side_mid.vec)
+    c1 = tess.centroids[0]
+    side_mid = normalize(tess.fund_vertices[0] + tess.fund_vertices[1])
+    x = normalize(1e-10 * c1 + (1.0 - 1e-10) * side_mid)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         delta_g(mp2, nt6, x)
@@ -477,13 +477,13 @@ def test_two_element_group_exact_evenness(mp2, tess344_small):
     tess = tess344_small
     fund = tess.tiles[0]
     v = fund.side_normals[0]
-    y0 = Point.from_vec(fund.vertex_vecs[0] + fund.vertex_vecs[1])
+    y0 = normalize(fund.vertex_vecs[0] + fund.vertex_vecs[1])
     mats = np.stack([np.eye(3), (np.eye(3) - 2.0 * np.outer(v, np.array([1, 1, -1]) * v))])
-    x = fund.centroid.vec
+    x = fund.centroid
     xr = mats[1] @ x
     for t in (0.05, 0.1, 0.2):
-        yp = math.cosh(t) * y0.vec + math.sinh(t) * v
-        ym = math.cosh(-t) * y0.vec + math.sinh(-t) * v
+        yp = math.cosh(t) * y0 + math.sinh(t) * v
+        ym = math.cosh(-t) * y0 + math.sinh(-t) * v
         fp = _kernels.image_sum_block(xr[None], yp[None], mats, 50.0, mp2)[0, 0]
         fm = _kernels.image_sum_block(x[None], ym[None], mats, 50.0, mp2)[0, 0]
         assert abs(fp - fm) < 1e-13
@@ -506,9 +506,9 @@ def test_image_sums_match_per_image_oracle(nt6, mp2):
     assert np.array_equal(mats[0], np.eye(3))
     # two interior points and one 1e-4 of the way from a side midpoint, whose
     # reflected image is the near image the identity cut must keep
-    c1 = nt6.tess.tiles[0].centroid.vec
-    side_mid = Point.from_vec(nt6.tess.fund_vertices[0] + nt6.tess.fund_vertices[1]).vec
-    near_side = Point.from_vec(1e-4 * c1 + (1.0 - 1e-4) * side_mid).vec
+    c1 = nt6.tess.centroids[0]
+    side_mid = normalize(nt6.tess.fund_vertices[0] + nt6.tess.fund_vertices[1])
+    near_side = normalize(1e-4 * c1 + (1.0 - 1e-4) * side_mid)
     interior = sample_tile_points(nt6.tess, 0, 2, np.random.default_rng(11), min_side_gap=0.05)
     pts = np.vstack([interior, near_side])
     xs, ys = pts[:1], pts[1:]
@@ -527,10 +527,10 @@ def test_image_sums_match_per_image_oracle(nt6, mp2):
 
 def _edge_points(tess):
     """A point 1e-4 of the way from a side midpoint, one 1e-3 from a vertex."""
-    c1 = tess.tiles[0].centroid.vec
-    side_mid = Point.from_vec(tess.fund_vertices[0] + tess.fund_vertices[1]).vec
-    near_side = Point.from_vec(1e-4 * c1 + (1.0 - 1e-4) * side_mid).vec
-    near_vertex = Point.from_vec(1e-3 * c1 + (1.0 - 1e-3) * tess.fund_vertices[1]).vec
+    c1 = tess.centroids[0]
+    side_mid = normalize(tess.fund_vertices[0] + tess.fund_vertices[1])
+    near_side = normalize(1e-4 * c1 + (1.0 - 1e-4) * side_mid)
+    near_vertex = normalize(1e-3 * c1 + (1.0 - 1e-3) * tess.fund_vertices[1])
     return np.stack([near_side, near_vertex])
 
 
@@ -575,9 +575,9 @@ def test_reach_pruned_block_equals_unpruned_sum(nt8, mp2, tess344_big):
     fund = tess344_big.tiles[0]
     v = fund.side_normals[0]
     strip = np.stack([np.eye(3), np.eye(3) - 2.0 * np.outer(v, np.array([1.0, 1.0, -1.0]) * v)])
-    y0 = Point.from_vec(fund.vertex_vecs[0] + fund.vertex_vecs[1]).vec
+    y0 = normalize(fund.vertex_vecs[0] + fund.vertex_vecs[1])
     ys = np.stack([math.cosh(t) * y0 + math.sinh(t) * v for t in (-0.2, -0.05, 0.1)])
-    xs = np.stack([fund.centroid.vec, strip[1] @ fund.centroid.vec])
+    xs = np.stack([fund.centroid, strip[1] @ fund.centroid])
     block = _kernels.image_sum_block(xs, ys, strip, 50.0, mp2)
     want = _unpruned_block(xs, ys, strip, 50.0, mp2)
     assert np.max(np.abs(block / want - 1.0)) <= 1e-13
@@ -592,7 +592,7 @@ def _moved(x, d, w):
 
 def test_block_rows_without_terms_are_exactly_zero(nt6, mp2, tess344_big):
     mats = nt6._mats
-    c = tess344_big.tiles[0].centroid.vec
+    c = tess344_big.centroids[0]
     w = np.array([1.0, 0.3, 0.0])
     ys = np.stack([c, _moved(c, 0.05, np.array([0.0, 1.0, 0.0]))])
     # rows 0 and 1 reach the identity image of y_0 within rmax, rows 2 and 3
@@ -653,7 +653,7 @@ def test_image_sums_evaluate_tail_and_far_distances_without_chebval(monkeypatch,
     from numpy.polynomial import Chebyshev, chebyshev
 
     mats, rmax = nt6._mats, nt6.max_orbit_radius
-    c = tess344_big.tiles[0].centroid.vec
+    c = tess344_big.centroids[0]
     verts = tess344_big.fund_vertices
     # every image of a vertex lies 0.61 or more from the centroid, every
     # image of the centroid but itself 0.53 or more: tail and far pieces only

@@ -1,6 +1,12 @@
 import gc
+import importlib
 import logging
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -8,18 +14,28 @@ import pytest
 
 from hypfield.errors import (
     CapacityError,
+    ChartOverflowError,
     EnumerationTooSmallError,
     IncompleteOrbitError,
     NotHyperbolicError,
 )
-from hypfield.geometry import Point, dist, lorentz_dot, origin, point_at, reflect_in
+from hypfield.geometry import (
+    ETA,
+    disk_coords,
+    dist,
+    lorentz_dot,
+    normalize,
+    point_at,
+    reflection,
+    triangle_angles,
+    triangle_area,
+)
 from hypfield.tessellation import (
     TriangleParams,
     conical_sequence,
     fundamental_triangle,
     generate,
     orbital_count,
-    tile_area,
 )
 
 
@@ -35,27 +51,29 @@ def test_params_validation():
 
 def test_fundamental_angles_and_area():
     # Gauss-Bonnet: area = pi - angle sum
-    fund = fundamental_triangle(TriangleParams(3, 4, 4))
+    verts, _ = fundamental_triangle(TriangleParams(3, 4, 4))
     want = (math.pi / 3, math.pi / 4, math.pi / 4)
-    for got, expect in zip(fund.angles, want):
+    for got, expect in zip(triangle_angles(verts), want):
         assert got == pytest.approx(expect, abs=1e-10)
-    assert tile_area(fund) == pytest.approx(math.pi / 6, abs=1e-9)
-    assert tile_area(fundamental_triangle(TriangleParams(2, 3, 7))) == pytest.approx(
+    assert triangle_area(verts) == pytest.approx(math.pi / 6, abs=1e-9)
+    # the defect of the measured angles, bit for bit; pi / 6 is 3 ulp off it
+    assert triangle_area(verts) == 0.5235987755982991
+    assert generate(TriangleParams(3, 4, 4), 0.0).tile_area == 0.5235987755982991
+    assert triangle_area(fundamental_triangle(TriangleParams(2, 3, 7))[0]) == pytest.approx(
         math.pi / 42, abs=1e-9
     )
 
 
 def test_equilateral_triangle():
-    fund = fundamental_triangle(TriangleParams(4, 4, 4))
-    v = fund.vertices
+    v = normalize(fundamental_triangle(TriangleParams(4, 4, 4))[0])
     sides = [dist(v[0], v[1]), dist(v[1], v[2]), dist(v[0], v[2])]
     assert max(sides) - min(sides) < 1e-12
 
 
 def test_canonical_placement():
-    fund = fundamental_triangle(TriangleParams(3, 4, 4))
-    assert np.abs(fund.vertex_vecs[0] - np.array([0.0, 0.0, 1.0])).max() < 1e-14
-    assert abs(fund.vertex_vecs[1][1]) < 1e-14  # second vertex on the real axis
+    verts, _ = fundamental_triangle(TriangleParams(3, 4, 4))
+    assert np.abs(verts[0] - np.array([0.0, 0.0, 1.0])).max() < 1e-14
+    assert abs(verts[1][1]) < 1e-14  # second vertex on the real axis
 
 
 def test_radius_zero_single_tile():
@@ -66,9 +84,9 @@ def test_radius_zero_single_tile():
 
 def _brute_force_words(tp, max_len):
     """Oracle: all distinct group elements from words of length <= max_len."""
-    fund = fundamental_triangle(tp)
-    refls = [reflect_in(s).m for s in fund.sides]
-    c1 = fund.centroid.vec
+    verts, normals = fundamental_triangle(tp)
+    refls = reflection(normals)
+    c1 = normalize(verts.sum(axis=0))
     found = {}  # rounded centroid -> matrix
     frontier = [(np.eye(3), -1)]
     key = lambda m: tuple(np.round(m @ c1, 7))
@@ -120,7 +138,7 @@ def test_descent_tree_invariants():
     # after the identity, nondecreasing centroid distance up to rounding
     assert (np.diff(tess.centroid_rho[1:]) >= -1e-11).all()
     c1 = tess.centroids[0]
-    refls = np.stack([r.m for r in tess.reflections])
+    refls = tess.reflections
     for k in range(1, len(tess)):
         # j is a right descent of w when the wall w(H_j) separates C from w(C)
         descents = [j for j, n in enumerate(tess.fund_normals) if lorentz_dot(tess.mats[k] @ n, c1) > 0]
@@ -151,14 +169,14 @@ def test_deep_matrices_match_exact_products(tess344_big):
         with mpmath.workdps(50):
             m = mpmath.eye(3)
             for i in word:
-                m = m * mpmath.matrix(tess.reflections[i].m.tolist())
+                m = m * mpmath.matrix(tess.reflections[i].tolist())
             exact = np.array(m.tolist(), dtype=float)
         assert np.abs(tess.mats[k] - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 def test_words_reproduce_tiles(tess344_small):
     tess = tess344_small
-    refls = [r.m for r in tess.reflections]
+    refls = tess.reflections
     for t in tess.tiles[:: max(1, len(tess.tiles) // 40)]:
         m = np.eye(3)
         for i in t.word:
@@ -171,7 +189,7 @@ def test_words_reproduce_tiles(tess344_small):
 def test_locate_centroids(tess344_small):
     tess = tess344_small
     for tid in range(0, len(tess), 7):
-        assert tess.locate(Point.from_vec(tess.centroids[tid])) == tid
+        assert tess.locate(tess.centroids[tid]) == tid
 
 
 def test_locate_outside(tess344_small):
@@ -186,21 +204,21 @@ def test_locate_unique_claim(tess344_small):
     eta = np.array([1.0, 1.0, -1.0])
     for _ in range(10_000):
         p = point_at(rng.uniform(0, 2 * math.pi), rng.uniform(0, inner))
-        vals = tess.side_normals @ (p.vec * eta)
-        claims = int((vals <= 1e-12 * max(1.0, p.vec[2])).all(axis=1).sum())
+        vals = tess.side_normals @ (p * eta)
+        claims = int((vals <= 1e-12 * max(1.0, p[2])).all(axis=1).sum())
         assert claims == 1
 
 
 def test_orbital_count_basics(tess344_small):
     tess = tess344_small
-    c1 = tess.tiles[0].centroid
+    c1 = tess.centroids[0]
     assert orbital_count(tess, 1e-6, c1, c1) == 1  # identity only
     counts = [orbital_count(tess, th, c1, c1) for th in (0.5, 1.0, 1.5, 2.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_orbital_count_guard(tess344_small):
-    c1 = tess344_small.tiles[0].centroid
+    c1 = tess344_small.centroids[0]
     with pytest.raises(IncompleteOrbitError):
         orbital_count(tess344_small, 10.0, c1, c1)
 
@@ -208,7 +226,7 @@ def test_orbital_count_guard(tess344_small):
 def test_orbital_growth_bound(tess344_big):
     # sup of N(theta) e^{-theta} finite and stable as theta grows
     tess = tess344_big
-    c1 = tess.tiles[0].centroid
+    c1 = tess.centroids[0]
     vals = [orbital_count(tess, th, c1, c1) * math.exp(-th) for th in np.arange(1.0, 8.1, 0.5)]
     assert max(vals) < 20.0
     assert max(vals[:-2]) > 0.85 * max(vals)  # no blow-up at the deep end
@@ -216,11 +234,11 @@ def test_orbital_growth_bound(tess344_big):
 
 def test_orbital_count_array_equals_scalar_calls(tess344_big):
     tess = tess344_big
-    c1 = tess.tiles[0].centroid
-    x = Point.from_vec(0.7 * c1.vec + 0.3 * tess.fund_vertices[2])
+    c1 = tess.centroids[0]
+    x = normalize(0.7 * c1 + 0.3 * tess.fund_vertices[2])
     # the orbit-constant grid, plus thetas at image distances where numpy's
     # cosh and math.cosh, an ulp apart, disagree on whether the image counts
-    coshes = -lorentz_dot(tess.mats @ c1.vec, x.vec)
+    coshes = -lorentz_dot(tess.mats @ c1, x)
     ulp_apart = [
         th
         for c in np.sort(coshes[(coshes > 1.5) & (coshes < 300.0)])
@@ -240,28 +258,29 @@ def test_orbital_count_array_equals_scalar_calls(tess344_big):
 
 
 def test_conical_sequence_empty(tess344_small):
-    assert conical_sequence(tess344_small, 0.3, tess344_small.tiles[0].centroid, 0, 1.0) == []
+    assert conical_sequence(tess344_small, 0.3, tess344_small.centroids[0], 0, 1.0) == []
 
 
 def test_conical_sequence_properties(tess344_big):
     tess = tess344_big
-    a = tess.tiles[0].centroid
+    a = tess.centroids[0]
     c = 0.8
     ids = conical_sequence(tess, math.pi / 4, a, 8, c, min_step=0.3)
     assert len(ids) == 8
-    g_a = tess.tiles[tess.locate(a)].g
+    g_a = tess.mats[tess.locate(a)]
     theta = math.pi / 4
     normal = np.array([-math.sin(theta), math.cos(theta), 0.0])
     eta = np.array([1.0, 1.0, -1.0])
     depths = []
     diam_eucl = []
     for tid in ids:
-        gamma = tess.tiles[tid].g @ g_a.inverse()
-        ga = gamma.apply(a)
+        # the exact Lorentz inverse of g_a is eta g_a^T eta
+        gamma = tess.mats[tid] @ ETA @ g_a.T @ ETA
+        ga = normalize(gamma @ a)
         # inside the tube and marching outward
-        assert abs(math.asinh(float(np.dot(ga.vec * eta, normal)))) <= c + 1e-9
-        depths.append(dist(origin(), ga))
-        dv = [complex(d.x, d.y) for d in tess.tiles[tid].disk_vertices()]
+        assert abs(math.asinh(float(np.dot(ga * eta, normal)))) <= c + 1e-9
+        depths.append(math.acosh(ga[2]))
+        dv = [complex(x, y) for x, y in zip(*disk_coords(normalize(tess.tiles[tid].vertex_vecs)))]
         diam_eucl.append(max(abs(x - y) for x in dv for y in dv))
     assert all(b > a_ for a_, b in zip(depths, depths[1:]))
     # Euclidean diameters strictly decreasing beyond some index
@@ -271,12 +290,12 @@ def test_conical_sequence_properties(tess344_big):
 
 def test_conical_sequence_exhaustion(tess344_small):
     with pytest.raises(EnumerationTooSmallError):
-        conical_sequence(tess344_small, 0.3, tess344_small.tiles[0].centroid, 50, 0.5)
+        conical_sequence(tess344_small, 0.3, tess344_small.centroids[0], 50, 0.5)
 
 
 def _conical_by_locate(tess, p_angle, a, n, c, min_step):
     """The conical walk that finds each candidate's tile by `locate`."""
-    av = a.vec
+    av = a
     ray_normal = np.array([-math.sin(p_angle), math.cos(p_angle), 0.0])
     ray_dir = np.array([math.cos(p_angle), math.sin(p_angle), 0.0])
     eta = np.array([1.0, 1.0, -1.0])
@@ -289,7 +308,7 @@ def _conical_by_locate(tess, p_angle, a, n, c, min_step):
     for k in np.nonzero(usable)[0][np.argsort(depth[usable], kind="stable")]:
         if depth[k] <= deepest + max(min_step, 1e-12):
             continue
-        tid = tess.locate(Point.from_vec(pts[k]))
+        tid = tess.locate(pts[k])
         if tid is None:
             continue
         ids.append(tid)
@@ -304,7 +323,7 @@ def _conical_by_locate(tess, p_angle, a, n, c, min_step):
 def test_conical_sequence_matches_locate_walk(tess344_big, tile, cone_c):
     tess = tess344_big
     # an interior point of the tile, off its centroid
-    a = Point.from_vec(tess.mats[tile] @ (0.8 * tess.tiles[0].centroid.vec + 0.2 * tess.fund_vertices[1]))
+    a = tess.mats[tile] @ normalize(0.8 * tess.centroids[0] + 0.2 * tess.fund_vertices[1])
     assert tess.locate(a) == tile
     ids = conical_sequence(tess, math.pi / 4, a, 8, cone_c, min_step=0.35)
     assert len(ids) == 8
@@ -313,7 +332,7 @@ def test_conical_sequence_matches_locate_walk(tess344_big, tile, cone_c):
 
 def test_tile_area_invariance(tess344_small):
     tess = tess344_small
-    areas = [tile_area(t) for t in tess.tiles[::11]]
+    areas = [triangle_area(t.vertex_vecs) for t in tess.tiles[::11]]
     assert max(abs(a - math.pi / 6) for a in areas) < 1e-9
 
 
@@ -330,15 +349,16 @@ def test_congruence(tess344_small):
     rng = np.random.default_rng(23)
     for _ in range(20):
         j, k = rng.integers(0, len(tess), size=2)
-        g = tess.tiles[k].g @ tess.tiles[j].g.inverse()
-        mapped = tess.tiles[j].vertex_vecs @ g.m.T
+        g = tess.mats[k] @ ETA @ tess.mats[j].T @ ETA
+        mapped = tess.tiles[j].vertex_vecs @ g.T
         scale = max(1.0, np.abs(tess.tiles[k].vertex_vecs).max())
         assert np.abs(mapped - tess.tiles[k].vertex_vecs).max() < 1e-9 * scale
 
 
 def test_group_property_words(tess344_small):
-    for t in tess344_small.tiles[::9]:
-        assert t.g.lorentz_residual() < 1e-10
+    for m in tess344_small.mats[::9]:
+        # the form defect relative to the entry scale, which grows like e^rho
+        assert np.abs(m.T @ ETA @ m - ETA).max() / max(1.0, float(np.abs(m).max()) ** 2) < 1e-10
 
 
 def test_adjacency(tess344_small):
@@ -348,7 +368,7 @@ def test_adjacency(tess344_small):
     for side, other in enumerate(nb):
         assert other is not None
         # the neighbor through side i is g R_i
-        expect = (tess.tiles[0].g @ tess.reflections[side]).m @ tess.centroids[0]
+        expect = tess.mats[0] @ tess.reflections[side] @ tess.centroids[0]
         assert np.abs(expect - tess.centroids[other]).max() < 1e-9
 
 
@@ -359,7 +379,7 @@ def test_neighbors_match_geometry(tess344_small):
     c1 = tess.centroids[0]
     for k in range(len(tess)):
         for side, other in enumerate(tess.neighbors(k)):
-            expect = tess.mats[k] @ tess.reflections[side].m @ c1
+            expect = tess.mats[k] @ tess.reflections[side] @ c1
             if other is None:
                 assert math.acosh(expect[2]) > tess.radius
             else:
@@ -386,8 +406,7 @@ def test_infinite_radius_hits_cap():
     assert len(part) > 50
     assert part.parent[0] == -1
     assert ((part.parent[1:] >= 0) & (part.parent[1:] < len(part))).all()
-    refls = np.stack([r.m for r in part.reflections])
-    assert np.allclose(part.mats[part.parent[1:]] @ refls[part.gen[1:]], part.mats[1:])
+    assert np.allclose(part.mats[part.parent[1:]] @ part.reflections[part.gen[1:]], part.mats[1:])
 
 
 def test_generate_logs_summary(caplog):
@@ -428,10 +447,9 @@ def _previous_generate(tp, radius):
     """(mats, parent, gen) from the former level loop: it formed all three
     child matrices of every frontier tile and tested their descents as
     (F, 3, 3, 3) stacks."""
-    fund = fundamental_triangle(tp)
-    normals = fund._fund_normals
-    refl = np.stack([reflect_in(s).m for s in fund.sides])
-    csum = fund._fund_vertices.sum(axis=0)
+    verts, normals = fundamental_triangle(tp)
+    refl = generate(tp, 0.0).reflections
+    csum = verts.sum(axis=0)
     c1 = csum / math.sqrt(-lorentz_dot(csum, csum))
 
     def largest_descent(m):
@@ -492,7 +510,7 @@ def test_generate_equals_previous_level_loop(pqr, radius, tiles):
 def test_side_normals_are_built_on_first_use():
     tess = generate(TriangleParams(3, 4, 4), 2.0)
     assert "side_normals" not in vars(tess)
-    tess.locate(Point.from_vec(tess.centroids[5]))
+    tess.locate(tess.centroids[5])
     assert "side_normals" not in vars(tess)
     want = np.stack([t.side_normals for t in tess.tiles])
     assert np.abs(tess.side_normals - want).max() <= 1e-12 * np.abs(want).max()
@@ -517,14 +535,14 @@ def test_locate_matches_scan_on_interior_points(tess344_small, tess344_big):
     inner = tess344_small.radius - tess344_small.tile_diameter
     for _ in range(500):
         p = point_at(rng.uniform(0, 2 * math.pi), rng.uniform(0, inner))
-        assert tess344_small.locate(p) == _scan_locate(tess344_small, p.vec)
+        assert tess344_small.locate(p) == _scan_locate(tess344_small, p)
     tess = tess344_big
     for k in rng.choice(len(tess), 300, replace=False):
-        assert tess.locate(Point.from_vec(tess.centroids[k])) == k == _scan_locate(tess, tess.centroids[k])
+        assert tess.locate(tess.centroids[k]) == k == _scan_locate(tess, tess.centroids[k])
         # barycentric weights >= 0.05: well inside tile k
         bary = 0.05 + 0.85 * rng.dirichlet([1.0, 1.0, 1.0])
         x = _unit(tess.mats[k] @ (bary @ tess.fund_vertices))
-        assert tess.locate(Point.from_vec(x)) == k == _scan_locate(tess, x)
+        assert tess.locate(x) == k == _scan_locate(tess, x)
 
 
 def _star(tess, tile_id, sides):
@@ -557,10 +575,84 @@ def test_locate_boundary_points_take_the_smallest_id_of_their_star(tess344_big):
         cases += [(tess.mats[k] @ _unit(fv[a] + fv[b]), (j,)) for j, (a, b) in enumerate(side_ends)]
         for x, sides in cases:
             star = _star(tess, int(k), sides)
-            got = tess.locate(Point.from_vec(x))
+            got = tess.locate(x)
             assert got == min(star), (k, sides)
             # the returned tile's closure holds the point, to the rounding
             # of the Lorentz products at this height
             vals = tess.tiles[got].side_normals @ (x * np.array([1.0, 1.0, -1.0]))
             assert (vals <= 1e-13 * x[2] ** 2).all()
             assert (np.abs(vals) <= 1e-13 * x[2] ** 2).sum() == len(sides)
+
+
+# --- rows that are not points of H^2 ------------------------------------------
+
+# Folding any of these rows never ends: each reflection moves it without
+# bringing it into the fundamental triangle.
+_NOT_POINTS = (
+    ("[0.1, 0.2, -1.0247]", "x3 <= 0"),
+    ("[2.0, 0.0, 1.0]", "not timelike"),
+    ("[math.nan, 0.0, 1.0]", "not finite"),
+)
+
+
+@pytest.mark.parametrize(
+    "call", ["tess.locate(row)", "conical_sequence(tess, 0.3, row, 8, 0.6)"], ids=["locate", "conical"]
+)
+@pytest.mark.parametrize("row, reason", _NOT_POINTS, ids=["lower-sheet", "spacelike", "nan"])
+def test_locate_rejects_rows_off_the_hyperboloid(call, row, reason):
+    # in a child process with a timeout, so that a missing check fails the
+    # test instead of hanging the suite
+    code = textwrap.dedent(f"""
+        import math
+        import numpy as np
+        from hypfield.errors import ChartOverflowError
+        from hypfield.tessellation import TriangleParams, conical_sequence, generate
+        tess = generate(TriangleParams(3, 4, 4), 3.0)
+        row = np.array({row})
+        try:
+            {call}
+        except ChartOverflowError as exc:
+            print(exc)
+        else:
+            print("no error")
+    """)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    assert "cannot locate" in out and reason in out, out
+
+
+def test_locate_rejects_a_stack_of_rows(tess344_small):
+    with pytest.raises(ValueError, match="one Lorentz row"):
+        tess344_small.locate(tess344_small.centroids[:2])
+    with pytest.raises(ChartOverflowError):
+        tess344_small.locate(np.array([0.0, 0.0, 0.0]))
+
+
+# --- what the benchmark harness reads of the package -------------------------
+
+def test_benchmark_contract(tess344_big):
+    # perfbench/ is read, never changed: its tracer wraps every TARGETS
+    # attribute, and its workloads import Sector and anchor the conical
+    # sequence at tess.tiles[0].centroid
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.pop(0)
+    for _, module, attrs in spans.TARGETS:
+        for dotted in attrs:
+            owner = importlib.import_module(module)
+            for part in dotted.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (module, dotted)
+    from hypfield.geometry import Sector
+
+    assert Sector(0.5, 0.1, 0.2).r0 == 0.5
+    tess = tess344_big
+    for c in (0.6, 1.2):
+        by_tile = conical_sequence(tess, math.pi / 4, tess.tiles[0].centroid, 8, c, min_step=0.35)
+        assert by_tile == conical_sequence(tess, math.pi / 4, tess.centroids[0], 8, c, min_step=0.35)

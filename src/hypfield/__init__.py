@@ -6,7 +6,7 @@ boundary generating functional.
 Importing any hypfield module loads numpy and no scipy module.  Each
 scipy module loads in the function that uses it:
 
-- ``scipy.special`` (``digamma``) at the first d = 2 ``greens.ModelParams``;
+- ``scipy.special`` (``digamma``) at the first ``greens.ModelParams``;
 - ``scipy.integrate`` (``quad``) in ``boundary.h_plus_forms``,
   ``greens.gk_norm`` and ``greens.exp_kernel_integral``;
 - ``scipy.interpolate`` (``CubicSpline``) for a tabulated

@@ -2,14 +2,12 @@
 
 This is the package's only kernel; greens.py calls it for every
 evaluation.  Each kernel takes the model as one `greens.ModelParams`
-argument `mp` and reads delta_plus, gamma_plus, d and gplus_interp
-from it.
+argument `mp` and reads delta_plus, gamma_plus and gplus_interp from it.
 
-Production path.  `gplus_array` calls `mp.gplus_interp`, built once per
-model in `ModelParams.__init__`: for d = 3 the closed form of
-`gplus_series`, for d = 2 a `GplusInterpolant`, which holds
-e^(Delta rho) G_plus with t = e^(-rho), s = t^2, u = 1 - s in four pieces,
-fitted through 82 nodes:
+Production path.  `gplus_array` calls `mp.gplus_interp`, the
+`GplusInterpolant` built once per model in `ModelParams.__init__`.  It
+holds e^(Delta rho) G_plus with t = e^(-rho), s = t^2, u = 1 - s in four
+pieces, fitted through 82 nodes:
 
     tail      s in [0, 1e-3]          degree 5 in s      rho >= 3.45
     far       s in [1e-3, 0.36]       degree 14 in s     0.51 <= rho < 3.45
@@ -21,11 +19,11 @@ Horner loop; the near piece is a Chebyshev series.  The diagonal piece
 is the reference's own log form, so G_plus keeps its exact
 -ln(rho)/(2 pi) singularity.
 
-Cosh entry.  `gplus_cosh` evaluates G_plus from c = cosh rho, the
-Lorentz product the image sums compute, without arccosh or exp:
-t = 1/(c + sqrt((c - 1)(c + 1))), s = t^2 and, on the diagonal piece,
-u = 2 t sqrt((c - 1)(c + 1)).  For d = 2 it goes through the same pieces
-as `gplus_array` (`GplusInterpolant.from_cosh`).
+Cosh entry.  `GplusInterpolant.from_cosh` evaluates G_plus from
+c = cosh rho, the Lorentz product the image sums compute, without
+arccosh or exp: t = 1/(c + sqrt((c - 1)(c + 1))), s = t^2 and, on the
+diagonal piece, u = 2 t sqrt((c - 1)(c + 1)).  It goes through the same
+pieces as `gplus_array`.
 
 Image sums.  `image_sum_block` and `image_sum_self` drop, before they
 scan, every image that no pair of their points can reach (a triangle
@@ -38,11 +36,10 @@ test, for a block the (pair, image) products scanned after the
 per-column reach, the (pair, image) terms summed and its seconds.
 
 Reference and build path.  `gplus_series` computes the node values and
-is the oracle the tests compare the interpolant against.  For d = 2,
-G_plus = gamma t^Delta F(Delta, 1/2; Delta + 1/2; s): the Gauss series,
-every term positive, where u > U_DIAG, and the c = a + b log form of
-`log_case_coef` (DLMF 15.8.10) where u <= U_DIAG.  For d = 3,
-G_plus = gamma t^Delta / u = e^(-(Delta-1) rho) / (4 pi sinh rho).
+is the oracle the tests compare the interpolant against:
+G_plus = gamma t^Delta F(Delta, 1/2; Delta + 1/2; s), by the Gauss
+series, every term positive, where u > U_DIAG, and by the c = a + b log
+form of `log_case_coef` (DLMF 15.8.10) where u <= U_DIAG.
 """
 
 import logging
@@ -77,7 +74,7 @@ _TERM_BLOCK = 8192
 logger = logging.getLogger(__name__)
 
 
-def hyp2f1_series(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
+def hyp2f1_series(a, b, c, z, maxiter=_SERIES_MAXITER):
     """Plain Gauss series with term-ratio stopping; scalar, |z| < 1."""
     if z == 0.0:
         return 1.0
@@ -87,14 +84,14 @@ def hyp2f1_series(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         term *= ratio
         total += term
-        if abs(term) <= tol * abs(total) and abs(ratio) < 1.0:
+        if abs(term) <= _SERIES_TOL * abs(total) and abs(ratio) < 1.0:
             return total
     raise PrecisionLossError(
         f"2F1 series did not converge within {maxiter} terms (z={z})", partial=total
     )
 
 
-def _series_vec(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
+def _series_vec(a, b, c, z):
     """Vectorized Gauss series; shrinks the working set as entries converge."""
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
@@ -103,16 +100,16 @@ def _series_vec(a, b, c, z, tol=_SERIES_TOL, maxiter=_SERIES_MAXITER):
     zw, tw, sw = z.ravel().copy(), term.ravel(), total.ravel()
     work = idx
     k = 0
-    while work.size and k < maxiter:
+    while work.size and k < _SERIES_MAXITER:
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * zw[work]
         tw[work] *= ratio
         sw[work] += tw[work]
         k += 1
-        still = (np.abs(tw[work]) > tol * np.abs(sw[work])) | (np.abs(ratio) >= 1.0)
+        still = (np.abs(tw[work]) > _SERIES_TOL * np.abs(sw[work])) | (np.abs(ratio) >= 1.0)
         work = work[still]
     if work.size:
         raise PrecisionLossError(
-            f"2F1 series did not converge within {maxiter} terms",
+            f"2F1 series did not converge within {_SERIES_MAXITER} terms",
             partial=sw.reshape(z.shape),
         )
     return sw.reshape(z.shape)
@@ -158,8 +155,6 @@ def gplus_series(rho, mp):
     u = -np.expm1(-2.0 * rho)
     # t^Delta rather than e^(-Delta rho): its rounding does not grow with rho
     scale = mp.gamma_plus * np.exp(-rho) ** mp.delta_plus
-    if mp.d == 3:
-        return scale / u
     f = np.empty_like(rho)
     far = u > U_DIAG
     f[far] = _series_vec(mp.delta_plus, 0.5, mp.delta_plus + 0.5, np.exp(-2.0 * rho[far]))
@@ -168,7 +163,7 @@ def gplus_series(rho, mp):
 
 
 class GplusInterpolant:
-    """e^(Delta rho) G_plus for d = 2 by four pieces, all rho > 0.
+    """e^(Delta rho) G_plus by four pieces, all rho > 0.
 
     The function is gamma F(Delta, 1/2; Delta + 1/2; s), analytic in
     s = t^2 = e^(-2 rho) on [0, 1) but for the log singularity at the
@@ -224,7 +219,7 @@ class GplusInterpolant:
         self.max_rel_err = float(np.max(np.abs(self(rho[check]) / series[check] - 1.0)))
         if not self.max_rel_err <= INTERP_RTOL:
             raise PrecisionLossError(
-                f"G_plus interpolant for m2={mp.m2}, d={mp.d} misses the series by "
+                f"G_plus interpolant for m2={mp.m2} misses the series by "
                 f"{self.max_rel_err:.2e} relative (limit {INTERP_RTOL:.0e}); "
                 f"a mass this large needs more interpolation nodes"
             )
@@ -309,21 +304,6 @@ def gplus_array(rho, mp):
     return mp.gplus_interp(np.atleast_1d(np.asarray(rho, dtype=float)))
 
 
-def gplus_cosh(c, mp):
-    """Free Green's function on an array of c = cosh rho, without arccosh.
-
-    The image sums' entry: for d = 2 `GplusInterpolant.from_cosh`, for
-    d = 3 the closed form gamma t^(Delta - 1) / (2 sinh rho).  inf at
-    c <= 1, a coincident point.
-    """
-    if mp.d == 2:
-        return mp.gplus_interp.from_cosh(c)
-    t, sinh = _t_sinh(c)
-    sinh *= 2.0
-    with np.errstate(divide="ignore"):
-        return np.divide(mp.gamma_plus * t ** (mp.delta_plus - 1.0), sinh, out=sinh)
-
-
 def _images(mats, y):
     """All g(y) for the rows g of mats, as a (K, 3) array, by one product."""
     return (mats.reshape(-1, 3) @ y).reshape(-1, 3)
@@ -376,7 +356,8 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     Then each column j scans only the kept images with rho(c_x, gamma y_j)
     <= rmax + max_i rho(c_x, x_i), c_x the Lorentz mean of the xs.  By
     the triangle inequality neither cut loses a term, for any `mats`.
-    The terms are G_plus of cosh rho (`gplus_cosh`), summed row by row.
+    The terms are G_plus of cosh rho (`GplusInterpolant.from_cosh`),
+    summed row by row.
 
     When xs and ys hold the same points, S[i, i] is inf (the identity
     image coincides), only the pairs i < j are summed and S[j, i] is set
@@ -412,7 +393,7 @@ def image_sum_block(xs, ys, mats, rmax, mp):
         # the kept terms row after row (np.compress outruns coshes[sel])
         c = np.compress(sel.ravel(), coshes.ravel())
         if c.size:
-            out[:rows, j] = _row_sums(gplus_cosh(c, mp), np.count_nonzero(sel, axis=1))
+            out[:rows, j] = _row_sums(mp.gplus_interp.from_cosh(c), np.count_nonzero(sel, axis=1))
         scanned += coshes.size
         terms += c.size
     if same:
@@ -453,7 +434,7 @@ def image_sum_self(xs, mats, rmax, mp):
         c = coshes[(coshes > skip) & (coshes <= cosh_max)]
         if not c.size:
             continue
-        sums[i] = gplus_cosh(c, mp).sum()
+        sums[i] = mp.gplus_interp.from_cosh(c).sum()
         nearest[i] = np.arccosh(c.min())
         terms += c.size
     logger.debug(

@@ -171,15 +171,18 @@ def _cmd_tessellate(args):
 
 def _cmd_green(args):
     t0 = time.time()
-    mp = greens.ModelParams(args.m2, d=args.d)
+    mp = greens.ModelParams(args.m2)
     rhos = np.linspace(args.rho_min, args.rho_max, args.steps)
     kernel = greens.g_plus(mp, rhos)
     rows = []
     max_dev = 0.0
     for rho, gp in zip(rhos, kernel):
         g2, g3 = greens.g_plus_forms(mp, float(rho))
-        # G3 exists for d = 2 only; the production kernel is audited for every d
-        dev = max(abs(g - g2) / abs(g2) for g in (g3, gp) if not math.isnan(g))
+        if g2 == 0.0 or gp == 0.0:
+            raise ValueError(
+                f"G_plus underflows to 0 at rho = {rho:.6g} for m2 = {args.m2:g}; lower --rho-max"
+            )
+        dev = max(abs(g3 - g2), abs(gp - g2)) / abs(g2)
         max_dev = max(max_dev, dev)
         rows.append((float(rho), g2, g3, float(gp), dev))
     _write_csv(args.csv, ["rho", "g_plus_G2", "g_plus_G3", "g_plus", "rel_dev"], rows)
@@ -354,11 +357,10 @@ def build_parser():
 
     p = sub.add_parser(
         "green",
-        help="tabulate G_plus in both closed forms and the production kernel; "
-        "rel_dev is the larger relative deviation of G3 and g_plus from G2",
+        help="tabulate the H^2 kernel G_plus in both closed forms and the production "
+        "kernel; rel_dev is the larger relative deviation of G3 and g_plus from G2",
     )
     p.add_argument("--m2", type=float, required=True)
-    p.add_argument("--d", type=int, default=2, choices=(2, 3))
     p.add_argument("--rho-min", type=float, default=0.05)
     p.add_argument("--rho-max", type=float, default=20.0)
     p.add_argument("--steps", type=int, default=200)

@@ -172,7 +172,8 @@ def build_covariance(mp, nt, quad, kind):
     Off-diagonal entries are the kernel values; the diagonal is the
     same-kind kernel at the cell's effective radius r_i = sqrt(w_i/pi)
     (free part) plus the image-sum defect Delta G for the Neumann kind.
-    Cross-tile Neumann entries are exact zeros.
+    Cross-tile Neumann entries are exact zeros.  Only the Neumann kind
+    reads the truncation `nt`.
     """
     if kind not in ("free", "neumann"):
         raise ValueError("kind must be 'free' or 'neumann'")
@@ -539,7 +540,7 @@ class ZRatioResult:
     unreliable: bool
 
 
-def z_ratio(mp, nt, quad, alpha, lam, h, n, seed, threads=None):
+def z_ratio(mp, quad, alpha, lam, h, n, seed, threads=None):
     """Direct estimate of Z(h, Lambda)/Z(0, Lambda) on common random numbers.
 
     The numerator shifts the field by H_plus h through the exact shift
@@ -550,7 +551,7 @@ def z_ratio(mp, nt, quad, alpha, lam, h, n, seed, threads=None):
     _check_alpha(alpha)
     if lam < 0:
         raise ValueError("need lambda >= 0")
-    cov = build_covariance(mp, nt, quad, "free")
+    cov = build_covariance(mp, None, quad, "free")
     samples = sample_fields(cov, n, seed, threads=threads)
     if lam == 0.0:
         return ZRatioResult(ratio=1.0, stderr=0.0, ess=float(n), unreliable=False)
@@ -754,7 +755,7 @@ def triviality_run(cfg):
                 break
         dq = build_quadrature(tess, direct_ids, cfg.resolution)
         direct = z_ratio(
-            mp, nt, dq, cfg.alpha, cfg.lam, None if control else h, cfg.n_mc, cfg.seed + 101,
+            mp, dq, cfg.alpha, cfg.lam, None if control else h, cfg.n_mc, cfg.seed + 101,
             threads=cfg.threads,
         )
 

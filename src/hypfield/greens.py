@@ -1,18 +1,18 @@
 """Free and Neumann Green's functions on H^2.
 
 The free kernel G_plus of (-Laplacian + m^2)^-1 is a Gauss hypergeometric
-function of the geodesic distance; for d = 2 a piecewise interpolant,
-exact next to the diagonal, evaluates it, and for d = 3 a closed form
-(see `_kernels`).  The Neumann kernel G_N on a reflection tessellation
-is the image sum over the group orbit, truncated by orbit radius
-rho(x, gamma(y)) <= R with a reported tail bound.  Between distinct
-tiles G_N is identically zero, which is what decouples the field.
+function of the geodesic distance, evaluated by a piecewise interpolant
+that is exact next to the diagonal (see `_kernels`).  The Neumann kernel
+G_N on a reflection tessellation is the image sum over the group orbit,
+truncated by orbit radius rho(x, gamma(y)) <= R with a reported tail
+bound.  Between distinct tiles G_N is identically zero, which is what
+decouples the field.
 
 The two printed closed forms of G_plus differ by a factor 2^(-Delta) in
 the source; the form implemented here (prefactor 2^(-2*Delta) in both)
 is the one consistent with the half-space representation and with the
-d = 2 Legendre identity G_plus = Q_{Delta-1}(cosh rho) / (2 pi), which
-the test suite pins against an independent Legendre evaluation.
+Legendre identity G_plus = Q_{Delta-1}(cosh rho) / (2 pi), which the
+test suite pins against an independent Legendre evaluation.
 """
 
 import logging
@@ -27,7 +27,6 @@ from .errors import (
     DiagonalSingularityError,
     DivergentTailError,
     NearSingularWarning,
-    PrecisionLossError,
     ThresholdError,
     TruncationError,
 )
@@ -42,83 +41,60 @@ logger = logging.getLogger(__name__)
 
 
 class ModelParams:
-    """Mass, conformal weight and normalization of the free kernel.
+    """Mass, conformal weight and normalization of the free kernel on H^2.
 
-    delta_plus = (d-1)/2 + sqrt((d-1)^2 + 4 m^2)/2
-    gamma_plus = Gamma(delta) / (2 pi^((d-1)/2) Gamma(delta + 1 - (d-1)/2))
+    delta_plus = 1/2 + sqrt(1 + 4 m^2)/2
+    gamma_plus = Gamma(delta) / (2 sqrt(pi) Gamma(delta + 1/2))
 
-    d is 2 or 3.  The constructor also sets `gplus_interp`, the
-    evaluator through which `_kernels.gplus_array` computes G_plus for
-    every rho > 0, and logs it at INFO on `hypfield.greens`.  For d = 2
-    that is a `_kernels.GplusInterpolant` fitted through 82 nodes, whose
-    diagonal piece keeps the exact -ln(rho)/(2 pi) singularity, and
-    which the image sums evaluate from cosh rho; the constructor raises
-    PrecisionLossError when the interpolant misses the series by more
-    than `_kernels.INTERP_RTOL`.  For d = 3 it is the closed form
-    e^(-(Delta-1) rho) / (4 pi sinh rho).
+    The constructor also sets `gplus_interp`, the
+    `_kernels.GplusInterpolant` through which `_kernels.gplus_array` and
+    the image sums compute G_plus for every rho > 0, and logs it at INFO
+    on `hypfield.greens`.  The interpolant is fitted through 82 nodes and
+    its diagonal piece keeps the exact -ln(rho)/(2 pi) singularity; the
+    constructor raises PrecisionLossError when it misses the series by
+    more than `_kernels.INTERP_RTOL`.
     """
 
-    def __init__(self, m2, d=2, delta_plus=None, gamma_plus=None):
+    def __init__(self, m2):
         if m2 <= 0:
             raise ValueError("m2 must be > 0 (image sums need delta_plus > 1)")
-        if d not in (2, 3):
-            raise ValueError("d must be 2 or 3")
-        self.d = int(d)
         self.m2 = float(m2)
-        dp = (d - 1) / 2.0 + 0.5 * math.sqrt((d - 1) ** 2 + 4.0 * self.m2)
-        if delta_plus is not None and abs(delta_plus - dp) > 1e-14:
-            raise ValueError(f"delta_plus={delta_plus} inconsistent with m2 (want {dp})")
-        gp = math.gamma(dp) / (2.0 * math.pi ** ((d - 1) / 2.0) * math.gamma(dp + 1.0 - (d - 1) / 2.0))
-        if gamma_plus is not None and abs(gamma_plus - gp) > 1e-12:
-            raise ValueError(f"gamma_plus={gamma_plus} inconsistent with delta_plus (want {gp})")
+        dp = 0.5 + 0.5 * math.sqrt(1.0 + 4.0 * self.m2)
         self.delta_plus = dp
-        self.gamma_plus = gp
-        self.hyp_b = dp + (2.0 - d) / 2.0
-        self.hyp_c = 2.0 * dp + 2.0 - d
-        if self.d == 3:
-            self.gplus_interp = lambda rho: _kernels.gplus_series(rho, self)
-            logger.info("G_plus m2=%g d=3: closed form e^(-(Delta-1) rho) / (4 pi sinh rho)", self.m2)
-            return
+        # not dp + 0.5, which rounds differently for 3% of masses and would
+        # move the pinned numbers
+        self.gamma_plus = math.gamma(dp) / (2.0 * math.sqrt(math.pi) * math.gamma(dp + 1.0 - 0.5))
         t_start = time.perf_counter()
         self.gplus_interp = _kernels.GplusInterpolant(self)
         logger.info(
-            "G_plus interpolant m2=%g d=%d: %d nodes, max rel err %.1e, %.3f s",
-            self.m2, self.d, self.gplus_interp.nodes, self.gplus_interp.max_rel_err,
+            "G_plus interpolant m2=%g: %d nodes, max rel err %.1e, %.3f s",
+            self.m2, self.gplus_interp.nodes, self.gplus_interp.max_rel_err,
             time.perf_counter() - t_start,
         )
 
     def __repr__(self):
-        return f"ModelParams(m2={self.m2}, d={self.d}, delta_plus={self.delta_plus})"
+        return f"ModelParams(m2={self.m2}, delta_plus={self.delta_plus})"
 
 
 def hyp2f1(a, b, c, z, u=None):
     """Gauss hypergeometric function by series, for -1 < z < 1.
 
     u = 1 - z, passed by a caller that knows it to more digits than z.
-    For u <= 0.03, c = a + b takes the log form of `_kernels.log_case_coef`
-    (at u = 0.1 it is 1e-9 off for a = b = 12.6), and a non-integer
-    c - a - b the connection formula DLMF 15.8.4, two Gauss series in u.
-    Otherwise, for z > 0.75, the quadratic argument transformation is
-    applied when c = 2b.
+    For u <= 1e-3, c = a + b takes the log form of `_kernels.log_case_coef`
+    (at a = b = 32.1 it is 4e-7 off at u = 0.03 and 8e-15 at u = 1e-3).
+    Otherwise, for z > 0.75 or z < 0, c = 2b takes the quadratic argument
+    transformation, a series in (z / (z - 2))^2 < 1 whose terms are
+    positive for a, b > 0.
+    Every other case sums the plain Gauss series in z.
     """
     if c <= 0 and c == int(c):
         raise ValueError("c must not be a nonpositive integer")
     u = 1.0 - z if u is None else u
     if not (z > -1.0 and u > 0.0):
         raise ValueError("series evaluation requires -1 < z < 1")
-    s = c - a - b
-    if abs(s) < 1e-13 and u <= 0.03:
+    if abs(c - a - b) < 1e-13 and u <= 1e-3:
         return float(_kernels.log_form(_kernels.log_case_coef(a, b, u), u))
-    if u <= 0.03 and s != round(s):
-        try:
-            g1 = math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
-            g2 = math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
-        except OverflowError:
-            raise PrecisionLossError(f"Gamma function overflows in 2F1 at c = {c}") from None
-        f1 = _kernels.hyp2f1_series(a, b, 1.0 - s, u)
-        f2 = _kernels.hyp2f1_series(c - a, c - b, 1.0 + s, u)
-        return g1 * f1 + u**s * g2 * f2
-    if z > _Z_PLAIN_MAX and abs(c - 2.0 * b) < 1e-13:
+    if (z > _Z_PLAIN_MAX or z < 0.0) and abs(c - 2.0 * b) < 1e-13:
         pref = (1.0 - z / 2.0) ** (-a)
         return pref * _kernels.hyp2f1_series(a / 2.0, (a + 1.0) / 2.0, b + 0.5, (z / (z - 2.0)) ** 2)
     return _kernels.hyp2f1_series(a, b, c, z)
@@ -136,31 +112,29 @@ def g_plus(mp, rho):
 def g_plus_forms(mp, rho):
     """Evaluate the two printed closed forms separately (audit path).
 
-    Returns (g2, g3): the sinh^(-2 delta) form and the w^(-delta) form.
-    For rho >= 2 the two use genuinely different series (alternating
-    versus positive argument); below that they share the series argument
-    1/w and its complement u = tanh^2(rho/2), exact where 1/w rounds to 1,
-    but not the prefactor algebra.
+    Returns (g2, g3): the sinh^(-2 delta) form gamma (4 sinh^2(rho/2))^-delta
+    F(delta, delta; 2 delta; -1/sinh^2(rho/2)) and the w^(-delta) form
+    gamma 2^(-2 delta) w^(-delta) F(delta, delta; 2 delta; 1/w), w =
+    cosh^2(rho/2).  For rho >= 1.98 (sinh^2(rho/2) >= 1/0.74) the two sum
+    different series of positive terms: G2 the quadratic transformation
+    of its argument, G3 the plain series in 1/w <= 0.43.  Below that they
+    share the series in 1/w and its complement u = tanh^2(rho/2), exact
+    where 1/w rounds to 1, but not the prefactor algebra.
     """
-    dp, b, c = mp.delta_plus, mp.hyp_b, mp.hyp_c
+    dp = mp.delta_plus
     sh2 = math.sinh(rho / 2.0) ** 2
     w = 1.0 + sh2
 
-    # (G2): gamma * (4 sinh^2(rho/2))^-delta * F(a, b; c; -1/sinh^2)
+    # (G2): gamma * (4 sinh^2(rho/2))^-delta * F(delta, delta; 2 delta; -1/sinh^2)
     z = -1.0 / sh2
     if abs(z) <= 0.74:
-        f2 = _kernels.hyp2f1_series(dp, b, c, z)
-        g2 = mp.gamma_plus * (4.0 * sh2) ** (-dp) * f2
+        g2 = mp.gamma_plus * (4.0 * sh2) ** (-dp) * hyp2f1(dp, dp, 2.0 * dp, z)
     else:
         # Pfaff: F(a,b;c;z) = (1-z)^-a F(a, c-b; c; z/(z-1)); here c - b = b
-        zp = z / (z - 1.0)
-        f2 = hyp2f1(dp, b, c, zp, sh2 / w)
+        f2 = hyp2f1(dp, dp, 2.0 * dp, z / (z - 1.0), sh2 / w)
         g2 = mp.gamma_plus * (4.0 * sh2 * (1.0 - z)) ** (-dp) * f2
 
-    if mp.d != 2:
-        return g2, float("nan")
-
-    # (G3), corrected prefactor: gamma * 2^-2delta * w^-delta * F(d,d;2d;1/w)
+    # (G3), corrected prefactor: gamma * 2^-2delta * w^-delta * F(delta, delta; 2 delta; 1/w)
     f3 = hyp2f1(dp, dp, 2.0 * dp, 1.0 / w, sh2 / w)
     g3 = mp.gamma_plus * 2.0 ** (-2.0 * dp) * w ** (-dp) * f3
     return g2, g3
@@ -309,7 +283,7 @@ def sample_tile_points(tess, tile_id, n, rng, min_side_gap=0.0):
     return np.asarray(pts[:n])
 
 
-def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
+def neumann_symmetry_audit(mp, nt, side_index=0, t0=0.2, k=10):
     """Check the Neumann boundary condition across one fundamental side.
 
     f(t) is the two-sided profile of the paper's construction: the image
@@ -323,7 +297,7 @@ def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
     a, b = ((0, 1), (0, 2), (1, 2))[side_index]
     y0 = normalize(tess.fund_vertices[a] + tess.fund_vertices[b])
     v = tess.fund_normals[side_index]
-    xv = normalize(0.55 * tess.centroids[0] + 0.45 * y0) if x is None else np.asarray(x, dtype=float)
+    xv = normalize(0.55 * tess.centroids[0] + 0.45 * y0)
     xref = reflection(v) @ xv
 
     def geodesic_point(t):
@@ -374,7 +348,7 @@ def neumann_symmetry_audit(mp, nt, side_index=0, x=None, t0=0.2, k=10):
     }
 
 
-def domination_audit(mp, nt, n_pairs=10_000, seed=0, min_separation=1e-3):
+def domination_audit(mp, nt, n_pairs=10_000, seed=0):
     """Check G_plus(rho(x,y)) <= G_N(x,y) on same-tile pairs.
 
     Structural: the image sum contains the identity term G_plus plus
@@ -388,7 +362,7 @@ def domination_audit(mp, nt, n_pairs=10_000, seed=0, min_separation=1e-3):
     ys = sample_tile_points(nt.tess, 0, m, rng)
     block = g_neumann_block(mp, nt, xs, ys, 0)
     rho = pairwise_dist(xs, ys)
-    ok = rho >= min_separation
+    ok = rho >= 1e-3  # pairs next to the diagonal singularity are left out
     gp = np.zeros_like(rho)
     gp[ok] = g_plus(mp, rho[ok])
     ratios = block[ok] / gp[ok]

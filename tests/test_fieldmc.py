@@ -381,18 +381,18 @@ def test_shift_audit_needs_no_samples_copy(cov_neumann, quad3):
     assert np.array_equal(lhs, fm.wick_exp(samples + f, cov_neumann, quad3, ALPHA))
 
 
-def test_z_ratio_marks_underflow_unreliable(mp2, nt6, tess344_big):
+def test_z_ratio_marks_underflow_unreliable(mp2, tess344_big):
     # at lambda = 1e4 every exp(-v_h) underflows: the ratio is 0/0 or 0 and
     # the ESS NaN, which must not pass as reliable
     quad = fm.build_quadrature(tess344_big, [0], 2)
     h = BoundarySource.bump(math.pi / 6, math.pi / 3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = fm.z_ratio(mp2, nt6, quad, ALPHA, 1e4, h, 200, seed=3)
+        res = fm.z_ratio(mp2, quad, ALPHA, 1e4, h, 200, seed=3)
     assert math.isnan(res.ess)
     assert res.unreliable is True
 
 
-def test_z_ratio_samples_on_the_threads_it_is_given(caplog, mp2, nt6, tess344_big):
+def test_z_ratio_samples_on_the_threads_it_is_given(caplog, mp2, tess344_big):
     # 20,000 samples are three sampling batches, enough for two workers
     quad = fm.build_quadrature(tess344_big, [0], 2)
     h = BoundarySource.bump(math.pi / 6, math.pi / 3)
@@ -400,7 +400,7 @@ def test_z_ratio_samples_on_the_threads_it_is_given(caplog, mp2, nt6, tess344_bi
     for threads in (1, 2):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="hypfield.fieldmc"):
-            results[threads] = fm.z_ratio(mp2, nt6, quad, ALPHA, 0.1, h, 20_000, seed=3, threads=threads)
+            results[threads] = fm.z_ratio(mp2, quad, ALPHA, 0.1, h, 20_000, seed=3, threads=threads)
         assert f"3 batches, {threads} threads" in caplog.text
     assert results[2] == results[1]
 

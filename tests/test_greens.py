@@ -46,16 +46,8 @@ def test_model_params_derived():
 
 
 def test_model_params_consistency_checks():
-    ModelParams(2.0, delta_plus=2.0)
-    with pytest.raises(ValueError):
-        ModelParams(2.0, delta_plus=2.1)
-    with pytest.raises(ValueError):
-        ModelParams(2.0, gamma_plus=0.3)
     with pytest.raises(ValueError):
         ModelParams(-0.5)
-    for d in (1, 4):
-        with pytest.raises(ValueError, match="d must be 2 or 3"):
-            ModelParams(2.0, d=d)
 
 
 # ------------------------------------------------------------------- hyp2f1
@@ -88,21 +80,6 @@ def test_hyp2f1_precision_loss_carries_partial():
     with pytest.raises(PrecisionLossError) as exc:
         _kernels.hyp2f1_series(1.0, 1.0, 2.0, 0.9999, maxiter=10)
     assert exc.value.partial is not None and exc.value.partial > 1.0
-
-
-def test_hyp2f1_connection_formula_next_to_one():
-    # u = 1 - z <= 0.03 with c - a - b not an integer: DLMF 15.8.4
-    mpmath = pytest.importorskip("mpmath")
-    for a, b, c in ((1.3, 0.7, 1.1), (0.6, 2.2, 4.5), (3.0, 2.5, 5.0)):
-        for u in (0.03, 1e-3, 1e-9):
-            with mpmath.workdps(30):
-                want = float(mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(u)))
-            assert hyp2f1(a, b, c, 1.0 - u, u) == pytest.approx(want, rel=1e-13)
-
-
-def test_hyp2f1_connection_formula_overflow_is_precision_loss():
-    with pytest.raises(PrecisionLossError, match="Gamma function overflows"):
-        hyp2f1(200.0, 199.5, 399.0, 0.99)
 
 
 def test_hyp2f1_domain():
@@ -173,26 +150,19 @@ def test_g_plus_forms_agree():
 
 
 def test_g_plus_forms_match_legendre_next_to_the_diagonal():
-    # both forms take the c = a + b log form where u = tanh^2(rho/2) <= 0.03;
-    # at m2 = 140 it would lose 3e-10 to cancellation if used up to u = 0.1
+    # both forms take the c = a + b log form where u = tanh^2(rho/2) <= 1e-3
+    # and the quadratic transformation above it; at m2 = 1000 the log form
+    # is 2e-7 off at rho = 0.335 (u = 0.028).  Past rho = 2 G2 sums the
+    # quadratic transformation of -1/sinh^2(rho/2), where the direct
+    # series alternates and is 8e-7 off at rho = 2.055
     mpmath = pytest.importorskip("mpmath")
-    rho = np.geomspace(1e-8, 1.0, 40)
-    for m2 in (2.0, 140.0):
+    rho = np.concatenate([np.geomspace(1e-8, 20.0, 40), [0.335, 2.055]])
+    for m2 in (2.0, 140.0, 1000.0):
         mp = ModelParams(m2)
         with mpmath.workdps(30):
             oracle = np.array([float(_legendre_g(mpmath, mp.delta_plus, r)) for r in rho])
         forms = np.array([g_plus_forms(mp, float(r)) for r in rho])
         assert np.max(np.abs(forms / oracle[:, None] - 1.0)) <= 1e-12
-
-
-@pytest.mark.parametrize("m2", [0.5, 2.0, 20.0, 140.0])
-def test_g_plus_forms_d3_next_to_the_diagonal(m2):
-    # G2 for d = 3 takes hyp2f1's connection formula where u = tanh^2(rho/2)
-    # <= 0.03 (c - a - b = -1/2) and the quadratic transformation above it
-    mp = ModelParams(m2, d=3)
-    rho = np.geomspace(1e-8, 20.0, 60)
-    g2 = np.array([g_plus_forms(mp, float(r))[0] for r in rho])
-    assert np.max(np.abs(g2 / g_plus(mp, rho) - 1.0)) <= 1e-12
 
 
 def test_g_plus_log_slope_small_rho():
@@ -236,28 +206,13 @@ def test_g_plus_isometry_invariance(tess344_small):
 # -------------------------------------------------- G_plus interpolant
 
 
-@pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0])
-def test_gplus_interpolant_matches_series(m2, d):
-    mp = ModelParams(m2, d=d)
+def test_gplus_interpolant_matches_series(m2):
+    mp = ModelParams(m2)
     rho = np.linspace(1e-8, 60.0, 20_001)
     vals = _kernels.gplus_array(rho, mp)
     assert (np.diff(vals) < 0).all()
-    if d == 2:
-        assert np.max(np.abs(vals / _kernels.gplus_series(rho, mp) - 1.0)) <= 2e-13
-        return
-    # d = 3 is the closed form; check it against the hypergeometric
-    # definition gamma (4 sinh^2(rho/2))^-Delta F(Delta, b; c; -1/sinh^2(rho/2))
-    mpmath = pytest.importorskip("mpmath")
-    rho = np.geomspace(1e-8, 60.0, 40)
-    with mpmath.workdps(40):
-        delta, b, c = (mpmath.mpf(v) for v in (mp.delta_plus, mp.hyp_b, mp.hyp_c))
-        sh2 = [mpmath.sinh(mpmath.mpf(r) / 2) ** 2 for r in rho]
-        oracle = np.array([
-            float(mpmath.mpf(mp.gamma_plus) * (4 * h) ** -delta * mpmath.hyp2f1(delta, b, c, -1 / h))
-            for h in sh2
-        ])
-    assert np.max(np.abs(_kernels.gplus_array(rho, mp) / oracle - 1.0)) <= 1e-15
+    assert np.max(np.abs(vals / _kernels.gplus_series(rho, mp) - 1.0)) <= 2e-13
 
 
 @pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0])
@@ -295,14 +250,9 @@ def test_model_params_logs_interpolant_build(caplog):
         mp = ModelParams(6.0)
     [record] = caplog.records
     msg = record.getMessage()
-    assert "m2=6 d=2" in msg
+    assert "m2=6:" in msg
     assert f"{mp.gplus_interp.nodes} nodes" in msg
     assert f"max rel err {mp.gplus_interp.max_rel_err:.1e}" in msg
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="hypfield.greens"):
-        ModelParams(6.0, d=3)
-    [record] = caplog.records
-    assert "m2=6 d=3: closed form" in record.getMessage()
 
 
 def test_interpolant_self_check_names_the_model(monkeypatch):
@@ -315,35 +265,26 @@ def test_interpolant_self_check_names_the_model(monkeypatch):
             oracle = float(_legendre_g(mpmath, mp.delta_plus, rho))
         assert abs(g_plus(mp, rho) - oracle) <= 1e-13 * oracle
     monkeypatch.setattr(_kernels, "INTERP_RTOL", 0.0)
-    with pytest.raises(PrecisionLossError, match=r"m2=1000\.0, d=2"):
+    with pytest.raises(PrecisionLossError, match=r"m2=1000\.0 misses"):
         ModelParams(1000.0)
 
 
 _MASSES = [1e-12, 0.5, 2.0, 6.0, 20.0, 50.0, 80.0, 100.0, 120.0, 140.0, 150.0, 159.0, 200.0]
 
 
-@pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("m2", _MASSES)
-def test_model_params_builds_for_every_supported_mass(m2, d):
-    if d == 3:
-        # the closed form, against its sinh form
-        mp = ModelParams(m2, d=3)
-        rho = np.geomspace(1e-8, 40.0, 50)
-        want = np.exp(-(mp.delta_plus - 1.0) * rho) / (4.0 * math.pi * np.sinh(rho))
-        assert np.max(np.abs(g_plus(mp, rho) / want - 1.0)) <= 1e-13
-        return
-    # d = 2: the self-check holds at m2 and at every multiple of 0.5 between
-    # it and the mass listed before it, so the ids cover 0.5, 1.0, ..., 200
+def test_model_params_builds_for_every_supported_mass(m2):
+    # the self-check holds at m2 and at every multiple of 0.5 between it
+    # and the mass listed before it, so the ids cover 0.5, 1.0, ..., 200
     lower = _MASSES[_MASSES.index(m2) - 1] if m2 > _MASSES[0] else m2
     for m in np.union1d(np.arange(lower + 0.5, m2, 0.5), [m2]):
         mp = ModelParams(m)
         assert mp.gplus_interp.max_rel_err <= _kernels.INTERP_RTOL, m
 
 
-@pytest.mark.parametrize("d", [2])
 @pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0, 159.0])
-def test_gplus_tail_piece_continuous_at_its_edge(m2, d):
-    interp = ModelParams(m2, d=d).gplus_interp
+def test_gplus_tail_piece_continuous_at_its_edge(m2):
+    interp = ModelParams(m2).gplus_interp
     s_edge = _kernels._TAIL_PIECE[1]
     tail = interp.tail(np.array([s_edge]))[0]
     far = interp.far(math.sqrt(s_edge))
@@ -635,18 +576,17 @@ def test_gplus_cosh_entry_equals_rho_entry(m2):
     assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0])
-def test_gplus_cosh_matches_series(m2, d):
-    mp = ModelParams(m2, d=d)
+def test_gplus_cosh_matches_series(m2):
+    mp = ModelParams(m2)
     c = np.cosh(_in_every_piece())
-    got = _kernels.gplus_cosh(c, mp)
+    got = mp.gplus_interp.from_cosh(c)
     want = _kernels.gplus_series(np.arccosh(c), mp)
     assert np.max(np.abs(got / want - 1.0)) <= 2e-13
     # a coincident point, c = 1 or rounded below it, is the diagonal singularity
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isinf(_kernels.gplus_cosh(np.array([1.0, 1.0 - 2.0**-53, 5.0]), mp)[:2]).all()
+        assert np.isinf(mp.gplus_interp.from_cosh(np.array([1.0, 1.0 - 2.0**-53, 5.0]))[:2]).all()
 
 
 def test_image_sums_evaluate_tail_and_far_distances_without_chebval(monkeypatch, nt6, mp2, tess344_big):

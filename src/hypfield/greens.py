@@ -27,6 +27,7 @@ from .errors import (
     DiagonalSingularityError,
     DivergentTailError,
     NearSingularWarning,
+    PrecisionLossError,
     ThresholdError,
     TruncationError,
 )
@@ -80,8 +81,10 @@ def hyp2f1(a, b, c, z, u=None):
     """Gauss hypergeometric function by series, for -1 < z < 1.
 
     u = 1 - z, passed by a caller that knows it to more digits than z.
-    For u <= 1e-3, c = a + b takes the log form of `_kernels.log_case_coef`
-    (at a = b = 32.1 it is 4e-7 off at u = 0.03 and 8e-15 at u = 1e-3).
+    For u <= 1e-3, c = a + b takes the log form of `_kernels.log_case_coef`,
+    the connection formula DLMF 15.8.10 (at a = b = 32.1 it is 4e-7 off at
+    u = 0.03 and 8e-15 at u = 1e-3); PrecisionLossError is raised where its
+    Gamma(a + b) overflows, past a + b = 171.6.
     Otherwise, for z > 0.75 or z < 0, c = 2b takes the quadratic argument
     transformation, a series in (z / (z - 2))^2 < 1 whose terms are
     positive for a, b > 0.
@@ -93,7 +96,11 @@ def hyp2f1(a, b, c, z, u=None):
     if not (z > -1.0 and u > 0.0):
         raise ValueError("series evaluation requires -1 < z < 1")
     if abs(c - a - b) < 1e-13 and u <= 1e-3:
-        return float(_kernels.log_form(_kernels.log_case_coef(a, b, u), u))
+        try:
+            coef = _kernels.log_case_coef(a, b, u)
+        except OverflowError:
+            raise PrecisionLossError(f"Gamma function overflows in 2F1 at c = {c}") from None
+        return float(_kernels.log_form(coef, u))
     if (z > _Z_PLAIN_MAX or z < 0.0) and abs(c - 2.0 * b) < 1e-13:
         pref = (1.0 - z / 2.0) ** (-a)
         return pref * _kernels.hyp2f1_series(a / 2.0, (a + 1.0) / 2.0, b + 0.5, (z / (z - 2.0)) ** 2)

@@ -65,16 +65,17 @@ def _assert_manifest_matches(manifest_path, command, outputs):
             assert out["sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("m2", [2.0, 1000.0])
+# Delta = 2 exactly at m2 = 2, (1 + sqrt(13)) / 2 at m2 = 3, 32.1 at m2 = 1000
+@pytest.mark.parametrize("m2", ["2", "3", "1000"])
 def test_green_audits_production_kernel(tmp_path, m2):
     csv_path = tmp_path / "green.csv"
-    argv = ["green", "--m2", str(m2), "--steps", "40", "--csv", str(csv_path)]
+    argv = ["green", "--m2", m2, "--steps", "40", "--csv", str(csv_path)]
     assert cli.main(argv) == 0
 
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "rho,g_plus_G2,g_plus_G3,g_plus,rel_dev"
     assert len(lines) == 41
-    mp = ModelParams(m2)
+    mp = ModelParams(float(m2))
     for line in lines[1:]:
         rho, g2, g3, gp, dev = map(float, line.split(","))
         assert gp == pytest.approx(g_plus(mp, rho), rel=1e-15)

@@ -33,6 +33,11 @@ from hypfield.greens import (
 )
 
 
+def _masses_on_h2(masses):
+    """Parametrise a test over m2; each id ends in the dimension of H^2, as in [2.0-2]."""
+    return pytest.mark.parametrize("m2", masses, ids=lambda m2: f"{m2}-2")
+
+
 # ---------------------------------------------------------------- parameters
 
 
@@ -80,6 +85,23 @@ def test_hyp2f1_precision_loss_carries_partial():
     with pytest.raises(PrecisionLossError) as exc:
         _kernels.hyp2f1_series(1.0, 1.0, 2.0, 0.9999, maxiter=10)
     assert exc.value.partial is not None and exc.value.partial > 1.0
+
+
+def test_hyp2f1_connection_formula_next_to_one():
+    # u = 1 - z <= 1e-3 with c = a + b: the log form, DLMF 15.8.10
+    mpmath = pytest.importorskip("mpmath")
+    for a, b in ((1.3, 0.7), (0.6, 2.2), (3.0, 2.5), (32.1, 32.1)):
+        for u in (1e-3, 1e-6, 1e-9):
+            with mpmath.workdps(30):
+                want = float(mpmath.hyp2f1(a, b, a + b, 1 - mpmath.mpf(u)))
+            assert hyp2f1(a, b, a + b, 1.0 - u, u) == pytest.approx(want, rel=1e-13)
+
+
+def test_hyp2f1_connection_formula_overflow_is_precision_loss():
+    # Gamma(a + b) of the log form overflows past a + b = 171.6; G3 reaches
+    # it at m2 = 10000 (Delta = 100.5) next to the diagonal
+    with pytest.raises(PrecisionLossError, match="Gamma function overflows"):
+        hyp2f1(100.0, 100.0, 200.0, 1.0 - 1e-4, 1e-4)
 
 
 def test_hyp2f1_domain():
@@ -206,7 +228,7 @@ def test_g_plus_isometry_invariance(tess344_small):
 # -------------------------------------------------- G_plus interpolant
 
 
-@pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0])
+@_masses_on_h2([1e-12, 0.5, 2.0, 6.0, 20.0])
 def test_gplus_interpolant_matches_series(m2):
     mp = ModelParams(m2)
     rho = np.linspace(1e-8, 60.0, 20_001)
@@ -272,7 +294,7 @@ def test_interpolant_self_check_names_the_model(monkeypatch):
 _MASSES = [1e-12, 0.5, 2.0, 6.0, 20.0, 50.0, 80.0, 100.0, 120.0, 140.0, 150.0, 159.0, 200.0]
 
 
-@pytest.mark.parametrize("m2", _MASSES)
+@_masses_on_h2(_MASSES)
 def test_model_params_builds_for_every_supported_mass(m2):
     # the self-check holds at m2 and at every multiple of 0.5 between it
     # and the mass listed before it, so the ids cover 0.5, 1.0, ..., 200
@@ -282,7 +304,7 @@ def test_model_params_builds_for_every_supported_mass(m2):
         assert mp.gplus_interp.max_rel_err <= _kernels.INTERP_RTOL, m
 
 
-@pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0, 159.0])
+@_masses_on_h2([1e-12, 2.0, 20.0, 159.0])
 def test_gplus_tail_piece_continuous_at_its_edge(m2):
     interp = ModelParams(m2).gplus_interp
     s_edge = _kernels._TAIL_PIECE[1]
@@ -576,7 +598,7 @@ def test_gplus_cosh_entry_equals_rho_entry(m2):
     assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("m2", [1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0])
+@_masses_on_h2([1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0])
 def test_gplus_cosh_matches_series(m2):
     mp = ModelParams(m2)
     c = np.cosh(_in_every_piece())

@@ -6,34 +6,44 @@ argument `mp` and reads delta_plus, gamma_plus and gplus_interp from it.
 
 Production path.  `gplus_array` calls `mp.gplus_interp`, the
 `GplusInterpolant` built once per model in `ModelParams.__init__`.  It
-holds e^(Delta rho) G_plus with t = e^(-rho), s = t^2, u = 1 - s in four
-pieces, fitted through 82 nodes:
+holds G_plus in four pieces, with c = cosh rho, t = e^(-rho), s = t^2,
+u = 1 - s and w = 1/c^2, fitted through 82 nodes:
 
-    tail      s in [0, 1e-3]          degree 5 in s      rho >= 3.45
-    far       s in [1e-3, 0.36]       degree 14 in s     0.51 <= rho < 3.45
-    near      t in [0.6, sqrt(0.9)]   degree 60 in t     0.0527 <= rho < 0.51
-    diagonal  u in (0, U_DIAG]        A(u) - B(u) ln u   rho < 0.0527
+    piece     range                   held                        rho
+    tail      s in [0, 1e-3]          c^Delta G, degree 5 in w    rho >= 3.45
+    far       s in [1e-3, 0.36]       e^(Delta rho) G, 14 in s    0.51 <= rho < 3.45
+    near      t in [0.6, sqrt(0.9)]   e^(Delta rho) G, 60 in t    0.0527 <= rho < 0.51
+    diagonal  u in (0, U_DIAG]        A(u) - B(u) ln u            rho < 0.0527
 
-The tail and far pieces are power series in s, evaluated by an in-place
+The tail and far pieces are power series, evaluated by an in-place
 Horner loop; the near piece is a Chebyshev series.  The diagonal piece
 is the reference's own log form, so G_plus keeps its exact
 -ln(rho)/(2 pi) singularity.
 
 Cosh entry.  `GplusInterpolant.from_cosh` evaluates G_plus from
 c = cosh rho, the Lorentz product the image sums compute, without
-arccosh or exp: t = 1/(c + sqrt((c - 1)(c + 1))), s = t^2 and, on the
-diagonal piece, u = 2 t sqrt((c - 1)(c + 1)).  It goes through the same
-pieces as `gplus_array`.
+arccosh or exp: the tail piece is P(w) c^(-Delta), with no square root;
+past it, t = 1/(c + sqrt((c - 1)(c + 1))) and, on the diagonal piece,
+u = 2 t sqrt((c - 1)(c + 1)).  `tail_cosh` and `past_tail_cosh` are its
+two halves, and `__call__(rho)` goes through the same pieces.
 
 Image sums.  `image_sum_block` and `image_sum_self` drop, before they
 scan, every image that no pair of their points can reach (a triangle
 inequality about the points' Lorentz mean, exact for any set of
-images); `image_sum_block` then drops, per column, the images out of
-reach of every row, and a same-set block sums only its pairs i < j and
-mirrors them.  Each call logs at DEBUG on the `hypfield._kernels`
-logger its points, the images passed in, the images kept by the reach
-test, for a block the (pair, image) products scanned after the
-per-column reach, the (pair, image) terms summed and its seconds.
+images), and put first the images that can bring a pair within 3.45,
+the tail piece's edge; `image_sum_block` then drops, per column, the
+images out of reach of every row, and a same-set block sums only its
+pairs i < j and mirrors them.  A column's (rows, images) Lorentz
+products are two BLAS matrix products, one for the leading images and
+one for the rest; each row's sum does not depend on the BLAS thread
+count, which a test checks.  The tail piece's terms are summed per
+column.  The terms past it, which only the leading images give, are
+gathered over the whole call and evaluated together, so the near
+piece's fixed cost of about 0.2 ms is paid once a call, not once a
+column.  Each call logs at DEBUG on the `hypfield._kernels` logger its
+points, the images passed in, the images kept by the reach test, for a
+block the (pair, image) products scanned after the per-column reach,
+the (pair, image) terms summed and its seconds.
 
 Reference and build path.  `gplus_series` computes the node values and
 is the oracle the tests compare the interpolant against:
@@ -57,19 +67,29 @@ _SERIES_MAXITER = 200000
 # the log form loses digits to cancellation as u and Delta grow; at
 # u = 0.1 it holds 1e-14 up to m2 = 1000
 U_DIAG = 0.1
-# interpolant pieces (lo, hi, degree): the tail piece in s = e^(-2 rho),
-# where s = 1e-3 is rho = 3.45, the far and near pieces in t = e^(-rho),
-# where t = 0.6 is rho = 0.51; the far piece is fitted in s = t^2
+# interpolant pieces (lo, hi, degree), each listed in t = e^(-rho) or
+# s = t^2: the tail piece for s <= 1e-3, that is rho >= 3.45, the far and
+# near pieces in t, where t = 0.6 is rho = 0.51; the far piece is fitted
+# in s and the tail piece in w = 1/cosh^2 rho
 _TAIL_PIECE = (0.0, 1e-3, 5)
 _FAR_PIECE = (math.sqrt(_TAIL_PIECE[1]), 0.6, 14)
 _NEAR_PIECE = (0.6, math.sqrt(1.0 - U_DIAG), 60)
-# cosh rho at the tail piece's edge s = e^(-2 rho) = 1e-3
+# cosh rho and w = 1/cosh^2 rho at the tail piece's edge s = e^(-2 rho) = 1e-3
 _TAIL_COSH = 0.5 * (_TAIL_PIECE[1] ** -0.5 + _TAIL_PIECE[1] ** 0.5)
+_TAIL_W = _TAIL_COSH**-2
+_TAIL_RHO = math.acosh(_TAIL_COSH)
+# cosh rho at the far piece's edge t = 0.6, raised by a margin over
+# rounding: every c that `_past_tail` may give the near or diagonal piece
+# lies below it
+_NEAR_COSH = 0.5 * (1.0 / _FAR_PIECE[1] + _FAR_PIECE[1]) * (1.0 + 1e-12)
 INTERP_RTOL = 2e-13
-# values per block of `GplusInterpolant.from_cosh`: 64 KB arrays, so its
-# temporaries stay in cache (on one core, 11 ns a value at 8k-16k values
-# against 29 ns at 128k)
+# values per block of the tail and far pieces: 64 KB arrays, so their
+# temporaries stay in cache (on one core, 11 ns a value at 8k-16k values against
+# 29 ns at 128k)
 _TERM_BLOCK = 8192
+# past-tail terms an image sum gathers before it evaluates them: 1 MB of
+# cosh values and sum indices
+_PAST_TAIL_TERMS = 1 << 16
 
 logger = logging.getLogger(__name__)
 
@@ -132,10 +152,10 @@ def log_case_coef(a, b, umax):
     return bk * (2.0 * digamma(k + 1.0) - digamma(a + k) - digamma(b + k)), bk
 
 
-def _horner(coef, x):
+def _horner(coef, x, out=None):
     """sum_k coef[k] x^k at an array x (two or more coefficients), by an
-    in-place Horner loop."""
-    out = np.multiply(x, coef[-1])
+    in-place Horner loop, into out (a new array if None)."""
+    out = np.multiply(x, coef[-1], out=out)
     out += coef[-2]
     for c in coef[-3::-1]:
         out *= x
@@ -163,22 +183,29 @@ def gplus_series(rho, mp):
 
 
 class GplusInterpolant:
-    """e^(Delta rho) G_plus by four pieces, all rho > 0.
+    """G_plus by four pieces, all rho > 0.
 
-    The function is gamma F(Delta, 1/2; Delta + 1/2; s), analytic in
-    s = t^2 = e^(-2 rho) on [0, 1) but for the log singularity at the
+    e^(Delta rho) G_plus is gamma F(Delta, 1/2; Delta + 1/2; s), analytic
+    in s = t^2 = e^(-2 rho) on [0, 1) but for the log singularity at the
     diagonal s = 1.  Its Taylor coefficients in s are of order one, so
-    polynomials in s hold it to rounding away from the diagonal: the tail
-    piece at degree 5 on s <= 1e-3, where image sums spend almost all
-    their terms, and the far piece at degree 14 on s <= 0.36, both
-    interpolants held as power series and evaluated by `_horner`.  The
-    near piece is a Chebyshev series in t (as a polynomial in s it loses
-    digits next to the diagonal); it ends at u = 1 - s = U_DIAG, where the
-    diagonal piece, `gplus_series`' own log form, takes over.  The node
-    values come from `gplus_series`.  The build compares the interpolant
-    with the series midway between consecutive nodes of each fitted
-    piece and raises PrecisionLossError when the largest relative error
-    exceeds INTERP_RTOL.
+    polynomials in s hold it to rounding away from the diagonal: the far
+    piece at degree 14 on 1e-3 <= s <= 0.36, held as a power series and
+    evaluated by `_horner`.  The near piece is a Chebyshev series in t
+    (as a polynomial in s it loses digits next to the diagonal); it ends
+    at u = 1 - s = U_DIAG, where the diagonal piece, `gplus_series`' own
+    log form, takes over.
+
+    The tail piece, s <= 1e-3, where image sums spend almost all their
+    terms, holds c^Delta G_plus = P(w) in w = 1/c^2, c = cosh rho: by the
+    Legendre Q_(Delta - 1) series in 1/c^2 (DLMF 14.3.7 with the Gauss
+    series), it is analytic in w on [0, 1), and degree 5 holds it to
+    rounding on w <= 1/cosh^2(3.45) = 0.004 up to m2 = 1000.  G_plus is
+    then P(w) c^(-Delta), from c with no square root.
+
+    The node values come from `gplus_series`.  The build compares the
+    interpolant with the series midway between consecutive nodes of each
+    fitted piece and raises PrecisionLossError when the largest relative
+    error exceeds INTERP_RTOL.
 
     `__call__` takes rho; `from_cosh` takes c = cosh rho and reaches the
     same pieces without arccosh or exp.
@@ -187,25 +214,27 @@ class GplusInterpolant:
     def __init__(self, mp):
         self.delta = mp.delta_plus
         self.log_coef = [mp.gamma_plus * c for c in log_case_coef(self.delta, 0.5, U_DIAG)]
-        # each fitted piece's domain in its variable: s = e^(-2 rho) for
-        # the tail and far pieces, t = e^(-rho) for the near piece
+        # each fitted piece's domain in its variable, its degree and its
+        # rho: w = 1/cosh^2 rho for the tail piece, s = e^(-2 rho) for the
+        # far piece, t = e^(-rho) for the near piece
         fits = (
-            (_TAIL_PIECE[:2], _TAIL_PIECE[2], 2.0),
-            ((_TAIL_PIECE[1], _FAR_PIECE[1] ** 2), _FAR_PIECE[2], 2.0),
-            (_NEAR_PIECE[:2], _NEAR_PIECE[2], 1.0),
+            ((0.0, _TAIL_W), _TAIL_PIECE[2], lambda w: np.arccosh(1.0 / np.sqrt(w))),
+            ((_TAIL_PIECE[1], _FAR_PIECE[1] ** 2), _FAR_PIECE[2], lambda s: -np.log(s) / 2.0),
+            (_NEAR_PIECE[:2], _NEAR_PIECE[2], lambda t: -np.log(t)),
         )
         nodes = [
             polyutils.mapdomain(chebyshev.chebpts1(deg + 1), (-1.0, 1.0), dom)
             for dom, deg, _ in fits
         ]
         mids = [0.5 * (x[:-1] + x[1:]) for x in nodes]
-        powers = [p for _, _, p in fits]
         # one series call for every point: its cost is set by the slowest
         # converging point, next to u = U_DIAG, not by the number of points
-        rho = np.concatenate([-np.log(x) / p for x, p in zip(nodes + mids, powers * 2)])
+        rho = np.concatenate([to_rho(x) for x, (_, _, to_rho) in zip(nodes + mids, fits * 2)])
         series = gplus_series(rho, mp)
         self.nodes = sum(len(x) for x in nodes)
+        # c^Delta G_plus at the tail nodes, e^(Delta rho) G_plus at the others
         scaled = series[: self.nodes] * np.exp(self.delta * rho[: self.nodes])
+        scaled[: len(nodes[0])] = series[: len(nodes[0])] * nodes[0] ** (-0.5 * self.delta)
         # a degree-deg fit through deg + 1 points is the interpolant
         tail, far, self.near = (
             Chebyshev.fit(x, y, deg, domain=dom)
@@ -225,8 +254,11 @@ class GplusInterpolant:
             )
 
     def tail(self, s):
-        """The tail piece at an array of s = e^(-2 rho)."""
-        return _horner(self.tail_coef, s)
+        """The tail piece as e^(Delta rho) G_plus, like `far` and `near`, at
+        an array of s = e^(-2 rho): c t = (1 + s)/2 and w = 4 s / (1 + s)^2,
+        so it is P(w) ((1 + s)/2)^(-Delta)."""
+        half = 0.5 * (1.0 + s)
+        return _horner(self.tail_coef, s / (half * half)) * half**-self.delta
 
     def far(self, t):
         """The far piece at t = e^(-rho) (a float or an array)."""
@@ -252,33 +284,66 @@ class GplusInterpolant:
         return out
 
     def __call__(self, rho):
-        """G_plus at an array of distances rho > 0."""
-        t = np.exp(-rho)
-        s = t * t
-        out = self.tail(s)
-        rest = np.flatnonzero(s > _TAIL_PIECE[1])
+        """G_plus at an array of distances rho > 0: the tail piece from
+        c = cosh rho, the other pieces from t = e^(-rho)."""
+        with np.errstate(over="ignore"):  # cosh rho = inf past rho = 710: G_plus 0
+            c = np.cosh(rho)
+        out = self.tail_cosh(c, np.empty_like(c))
+        rest = np.flatnonzero(c < _TAIL_COSH)
         if rest.size:
-            out[rest] = self._past_tail(
-                t[rest], s[rest], lambda sel: -np.expm1(-2.0 * rho[rest[sel]])
-            )
-        out *= t**self.delta
+            t = np.exp(-rho[rest])
+            vals = self._past_tail(t, t * t, lambda sel: -np.expm1(-2.0 * rho[rest[sel]]))
+            out[rest] = vals * t**self.delta
         return out
 
     def from_cosh(self, c):
         """G_plus at an array of c = cosh rho; inf at c <= 1, a coincident point.
 
-        t = 1 / (c + sinh rho), sinh rho = sqrt((c - 1)(c + 1)), and on the
-        diagonal piece u = 1 - t^2 = 2 t sinh rho, which keeps its digits
-        next to c = 1.  The tail piece runs on every point, over blocks
-        of `_TERM_BLOCK` values so that its temporaries stay in cache.
-        The points past it (in an image sum, the few images next to a
-        point) are then overwritten, one call per piece.
+        The tail piece runs on every point (`tail_cosh`); the points past
+        it (in an image sum, the few images next to a point) are then
+        overwritten by `past_tail_cosh`.
+        """
+        out = self.tail_cosh(c, np.empty_like(c))
+        rest = np.flatnonzero(c < _TAIL_COSH)
+        if rest.size:
+            out[rest] = self.past_tail_cosh(c[rest])
+        return out
+
+    def tail_cosh(self, c, out):
+        """The tail piece's G_plus, P(w) c^(-Delta) with w = 1/c^2, at every
+        c = cosh rho, written into out, which may be c itself.
+
+        It runs over blocks of `_TERM_BLOCK` values with two scratch
+        blocks, so that its temporaries stay in cache.  Only the values at
+        c >= cosh 3.45 are G_plus.
+        """
+        w_buf, p_buf = np.empty((2, min(len(c), _TERM_BLOCK)))
+        for lo in range(0, len(c), _TERM_BLOCK):
+            block = c[lo : lo + _TERM_BLOCK]
+            w = np.reciprocal(block, out=w_buf[: len(block)])
+            np.multiply(w, w, out=w)  # (1/c)^2 underflows where c^2 would overflow
+            vals = np.power(block, -self.delta, out=out[lo : lo + _TERM_BLOCK])
+            vals *= _horner(self.tail_coef, w, out=p_buf[: len(block)])
+        return out
+
+    def past_tail_cosh(self, c):
+        """G_plus at an array of c = cosh rho below cosh 3.45 by the far,
+        near and diagonal pieces; inf at c <= 1.
+
+        The far piece runs on every value, over blocks of `_TERM_BLOCK`
+        values as the tail piece does.  The values next to the diagonal,
+        t > 0.6, are then overwritten by the near and diagonal pieces, one
+        call each: the near piece costs about 0.2 ms a call whatever the
+        number of values, so callers gather these values and make few
+        calls.  On the diagonal piece u = 1 - t^2 = 2 t sinh rho, which
+        keeps its digits next to c = 1.
         """
         out = np.empty_like(c)
         for lo in range(0, len(c), _TERM_BLOCK):
             t, _ = _t_sinh(c[lo : lo + _TERM_BLOCK])
-            np.multiply(self.tail(t * t), np.power(t, self.delta, out=t), out=out[lo : lo + _TERM_BLOCK])
-        rest = np.flatnonzero(c < _TAIL_COSH)
+            vals = _horner(self.far_coef, t * t, out=out[lo : lo + _TERM_BLOCK])
+            vals *= t**self.delta
+        rest = np.flatnonzero(c < _NEAR_COSH)
         if rest.size:
             t, sinh = _t_sinh(c[rest])
             with np.errstate(divide="ignore"):  # ln 0 at a coincident point
@@ -321,19 +386,25 @@ def _max_dist(c, pts):
 
 
 def _within_reach(mats, xs, ys, rmax):
-    """The rows of `mats` that can bring some y_j within rmax of some x_i.
+    """The rows of `mats` that can bring some y_j within rmax of some x_i,
+    those that can bring one within the tail piece's edge first: returns
+    (images, near), the first `near` of them the latter.
 
-    Let c be the Lorentz mean of all the points.  If rho(x_i, g y_j) <=
-    rmax then, g being an isometry, rho(c, g c) <= rho(c, x_i) + rmax +
-    rho(y_j, c); so an image g with rho(c, g c) beyond rmax +
+    Let c be the Lorentz mean of all the points.  If rho(x_i, g y_j) <= r
+    then, g being an isometry, rho(c, g c) <= rho(c, x_i) + r +
+    rho(y_j, c); so an image g with rho(c, g c) beyond r +
     max_i rho(c, x_i) + max_j rho(c, y_j) is reached by no pair.  This
-    holds for any set of images.  The 1e-9 slack keeps rounding from
-    dropping an image that lies on the cut.
+    holds for any set of images; r is rmax for the images kept and
+    min(rmax, 3.45) for the leading ones.  The 1e-9 slack keeps rounding
+    from dropping an image that lies on a cut.
     """
     c = normalize(xs.sum(axis=0) + ys.sum(axis=0))
-    reach = rmax + _max_dist(c, xs) + _max_dist(c, ys) + 1e-9
+    spread = _max_dist(c, xs) + _max_dist(c, ys) + 1e-9
     coshes = -(_images(mats, c) @ (c * ETA_DIAG))
-    return mats[coshes <= math.cosh(reach)]
+    kept = coshes <= math.cosh(rmax + spread)
+    near = np.flatnonzero(coshes <= math.cosh(min(rmax, _TAIL_RHO) + spread))
+    kept[near] = False
+    return mats[np.concatenate([near, np.flatnonzero(kept)])], len(near)
 
 
 def _row_sums(vals, counts):
@@ -343,6 +414,35 @@ def _row_sums(vals, counts):
     if hit.any():
         sums[hit] = np.add.reduceat(vals, (np.cumsum(counts) - counts)[hit])
     return sums
+
+
+class _PastTail:
+    """The past-tail terms of an image sum, deferred: their cosh values and
+    the flat index of the sum each belongs to.  `add_to` evaluates them
+    with one `past_tail_cosh` call and adds them to their sums; it runs
+    when `_PAST_TAIL_TERMS` are pending, which bounds the buffer to a few
+    MB, and at the end of the kernel call.  A sum's terms are deferred
+    together, so it gets one addition from here and one of its tail-piece
+    terms, in either order with the same result."""
+
+    def __init__(self, interp, sums):
+        self.interp, self.sums = interp, sums.reshape(-1)
+        self.coshes, self.at, self.pending = [], [], 0
+
+    def defer(self, c, at):
+        """Keep the terms at the cosh values c, of the sums at, for `add_to`."""
+        self.coshes.append(c)
+        self.at.append(at)
+        self.pending += c.size
+        if self.pending >= _PAST_TAIL_TERMS:
+            self.add_to()
+
+    def add_to(self):
+        if not self.pending:
+            return
+        vals = self.interp.past_tail_cosh(np.concatenate(self.coshes))
+        self.sums += np.bincount(np.concatenate(self.at), weights=vals, minlength=len(self.sums))
+        self.coshes, self.at, self.pending = [], [], 0
 
 
 def image_sum_block(xs, ys, mats, rmax, mp):
@@ -356,8 +456,14 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     Then each column j scans only the kept images with rho(c_x, gamma y_j)
     <= rmax + max_i rho(c_x, x_i), c_x the Lorentz mean of the xs.  By
     the triangle inequality neither cut loses a term, for any `mats`.
-    The terms are G_plus of cosh rho (`GplusInterpolant.from_cosh`),
-    summed row by row.
+
+    The terms are G_plus of cosh rho.  Those past the tail piece's edge,
+    rho < 3.45, come from the leading images of `_within_reach` alone.
+    So a column's (rows, images) Lorentz products are two matrix
+    products, with the leading images and with the rest; the past-tail
+    terms are taken out of the first, gathered over the columns and
+    evaluated together (`_PastTail`).  The tail piece's terms are summed
+    row by row per column.
 
     When xs and ys hold the same points, S[i, i] is inf (the identity
     image coincides), only the pairs i < j are summed and S[j, i] is set
@@ -370,32 +476,46 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     same = xs.shape == ys.shape and np.array_equal(xs, ys)
-    kept = _within_reach(mats, xs, ys, rmax)
+    kept, near = _within_reach(mats, xs, ys, rmax)
     cosh_max = math.cosh(rmax)
     cx = normalize(xs.sum(axis=0))
     column_reach = math.cosh(rmax + _max_dist(cx, xs) + 1e-9)
     neg_eta_cx = cx * -ETA_DIAG
     n, m = xs.shape[0], ys.shape[0]
     out = np.zeros((n, m))
+    past_tail = _PastTail(mp.gplus_interp, out)
     neg_eta_x = xs * -ETA_DIAG
     buf = np.empty(n * len(kept))  # the products of every column, reused
     scanned = terms = 0
     for j in range(1 if same else 0, m):  # a same-set j = 0 has no pair i < j
         rows = j if same else n
         imgs = _images(kept, ys[j])
-        imgs = imgs[imgs @ neg_eta_cx <= column_reach]
-        # one matrix-vector product per row: a threaded BLAS runs the
-        # (rows, 3) x (3, K) product an order of magnitude slower
-        coshes = buf[: rows * len(imgs)].reshape(rows, len(imgs))
-        for i in range(rows):
-            np.dot(imgs, neg_eta_x[i], out=coshes[i])
+        reach = imgs @ neg_eta_cx <= column_reach
+        imgs = imgs[reach]  # the leading images stay in front
+        # the products with the k leading images and with the rest, each a
+        # contiguous (rows, images) block of buf
+        k = np.count_nonzero(reach[:near])
+        head, coshes = buf[: rows * k], buf[: rows * len(imgs)]
+        np.matmul(neg_eta_x[:rows], imgs[:k].T, out=head.reshape(rows, k))
+        np.matmul(neg_eta_x[:rows], imgs[k:].T, out=coshes[rows * k :].reshape(rows, -1))
+        past = np.flatnonzero((head < _TAIL_COSH) & (head <= cosh_max))
+        if past.size:
+            past_tail.defer(head[past], past // k * m + j)
+            head[past] = np.inf  # out of the tail piece's cut
         sel = coshes <= cosh_max
-        # the kept terms row after row (np.compress outruns coshes[sel])
-        c = np.compress(sel.ravel(), coshes.ravel())
-        if c.size:
-            out[:rows, j] = _row_sums(mp.gplus_interp.from_cosh(c), np.count_nonzero(sel, axis=1))
+        # the tail piece's terms row after row, first in the head block,
+        # then in the rest (np.compress outruns coshes[sel])
+        t = np.compress(sel, coshes)
+        if t.size:
+            counts = np.concatenate([
+                np.count_nonzero(sel[: rows * k].reshape(rows, k), axis=1),
+                np.count_nonzero(sel[rows * k :].reshape(rows, -1), axis=1),
+            ])
+            sums = _row_sums(mp.gplus_interp.tail_cosh(t, t), counts)
+            out[:rows, j] += sums[:rows] + sums[rows:]
         scanned += coshes.size
-        terms += c.size
+        terms += past.size + t.size
+    past_tail.add_to()
     if same:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]
@@ -414,15 +534,16 @@ def image_sum_self(xs, mats, rmax, mp):
 
     Returns (sums, nearest) where nearest[i] is the smallest included
     image distance (the divergence scale as x approaches a tile side).
-    Images out of reach of every point are dropped first, as in
-    `image_sum_block`.
+    Images out of reach of every point are dropped first, and the terms
+    past the tail piece are evaluated together, as in `image_sum_block`.
     """
     t_start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
-    kept = _within_reach(mats, xs, xs, rmax)
+    kept, near = _within_reach(mats, xs, xs, rmax)
     cosh_max = math.cosh(rmax)
     n = xs.shape[0]
     sums = np.zeros(n)
+    past_tail = _PastTail(mp.gplus_interp, sums)
     nearest = np.full(n, np.inf)
     terms = 0
     for i in range(n):
@@ -431,12 +552,21 @@ def image_sum_self(xs, mats, rmax, mp):
         # identity (and any fixed-point) images: cosh - 1 below the fp noise
         # floor of the Lorentz product, which scales like x3^2
         skip = 1.0 + max(1e-12, 1e-13 * x[2] * x[2])
-        c = coshes[(coshes > skip) & (coshes <= cosh_max)]
-        if not c.size:
-            continue
-        sums[i] = mp.gplus_interp.from_cosh(c).sum()
-        nearest[i] = np.arccosh(c.min())
-        terms += c.size
+        # those images and the terms past the tail piece come from the
+        # leading images alone, and leave the tail piece's cut
+        head = coshes[:near]
+        past = (head < _TAIL_COSH) & (head <= cosh_max)
+        c = head[past & (head > skip)]
+        head[past] = np.inf
+        t = coshes[coshes <= cosh_max]
+        if c.size or t.size:
+            nearest[i] = np.arccosh((c if c.size else t).min())
+        if c.size:
+            past_tail.defer(c, np.full(c.size, i))
+        if t.size:
+            sums[i] += mp.gplus_interp.tail_cosh(t, t).sum()
+        terms += c.size + t.size
+    past_tail.add_to()
     logger.debug(
         "image_sum_self %d points, %d images passed, %d kept by reach, %d terms summed, %.4f s",
         n, len(mats), len(kept), terms, time.perf_counter() - t_start,

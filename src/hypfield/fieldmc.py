@@ -18,16 +18,20 @@ Monte Carlo batches draw from counter-based streams keyed by
 (seed, batch index) and reduce in fixed batch order, so results are
 bit-reproducible regardless of how batches are scheduled.
 
-The reductions over samples (`wick_exp`, `wick_power_estimate`,
-`log_laplace_stable`) stream over blocks of `_BLOCK_ROWS` rows (the
-loops over one value per sample, `_FLAT` times as many) with
-preallocated buffers and in-place ufuncs, so their memory is
-O(n + block * cells) rather than several (n, cells) temporaries.  Each
-row goes through the same elementwise operations as in the whole-array
-formula, so the per-sample values equal it bit for bit for every block
-size.  A row's sum over cells runs in fixed cell order, not through a
-BLAS matrix-vector product, whose summation order depends on where the
-row sits in the array and on the BLAS thread count.
+The samples are cell-major: `sample_fields` returns the (n, cells)
+transpose view of a (cells, n) array, so the values of one cell over a
+block of samples are contiguous.  The reductions over samples
+(`wick_exp`, `wick_power_estimate`, `log_laplace_stable`) stream over
+blocks of `_BLOCK_ROWS` samples (the loops over one value per sample,
+`_FLAT` times as many) with preallocated buffers and in-place ufuncs, so
+their memory is O(n + block * cells) rather than several (n, cells)
+temporaries.  They read a block's cell rows in place and never write
+into the samples: the Wick recurrence takes W_1 = phi as it stands.
+Each sample goes through the same elementwise operations as in the
+whole-array formula, so the per-sample values equal it bit for bit for
+every block size.  A sample's sum over cells runs in fixed cell order,
+not through a BLAS matrix-vector product, whose summation order depends
+on where the sample sits in the array and on the BLAS thread count.
 
 The statistics over samples sum on one fixed tree: consecutive chunks of
 `_CHUNK` samples counted from sample 0, each summed by numpy, then the
@@ -66,8 +70,8 @@ _RIDGES = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # so that importing the module does not load scipy.special.
 SLOPE_BATCHES = 10
 T95 = 1.833112932656237
-# Rows per block of the Monte Carlo reductions; one (cells, block) float
-# buffer is 295 KB at the 9 cells of a resolution-3 tile.
+# Samples per block of the Monte Carlo reductions; one (cells, block)
+# float buffer is 295 KB at the 9 cells of a resolution-3 tile.
 _BLOCK_ROWS = 4096
 # Samples per chunk of the statistics' fixed summation tree; blocks of
 # the reductions that take statistics are rounded up to whole chunks.
@@ -227,14 +231,16 @@ def _factor_with_ridge(c):
 def sample_fields(cov, n, seed, batch_size=8192, threads=None):
     """n covariance-distributed Gaussian vectors, bit-reproducible from seed.
 
-    Returns an (n, cells) array whose row s is sample s.  Each batch b
-    draws from a Philox stream keyed by (seed, b) and the batches land at
-    fixed offsets, so the result is independent of worker count and
-    scheduling.
+    Returns an (n, cells) array whose row s is sample s.  It is the
+    transpose view of a (cells, n) array, so each cell's values are
+    contiguous and the reductions read a block's cell rows in place.
+    Each batch b draws from a Philox stream keyed by (seed, b), takes the
+    (take, cells) @ factor.T product and lands at a fixed offset, so the
+    result is independent of worker count and scheduling.
     """
     t_start = time.perf_counter()
     m = cov.factor.shape[0]
-    out = np.empty((n, m))
+    cells = np.empty((m, n))
     spans = []
     done = 0
     batch = 0
@@ -249,7 +255,7 @@ def sample_fields(cov, n, seed, batch_size=8192, threads=None):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         )
-        out[start : start + take] = rng.standard_normal((take, m)) @ cov.factor.T
+        cells[:, start : start + take] = (rng.standard_normal((take, m)) @ cov.factor.T).T
 
     workers = threads if threads and threads > 1 and len(spans) > 1 else 1
     if workers > 1:
@@ -264,7 +270,7 @@ def sample_fields(cov, n, seed, batch_size=8192, threads=None):
         "sample_fields %d samples x %d cells: %d batches, %d threads, %.3f s",
         n, m, len(spans), workers, time.perf_counter() - t_start,
     )
-    return out
+    return cells.T
 
 
 def _check_alpha(alpha):
@@ -346,15 +352,16 @@ class _ChunkMoments:
         return total, mean, float(self.m2s.sum() + (counts * np.square(dev)).sum())
 
 
-def _weighted_cell_sum(block, wg, out):
+def _weighted_cell_sum(block, wg, out, scratch):
     """out = sum_i wg_i block[i], accumulated over the cells i in order.
 
-    block is (cells, rows) and is overwritten.  The fixed order makes a
-    row's sum independent of the block it sits in.
+    block is (cells, rows); the weighted rows go to `scratch`, a (cells,
+    rows) buffer that may be block itself.  The fixed order makes a row's
+    sum independent of the block it sits in.
     """
-    np.multiply(block[0], wg[0], out=out)
-    for row, w in zip(block[1:], wg[1:]):
-        np.multiply(row, w, out=row)
+    np.multiply(block, wg[:, None], out=scratch)
+    np.copyto(out, scratch[0])
+    for row in scratch[1:]:
         np.add(out, row, out=out)
 
 
@@ -371,7 +378,9 @@ def wick_exp(samples, cov, quad, alpha, g=None):
 def _wick_exp(samples, cov, quad, alpha, g, shift):
     """`wick_exp` of the samples shifted by the per-cell vector `shift`
     (None for no shift), added block by block: each row of samples + shift
-    goes through the same operations as in the whole-array formula."""
+    goes through the same operations as in the whole-array formula.  A
+    block's cells are `samples[start:stop].T`, the cell rows in place
+    for the cell-major samples of `sample_fields`."""
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
     half_var = (0.5 * alpha * alpha * cov.diag)[:, None]
     n, m = samples.shape
@@ -386,7 +395,7 @@ def _wick_exp(samples, cov, quad, alpha, g, shift):
             np.multiply(block, alpha, out=block)
         np.subtract(block, half_var, out=block)
         np.exp(block, out=block)
-        _weighted_cell_sum(block, wg, out[start:stop])
+        _weighted_cell_sum(block, wg, out[start:stop], block)
     return out
 
 
@@ -401,25 +410,40 @@ class WickPowerEstimate:
 
 
 def _wick_power_samples(samples, cov, wg, k):
-    """:phi^k:(g) of every sample, by the Wick recurrence in row blocks."""
+    """:phi^k:(g) of every sample, by the Wick recurrence in row blocks.
+
+    phi is read in place and never written: W_1 is phi itself, the
+    recurrence starts from W_2 = phi^2 - C_ii, and three buffers rotate
+    through the later W_j.
+    """
     n, m = samples.shape
     diag = cov.diag[:, None]
     out = np.empty(n)
-    bufs = [np.empty((m, min(n, _BLOCK_ROWS))) for _ in range(4)]
+    rows = min(n, _BLOCK_ROWS)
+    ones = np.ones((m, rows)) if k == 0 else None  # W_0
+    bufs = [np.empty((m, rows)) for _ in range(3)]
     for start, stop in _row_blocks(n):
-        phi, prev, cur, nxt = (b[:, : stop - start] for b in bufs)
-        np.copyto(phi, samples[start:stop].T)
-        cur.fill(1.0)  # W_0
-        if k >= 1:
-            prev, cur = cur, prev
-            np.copyto(cur, phi)  # W_1
-        for j in range(1, k):
-            # W_{j+1} = phi W_j - j C_ii W_{j-1}
-            np.multiply(phi, cur, out=nxt)
-            np.multiply(prev, j * diag, out=prev)
-            np.subtract(nxt, prev, out=nxt)
-            prev, cur, nxt = cur, nxt, prev
-        _weighted_cell_sum(cur, wg, out[start:stop])
+        width = stop - start
+        phi = samples[start:stop].T
+        if k == 0:
+            cur = ones[:, :width]
+        elif k == 1:
+            cur = phi
+        else:
+            cur, nxt, spare = (b[:, :width] for b in bufs)
+            np.multiply(phi, phi, out=cur)
+            np.subtract(cur, diag, out=cur)  # W_2 = phi W_1 - C_ii W_0
+            prev = phi
+            for j in range(2, k):
+                # W_(j+1) = phi W_j - j C_ii W_(j-1), scaling W_(j-1) in
+                # place once it is a buffer, not phi
+                np.multiply(phi, cur, out=nxt)
+                scaled = spare if prev is phi else prev
+                np.multiply(prev, j * diag, out=scaled)
+                np.subtract(nxt, scaled, out=nxt)
+                prev, cur, nxt = cur, nxt, scaled
+        # W_k is weighted in place when it is a buffer, not phi or W_0
+        _weighted_cell_sum(cur, wg, out[start:stop], cur if k >= 2 else bufs[0][:, :width])
     return out
 
 

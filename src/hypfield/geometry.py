@@ -56,8 +56,11 @@ def normalize(v):
 
 
 def point_at(theta, rho):
-    """The row at geodesic distance rho from the origin in disk direction theta."""
-    return normalize(np.array([math.sinh(rho) * math.cos(theta), math.sinh(rho) * math.sin(theta), math.cosh(rho)]))
+    """The row at geodesic distance rho from the origin in disk direction
+    theta, in closed form: (sinh rho cos theta, sinh rho sin theta, cosh rho)
+    lies on the sheet as it stands, and renormalising it would cancel
+    cosh^2 rho - sinh^2 rho, about e^(2 rho) eps of it."""
+    return np.array([math.sinh(rho) * math.cos(theta), math.sinh(rho) * math.sin(theta), math.cosh(rho)])
 
 
 def dist(a, b):

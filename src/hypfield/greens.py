@@ -81,13 +81,17 @@ def hyp2f1(a, b, c, z, u=None):
     """Gauss hypergeometric function by series, for -1 < z < 1.
 
     u = 1 - z, passed by a caller that knows it to more digits than z.
-    For u <= 1e-3, c = a + b takes the log form of `_kernels.log_case_coef`,
-    the connection formula DLMF 15.8.10 (at a = b = 32.1 it is 4e-7 off at
-    u = 0.03 and 8e-15 at u = 1e-3); PrecisionLossError is raised where its
+    For c = a + b and u <= min(0.03, 1.44 / (a b)), the log form of
+    `_kernels.log_case_coef`, the connection formula DLMF 15.8.10, is
+    taken.  Its terms grow like those of I_0(2 sqrt(a b u)) and cancel,
+    so it loses digits as a b u grows: at a = b = 32.1 it is 2e-15 off at
+    u = 1.1e-3, 2e-13 at 2.4e-3 and 4e-7 at 0.03, while at a = b <= 5 it
+    holds 2e-15 up to u = 0.03.  PrecisionLossError is raised where its
     Gamma(a + b) overflows, past a + b = 171.6.
     Otherwise, for z > 0.75 or z < 0, c = 2b takes the quadratic argument
     transformation, a series in (z / (z - 2))^2 < 1 whose terms are
-    positive for a, b > 0.
+    positive for a, b > 0; next to z = 1 it needs about 1/(4u) terms and
+    loses about 1.2e-16/u to rounding, whatever a and b.
     Every other case sums the plain Gauss series in z.
     """
     if c <= 0 and c == int(c):
@@ -95,7 +99,7 @@ def hyp2f1(a, b, c, z, u=None):
     u = 1.0 - z if u is None else u
     if not (z > -1.0 and u > 0.0):
         raise ValueError("series evaluation requires -1 < z < 1")
-    if abs(c - a - b) < 1e-13 and u <= 1e-3:
+    if abs(c - a - b) < 1e-13 and u <= min(0.03, 1.44 / (a * b)):
         try:
             coef = _kernels.log_case_coef(a, b, u)
         except OverflowError:

@@ -106,7 +106,9 @@ def fundamental_triangle(tp):
 
     len_12 = opposite_side(a1, a2, a3)
     len_13 = opposite_side(a1, a3, a2)
-    vertices = np.stack([point_at(0.0, 0.0), point_at(0.0, len_12), point_at(a1, len_13)])
+    # the vertices lie within 1.1 of the origin, where normalising a row
+    # costs no digits
+    vertices = np.stack([normalize(point_at(*at)) for at in ((0.0, 0.0), (0.0, len_12), (a1, len_13))])
     for got, want in zip(triangle_angles(vertices), (a1, a2, a3)):
         if abs(got - want) > 1e-10:
             raise NotHyperbolicError(f"triangle construction angle off: {got} vs {want}")
@@ -178,8 +180,8 @@ class Tessellation:
         Folds x into the fundamental triangle C: while x lies beyond a
         side j of C by more than the tolerance, it is reflected across
         that side.  Each such side separates x from C, so the folds spell
-        a reduced word of the element w with x in w(C), and `_id_of` finds
-        its id.  The folded point lies on the sides of C within the
+        a reduced word of the element w with x in w(C), and
+        `_id_of_descents` finds its id.  The folded point lies on the sides of C within the
         tolerance of it; then x lies on every tile w u with u in the
         subgroup those sides generate (two tiles across a side, 2m around
         a vertex of angle pi/m), and the smallest enumerated id among
@@ -201,30 +203,40 @@ class Tessellation:
         if not lorentz_dot(x, x) < 0.0:
             raise ChartOverflowError(f"cannot locate {x}: the row is not timelike, <x, x> >= 0")
         tol = slack * max(1.0, float(x[2])) ** 2
-        normals = self.fund_normals * ETA_DIAG
-        refl = self.reflections
-        m = np.eye(3)
+        _, normals_eta, refl = self._letters
+        x0, x1, x2 = x.tolist()
+        word = []
         while True:
-            vals = normals @ x
-            j = int(np.argmax(vals))
+            vals = [a0 * x0 + a1 * x1 + a2 * x2 for a0, a1, a2 in normals_eta]
+            j = max(range(3), key=vals.__getitem__)
             if vals[j] <= tol:
                 break
-            x = refl[j] @ x
-            m = m @ refl[j]
-        on = sorted(int(j) for j in np.argsort(np.abs(vals))[:2] if abs(vals[j]) <= tol)
-        cands = [m]
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = refl[j]
+            x0, x1, x2 = (
+                r00 * x0 + r01 * x1 + r02 * x2,
+                r10 * x0 + r11 * x1 + r12 * x2,
+                r20 * x0 + r21 * x1 + r22 * x2,
+            )
+            word.append(j)
+        on = sorted(j for j in sorted(range(3), key=lambda j: abs(vals[j]))[:2] if abs(vals[j]) <= tol)
+        # the descent vector (c1 eta) m of the element m = R_w1 R_w2 ... the
+        # folds spelled, and those of the candidate elements
+        u = self._c1_eta
+        for j in word:
+            u = self._times(u, j)
+        cands = [u]
         if len(on) == 1:
-            cands.append(m @ refl[on[0]])
+            cands.append(self._times(u, on[0]))
         elif len(on) == 2:
             # the dihedral group of the vertex where sides a and b meet
             a, b = on
             order = {(0, 1): self.params.p, (0, 2): self.params.q, (1, 2): self.params.r}[a, b]
             for first, second in ((a, b), (b, a)):
-                g = m
+                g = u
                 for t in range(order):
-                    g = g @ refl[first if t % 2 == 0 else second]
+                    g = self._times(g, first if t % 2 == 0 else second)
                     cands.append(g)
-        ids = [k for k in map(self._id_of, cands) if k is not None]
+        ids = [k for k in map(self._id_of_descents, cands) if k is not None]
         return min(ids) if ids else None
 
     def neighbors(self, tile_id):
@@ -241,23 +253,61 @@ class Tessellation:
         out[self.parent[1:], self.gen[1:]] = np.arange(1, len(self))
         return out
 
+    @cached_property
+    def _letters(self):
+        """Python floats for the per-letter loops of `locate` and `_id_of`,
+        which numpy's per-call overhead would dominate: the outward normals
+        of C, the same eta-scaled, and the side reflections, as nested
+        tuples."""
+        normals = tuple(tuple(row) for row in self.fund_normals.tolist())
+        normals_eta = tuple(tuple(row) for row in (self.fund_normals * ETA_DIAG).tolist())
+        refl = tuple(tuple(tuple(row) for row in r) for r in self.reflections.tolist())
+        return normals, normals_eta, refl
+
+    @cached_property
+    def _c1_eta(self):
+        return tuple((self.centroids[0] * ETA_DIAG).tolist())
+
+    def _times(self, u, d):
+        """The row vector u @ R[d], in Python floats."""
+        u0, u1, u2 = u
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self._letters[2][d]
+        return (
+            u0 * r00 + u1 * r10 + u2 * r20,
+            u0 * r01 + u1 * r11 + u2 * r21,
+            u0 * r02 + u1 * r12 + u2 * r22,
+        )
+
     def _id_of(self, m):
-        """Tile id of the group element m, or None outside the enumerated ball.
+        """Tile id of the group element m, or None outside the enumerated ball."""
+        return self._id_of_descents(tuple(((self.centroids[0] * ETA_DIAG) @ m).tolist()))
+
+    def _id_of_descents(self, u):
+        """Tile id of the group element m with u = (c1 eta) m, or None.
 
         Peels the canonical word off m by repeated largest-right-descent
         tests, then walks the descent tree from the root along it.  The
-        descent values of m are u n_j with u = (c1 eta) m, and peeling
-        the letter d maps u to u s_d, so the walk carries a 3-vector.
+        descent values of m are u n_j, and peeling the letter d maps u to
+        u s_d, so the walk carries the 3-vector u, in Python floats.  The
+        largest j with u n_j > 0 is the largest right descent (see
+        `_largest_descent`).
         """
+        normals = self._letters[0]
         word = []
-        u = (self.centroids[0] * ETA_DIAG) @ m
-        normals = self.fund_normals.T
-        while (d := int(_largest_descent(u @ normals))) >= 0:
+        while True:
+            u0, u1, u2 = u
+            for d in (2, 1, 0):
+                a0, a1, a2 = normals[d]
+                if u0 * a0 + u1 * a1 + u2 * a2 > 0.0:
+                    break
+            else:
+                break
             word.append(d)
-            u = u @ self.reflections[d]
+            u = self._times(u, d)
+        kids = self._children.data  # a memoryview: indexing it gives Python ints
         k = 0
         for i in reversed(word):
-            k = int(self._children[k, i])
+            k = kids[k, i]
             if k < 0:
                 return None
         return k

@@ -70,6 +70,34 @@ def test_sampling_bit_identical_across_threads(cov_neumann, quad3):
     assert np.array_equal(x1, x2)
 
 
+def _row_major_samples(cov, n, seed, batch_size):
+    """The samples as row-major (take, cells) @ factor.T products, batch by
+    batch from the Philox streams keyed by (seed, batch)."""
+    parts = []
+    for b, start in enumerate(range(0, n, batch_size)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(b,))))
+        parts.append(rng.standard_normal((min(batch_size, n - start), cov.factor.shape[0])) @ cov.factor.T)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_samples_equal_the_row_major_product_and_are_never_written(cov_neumann, quad3, threads):
+    samples = fm.sample_fields(cov_neumann, 1_000, seed=9, batch_size=300, threads=threads)
+    assert samples.shape == (1_000, len(quad3))
+    assert np.array_equal(samples, _row_major_samples(cov_neumann, 1_000, 9, 300))
+    # cell-major: each cell's values are contiguous
+    assert samples.T.flags.c_contiguous
+    kept = samples.copy()
+    # a reduction that writes into the samples raises here
+    samples.flags.writeable = False
+    f = np.random.default_rng(5).normal(scale=0.5, size=len(quad3))
+    fm.wick_exp(samples, cov_neumann, quad3, ALPHA)
+    for k in range(5):
+        fm.wick_power_estimate(samples, cov_neumann, quad3, k)
+    fm.shift_audit(samples, cov_neumann, quad3, ALPHA, f)
+    assert np.array_equal(samples, kept)
+
+
 def _small_run(**changes):
     cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, n_mc=2_000, **changes)
     return fm.triviality_run(cfg)

@@ -288,3 +288,18 @@ def test_triangle_inequality(t1, r1, t2, r2, t3, r3):
 @given(st.floats(0, 2 * math.pi), st.floats(0.01, 2.5))
 def test_halfplane_z_positive(theta, rho):
     assert halfplane_coords(point_at(theta, rho))[0] > 0.0
+
+
+@pytest.mark.parametrize("rho", [10.0, 19.0, 25.0, 40.0])
+def test_point_at_is_the_closed_form_row_at_depth(rho):
+    # the row is on the sheet as it stands; renormalising it cancels
+    # cosh^2 - sinh^2 and was 5.7e-2 off at rho = 18, raised at 19 and
+    # returned a row 99.8% off at 25 and 40
+    theta = 0.3
+    x = point_at(theta, rho)
+    want = np.array([math.sinh(rho) * math.cos(theta), math.sinh(rho) * math.sin(theta), math.cosh(rho)])
+    assert np.array_equal(x, want)
+    assert dist(O, x) == pytest.approx(rho, rel=1e-15)
+    with mpmath.workdps(40):
+        exact = mpmath.cosh(rho)
+        assert abs(mpmath.mpf(x[2]) / exact - 1) <= 2e-16

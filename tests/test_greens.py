@@ -1,6 +1,10 @@
 import logging
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -185,6 +189,21 @@ def test_g_plus_forms_match_legendre_next_to_the_diagonal():
             oracle = np.array([float(_legendre_g(mpmath, mp.delta_plus, r)) for r in rho])
         forms = np.array([g_plus_forms(mp, float(r)) for r in rho])
         assert np.max(np.abs(forms / oracle[:, None] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("m2, tol", [(0.5, 5e-15), (2.0, 5e-15), (1000.0, 2.1e-13)])
+def test_g_plus_forms_keep_their_digits_past_the_log_cut(m2, tol):
+    # u = tanh^2(rho/2) in (1e-3, 0.03): the log form's cut grows as Delta
+    # falls, so light masses stay in it where the quadratic transformation
+    # would lose 1e-13; at m2 = 1000 the cut sits at u = 1.4e-3
+    mpmath = pytest.importorskip("mpmath")
+    u = np.geomspace(1.0001e-3, 0.0299, 25)
+    rho = 2.0 * np.arctanh(np.sqrt(u))
+    mp = ModelParams(m2)
+    with mpmath.workdps(40):
+        oracle = np.array([float(_legendre_g(mpmath, mp.delta_plus, r)) for r in rho])
+    forms = np.array([g_plus_forms(mp, float(r)) for r in rho])
+    assert np.max(np.abs(forms / oracle[:, None] - 1.0)) <= tol
 
 
 def test_g_plus_log_slope_small_rho():
@@ -636,6 +655,77 @@ def test_image_sums_evaluate_tail_and_far_distances_without_chebval(monkeypatch,
     # the patch is live: the near piece still goes through chebval
     with pytest.raises(AssertionError, match="chebval"):
         g_plus(mp2, 0.3)
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib, math, sys
+import numpy as np
+from hypfield import _kernels
+from hypfield.fieldmc import build_quadrature
+from hypfield.greens import ModelParams, NeumannTruncation, sample_tile_points
+from hypfield.tessellation import TriangleParams, generate
+mp = ModelParams(2.0)
+tess = generate(TriangleParams(3, 4, 4), 8.0)
+nt = NeumannTruncation(tess, 6.0, tail_tol=1e-2)
+rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(7,)))
+xs = sample_tile_points(tess, 0, 50, rng)
+ys = sample_tile_points(tess, 0, 50, rng)
+cells = build_quadrature(tess, [0], 3).points
+for block in (
+    _kernels.image_sum_block(xs, ys, nt._mats, 6.0, mp),
+    _kernels.image_sum_block(cells, cells, nt._mats, 6.0, mp),
+):
+    print(hashlib.sha256(block.tobytes()).hexdigest())
+"""
+
+
+def test_image_sums_do_not_depend_on_the_blas_thread_count():
+    # each column's Lorentz products are one BLAS matrix product; the
+    # domination block (50 x 50 points) and the resolution-3 same-set block
+    # must come out byte-equal on one and on two BLAS threads
+    src = str(pathlib.Path(_kernels.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+
+
+def test_leading_images_hold_every_term_past_the_tail_piece(nt6, tess344_big):
+    # a term with rho < 3.45 comes from one of the first `near` images, so
+    # the tail piece never sees it
+    mats, rmax = nt6._mats, nt6.max_orbit_radius
+    cells = build_quadrature(tess344_big, [0], 3).points
+    edge = _edge_points(tess344_big)
+    for xs, ys in ((cells, cells), (edge[1:], cells), (cells[:2], edge), (cells[:1], cells[:1])):
+        kept, near = _kernels._within_reach(mats, xs, ys, rmax)
+        coshes = -np.einsum("ia,kja->ijk", xs * [1.0, 1.0, -1.0], np.einsum("kab,jb->kja", kept, ys))
+        past = coshes < _kernels._TAIL_COSH
+        assert past[:, :, :near].any() and not past[:, :, near:].any()
+
+
+def test_past_tail_terms_are_evaluated_together(monkeypatch, nt6, mp2, tess344_big):
+    # the near piece costs about 0.2 ms a call whatever its size: the terms
+    # past the tail piece are gathered over all columns (points) of a call
+    cells = build_quadrature(tess344_big, [0], 3).points
+    mats, rmax = nt6._mats, nt6.max_orbit_radius
+    interp = mp2.gplus_interp
+    calls = []
+    near = interp.near
+    monkeypatch.setattr(interp, "near", lambda t: calls.append(len(t)) or near(t))
+    block = _kernels.image_sum_block(cells, cells, mats, rmax, mp2)
+    sums, _ = _kernels.image_sum_self(cells, mats, rmax, mp2)
+    assert len(calls) == 2 and min(calls) > 0
+    # evaluating them after every column or point gives the same bits: each
+    # sum takes one addition of its past-tail terms
+    monkeypatch.setattr(_kernels, "_PAST_TAIL_TERMS", 1)
+    assert np.array_equal(_kernels.image_sum_block(cells, cells, mats, rmax, mp2), block)
+    assert np.array_equal(_kernels.image_sum_self(cells, mats, rmax, mp2)[0], sums)
+    assert len(calls) > 4  # the patch is live: one near call per column or point
 
 
 def _kernel_counts(caplog, name):

@@ -545,6 +545,14 @@ def test_locate_matches_scan_on_interior_points(tess344_small, tess344_big):
         assert tess.locate(x) == k == _scan_locate(tess, x)
 
 
+def test_id_of_every_tile_of_the_radius_8_ball(tess344_big):
+    # the tree walk on Python floats gives each group element its own id
+    tess = tess344_big
+    ball = np.flatnonzero(tess.centroid_rho <= 8.0)
+    assert len(ball) == 17_898 and (ball == np.arange(len(ball))).all()
+    assert [tess._id_of(tess.mats[k]) for k in ball] == ball.tolist()
+
+
 def _star(tess, tile_id, sides):
     """The tiles reached from tile_id by crossing the given sides, through
     `neighbors`: the two tiles of a side, the 2m tiles around a vertex."""

@@ -40,7 +40,9 @@ count, which a test checks.  The tail piece's terms are summed per
 column.  The terms past it, which only the leading images give, are
 gathered over the whole call and evaluated together, so the near
 piece's fixed cost of about 0.2 ms is paid once a call, not once a
-column.  Each call logs at DEBUG on the `hypfield._kernels` logger its
+column.  For those next to the diagonal, `image_sum_block` takes
+c - 1 from <x - gamma y, x - gamma y>/2, which keeps the digits that
+c - 1 of the rounded Lorentz product loses.  Each call logs at DEBUG on the `hypfield._kernels` logger its
 points, the images passed in, the images kept by the reach test, for a
 block the (pair, image) products scanned after the per-column reach,
 the (pair, image) terms summed and its seconds.
@@ -326,7 +328,7 @@ class GplusInterpolant:
             vals *= _horner(self.tail_coef, w, out=p_buf[: len(block)])
         return out
 
-    def past_tail_cosh(self, c):
+    def past_tail_cosh(self, c, cm1=None):
         """G_plus at an array of c = cosh rho below cosh 3.45 by the far,
         near and diagonal pieces; inf at c <= 1.
 
@@ -335,8 +337,11 @@ class GplusInterpolant:
         t > 0.6, are then overwritten by the near and diagonal pieces, one
         call each: the near piece costs about 0.2 ms a call whatever the
         number of values, so callers gather these values and make few
-        calls.  On the diagonal piece u = 1 - t^2 = 2 t sinh rho, which
-        keeps its digits next to c = 1.
+        calls.  On the diagonal piece u = 1 - t^2 = 2 t sinh rho.  These
+        two pieces read sinh rho from c - 1, which next to c = 1 has only
+        the digits of the rounded c; cm1, when given, is c - 1 at every
+        value to its own digits (an image sum takes it from
+        <x - gamma y, x - gamma y>/2), and is read instead.
         """
         out = np.empty_like(c)
         for lo in range(0, len(c), _TERM_BLOCK):
@@ -345,17 +350,18 @@ class GplusInterpolant:
             vals *= t**self.delta
         rest = np.flatnonzero(c < _NEAR_COSH)
         if rest.size:
-            t, sinh = _t_sinh(c[rest])
+            t, sinh = _t_sinh(c[rest], None if cm1 is None else cm1[rest])
             with np.errstate(divide="ignore"):  # ln 0 at a coincident point
                 vals = self._past_tail(t, t * t, lambda sel: 2.0 * t[sel] * sinh[sel])
             out[rest] = vals * t**self.delta
         return out
 
 
-def _t_sinh(c):
-    """(t, sinh rho) at an array of c = cosh rho, t = e^(-rho); c below 1
-    (rounding at a coincident point) counts as 1."""
-    sinh = np.subtract(c, 1.0)
+def _t_sinh(c, cm1=None):
+    """(t, sinh rho) at an array of c = cosh rho, t = e^(-rho), from
+    sinh^2 rho = (c - 1)(c + 1), with c - 1 taken from cm1 when given; c
+    below 1 (rounding at a coincident point) counts as 1."""
+    sinh = np.subtract(c, 1.0) if cm1 is None else cm1.copy()
     np.maximum(sinh, 0.0, out=sinh)
     sinh *= c + 1.0
     np.sqrt(sinh, out=sinh)
@@ -417,9 +423,10 @@ def _row_sums(vals, counts):
 
 
 class _PastTail:
-    """The past-tail terms of an image sum, deferred: their cosh values and
-    the flat index of the sum each belongs to.  `add_to` evaluates them
-    with one `past_tail_cosh` call and adds them to their sums; it runs
+    """The past-tail terms of an image sum, deferred: their cosh values c,
+    their c - 1 and the flat index of the sum each belongs to.  `add_to`
+    evaluates them with one `past_tail_cosh` call and adds them to their
+    sums; it runs
     when `_PAST_TAIL_TERMS` are pending, which bounds the buffer to a few
     MB, and at the end of the kernel call.  A sum's terms are deferred
     together, so it gets one addition from here and one of its tail-piece
@@ -427,11 +434,13 @@ class _PastTail:
 
     def __init__(self, interp, sums):
         self.interp, self.sums = interp, sums.reshape(-1)
-        self.coshes, self.at, self.pending = [], [], 0
+        self.coshes, self.cm1s, self.at, self.pending = [], [], [], 0
 
-    def defer(self, c, at):
-        """Keep the terms at the cosh values c, of the sums at, for `add_to`."""
+    def defer(self, c, at, cm1=None):
+        """Keep the terms at the cosh values c, of the sums at, for `add_to`;
+        cm1 as in `past_tail_cosh` (c - 1 when None)."""
         self.coshes.append(c)
+        self.cm1s.append(c - 1.0 if cm1 is None else cm1)
         self.at.append(at)
         self.pending += c.size
         if self.pending >= _PAST_TAIL_TERMS:
@@ -440,9 +449,9 @@ class _PastTail:
     def add_to(self):
         if not self.pending:
             return
-        vals = self.interp.past_tail_cosh(np.concatenate(self.coshes))
+        vals = self.interp.past_tail_cosh(np.concatenate(self.coshes), np.concatenate(self.cm1s))
         self.sums += np.bincount(np.concatenate(self.at), weights=vals, minlength=len(self.sums))
-        self.coshes, self.at, self.pending = [], [], 0
+        self.coshes, self.cm1s, self.at, self.pending = [], [], [], 0
 
 
 def image_sum_block(xs, ys, mats, rmax, mp):
@@ -500,7 +509,16 @@ def image_sum_block(xs, ys, mats, rmax, mp):
         np.matmul(neg_eta_x[:rows], imgs[k:].T, out=coshes[rows * k :].reshape(rows, -1))
         past = np.flatnonzero((head < _TAIL_COSH) & (head <= cosh_max))
         if past.size:
-            past_tail.defer(head[past], past // k * m + j)
+            c = head[past]
+            # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
+            # keeps the digits that c - 1 of the rounded product loses
+            cm1 = c - 1.0
+            close = np.flatnonzero(c < _NEAR_COSH)
+            if close.size:
+                row, img = np.divmod(past[close], k)
+                diff = xs[row] - imgs[img]
+                cm1[close] = 0.5 * lorentz_dot(diff, diff)
+            past_tail.defer(c, past // k * m + j, cm1)
             head[past] = np.inf  # out of the tail piece's cut
         sel = coshes <= cosh_max
         # the tail piece's terms row after row, first in the head block,

@@ -248,7 +248,7 @@ def _cmd_sample_audit(args):
     quad = fm.build_quadrature(tess, [0], args.resolution)
     cov = fm.build_covariance(mp, nt, quad, "neumann")
     samples = fm.sample_fields(cov, args.n, args.seed, threads=args.threads)
-    x = fm.wick_exp(samples, cov, quad, args.alpha)
+    x = fm.wick_exp(samples, cov, quad, args.alpha, threads=args.threads)
     n = len(x)
 
     area = quad.total_weight
@@ -262,7 +262,7 @@ def _cmd_sample_audit(args):
 
     wick_checks = []
     for k in range(1, 5):
-        est = fm.wick_power_estimate(samples, cov, quad, k)
+        est = fm.wick_power_estimate(samples, cov, quad, k, threads=args.threads)
         oracle = float(
             math.factorial(k) * quad.weights @ (cov.matrix**k) @ quad.weights
         )
@@ -274,7 +274,7 @@ def _cmd_sample_audit(args):
 
     rng = np.random.default_rng(args.seed)
     f = rng.normal(scale=0.5, size=len(quad))
-    lhs, rhs = fm.shift_audit(samples, cov, quad, args.alpha, f)
+    lhs, rhs = fm.shift_audit(samples, cov, quad, args.alpha, f, threads=args.threads)
     shift_gap = float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
     positive = bool((x >= 0.0).all())
 
@@ -341,7 +341,9 @@ def _cmd_triviality(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="hypfield", description=__doc__)
     parser.add_argument("--threads", type=int, default=0,
-                        help="MC worker threads (0 = serial; results identical either way)")
+                        help="worker threads of the Monte Carlo sampling and reductions "
+                             "(sample-audit: 0 or 1 serial; triviality: 0 keeps the config's "
+                             "threads, default 1); results are byte-identical for any count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tessellate", help="generate a (p,q,r) tessellation, export CSV/SVG")

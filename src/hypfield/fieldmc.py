@@ -44,10 +44,25 @@ M2 = sum_c M2_c + sum_c n_c (m_c - m)^2 (Chan, Golub & LeVeque, "Algorithms
 for computing the sample variance", Amer. Statist. 37, 1983).
 `wick_power_estimate` has its samples stored, so it takes numpy's mean
 and sums the squared deviations from it on the chunk tree.
+
+Threads.  Every Monte Carlo block loop (the sampling batches, the Wick
+reductions, the squared deviations and the Laplace weights) runs through
+`_map_blocks`, which hands each worker thread one contiguous run of
+blocks; numpy releases the GIL inside the ufuncs and the matrix
+products, so the workers run on separate cores.  Each worker allocates
+its buffers once; the loops over one value per sample divide their
+`_FLAT`-times longer blocks among the workers, so that the buffers
+together stay one serial block.  A block writes only its
+own slice of the output and its own chunk slots, and the chunk tree is
+combined in one thread afterwards, so every result is byte-identical for
+any thread count.  The public functions take `threads`: None means one
+worker per core this process may run on, 1 the plain loop in the
+calling thread.  `triviality_run` passes its config's `threads`.
 """
 
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -71,15 +86,16 @@ _RIDGES = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 SLOPE_BATCHES = 10
 T95 = 1.833112932656237
 # Samples per block of the Monte Carlo reductions; one (cells, block)
-# float buffer is 295 KB at the 9 cells of a resolution-3 tile.
-_BLOCK_ROWS = 4096
+# float buffer is 590 KB at the 9 cells of a resolution-3 tile.  On two
+# workers the Wick loops over 1M samples ran 25% faster than at 4096.
+_BLOCK_ROWS = 8192
 # Samples per chunk of the statistics' fixed summation tree; blocks of
 # the reductions that take statistics are rounded up to whole chunks.
 _CHUNK = 512
 # The 1-D loops over samples (`_sum_sq_dev`, `log_laplace_stable`) hold
 # one value per sample, not one per cell, so they take blocks this many
 # times longer: each block pays about 12 us of ufunc calls and slicing.
-_FLAT = 16
+_FLAT = 8
 
 
 @dataclass
@@ -228,6 +244,47 @@ def _factor_with_ridge(c):
     )
 
 
+def _worker_count(threads, jobs):
+    """Workers for `jobs` independent pieces of work: `threads`, or one
+    per core this process may run on when None; at least 1, at most jobs."""
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
+    return max(1, min(threads, jobs))
+
+
+def _map_blocks(task, spans, threads):
+    """Run the block loops of task on consecutive runs of spans, one run
+    per worker; returns the number of workers.
+
+    task(run) allocates the scratch of a run once and returns the loop
+    over the run's blocks.  It is called in the calling thread, so the
+    scratch comes from that thread's malloc arena, which later
+    allocations reuse; a pool thread's arena would keep it resident.
+    `threads` is as in `_worker_count`, with the spans as the jobs.  One
+    worker runs task(spans)() in the calling thread, with no executor.
+    Otherwise the spans are cut into one contiguous run per worker; the
+    calling thread loops over the first run and a thread pool over the
+    others, since a pool thread's start-up is of the order of a short
+    reduction's work.  A loop's exception is raised here, after every
+    loop ended.
+    """
+    spans = list(spans)
+    workers = _worker_count(threads, len(spans))
+    if workers == 1:
+        task(spans)()
+        return 1
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [len(spans) * w // workers for w in range(workers + 1)]
+    loops = [task(spans[a:b]) for a, b in zip(cuts, cuts[1:])]
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        pending = [pool.submit(loop) for loop in loops[1:]]
+        loops[0]()
+        for future in pending:
+            future.result()
+    return workers
+
+
 def sample_fields(cov, n, seed, batch_size=8192, threads=None):
     """n covariance-distributed Gaussian vectors, bit-reproducible from seed.
 
@@ -236,36 +293,28 @@ def sample_fields(cov, n, seed, batch_size=8192, threads=None):
     contiguous and the reductions read a block's cell rows in place.
     Each batch b draws from a Philox stream keyed by (seed, b), takes the
     (take, cells) @ factor.T product and lands at a fixed offset, so the
-    result is independent of worker count and scheduling.
+    result is independent of worker count and scheduling.  The batches
+    run on `threads` workers (None: one per core; see the module
+    docstring), each drawing and multiplying in its own two (batch_size,
+    cells) buffers, allocated once.
     """
     t_start = time.perf_counter()
     m = cov.factor.shape[0]
     cells = np.empty((m, n))
-    spans = []
-    done = 0
-    batch = 0
-    while done < n:
-        take = min(batch_size, n - done)
-        spans.append((batch, done, take))
-        done += take
-        batch += 1
+    spans = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
 
-    def fill(span):
-        b, start, take = span
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        )
-        cells[:, start : start + take] = (rng.standard_normal((take, m)) @ cov.factor.T).T
+    def task(run):
+        draws, prods = np.empty((2, _widest(run), m))
 
-    workers = threads if threads and threads > 1 and len(spans) > 1 else 1
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+        def loop():
+            for start, stop in run:
+                key = np.random.SeedSequence(entropy=seed, spawn_key=(start // batch_size,))
+                z = np.random.Generator(np.random.Philox(key)).standard_normal(out=draws[: stop - start])
+                cells[:, start:stop] = np.matmul(z, cov.factor.T, out=prods[: stop - start]).T
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+        return loop
+
+    workers = _map_blocks(task, spans, threads)
     logger.info(
         "sample_fields %d samples x %d cells: %d batches, %d threads, %.3f s",
         n, m, len(spans), workers, time.perf_counter() - t_start,
@@ -278,16 +327,31 @@ def _check_alpha(alpha):
         raise ThresholdError(f"|alpha| = {abs(alpha):.4f} >= sqrt(4 pi)")
 
 
-def _block_rows(align, scale=1):
-    """scale * `_BLOCK_ROWS` rounded up to a multiple of align."""
-    return -(-(scale * _BLOCK_ROWS) // align) * align
-
-
 def _row_blocks(n, align=1, scale=1):
-    """(start, stop) of the consecutive `_block_rows(align, scale)`-row blocks of n rows."""
-    rows = _block_rows(align, scale)
-    for start in range(0, n, rows):
-        yield start, min(start + rows, n)
+    """(start, stop) of the consecutive blocks of n rows, each scale *
+    `_BLOCK_ROWS` rows rounded up to a multiple of align but the last."""
+    rows = int(-(-(scale * _BLOCK_ROWS) // align) * align)
+    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _flat_blocks(n, threads):
+    """The blocks of a loop over one value per sample: `_FLAT` times the
+    cell loops' blocks in whole chunks, shared among the workers, so that
+    their buffers together hold about one serial block."""
+    return _row_blocks(n, _CHUNK, _FLAT / _worker_count(threads, -(-n // _CHUNK)))
+
+
+def _widest(run):
+    """Rows of the longest (start, stop) block of a run of consecutive
+    blocks, its first: the size of a task's buffers."""
+    return run[0][1] - run[0][0] if run else 0
+
+
+def _log_blocks(what, n, blocks, workers, t_start):
+    logger.debug(
+        "%s %d samples: %d blocks, %d workers, %.4f s",
+        what, n, len(blocks), workers, time.perf_counter() - t_start,
+    )
 
 
 def _chunk_rows(v):
@@ -300,18 +364,29 @@ def _chunk_rows(v):
     return parts
 
 
-def _sum_sq_dev(v, center):
+def _sum_sq_dev(v, center, threads=None):
     """sum (v - center)^2, block by block over the fixed chunk tree."""
-    sums = np.empty(-(-len(v) // _CHUNK))
-    buf = np.empty(min(len(v), _block_rows(_CHUNK, _FLAT)))
-    for start, stop in _row_blocks(len(v), _CHUNK, _FLAT):
-        dev = buf[: stop - start]
-        np.subtract(v[start:stop], center, out=dev)
-        np.square(dev, out=dev)
-        c = start // _CHUNK
-        for rows in _chunk_rows(dev):
-            np.add.reduce(rows, axis=1, out=sums[c : c + len(rows)])
-            c += len(rows)
+    t_start = time.perf_counter()
+    n = len(v)
+    sums = np.empty(-(-n // _CHUNK))
+    blocks = _flat_blocks(n, threads)
+
+    def task(run):
+        buf = np.empty(_widest(run))
+
+        def loop():
+            for start, stop in run:
+                dev = buf[: stop - start]
+                np.subtract(v[start:stop], center, out=dev)
+                np.square(dev, out=dev)
+                c = start // _CHUNK
+                for rows in _chunk_rows(dev):
+                    np.add.reduce(rows, axis=1, out=sums[c : c + len(rows)])
+                    c += len(rows)
+
+        return loop
+
+    _log_blocks("squared deviations", n, blocks, _map_blocks(task, blocks, threads), t_start)
     return float(sums.sum())
 
 
@@ -319,12 +394,13 @@ class _ChunkMoments:
     """Sum and sum of squared deviations M2 of n values, taken over the
     fixed `_CHUNK`-value chunks counted from value 0 and combined by the
     parallel-axis formula, so they do not depend on how the values
-    arrive in blocks.  Holds two floats per chunk, nothing per value."""
+    arrive in blocks.  Holds three floats per chunk (sum, mean, M2),
+    nothing per value; blocks that record disjoint chunks may be added
+    from different threads."""
 
     def __init__(self, n):
         self.n = n
-        self.sums = np.empty(-(-n // _CHUNK))
-        self.m2s = np.empty_like(self.sums)
+        self.sums, self.means, self.m2s = np.empty((3, -(-n // _CHUNK)))
 
     def add(self, start, block):
         """Record values start, ..., start + len(block) - 1; overwrites block.
@@ -333,23 +409,31 @@ class _ChunkMoments:
         boundary or at value n.
         """
         c = start // _CHUNK
-        for vals in _chunk_rows(block):
-            stop = c + len(vals)
-            sums = self.sums[c:stop]
-            np.add.reduce(vals, axis=1, out=sums)
-            np.subtract(vals, (sums / vals.shape[1])[:, None], out=vals)
+        full = len(block) // _CHUNK
+        if full:
+            vals = block[: full * _CHUNK].reshape(full, _CHUNK)
+            means = self.means[c : c + full]
+            np.divide(np.add.reduce(vals, axis=1, out=self.sums[c : c + full]), _CHUNK, out=means)
+            np.subtract(vals, means[:, None], out=vals)
             np.square(vals, out=vals)
-            np.add.reduce(vals, axis=1, out=self.m2s[c:stop])
-            c = stop
+            np.add.reduce(vals, axis=1, out=self.m2s[c : c + full])
+        tail = block[full * _CHUNK :]
+        if len(tail):  # the short last chunk, by scalars
+            self.sums[c + full] = total = np.add.reduce(tail)
+            self.means[c + full] = mean = total / len(tail)
+            np.square(np.subtract(tail, mean, out=tail), out=tail)
+            self.m2s[c + full] = np.add.reduce(tail)
 
     def result(self):
         """(sum, mean, M2) of all n values."""
-        counts = np.full(len(self.sums), float(_CHUNK))
-        counts[-1] = self.n - _CHUNK * (len(counts) - 1)
-        total = float(self.sums.sum())
+        total = float(np.add.reduce(self.sums))
         mean = total / self.n
-        dev = self.sums / counts - mean
-        return total, mean, float(self.m2s.sum() + (counts * np.square(dev)).sum())
+        # n_c (m_c - m)^2: n_c is _CHUNK but for the last chunk
+        dev = np.subtract(self.means, mean)
+        np.square(dev, out=dev)
+        np.multiply(dev, float(_CHUNK), out=dev)
+        dev[-1] *= (self.n - _CHUNK * (len(dev) - 1)) / _CHUNK
+        return total, mean, float(np.add.reduce(self.m2s) + np.add.reduce(dev))
 
 
 def _weighted_cell_sum(block, wg, out, scratch):
@@ -365,37 +449,47 @@ def _weighted_cell_sum(block, wg, out, scratch):
         np.add(out, row, out=out)
 
 
-def wick_exp(samples, cov, quad, alpha, g=None):
+def wick_exp(samples, cov, quad, alpha, g=None, threads=None):
     """Normal-ordered exponential X = sum_i w_i g_i exp(alpha phi_i - alpha^2 C_ii / 2).
 
     Nonnegative samplewise for g >= 0; E[X] = sum_i w_i g_i exactly.
-    Returns one value per sample.
+    Returns one value per sample, the same for any `threads`.
     """
     _check_alpha(alpha)
-    return _wick_exp(samples, cov, quad, alpha, g, None)
+    return _wick_exp(samples, cov, quad, alpha, g, None, threads)
 
 
-def _wick_exp(samples, cov, quad, alpha, g, shift):
+def _wick_exp(samples, cov, quad, alpha, g, shift, threads):
     """`wick_exp` of the samples shifted by the per-cell vector `shift`
     (None for no shift), added block by block: each row of samples + shift
     goes through the same operations as in the whole-array formula.  A
     block's cells are `samples[start:stop].T`, the cell rows in place
     for the cell-major samples of `sample_fields`."""
+    t_start = time.perf_counter()
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
     half_var = (0.5 * alpha * alpha * cov.diag)[:, None]
     n, m = samples.shape
     out = np.empty(n)
-    buf = np.empty((m, min(n, _BLOCK_ROWS)))
-    for start, stop in _row_blocks(n):
-        block = buf[:, : stop - start]
-        if shift is None:
-            np.multiply(samples[start:stop].T, alpha, out=block)
-        else:
-            np.add(samples[start:stop].T, shift.reshape(-1, 1), out=block)
-            np.multiply(block, alpha, out=block)
-        np.subtract(block, half_var, out=block)
-        np.exp(block, out=block)
-        _weighted_cell_sum(block, wg, out[start:stop], block)
+    blocks = _row_blocks(n)
+
+    def task(run):
+        buf = np.empty((m, _widest(run)))
+
+        def loop():
+            for start, stop in run:
+                block = buf[:, : stop - start]
+                if shift is None:
+                    np.multiply(samples[start:stop].T, alpha, out=block)
+                else:
+                    np.add(samples[start:stop].T, shift.reshape(-1, 1), out=block)
+                    np.multiply(block, alpha, out=block)
+                np.subtract(block, half_var, out=block)
+                np.exp(block, out=block)
+                _weighted_cell_sum(block, wg, out[start:stop], block)
+
+        return loop
+
+    _log_blocks("wick_exp", n, blocks, _map_blocks(task, blocks, threads), t_start)
     return out
 
 
@@ -409,45 +503,55 @@ class WickPowerEstimate:
     second_moment_stderr: float
 
 
-def _wick_power_samples(samples, cov, wg, k):
+def _wick_power_samples(samples, cov, wg, k, threads=None):
     """:phi^k:(g) of every sample, by the Wick recurrence in row blocks.
 
     phi is read in place and never written: W_1 is phi itself, the
     recurrence starts from W_2 = phi^2 - C_ii, and three buffers rotate
     through the later W_j.
     """
+    t_start = time.perf_counter()
     n, m = samples.shape
     diag = cov.diag[:, None]
     out = np.empty(n)
-    rows = min(n, _BLOCK_ROWS)
-    ones = np.ones((m, rows)) if k == 0 else None  # W_0
-    bufs = [np.empty((m, rows)) for _ in range(3)]
-    for start, stop in _row_blocks(n):
-        width = stop - start
-        phi = samples[start:stop].T
-        if k == 0:
-            cur = ones[:, :width]
-        elif k == 1:
-            cur = phi
-        else:
-            cur, nxt, spare = (b[:, :width] for b in bufs)
-            np.multiply(phi, phi, out=cur)
-            np.subtract(cur, diag, out=cur)  # W_2 = phi W_1 - C_ii W_0
-            prev = phi
-            for j in range(2, k):
-                # W_(j+1) = phi W_j - j C_ii W_(j-1), scaling W_(j-1) in
-                # place once it is a buffer, not phi
-                np.multiply(phi, cur, out=nxt)
-                scaled = spare if prev is phi else prev
-                np.multiply(prev, j * diag, out=scaled)
-                np.subtract(nxt, scaled, out=nxt)
-                prev, cur, nxt = cur, nxt, scaled
-        # W_k is weighted in place when it is a buffer, not phi or W_0
-        _weighted_cell_sum(cur, wg, out[start:stop], cur if k >= 2 else bufs[0][:, :width])
+    blocks = _row_blocks(n)
+
+    def task(run):
+        rows = _widest(run)
+        ones = np.ones((m, rows)) if k == 0 else None  # W_0
+        bufs = [np.empty((m, rows)) for _ in range(3)]
+
+        def loop():
+            for start, stop in run:
+                width = stop - start
+                phi = samples[start:stop].T
+                if k == 0:
+                    cur = ones[:, :width]
+                elif k == 1:
+                    cur = phi
+                else:
+                    cur, nxt, spare = (b[:, :width] for b in bufs)
+                    np.multiply(phi, phi, out=cur)
+                    np.subtract(cur, diag, out=cur)  # W_2 = phi W_1 - C_ii W_0
+                    prev = phi
+                    for j in range(2, k):
+                        # W_(j+1) = phi W_j - j C_ii W_(j-1), scaling W_(j-1)
+                        # in place once it is a buffer, not phi
+                        np.multiply(phi, cur, out=nxt)
+                        scaled = spare if prev is phi else prev
+                        np.multiply(prev, j * diag, out=scaled)
+                        np.subtract(nxt, scaled, out=nxt)
+                        prev, cur, nxt = cur, nxt, scaled
+                # W_k is weighted in place when it is a buffer, not phi or W_0
+                _weighted_cell_sum(cur, wg, out[start:stop], cur if k >= 2 else bufs[0][:, :width])
+
+        return loop
+
+    _log_blocks(f"wick power {k}", n, blocks, _map_blocks(task, blocks, threads), t_start)
     return out
 
 
-def wick_power_estimate(samples, cov, quad, k, g=None):
+def wick_power_estimate(samples, cov, quad, k, g=None, threads=None):
     """Monte Carlo moments of the k-th Wick power :phi^k:(g).
 
     The discrete Wick power is C_ii^(k/2) He_k(phi_i / sqrt(C_ii)) with
@@ -461,18 +565,19 @@ def wick_power_estimate(samples, cov, quad, k, g=None):
 
     The moments of w and then of w^2 (squared in place) are numpy's
     mean and the squared deviations from it summed on the fixed chunk
-    tree, so no array beyond w is allocated.
+    tree, so no array beyond w is allocated.  The block loops run on
+    `threads` workers, with the same result for any number.
     """
     if not 0 <= k <= WICK_POWER_CAP:
         raise ValueError(f"need 0 <= k <= {WICK_POWER_CAP} for conditioning")
     wg = quad.weights if g is None else quad.weights * np.asarray(g, dtype=float)
-    w = _wick_power_samples(samples, cov, wg, k)
+    w = _wick_power_samples(samples, cov, wg, k, threads)
     s = len(w)
     mean = float(w.mean())
-    m2 = _sum_sq_dev(w, mean)
+    m2 = _sum_sq_dev(w, mean, threads)
     np.square(w, out=w)
     second = float(w.mean())
-    m2_sq = _sum_sq_dev(w, second)
+    m2_sq = _sum_sq_dev(w, second, threads)
     variance = m2 / (s - 1) if s > 1 else 0.0
     return WickPowerEstimate(
         k=k,
@@ -484,16 +589,16 @@ def wick_power_estimate(samples, cov, quad, k, g=None):
     )
 
 
-def shift_audit(samples, cov, quad, alpha, f, g=None):
+def shift_audit(samples, cov, quad, alpha, f, g=None, threads=None):
     """Both sides of the shift identity
     :exp(alpha(phi + f)):(g) = :exp(alpha phi):(e^(alpha f) g);
     equal to machine precision, exact algebra at the discrete level.
     """
     _check_alpha(alpha)
     f = np.asarray(f, dtype=float)
-    lhs = _wick_exp(samples, cov, quad, alpha, g, f)
+    lhs = _wick_exp(samples, cov, quad, alpha, g, f, threads)
     gmult = np.exp(alpha * f) if g is None else np.exp(alpha * f) * np.asarray(g, dtype=float)
-    rhs = wick_exp(samples, cov, quad, alpha, g=gmult)
+    rhs = wick_exp(samples, cov, quad, alpha, g=gmult, threads=threads)
     return lhs, rhs
 
 
@@ -510,7 +615,7 @@ def _laplace_weights(x, xmin, log_s, out=None):
     return np.exp(out, out=out)
 
 
-def log_laplace_stable(x, log_s):
+def log_laplace_stable(x, log_s, threads=None):
     """(log L(s), stderr of log L, saturated) for possibly huge s = e^log_s.
 
     Shifts by the sample minimum so the estimate stays representable as
@@ -525,33 +630,44 @@ def log_laplace_stable(x, log_s):
     `saturated` marks estimates carried by a handful of samples (weight
     ESS below 10), which the decay fit drops.  The weights and their
     statistics are taken block by block in one pass, on the fixed chunk
-    tree of the module docstring; no (n,) array is allocated.  Logs n,
-    log s, ESS, `saturated` and the time at DEBUG.
+    tree of the module docstring, by `threads` workers; no (n,) array is
+    allocated, and one block is one call in the calling thread.  Logs n,
+    log s, ESS, `saturated`, blocks, workers and the time at DEBUG.
     """
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
     n = len(x)
-    xmin = float(x.min())
+    xmin = float(np.minimum.reduce(x))
     if xmin <= 0.0:
         raise ValueError("Laplace argument must be positive (wick_exp output)")
     lead = log_s + math.log(xmin)
+    blocks, workers = [], 0
     if lead > 700.0:
         result, ess = (-math.inf, math.inf, True), math.nan
     else:
         moments = _ChunkMoments(n)
-        buf = np.empty(min(n, _block_rows(_CHUNK, _FLAT)))
-        with np.errstate(over="ignore"):
-            for start, stop in _row_blocks(n, _CHUNK, _FLAT):
-                block = _laplace_weights(x[start:stop], xmin, log_s, out=buf[: stop - start])
-                moments.add(start, block)
+        blocks = _flat_blocks(n, threads)
+
+        def task(run):
+            buf = np.empty(_widest(run))
+
+            def loop():
+                with np.errstate(over="ignore"):  # numpy's error state is per thread
+                    for start, stop in run:
+                        moments.add(start, _laplace_weights(x[start:stop], xmin, log_s, out=buf[: stop - start]))
+
+            return loop
+
+        workers = _map_blocks(task, blocks, threads)
         total, mean_w, m2 = moments.result()
         log_l = -math.exp(lead) + math.log(mean_w)
         se = math.sqrt(m2 / (n - 1)) / (mean_w * math.sqrt(n)) if n > 1 else 0.0
         ess = total**2 / (m2 + n * mean_w**2)
         result = (log_l, se, bool(ess < 10.0))
     logger.debug(
-        "log_laplace_stable %d samples at log s = %.6g: ESS %.4g, saturated %s, %.4f s",
-        n, log_s, ess, result[2], time.perf_counter() - t_start,
+        "log_laplace_stable %d samples at log s = %.6g: ESS %.4g, saturated %s, "
+        "%d blocks, %d workers, %.4f s",
+        n, log_s, ess, result[2], len(blocks), workers, time.perf_counter() - t_start,
     )
     return result
 
@@ -569,8 +685,8 @@ def z_ratio(mp, quad, alpha, lam, h, n, seed, threads=None):
 
     The numerator shifts the field by H_plus h through the exact shift
     identity, so both estimators share every sample and most of the
-    variance cancels in the ratio.  `threads` goes to `sample_fields`,
-    whose samples do not depend on it.
+    variance cancels in the ratio.  `threads` goes to `sample_fields`
+    and `wick_exp`, whose results do not depend on it.
     """
     _check_alpha(alpha)
     if lam < 0:
@@ -583,8 +699,8 @@ def z_ratio(mp, quad, alpha, lam, h, n, seed, threads=None):
         f = np.zeros(len(quad))
     else:
         f = bd.h_plus_at_points(mp, h, quad.points)
-    v0 = lam * wick_exp(samples, cov, quad, alpha)
-    vh = lam * wick_exp(samples, cov, quad, alpha, g=np.exp(alpha * f))
+    v0 = lam * wick_exp(samples, cov, quad, alpha, threads=threads)
+    vh = lam * wick_exp(samples, cov, quad, alpha, g=np.exp(alpha * f), threads=threads)
     a = np.exp(-vh)
     b = np.exp(-v0)
     am, bm = a.mean(), b.mean()
@@ -702,6 +818,8 @@ def triviality_run(cfg):
     involves the continuum mass mu(X_1 = 0), which has no finite-mesh
     counterpart; the run certifies the bound-chain decay itself and
     reports the Laplace plateau at the largest k as the empirical proxy.
+    Every Monte Carlo loop runs on `cfg.threads` workers; at 1 (the
+    default) no thread pool is started.
     """
     if cfg.lam <= 0:
         raise ConfigurationError("triviality run needs lambda > 0")
@@ -723,7 +841,7 @@ def triviality_run(cfg):
     # The Laplace variable is the per-tile Neumann exponential ordered by
     # its own covariance: E[X_1] equals the tile area exactly, so Jensen
     # pins the h = 0 control terms at >= 0 and no decay gets certified.
-    x1 = wick_exp(samples, cov, quad, cfg.alpha)
+    x1 = wick_exp(samples, cov, quad, cfg.alpha, threads=cfg.threads)
     area = tess.tile_area
 
     ids = conical_sequence(tess, cfg.p_angle, tess.centroids[0], cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
@@ -738,7 +856,7 @@ def triviality_run(cfg):
 
     records = []
     log_lam = math.log(cfg.lam)
-    laplace = [log_laplace_stable(x1, log_lam + lk) for lk in log_ks]
+    laplace = [log_laplace_stable(x1, log_lam + lk, threads=cfg.threads) for lk in log_ks]
     terms = [ll + cfg.lam * area for ll, _, _ in laplace]
     ses = [se for _, se, _ in laplace]
     sat_flags = [sat for _, _, sat in laplace]
@@ -762,7 +880,7 @@ def triviality_run(cfg):
         raise ConfigurationError("too few unsaturated U(q) points to fit a decay rate")
     fit_qs = [r.q for r in fit]
     eps_hat = _fit_decay(fit_qs, [r.u for r in fit])
-    eps_se = _slope_se_by_batches(x1, log_ks, log_lam, cfg.lam * area, fit_qs)
+    eps_se = _slope_se_by_batches(x1, log_ks, log_lam, cfg.lam * area, fit_qs, threads=cfg.threads)
     ci95_low = eps_hat - T95 * eps_se  # one-sided 95%
     plateau = laplace[-1][0]
 
@@ -809,7 +927,7 @@ def _fit_decay(qs, us):
     return -float(slope)
 
 
-def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=SLOPE_BATCHES):
+def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=SLOPE_BATCHES, threads=None):
     """Standard error of the fitted decay rate by sample batching.
 
     The U(q) points share one sample set and are nested partial sums, so
@@ -822,10 +940,10 @@ def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=SLOPE
         return float("inf")
     slopes = []
     for b in range(n_batches):
-        xb = x1[b::n_batches]
+        xb = np.ascontiguousarray(x1[b::n_batches])  # one copy for its len(log_ks) calls
         terms = []
         for lk in log_ks:
-            ll, _, _ = log_laplace_stable(xb, log_lam + lk)
+            ll, _, _ = log_laplace_stable(xb, log_lam + lk, threads=threads)
             terms.append(ll + area_term)
         us = [float(sum(terms[:qi])) for qi in fit_qs]
         if not all(math.isfinite(u) for u in us):

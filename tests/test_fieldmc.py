@@ -3,6 +3,8 @@ import json
 import logging
 import math
 import pathlib
+import re
+import sys
 import tracemalloc
 import warnings
 
@@ -431,6 +433,88 @@ def test_z_ratio_samples_on_the_threads_it_is_given(caplog, mp2, tess344_big):
             results[threads] = fm.z_ratio(mp2, quad, ALPHA, 0.1, h, 20_000, seed=3, threads=threads)
         assert f"3 batches, {threads} threads" in caplog.text
     assert results[2] == results[1]
+
+
+# --- the thread count changes no result ------------------------------------
+
+# three blocks of 4096 samples and a part of one, and fewer samples than a block
+N_THREADED = (3 * 4096 + 777, 1_000)
+
+
+def _mc_results(samples, cov, quad, g, f, threads):
+    """Every Monte Carlo reduction of the samples, on `threads` workers."""
+    x = fm.wick_exp(samples, cov, quad, ALPHA, g=g, threads=threads)
+    wick = [fm.wick_power_estimate(samples, cov, quad, k, g=g, threads=threads) for k in range(5)]
+    lhs, rhs = fm.shift_audit(samples, cov, quad, ALPHA, f, g=g, threads=threads)
+    # lead = log s + log x_min below 700, past it (no weights), and on
+    # x * 1e-6 below it with s = e^712 past the largest float
+    log_xmin = math.log(float(x.min()))
+    laplace = [fm.log_laplace_stable(x, log_s, threads=threads) for log_s in (-6.0, 0.0, 6.0, 700.5 - log_xmin)]
+    tiny = x * 1e-6
+    assert 712.0 + math.log(float(tiny.min())) < 700.0
+    laplace.append(fm.log_laplace_stable(tiny, 712.0, threads=threads))
+    return x, wick, lhs, rhs, laplace
+
+
+@pytest.mark.parametrize("rows", [None, 1024])
+@pytest.mark.parametrize("n", N_THREADED)
+def test_reductions_do_not_depend_on_thread_count(monkeypatch, caplog, cov_neumann, quad3, cell_g, n, rows):
+    # at 1024-row blocks every loop over 13,065 samples has three blocks or more
+    if rows is not None:
+        monkeypatch.setattr(fm, "_BLOCK_ROWS", rows)
+    samples = fm.sample_fields(cov_neumann, n, seed=21, batch_size=1_000, threads=1)
+    samples.flags.writeable = False
+    f = np.random.default_rng(22).normal(scale=0.5, size=len(quad3))
+    x, wick, lhs, rhs, laplace = _mc_results(samples, cov_neumann, quad3, cell_g, f, 1)
+    for threads in (2, 3):
+        caplog.clear()
+        # a short switch interval interleaves the workers' Python steps finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = fm.sample_fields(cov_neumann, n, seed=21, batch_size=1_000, threads=threads)
+            with caplog.at_level(logging.DEBUG, logger="hypfield.fieldmc"):
+                x_t, wick_t, lhs_t, rhs_t, laplace_t = _mc_results(samples, cov_neumann, quad3, cell_g, f, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, samples)
+        assert np.array_equal(x_t, x)
+        assert wick_t == wick
+        assert np.array_equal(lhs_t, lhs) and np.array_equal(rhs_t, rhs)
+        assert laplace_t == laplace
+        # each loop ran on as many workers as it had blocks, up to `threads`
+        loops = [re.search(r"(\d+) blocks, (\d+) workers", r.getMessage()) for r in caplog.records]
+        counts = [(int(m[1]), int(m[2])) for m in loops if m]
+        assert len(counts) == 1 + 5 * 3 + 2 + 5
+        assert all(workers == min(blocks, threads) for blocks, workers in counts)
+        if rows is not None and n > rows * threads:
+            assert all(workers == threads for blocks, workers in counts if blocks)
+
+
+def test_decay_at_one_thread_starts_no_executor(monkeypatch):
+    import concurrent.futures
+
+    pool_class = concurrent.futures.ThreadPoolExecutor
+    started = []
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a run at threads=1 started a thread pool")
+
+    class Counted(pool_class):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
+    serial = fm.triviality_run(dataclasses.replace(cfg, threads=1)).to_json_dict()
+    # 20,000 samples: three sampling batches and three Wick blocks, so
+    # threads=2 sends work to a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    pooled = fm.triviality_run(dataclasses.replace(cfg, threads=2)).to_json_dict()
+    assert started
+    assert {**pooled, "config": {**pooled["config"], "threads": 1}} == serial
 
 
 def test_decay_matches_golden_seeds():

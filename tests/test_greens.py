@@ -630,6 +630,34 @@ def test_gplus_cosh_matches_series(m2):
         assert np.isinf(mp.gplus_interp.from_cosh(np.array([1.0, 1.0 - 2.0**-53, 5.0]))[:2]).all()
 
 
+def test_near_diagonal_terms_keep_their_digits(mp2, tess344_small):
+    # the identity terms of the domination block's pairs, seeds 0-2: on the
+    # diagonal piece (rho < 0.0527) c - 1 comes from <x - y, x - y>/2, not
+    # from the rounded Lorentz product, which left them up to 1.6e-12 off
+    mpmath = pytest.importorskip("mpmath")
+    eye = np.eye(3)[None]
+    checked = 0
+    for seed in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+        xs = sample_tile_points(tess344_small, 0, 50, rng)
+        ys = sample_tile_points(tess344_small, 0, 50, rng)
+        block = _kernels.image_sum_block(xs, ys, eye, 6.0, mp2)
+        c = -lorentz_dot(xs[:, None, :], ys[None, :, :])
+        for i, j in zip(*np.nonzero(c < math.cosh(-0.5 * math.log1p(-_kernels.U_DIAG)))):
+            with mpmath.workdps(40):
+                x, y = ([mpmath.mpf(float(v)) for v in row] for row in (xs[i], ys[j]))
+
+                def dot(a, b):
+                    return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
+
+                # the rows normalised onto the sheet, then Q_(Delta-1)(cosh rho) / (2 pi)
+                cosh = -dot(x, y) / mpmath.sqrt(dot(x, x) * dot(y, y))
+                want = float((mpmath.legenq(mp2.delta_plus - 1, 0, cosh, type=3) / (2 * mpmath.pi)).real)
+            assert abs(block[i, j] / want - 1.0) <= 1e-14, (seed, i, j)
+            checked += 1
+    assert checked >= 20
+
+
 def test_image_sums_evaluate_tail_and_far_distances_without_chebval(monkeypatch, nt6, mp2, tess344_big):
     from numpy.polynomial import Chebyshev, chebyshev
 

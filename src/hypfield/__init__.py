@@ -3,12 +3,14 @@ functions, the bulk-to-boundary propagator, and Monte Carlo estimation of
 Wick-ordered exponential interactions, up to the decay experiment for the
 boundary generating functional.
 
-Importing any hypfield module loads numpy and no scipy module.  Each
-scipy module loads in the function that uses it:
+Importing any hypfield module loads numpy and no scipy module, and the
+chain loads none either: ``greens.ModelParams``, the image sums,
+``h_plus``, ``h_plus_forms``, ``k_table``, the audits and
+``fieldmc.triviality_run`` on a bump source.  Each scipy module loads in
+the function that uses it:
 
-- ``scipy.special`` (``digamma``) at the first ``greens.ModelParams``;
-- ``scipy.integrate`` (``quad``) in ``boundary.h_plus_forms``,
-  ``greens.gk_norm`` and ``greens.exp_kernel_integral``;
+- ``scipy.integrate`` (``quad``) in ``greens.gk_norm`` and
+  ``greens.exp_kernel_integral``;
 - ``scipy.interpolate`` (``CubicSpline``) for a tabulated
   ``boundary.BoundarySource``;
 - the top-level ``scipy`` package for the version field of the run

@@ -40,18 +40,21 @@ count, which a test checks.  The tail piece's terms are summed per
 column.  The terms past it, which only the leading images give, are
 gathered over the whole call and evaluated together, so the near
 piece's fixed cost of about 0.2 ms is paid once a call, not once a
-column.  For those next to the diagonal, `image_sum_block` takes
-c - 1 from <x - gamma y, x - gamma y>/2, which keeps the digits that
-c - 1 of the rounded Lorentz product loses.  Each call logs at DEBUG on the `hypfield._kernels` logger its
-points, the images passed in, the images kept by the reach test, for a
-block the (pair, image) products scanned after the per-column reach,
-the (pair, image) terms summed and its seconds.
+column.  For those next to the diagonal, both kernels take c - 1 from
+<x - gamma y, x - gamma y>/2, which keeps the digits that c - 1 of the
+rounded Lorentz product loses.  Each call logs at DEBUG on the
+`hypfield._kernels` logger its points, the images passed in, the
+images kept by the reach test, for a block the (pair, image) products
+scanned after the per-column reach, the (pair, image) terms summed and
+its seconds.
 
 Reference and build path.  `gplus_series` computes the node values and
 is the oracle the tests compare the interpolant against:
 G_plus = gamma t^Delta F(Delta, 1/2; Delta + 1/2; s), by the Gauss
 series, every term positive, where u > U_DIAG, and by the c = a + b log
-form of `log_case_coef` (DLMF 15.8.10) where u <= U_DIAG.
+form of `log_case_coef` (DLMF 15.8.10) where u <= U_DIAG.  Its psi
+terms come from their recurrence in k, started from the package's own
+digamma (`_digamma`), so building a model loads no scipy module.
 """
 
 import logging
@@ -61,11 +64,19 @@ import time
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial, chebyshev, polyutils
 
-from .errors import PrecisionLossError
+from .errors import PoleError, PrecisionLossError
 from .geometry import ETA_DIAG, lorentz_dot, normalize
 
 _SERIES_TOL = 5e-16
 _SERIES_MAXITER = 200000
+# Euler's constant, -psi(1), and ln 16, each as the sum of two floats;
+# B_2k / (2k) for k = 1..7, the asymptotic series of psi, and the x from
+# which it is held to rounding (its next term, B_16 / (16 x^16), is
+# 2.4e-20 at x = 16)
+_EULER_GAMMA = (0.5772156649015329, -4.942915152430645e-18)
+_LN16 = (2.772588722239781, 9.276187255385198e-17)
+_PSI_ASYMPTOTIC = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_PSI_ASYMPTOTIC_MIN = 16.0
 # the log form loses digits to cancellation as u and Delta grow; at
 # u = 0.1 it holds 1e-14 up to m2 = 1000
 U_DIAG = 0.1
@@ -137,21 +148,66 @@ def _series_vec(a, b, c, z):
     return sw.reshape(z.shape)
 
 
+def _digamma(x):
+    """psi(x) = Gamma'(x) / Gamma(x) at a real x, to about 3e-16
+    absolute where |psi| < 1 and relative above; PoleError at x = 0, -1,
+    -2, ...
+
+    For 0 < x < 16 the recurrence psi(x) = psi(y) - sum_(j<n) 1/(x + j)
+    lifts x to y = x + n in [16, 17), where the asymptotic series
+    ln y - 1/(2y) - sum_(k=1..7) B_2k / (2k y^2k) (DLMF 5.11.2) is held to
+    rounding.  y is carried with the rounding error e of x + n, and
+    ln(y + e) as ln 16 + ln(1 + (y - 16)/16) + e/y, with ln 16 in two
+    parts; the shift and these terms go into one `math.fsum`, so psi keeps
+    its digits next to its zero at x = 1.46.  For x <= 0 the reflection
+    psi(x) = psi(1 - x) - pi cot(pi x) (DLMF 5.5.4).
+    """
+    x = float(x)
+    if x <= 0.0:
+        if x == math.floor(x):
+            raise PoleError(f"psi has a pole at x = {x!r}")
+        # cot(pi x) has period 1: reduce x to [-1/2, 1/2] first
+        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
+    n = max(0, math.ceil(_PSI_ASYMPTOTIC_MIN - x))
+    terms = [-1.0 / (x + j) for j in range(n)]
+    y = x + n
+    if n:
+        # y + e = x + n exactly (two-sum)
+        back = y - x
+        e = (x - (y - back)) + (n - back)
+        terms += [*_LN16, math.log1p((y - 16.0) / 16.0), e / y]
+    else:
+        terms.append(math.log(y))
+    inv2 = 1.0 / (y * y)
+    series = 0.0
+    for b in reversed(_PSI_ASYMPTOTIC):
+        series = (series + b) * inv2
+    return math.fsum(terms + [-0.5 / y, -series])
+
+
 def log_case_coef(a, b, umax):
     """Power series (A, B), lowest power first, with F(a, b; a+b; 1-u) = A(u) - B(u) ln u.
 
-    DLMF 15.8.10: B_k = P c_k and A_k = B_k (2 psi(k+1) - psi(a+k) - psi(b+k)), with
-    c_k = (a)_k (b)_k / (k!)^2 and P = Gamma(a+b) / (Gamma(a) Gamma(b)), until c_k umax^k <= 1e-17.
+    DLMF 15.8.10: B_k = P c_k and A_k = B_k D_k, with c_k = (a)_k (b)_k / (k!)^2,
+    P = Gamma(a+b) / (Gamma(a) Gamma(b)) and D_k = 2 psi(k+1) - psi(a+k) - psi(b+k),
+    until |c_k| umax^k <= 1e-17.  D_k comes from its recurrence
+    D_(k+1) = D_k + 2/(k+1) - 1/(a+k) - 1/(b+k), started at
+    D_0 = 2 psi(1) - psi(a) - psi(b) (`_digamma`): each D_k is the
+    `math.fsum` of D_0's terms and of the first k steps, so it never
+    subtracts psi values of size ln k and rounds once.  PoleError when a or
+    b is 0, -1, -2, ...
     """
-    from scipy.special import digamma
-
     c = [1.0]
-    while c[-1] * umax ** (len(c) - 1) > 1e-17:
+    while abs(c[-1]) * umax ** (len(c) - 1) > 1e-17:
         k = len(c) - 1
         c.append(c[-1] * (a + k) * (b + k) / (k + 1.0) ** 2)
-    k = np.arange(len(c), dtype=float)
+    parts = [-2.0 * _EULER_GAMMA[0], -2.0 * _EULER_GAMMA[1], -_digamma(a), -_digamma(b)]
+    head = len(parts)
+    k = np.arange(len(c) - 1, dtype=float)
+    parts += (2.0 / (k + 1.0) - 1.0 / (a + k) - 1.0 / (b + k)).tolist()
+    d = np.array([math.fsum(parts[: head + j]) for j in range(len(c))])
     bk = math.gamma(a + b) / (math.gamma(a) * math.gamma(b)) * np.array(c)
-    return bk * (2.0 * digamma(k + 1.0) - digamma(a + k) - digamma(b + k)), bk
+    return bk * d, bk
 
 
 def _horner(coef, x, out=None):
@@ -552,8 +608,9 @@ def image_sum_self(xs, mats, rmax, mp):
 
     Returns (sums, nearest) where nearest[i] is the smallest included
     image distance (the divergence scale as x approaches a tile side).
-    Images out of reach of every point are dropped first, and the terms
-    past the tail piece are evaluated together, as in `image_sum_block`.
+    Images out of reach of every point are dropped first, the terms past
+    the tail piece are evaluated together, and those next to the diagonal
+    take c - 1 from <x - gamma x, x - gamma x>/2, as in `image_sum_block`.
     """
     t_start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
@@ -566,7 +623,8 @@ def image_sum_self(xs, mats, rmax, mp):
     terms = 0
     for i in range(n):
         x = xs[i]
-        coshes = -(_images(kept, x) @ (x * ETA_DIAG))
+        imgs = _images(kept, x)
+        coshes = -(imgs @ (x * ETA_DIAG))
         # identity (and any fixed-point) images: cosh - 1 below the fp noise
         # floor of the Lorentz product, which scales like x3^2
         skip = 1.0 + max(1e-12, 1e-13 * x[2] * x[2])
@@ -574,13 +632,22 @@ def image_sum_self(xs, mats, rmax, mp):
         # leading images alone, and leave the tail piece's cut
         head = coshes[:near]
         past = (head < _TAIL_COSH) & (head <= cosh_max)
-        c = head[past & (head > skip)]
+        take = np.flatnonzero(past & (head > skip))
+        c = head[take]
         head[past] = np.inf
         t = coshes[coshes <= cosh_max]
-        if c.size or t.size:
-            nearest[i] = np.arccosh((c if c.size else t).min())
         if c.size:
-            past_tail.defer(c, np.full(c.size, i))
+            # next to the diagonal, c - 1 = <x - gamma x, x - gamma x>/2, as
+            # in `image_sum_block`; rho = 2 asinh(sqrt((c - 1)/2))
+            cm1 = c - 1.0
+            close = np.flatnonzero(c < _NEAR_COSH)
+            if close.size:
+                diff = x - imgs[take[close]]
+                cm1[close] = 0.5 * lorentz_dot(diff, diff)
+            nearest[i] = 2.0 * math.asinh(math.sqrt(max(cm1.min(), 0.0) / 2.0))
+            past_tail.defer(c, np.full(c.size, i), cm1)
+        elif t.size:
+            nearest[i] = np.arccosh(t.min())
         if t.size:
             sums[i] += mp.gplus_interp.tail_cosh(t, t).sum()
         terms += c.size + t.size

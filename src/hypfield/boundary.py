@@ -15,14 +15,15 @@ turning the kernel peak into a smooth cos^(2 Delta - 2) profile on
 (-pi/2, pi/2), and integrates many points in one batched, globally
 adaptive Gauss-Legendre pass in numpy (QUADPACK-style bisection,
 Piessens et al. 1983).  Each point starts from the theta-image of the
-support of h, split at theta = 0; panels are held as offsets from the
+support of h, split at theta = 0 and, for a tabulated source, at the
+spline's knots; panels are held as offsets from the
 pole theta = +-pi/2 on their side, where supports far from zeta
 collapse.  A panel is accepted when a 16-node rule and the same rule on
 its two halves agree to 1e-13 of the point's value; the rest are
 bisected, and only they are evaluated again.
 
-The audit route `h_plus_forms` integrates the raw kernel over beta with
-`scipy.integrate.quad`, independently of the production evaluator.
+The audit route `h_plus_forms` integrates the raw kernel over beta by
+a tanh-sinh rule in numpy, independently of the production evaluator.
 """
 
 import logging
@@ -47,6 +48,14 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _RTOL = 1e-13
 _MAX_ROUNDS = 40
 _MAX_PANELS = 2048
+# The direct route of `h_plus_forms`: the tanh-sinh rule on t in
+# [-_TS_T, _TS_T], where q = e^(-pi sinh t) falls to 3e-23 of the
+# interval, the agreement of two successive levels of a piece relative
+# to the sum of the pieces' magnitudes, and the levels (steps 1/2 to
+# 1/1024) before a piece counts as failed.
+_TS_T = 3.5
+_TS_RTOL = 1e-13
+_TS_LEVELS = 10
 
 
 class BoundarySource:
@@ -157,11 +166,20 @@ def h_plus(mp, h, z, zeta):
     return float(out) if out.ndim == 0 else out
 
 
+def _wrapped(beta):
+    """Boundary angles reduced to [-pi, pi)."""
+    return (beta + math.pi) % _TWO_PI - math.pi
+
+
 def _support_etas(h):
-    """The support of h on the boundary line as (eta_lo, eta_hi) intervals."""
+    """The support of h on the boundary line as (eta_lo, eta_hi) intervals;
+    a tabulated source's, the whole line, is cut at the spline's knots,
+    where it is only C^2."""
     if h.kind != "bump":
-        return ((-math.inf, math.inf),)
-    b0 = (h.beta0 + math.pi) % _TWO_PI - math.pi
+        betas = _wrapped(h._spline.x)
+        ends = [-math.inf, *np.unique(np.tan(betas[np.abs(betas) < math.pi] / 2.0)), math.inf]
+        return tuple(zip(ends[:-1], ends[1:]))
+    b0 = _wrapped(h.beta0)
     b1 = b0 + (h.beta1 - h.beta0)
     eta0, eta1 = math.tan(b0 / 2.0), math.tan(b1 / 2.0)
     if b1 <= math.pi:
@@ -177,7 +195,8 @@ def _start_panels(h, z, zeta):
     +-pi/2, where tan(theta) blows up, keeps full relative precision.
     The panels are the theta-image of the support of h, split at
     theta = 0: one interval per side, or two when a bump's support wraps
-    past beta = pi (eta = infinity, theta = +-pi/2).
+    past beta = pi (eta = infinity, theta = +-pi/2), and one per side of
+    each interval between a tabulated source's knots.
     """
     idx = np.arange(z.size)
     pidx, side, lo, hi = [], [], [], []
@@ -259,31 +278,97 @@ def _h_plus_batch(mp, h, z, zeta):
     )
 
 
+def _direct_pieces(h, peak):
+    """(lo, hi) rows of the beta intervals of the direct route: the support
+    of h in [-pi, pi] (a bump that wraps past beta = pi gives two), cut at
+    the kernel's peak and, for a tabulated source, at the spline's knots,
+    where it is only C^2."""
+    if h.kind == "bump":
+        b0 = _wrapped(h.beta0)
+        b1 = b0 + (h.beta1 - h.beta0)
+        spans = [(b0, b1)] if b1 <= math.pi else [(b0, math.pi), (-math.pi, b1 - _TWO_PI)]
+        cuts = [peak]
+    else:
+        spans = [(-math.pi, math.pi)]
+        cuts = [peak, *_wrapped(h._spline.x)]
+    rows = []
+    for lo, hi in spans:
+        ends = [lo, *sorted({c for c in cuts if lo < c < hi}), hi]
+        rows += zip(ends[:-1], ends[1:])
+    return np.array(rows)
+
+
+def _tanh_sinh_nodes(level):
+    """Nodes t of the tanh-sinh rule at step 2^-(level + 1) on [-_TS_T, _TS_T]:
+    every node at level 0, the odd multiples of the step after it.  Returns
+    (upper, offset, weight), the last two per unit interval length: on
+    [a, b] the node is b - offset where upper (t >= 0) and a + offset
+    elsewhere, with offset = q / (1 + q), q = e^(-pi sinh |t|), and
+    dx/dt = pi cosh t q / (1 + q)^2, so a node next to an end keeps its
+    distance to that end."""
+    step = 0.5 ** (level + 1)
+    if level == 0:
+        t = np.arange(-_TS_T, _TS_T + step / 2, step)
+    else:
+        t = np.arange(-_TS_T + step, _TS_T, 2.0 * step)
+    q = np.exp(-math.pi * np.sinh(np.abs(t)))
+    return t >= 0.0, q / (1.0 + q), math.pi * np.cosh(t) * q / (1.0 + q) ** 2
+
+
 def h_plus_forms(mp, h, z, zeta):
     """(direct kernel integral, substituted form) for the agreement audit.
 
-    The direct route integrates the raw kernel over the boundary angle
-    with the tan(beta/2) change of variables; the substituted route is
-    the production evaluator.
+    The direct route integrates the raw kernel over the boundary angle,
+
+        Int z^Delta / (z^2 + (zeta - eta)^2)^Delta h(beta) (1 + eta^2)/2 dbeta,  eta = tan(beta/2),
+
+    on the support of h, cut at the kernel's peak beta_p = 2 atan(zeta)
+    and, for a tabulated source, at the spline's knots.  Each piece takes
+    the tanh-sinh rule (Takahasi & Mori 1974) with its nodes held as
+    offsets from the nearer end, and every node of a level is evaluated
+    at once.  eta - zeta is taken as
+    sin((beta - beta_p)/2) / (cos(beta/2) cos(beta_p/2)) from the node's
+    offset, so it keeps its digits next to the peak, where the kernel's
+    width is z.  The step is halved from 1/2 until two successive levels
+    of a piece agree to 1e-13 of the sum of the pieces' magnitudes; a
+    piece unconverged after 10 levels raises PrecisionLossError naming z,
+    zeta and m2.
+
+    The route is independent of the production evaluator `h_plus` on
+    every count: the variable (beta, not theta), the rule (double
+    exponential, not Gauss-Legendre panels), the cuts and the convergence
+    test.  The substituted route is `h_plus` itself.
     """
-    from scipy import integrate
-
-    dp = mp.delta_plus
-
-    def direct_integrand(beta):
-        eta = math.tan(beta / 2.0)
-        sec2 = 1.0 + eta * eta
-        kern = z**dp / (z * z + (zeta - eta) ** 2) ** dp
-        return kern * float(h(np.array([beta]))[0]) * 0.5 * sec2
-
-    if h.kind == "bump" and h.beta1 <= math.pi:
-        lo, hi = h.beta0, h.beta1
-    else:
-        lo, hi = -math.pi + 1e-12, math.pi - 1e-12
     peak = 2.0 * math.atan(zeta)
-    pts = [peak] if lo < peak < hi else None
-    direct, _ = integrate.quad(direct_integrand, lo, hi, points=pts, limit=300)
-    return direct, h_plus(mp, h, z, zeta)
+    cos_peak = 1.0 / math.sqrt(1.0 + zeta * zeta)
+    ends = _direct_pieces(h, peak)
+    width = ends[:, 1] - ends[:, 0]
+    total = np.zeros(len(ends))
+    live = np.arange(len(ends))
+    for level in range(_TS_LEVELS):
+        upper, offset, weight = _tanh_sinh_nodes(level)
+        near = ends[live][:, upper.astype(int)]  # each node's nearer end
+        shift = np.where(upper, -1.0, 1.0) * (width[live, None] * offset)
+        beta = near + shift
+        eta = np.tan(beta / 2.0)
+        # eta - zeta from beta - beta_p, which is the bare shift on a piece
+        # that ends at the peak
+        gap = np.sin(((near - peak) + shift) / 2.0) / (np.cos(beta / 2.0) * cos_peak)
+        # z^Delta / (z^2 + gap^2)^Delta, with no power that can overflow
+        kern = (z / (z * z + gap * gap)) ** mp.delta_plus
+        f = kern * h(beta.ravel()).reshape(beta.shape) * (0.5 + 0.5 * eta * eta)
+        step = 0.5 ** (level + 1)
+        prev = total[live]
+        total[live] = step * width[live] * (f @ weight) + (0.5 * prev if level else 0.0)
+        if level:
+            done = np.abs(total[live] - prev) <= _TS_RTOL * np.abs(total).sum()
+            live = live[~done]
+            if not live.size:
+                return float(total.sum()), h_plus(mp, h, z, zeta)
+    raise PrecisionLossError(
+        f"direct H_plus quadrature did not converge within {_TS_LEVELS} levels "
+        f"at z={z!r}, zeta={zeta!r}, m2={mp.m2!r}"
+    )
 
 
 def h_plus_at_points(mp, h, points):

@@ -56,6 +56,10 @@ class PrecisionLossError(HypfieldError):
         self.partial = partial
 
 
+class PoleError(HypfieldError):
+    """A special function was evaluated at one of its poles."""
+
+
 class ThresholdError(HypfieldError):
     """|alpha| >= sqrt(4*pi): the exponential interaction is not defined."""
 

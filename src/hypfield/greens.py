@@ -87,7 +87,8 @@ def hyp2f1(a, b, c, z, u=None):
     so it loses digits as a b u grows: at a = b = 32.1 it is 2e-15 off at
     u = 1.1e-3, 2e-13 at 2.4e-3 and 4e-7 at 0.03, while at a = b <= 5 it
     holds 2e-15 up to u = 0.03.  PrecisionLossError is raised where its
-    Gamma(a + b) overflows, past a + b = 171.6.
+    Gamma(a + b) overflows, past a + b = 171.6, and PoleError where a or b
+    is 0, -1, -2, ..., a pole of psi.
     Otherwise, for z > 0.75 or z < 0, c = 2b takes the quadratic argument
     transformation, a series in (z / (z - 2))^2 < 1 whose terms are
     positive for a, b > 0; next to z = 1 it needs about 1/(4u) terms and
@@ -318,28 +319,26 @@ def neumann_symmetry_audit(mp, nt, side_index=0, t0=0.2, k=10):
     fixed_mats = np.ascontiguousarray(tess.mats[sel])
     big = 500.0  # effectively untruncated for the fixed-subset flavor
 
-    def f_orbit(t):
-        src = xv if t < 0 else xref
-        return float(
-            _kernels.image_sum_block(
-                src[None, :], geodesic_point(t)[None, :], nt._mats, nt.max_orbit_radius, mp
-            )[0, 0]
-        )
-
-    def f_fixed(t):
-        src = xv if t < 0 else xref
-        return float(
-            _kernels.image_sum_block(
-                src[None, :], geodesic_point(t)[None, :], fixed_mats, big, mp
-            )[0, 0]
-        )
-
     ts = np.linspace(t0 / k, t0, k)
-    even_orbit = max(abs(f_orbit(t) - f_orbit(-t)) for t in ts)
-    even_fixed = max(abs(f_fixed(t) - f_fixed(-t)) for t in ts)
-    dt = t0 / k
-    fp_orbit = (f_orbit(dt) - f_orbit(-dt)) / (2.0 * dt)
-    fp_fixed = (f_fixed(dt) - f_fixed(-dt)) / (2.0 * dt)
+    minus = np.stack([geodesic_point(-t) for t in ts])
+    plus = np.stack([geodesic_point(t) for t in ts])
+
+    def profile(mats, rmax):
+        """(f(-t), f(+t)) at every t of ts: one image-sum row from x over
+        the points at -t, one from its reflection over those at +t."""
+        return [
+            _kernels.image_sum_block(src[None, :], pts, mats, rmax, mp)[0]
+            for src, pts in ((xv, minus), (xref, plus))
+        ]
+
+    f_minus, f_plus = profile(nt._mats, nt.max_orbit_radius)
+    fixed_minus, fixed_plus = profile(fixed_mats, big)
+    even_orbit = float(np.abs(f_plus - f_minus).max())
+    even_fixed = float(np.abs(fixed_plus - fixed_minus).max())
+    # f'(0) by the central difference over +-ts[0] = +-t0/k
+    dt = ts[0]
+    fp_orbit = float((f_plus[0] - f_minus[0]) / (2.0 * dt))
+    fp_fixed = float((fixed_plus[0] - fixed_minus[0]) / (2.0 * dt))
     return {
         "audit_name": "neumann_symmetry",
         "params": {

@@ -78,13 +78,20 @@ def test_h_plus_uniform_massless_limit():
 
 
 def test_h_plus_two_forms_agree(mp2):
-    h = BoundarySource.bump(B0, B1)
-    worst = 0.0
-    for z in np.geomspace(0.02, 1.0, 5):
-        for zeta in np.linspace(0.0, 1.0, 4):
-            direct, subst = h_plus_forms(mp2, h, float(z), float(zeta))
-            worst = max(worst, abs(direct - subst) / max(abs(direct), 1e-300))
-    assert worst < 1e-8
+    # the direct route and h_plus, for a bump and a tabulated source, at
+    # m2 = 2 and at a light, a heavier and a heavy mass
+    angles = np.linspace(-math.pi, math.pi, 33)
+    values = np.random.default_rng(2).uniform(0.1, 1.0, 33)
+    values[-1] = values[0]
+    sources = (BoundarySource.bump(B0, B1), BoundarySource.tabulated(angles, values))
+    for mp in (mp2, ModelParams(0.5), ModelParams(6.0), ModelParams(30.0)):
+        for h in sources:
+            worst = 0.0
+            for z in np.geomspace(0.02, 1.0, 5):
+                for zeta in np.linspace(0.0, 1.0, 4):
+                    direct, subst = h_plus_forms(mp, h, float(z), float(zeta))
+                    worst = max(worst, abs(direct - subst) / max(abs(direct), 1e-300))
+            assert worst < 1e-12, (mp.m2, h.kind)
 
 
 def test_h_plus_linearity(mp2):
@@ -282,6 +289,25 @@ def test_h_plus_matches_mpmath(mp2, name):
             ref = _mp_h_plus(mp2, h, z, zeta, breaks)
             worst = max(worst, abs(h_plus(mp2, h, z, zeta) - ref) / abs(ref))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_h_plus_forms_direct_route_matches_mpmath(mp2, name):
+    # the audit's own route, beta by tanh-sinh, against the 30-digit theta form
+    h, ends, breaks = SOURCES[name]
+    worst = 0.0
+    for z in (1e-3, 0.1, 2.0):
+        for zeta in _zetas(ends):
+            ref = _mp_h_plus(mp2, h, z, zeta, breaks)
+            worst = max(worst, abs(h_plus_forms(mp2, h, z, zeta)[0] - ref) / abs(ref))
+    assert worst <= 1e-14
+
+
+def test_h_plus_forms_level_cap_raises(mp2, monkeypatch):
+    monkeypatch.setattr(bd, "_TS_LEVELS", 2)
+    h = BoundarySource.bump(B0, B1)
+    with pytest.raises(PrecisionLossError, match=r"2 levels at z=0\.0024, zeta=0\.569, m2=2\.0"):
+        h_plus_forms(mp2, h, 2.4e-3, 0.569)
 
 
 def test_h_plus_array_equals_scalar_calls(mp2):

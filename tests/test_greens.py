@@ -13,6 +13,7 @@ import pytest
 from hypfield.errors import (
     DiagonalSingularityError,
     NearSingularWarning,
+    PoleError,
     PrecisionLossError,
     ThresholdError,
     TruncationError,
@@ -106,6 +107,66 @@ def test_hyp2f1_connection_formula_overflow_is_precision_loss():
     # it at m2 = 10000 (Delta = 100.5) next to the diagonal
     with pytest.raises(PrecisionLossError, match="Gamma function overflows"):
         hyp2f1(100.0, 100.0, 200.0, 1.0 - 1e-4, 1e-4)
+
+
+def test_hyp2f1_connection_formula_with_negative_parameters():
+    # a, b < 0 with c = a + b takes the log form; psi(a) and psi(b) come
+    # from the reflection formula
+    mpmath = pytest.importorskip("mpmath")
+    for a, b in ((-0.3, -0.6), (-2.7, -0.2)):
+        for u in (1e-3, 1e-6, 1e-9):
+            with mpmath.workdps(30):
+                want = float(mpmath.hyp2f1(a, b, a + b, 1 - mpmath.mpf(u)))
+            assert hyp2f1(a, b, a + b, 1.0 - u, u) == pytest.approx(want, rel=1e-13)
+    # psi has a pole at a = -1: a typed error, not NaN
+    with pytest.raises(PoleError, match=r"pole at x = -1\.0"):
+        hyp2f1(-1.0, -0.5, -1.5, 1.0 - 1e-3, 1e-3)
+
+
+def test_digamma_matches_mpmath():
+    # within 1e-15: absolute where |psi| < 1 (psi has a zero at x = 1.46),
+    # relative above; a grid over (0, 40], the zero, and negative x
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.linspace(0.01, 40.0, 2000), [1e-8, 1.4616321449683623, 15.999, 16.0, -2.3, -0.5]])
+    with mpmath.workdps(40):
+        want = [mpmath.digamma(mpmath.mpf(float(x))) for x in xs]
+        err = [abs(_kernels._digamma(x) - w) / max(1, abs(w)) for x, w in zip(xs, want)]
+    assert float(max(err)) <= 1e-15
+    for pole in (0.0, -3.0):
+        with pytest.raises(PoleError, match="pole"):
+            _kernels._digamma(pole)
+
+
+def _log_case_coef_error(a, b, umax):
+    """Largest relative error of the coefficients A_k and B_k of
+    `log_case_coef` against DLMF 15.8.10 at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    coef_a, coef_b = _kernels.log_case_coef(a, b, umax)
+    worst = 0.0
+    with mpmath.workdps(40):
+        am, bm = mpmath.mpf(a), mpmath.mpf(b)
+        p = mpmath.gamma(am + bm) / (mpmath.gamma(am) * mpmath.gamma(bm))
+        for k, (got_a, got_b) in enumerate(zip(coef_a, coef_b)):
+            want_b = p * mpmath.rf(am, k) * mpmath.rf(bm, k) / mpmath.factorial(k) ** 2
+            want_a = want_b * (2 * mpmath.digamma(k + 1) - mpmath.digamma(am + k) - mpmath.digamma(bm + k))
+            worst = max(worst, float(abs(got_a / want_a - 1)), float(abs(got_b / want_b - 1)))
+    return worst
+
+
+@pytest.mark.parametrize("m2, tol", [(0.5, 1e-14), (2.0, 1e-14), (6.0, 2e-15), (30.0, 2e-15), (1000.0, 2e-15)])
+def test_log_case_coef_matches_mpmath(m2, tol):
+    # the (Delta, 1/2) coefficients of G_plus's diagonal piece; at light
+    # masses D_k = A_k / B_k falls to 0.008 by k = 17 (m2 = 0.5), so a
+    # fixed absolute error in D_0 is a larger relative one there
+    assert _log_case_coef_error(ModelParams(m2).delta_plus, 0.5, _kernels.U_DIAG) <= tol
+
+
+@pytest.mark.parametrize("m2", [0.5, 2.0, 6.0, 140.0, 1000.0])
+def test_log_case_coef_matches_mpmath_for_the_closed_forms(m2):
+    # the (Delta, Delta) coefficients `g_plus_forms` takes through hyp2f1,
+    # out to the largest u of its log form, min(0.03, 1.44 / Delta^2)
+    delta = ModelParams(m2).delta_plus
+    assert _log_case_coef_error(delta, delta, min(0.03, 1.44 / delta**2)) <= 2e-15
 
 
 def test_hyp2f1_domain():
@@ -472,12 +533,20 @@ def test_two_element_group_exact_evenness(mp2, tess344_small):
 
 
 def _image_distances(mats, x, y, rmax, skip_identity=False):
-    """Per-image oracle: distances rho(x, g y) <= rmax, one matrix at a time."""
+    """Per-image oracle: distances rho(x, g y) <= rmax, one matrix at a time.
+
+    Below rho = 1.3 rho comes from <x - g y, x - g y> = 4 sinh^2(rho/2),
+    which keeps the digits that acosh of the rounded Lorentz product loses
+    next to the diagonal.
+    """
     out = []
     for k, g in enumerate(mats):
         if skip_identity and k == 0:
             continue
         rho = math.acosh(max(-float(lorentz_dot(x, g @ y)), 1.0))
+        if rho < 1.3:
+            diff = x - g @ y
+            rho = 2.0 * math.asinh(math.sqrt(max(float(lorentz_dot(diff, diff)), 0.0)) / 2.0)
         if rho <= rmax:
             out.append(rho)
     return np.array(out)
@@ -656,6 +725,35 @@ def test_near_diagonal_terms_keep_their_digits(mp2, tess344_small):
             assert abs(block[i, j] / want - 1.0) <= 1e-14, (seed, i, j)
             checked += 1
     assert checked >= 20
+
+
+def test_self_sums_next_to_a_side_keep_their_digits(mp2, tess344_small):
+    # points of tile 0 whose nearest image lies on the diagonal piece
+    # (rho < 0.0527): every image within 0.1, on the rows the kernel sums
+    # over (x and its rounded images g x, normalised onto the sheet), against
+    # Q_(Delta-1)(cosh rho) / (2 pi) at 40 digits; c - 1 of the rounded
+    # Lorentz product left these sums up to 1.4e-9 off
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    xs = sample_tile_points(tess344_small, 0, 400, rng)
+    mats = tess344_small.mats
+    sums, nearest = _kernels.image_sum_self(xs, mats, 0.1, mp2)
+    close = np.flatnonzero(nearest < 0.0527)
+    assert len(close) >= 50
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
+
+    for i in close:
+        with mpmath.workdps(40):
+            x = [mpmath.mpf(float(v)) for v in xs[i]]
+            want = 0
+            for g in mats[1:]:
+                y = [mpmath.mpf(float(v)) for v in g @ xs[i]]
+                cosh = -dot(x, y) / mpmath.sqrt(dot(x, x) * dot(y, y))
+                if cosh <= mpmath.cosh(0.1):
+                    want += (mpmath.legenq(mp2.delta_plus - 1, 0, cosh, type=3) / (2 * mpmath.pi)).real
+        assert abs(sums[i] / float(want) - 1.0) <= 1e-14, i
 
 
 def test_image_sums_evaluate_tail_and_far_distances_without_chebval(monkeypatch, nt6, mp2, tess344_big):

@@ -10,7 +10,8 @@ No unused imports: every name an import binds in a module of src/ or
 tests/ is read somewhere in that module's code.
 
 The import contract: importing any hypfield module loads numpy and no
-scipy module; each scipy module loads in the function that uses it.
+scipy module; each scipy module loads in the function that uses it, and
+the chain's paths load none.
 """
 
 import ast
@@ -105,16 +106,41 @@ _IMPORT_PROBE = textwrap.dedent("""
     print(loaded())
 """)
 
+# the chain's paths: the library's boundary and symmetry audits, then a
+# small decay run at the cone_c the benchmark uses
+_CHAIN_PROBE = textwrap.dedent("""
+    import dataclasses, math, sys
+    from hypfield import boundary as bd, fieldmc as fm, greens, tessellation as ts
+    from hypfield.geometry import Sector
+
+    mp = greens.ModelParams(2.0)
+    h = bd.BoundarySource.bump(math.pi / 6, math.pi / 3)
+    bd.h_plus_forms(mp, h, 0.3, 0.5)
+    tess = ts.generate(ts.TriangleParams(3, 4, 4), 7.5)
+    bd.k_table(mp, h, 1.0, tess, [0, 1, 2])
+    bd.sector_lower_bound_audit(mp, h, Sector(0.5, 0.6, 0.9), 20)
+    greens.neumann_symmetry_audit(mp, greens.NeumannTruncation(tess, 4.0, tail_tol=1.0))
+    fm.triviality_run(dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, n_mc=2000))
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+
+
+def _fresh_interpreter(script):
+    """stdout lines of `script` run by a new interpreter on the package in src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+
 
 def test_importing_hypfield_loads_no_scipy():
     # a fresh interpreter: this one has scipy loaded already
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
+    out = _fresh_interpreter(_IMPORT_PROBE)
     assert ast.literal_eval(out[0]) == []
-    # a d = 2 model loads digamma's scipy.special, and nothing heavier
-    after_model = ast.literal_eval(out[1])
-    for heavy in ("scipy.integrate", "scipy.interpolate", "scipy.optimize"):
-        assert heavy not in after_model
+    # nor does building a model (its psi values are the package's own)
+    assert ast.literal_eval(out[1]) == []
+
+
+def test_the_chain_loads_no_scipy():
+    assert ast.literal_eval(_fresh_interpreter(_CHAIN_PROBE)[-1]) == []

@@ -37,16 +37,40 @@ pairs i < j and mirrors them.  A column's (rows, images) Lorentz
 products are two BLAS matrix products, one for the leading images and
 one for the rest; each row's sum does not depend on the BLAS thread
 count, which a test checks.  The tail piece's terms are summed per
-column.  The terms past it, which only the leading images give, are
-gathered over the whole call and evaluated together, so the near
-piece's fixed cost of about 0.2 ms is paid once a call, not once a
-column.  For those next to the diagonal, both kernels take c - 1 from
+column, and evaluated for a group of columns (points) of at least
+`_TERM_BLOCK` products at a time.  The terms past it, which only the
+leading images give, are gathered over a worker's columns, up to
+`_PAST_TAIL_TERMS` at a time, and evaluated together, so the near
+piece's fixed cost of about 0.2 ms is paid a few times a call, not once
+a column.  For those next to the diagonal, both kernels take c - 1 from
 <x - gamma y, x - gamma y>/2, which keeps the digits that c - 1 of the
-rounded Lorentz product loses.  Each call logs at DEBUG on the
-`hypfield._kernels` logger its points, the images passed in, the
-images kept by the reach test, for a block the (pair, image) products
-scanned after the per-column reach, the (pair, image) terms summed and
-its seconds.
+rounded Lorentz product loses.  Each call logs at DEBUG on the `hypfield._kernels` logger its
+points, the images passed in, the images kept by the reach test, for a
+block the (pair, image) products scanned after the per-column reach,
+the (pair, image) terms summed, its workers and its seconds.
+
+Threads.  `_map_blocks` runs block loops on `threads` workers, for the
+image sums here and for the Monte Carlo layer in `fieldmc`: None means
+one worker per core this process may run on, 1 the plain loop in the
+calling thread, with no executor.  numpy releases the interpreter lock
+inside its ufuncs and matrix products, so the workers run on separate
+cores.  `image_sum_block` cuts its columns into contiguous runs of
+about equal pair count (a same-set column j has j pairs),
+`image_sum_self` its points into runs of equal length.  Each run has
+its own partial sums, its own `_PastTail` and its own buffers, all made
+in the calling thread, so that no pool thread's malloc arena keeps them
+resident; the partial sums go into the result after every loop has
+ended.  A loop whose steps average less work than `_POOL_MIN_PRODUCTS`
+products a column or `_POOL_MIN_IMAGES` images a point stays on one
+worker, where the lock's hand-offs would cost more than a second core
+saves.  The result is byte-identical for any number of
+workers: a column's products come from the same matrix products in any
+run, and every S[i, j] (every self sum) receives its tail-piece row sum
+and its past-tail addition from one worker, from the same arrays in
+the same order, and only zeros from that worker's other past-tail
+flushes.  The runs cannot share one result array: `_PastTail.add_to`
+adds a bincount over the whole of its array, so two workers doing that
+on one array would lose each other's column writes.
 
 Reference and build path.  `gplus_series` computes the node values and
 is the oracle the tests compare the interpolant against:
@@ -59,6 +83,7 @@ digamma (`_digamma`), so building a model loads no scipy module.
 
 import logging
 import math
+import os
 import time
 
 import numpy as np
@@ -96,15 +121,81 @@ _TAIL_RHO = math.acosh(_TAIL_COSH)
 # lies below it
 _NEAR_COSH = 0.5 * (1.0 / _FAR_PIECE[1] + _FAR_PIECE[1]) * (1.0 + 1e-12)
 INTERP_RTOL = 2e-13
-# values per block of the tail and far pieces: 64 KB arrays, so their
-# temporaries stay in cache (on one core, 11 ns a value at 8k-16k values against
-# 29 ns at 128k)
-_TERM_BLOCK = 8192
-# past-tail terms an image sum gathers before it evaluates them: 1 MB of
-# cosh values and sum indices
-_PAST_TAIL_TERMS = 1 << 16
+# values per block of the tail and far pieces: 512 KB arrays, which stay in
+# a core's cache and make each ufunc call long next to the interpreter
+# lock's hand-offs between workers.  On a 2-core host the tail piece alone
+# took 8.8-12.7 ns a value on one thread at any block from 8k to 256k
+# values; two threads at once, 9.5-10.3 ns at 8k, 6.5-7.5 at 16k, 5.8-6.4
+# at 32k, 5.4-5.8 at 64k and 4.8-6.3 at 128k.  The R = 6 domination block
+# (50 x 50 points) took 115-155 ms on one worker at any block size, and on
+# two 107-117 ms at 8k, 92-96 at 32k and 73-88 at 64k.
+_TERM_BLOCK = 65536
+# past-tail terms a run of an image sum gathers before it evaluates them:
+# 768 KB of cosh values, c - 1 and sum indices.  On a 2-core host the
+# domination block on two workers took 74 ms at 64k terms, 75 at 32k and
+# 84 at 16k.  Six library iterations in one process peaked at 145-148 MB
+# at 64k and at 141 MB at 32k, where less stayed in the malloc heaps; the
+# benchmark's 60 s library runs read 144.6 and 144.2 MB (medians of 10)
+_PAST_TAIL_TERMS = 1 << 15
+# the least work of an average step of an image sum's loop (a block's
+# products of one column, a self sum's images of one point) for which the
+# loop goes to more than one worker: below it a step's numpy calls are so
+# short that the workers' hand-offs of the interpreter lock cost more than
+# the second core saves.  On 2 cores at R = 6, same-set blocks of 89k and
+# 134k products a column took 17-18 and 34-39 ms on one worker, 18.5-19
+# and 31 ms on two; self sums of 50 points over 8.9k, 18k and 30k images
+# a point 8, 15-19 and 29-30 ms on one, 8, 13-14 and 17-20 ms on two.
+_POOL_MIN_PRODUCTS = 1 << 17
+_POOL_MIN_IMAGES = 1 << 14
 
 logger = logging.getLogger(__name__)
+
+
+def _worker_count(threads, jobs):
+    """Workers for `jobs` independent pieces of work: `threads`, or one
+    per core this process may run on when None; at least 1, at most jobs."""
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
+    return max(1, min(threads, jobs))
+
+
+def _map_blocks(task, spans, threads, weights=None):
+    """Run the block loops of task on consecutive runs of spans, one run
+    per worker; returns the number of workers.
+
+    task(run) allocates the scratch of a run once and returns the loop
+    over the run's blocks.  It is called in the calling thread, in the
+    order of the runs, so the scratch comes from that thread's malloc
+    arena, which later allocations reuse; a pool thread's arena would keep
+    it resident.  `threads` is as in `_worker_count`, with the spans as
+    the jobs.  One worker runs task(spans)() in the calling thread, with
+    no executor.  Otherwise the spans are cut into one contiguous,
+    non-empty run per worker, of about equal total weight (`weights`,
+    integers, one per span; all 1 when None); the calling thread loops
+    over the first run and a thread pool over the others, since a pool
+    thread's start-up is of the order of a short loop's work.  A loop's
+    exception is raised here, after every loop ended.
+    """
+    spans = list(spans)
+    workers = _worker_count(threads, len(spans))
+    if workers == 1:
+        task(spans)()
+        return 1
+    from concurrent.futures import ThreadPoolExecutor
+
+    cum = np.cumsum(np.ones(len(spans), dtype=int) if weights is None else weights)
+    cuts = [0]
+    for w in range(1, workers):
+        cut = int(np.searchsorted(cum, cum[-1] * w // workers, side="right"))
+        cuts.append(min(max(cut, cuts[-1] + 1), len(spans) - workers + w))
+    cuts.append(len(spans))
+    loops = [task(spans[a:b]) for a, b in zip(cuts, cuts[1:])]
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        pending = [pool.submit(loop) for loop in loops[1:]]
+        loops[0]()
+        for future in pending:
+            future.result()
+    return workers
 
 
 def hyp2f1_series(a, b, c, z, maxiter=_SERIES_MAXITER):
@@ -367,15 +458,18 @@ class GplusInterpolant:
             out[rest] = self.past_tail_cosh(c[rest])
         return out
 
-    def tail_cosh(self, c, out):
+    def tail_cosh(self, c, out, scratch=None):
         """The tail piece's G_plus, P(w) c^(-Delta) with w = 1/c^2, at every
         c = cosh rho, written into out, which may be c itself.
 
         It runs over blocks of `_TERM_BLOCK` values with two scratch
-        blocks, so that its temporaries stay in cache.  Only the values at
+        blocks, so that its temporaries stay in cache: the rows of scratch,
+        a (2, _TERM_BLOCK) array, when given.  Only the values at
         c >= cosh 3.45 are G_plus.
         """
-        w_buf, p_buf = np.empty((2, min(len(c), _TERM_BLOCK)))
+        if scratch is None:
+            scratch = np.empty((2, min(len(c), _TERM_BLOCK)))
+        w_buf, p_buf = scratch
         for lo in range(0, len(c), _TERM_BLOCK):
             block = c[lo : lo + _TERM_BLOCK]
             w = np.reciprocal(block, out=w_buf[: len(block)])
@@ -480,37 +574,39 @@ def _row_sums(vals, counts):
 
 class _PastTail:
     """The past-tail terms of an image sum, deferred: their cosh values c,
-    their c - 1 and the flat index of the sum each belongs to.  `add_to`
-    evaluates them with one `past_tail_cosh` call and adds them to their
-    sums; it runs
-    when `_PAST_TAIL_TERMS` are pending, which bounds the buffer to a few
-    MB, and at the end of the kernel call.  A sum's terms are deferred
-    together, so it gets one addition from here and one of its tail-piece
-    terms, in either order with the same result."""
+    their c - 1 and the flat index of the sum each belongs to, held in
+    arrays made once, for `_PAST_TAIL_TERMS` terms and the `most` that one
+    `defer` adds.  `add_to` evaluates them with one `past_tail_cosh` call
+    and adds them to their sums; it runs when `_PAST_TAIL_TERMS` are
+    pending and at the end of the kernel's loop.  A sum's terms are
+    deferred together, so it gets one addition from here and one of its
+    tail-piece terms, in either order with the same result."""
 
-    def __init__(self, interp, sums):
+    def __init__(self, interp, sums, most):
         self.interp, self.sums = interp, sums.reshape(-1)
-        self.coshes, self.cm1s, self.at, self.pending = [], [], [], 0
+        self.coshes, self.cm1s = np.empty((2, _PAST_TAIL_TERMS + most))
+        self.at = np.empty(_PAST_TAIL_TERMS + most, dtype=np.intp)
+        self.pending = 0
 
-    def defer(self, c, at, cm1=None):
+    def defer(self, c, at, cm1):
         """Keep the terms at the cosh values c, of the sums at, for `add_to`;
-        cm1 as in `past_tail_cosh` (c - 1 when None)."""
-        self.coshes.append(c)
-        self.cm1s.append(c - 1.0 if cm1 is None else cm1)
-        self.at.append(at)
-        self.pending += c.size
-        if self.pending >= _PAST_TAIL_TERMS:
+        cm1 as in `past_tail_cosh`."""
+        lo, hi = self.pending, self.pending + c.size
+        self.coshes[lo:hi], self.cm1s[lo:hi], self.at[lo:hi] = c, cm1, at
+        self.pending = hi
+        if hi >= _PAST_TAIL_TERMS:
             self.add_to()
 
     def add_to(self):
         if not self.pending:
             return
-        vals = self.interp.past_tail_cosh(np.concatenate(self.coshes), np.concatenate(self.cm1s))
-        self.sums += np.bincount(np.concatenate(self.at), weights=vals, minlength=len(self.sums))
-        self.coshes, self.cm1s, self.at, self.pending = [], [], [], 0
+        n = self.pending
+        vals = self.interp.past_tail_cosh(self.coshes[:n], self.cm1s[:n])
+        self.sums += np.bincount(self.at[:n], weights=vals, minlength=len(self.sums))
+        self.pending = 0
 
 
-def image_sum_block(xs, ys, mats, rmax, mp):
+def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     """S[i, j] = sum over images gamma(y_j) within distance rmax of x_i of G_plus.
 
     A coincident image (rho = 0) contributes inf, the diagonal singularity.
@@ -528,7 +624,13 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     products, with the leading images and with the rest; the past-tail
     terms are taken out of the first, gathered over the columns and
     evaluated together (`_PastTail`).  The tail piece's terms are summed
-    row by row per column.
+    row by row per column, and evaluated for a group of columns of at
+    least `_TERM_BLOCK` products at a time.
+
+    The columns run on `threads` workers (None: one per core), in
+    contiguous runs of about equal pair count (`_map_blocks`), when they
+    average `_POOL_MIN_PRODUCTS` products or more; S is the same for any
+    number (see the module docstring).
 
     When xs and ys hold the same points, S[i, i] is inf (the identity
     image coincides), only the pairs i < j are summed and S[j, i] is set
@@ -543,67 +645,116 @@ def image_sum_block(xs, ys, mats, rmax, mp):
     same = xs.shape == ys.shape and np.array_equal(xs, ys)
     kept, near = _within_reach(mats, xs, ys, rmax)
     cosh_max = math.cosh(rmax)
+    # the terms past the tail piece's edge and within rmax: c < past_cut
+    past_cut = min(_TAIL_COSH, math.nextafter(cosh_max, math.inf))
     cx = normalize(xs.sum(axis=0))
     column_reach = math.cosh(rmax + _max_dist(cx, xs) + 1e-9)
     neg_eta_cx = cx * -ETA_DIAG
     n, m = xs.shape[0], ys.shape[0]
-    out = np.zeros((n, m))
-    past_tail = _PastTail(mp.gplus_interp, out)
     neg_eta_x = xs * -ETA_DIAG
-    buf = np.empty(n * len(kept))  # the products of every column, reused
-    scanned = terms = 0
-    for j in range(1 if same else 0, m):  # a same-set j = 0 has no pair i < j
-        rows = j if same else n
-        imgs = _images(kept, ys[j])
-        reach = imgs @ neg_eta_cx <= column_reach
-        imgs = imgs[reach]  # the leading images stay in front
-        # the products with the k leading images and with the rest, each a
-        # contiguous (rows, images) block of buf
-        k = np.count_nonzero(reach[:near])
-        head, coshes = buf[: rows * k], buf[: rows * len(imgs)]
-        np.matmul(neg_eta_x[:rows], imgs[:k].T, out=head.reshape(rows, k))
-        np.matmul(neg_eta_x[:rows], imgs[k:].T, out=coshes[rows * k :].reshape(rows, -1))
-        past = np.flatnonzero((head < _TAIL_COSH) & (head <= cosh_max))
-        if past.size:
-            c = head[past]
-            # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
-            # keeps the digits that c - 1 of the rounded product loses
-            cm1 = c - 1.0
-            close = np.flatnonzero(c < _NEAR_COSH)
-            if close.size:
-                row, img = np.divmod(past[close], k)
-                diff = xs[row] - imgs[img]
-                cm1[close] = 0.5 * lorentz_dot(diff, diff)
-            past_tail.defer(c, past // k * m + j, cm1)
-            head[past] = np.inf  # out of the tail piece's cut
-        sel = coshes <= cosh_max
-        # the tail piece's terms row after row, first in the head block,
-        # then in the rest (np.compress outruns coshes[sel])
-        t = np.compress(sel, coshes)
-        if t.size:
+    kept_rows = kept.reshape(-1, 3)
+    interp = mp.gplus_interp
+    runs = []  # per run of columns: its sums, [products scanned, terms summed]
+
+    def task(cols):
+        # made here, in the calling thread (see `_map_blocks`): the run's
+        # sums and buffers; a column makes no array larger than its images
+        sums = np.zeros((n, len(cols)))
+        tally = [0, 0]
+        runs.append((sums, tally))
+        past_tail = _PastTail(interp, sums, n * near)
+        images = np.empty((len(kept), 3))
+        to_cx = np.empty(len(kept))
+        reach = np.empty(len(kept), dtype=bool)
+        buf = np.empty(n * len(kept) + _TERM_BLOCK)  # the products of a group of columns
+        within = np.empty(len(buf), dtype=bool)
+        scratch = np.empty((2, _TERM_BLOCK))
+        group = []  # (column, rows, leading images, its products' span in buf)
+
+        def tails(size):
+            """Sum, row by row, the tail piece's terms of the group's columns,
+            whose products fill buf[:size]: in each column those with the
+            leading images, then the rest (np.compress outruns buf[sel])."""
+            sel = np.less_equal(buf[:size], cosh_max, out=within[:size])
             counts = np.concatenate([
-                np.count_nonzero(sel[: rows * k].reshape(rows, k), axis=1),
-                np.count_nonzero(sel[rows * k :].reshape(rows, -1), axis=1),
+                np.count_nonzero(part.reshape(rows, -1), axis=1)
+                for _, rows, k, lo, hi in group
+                for part in (sel[lo : lo + rows * k], sel[lo + rows * k : hi])
             ])
-            sums = _row_sums(mp.gplus_interp.tail_cosh(t, t), counts)
-            out[:rows, j] += sums[:rows] + sums[rows:]
-        scanned += coshes.size
-        terms += past.size + t.size
-    past_tail.add_to()
+            t = np.compress(sel, buf[:size])
+            row_sums = _row_sums(interp.tail_cosh(t, t, scratch), counts)
+            for at, rows, _, _, _ in group:
+                part, row_sums = row_sums[: 2 * rows], row_sums[2 * rows :]
+                sums[:rows, at] += part[:rows] + part[rows:]
+            tally[1] += t.size
+            group.clear()
+
+        def loop():
+            size = 0
+            for at, j in enumerate(cols):
+                rows = j if same else n
+                np.matmul(kept_rows, ys[j], out=images.reshape(-1))  # `_images`
+                np.less_equal(np.matmul(images, neg_eta_cx, out=to_cx), column_reach, out=reach)
+                # the leading images stay in front
+                imgs = np.compress(reach, images, axis=0)
+                # the products with the k leading images and with the rest,
+                # each a contiguous (rows, images) block of buf after the
+                # group's earlier columns
+                k = np.count_nonzero(reach[:near])
+                lo, size = size, size + rows * len(imgs)
+                group.append((at, rows, k, lo, size))
+                head = buf[lo : lo + rows * k]
+                np.matmul(neg_eta_x[:rows], imgs[:k].T, out=head.reshape(rows, k))
+                np.matmul(neg_eta_x[:rows], imgs[k:].T, out=buf[lo + head.size : size].reshape(rows, -1))
+                past = np.flatnonzero(head < past_cut)
+                if past.size:
+                    c = head[past]
+                    # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
+                    # keeps the digits that c - 1 of the rounded product loses
+                    cm1 = c - 1.0
+                    close = np.flatnonzero(c < _NEAR_COSH)
+                    if close.size:
+                        row, img = np.divmod(past[close], k)
+                        diff = xs[row] - imgs[img]
+                        cm1[close] = 0.5 * lorentz_dot(diff, diff)
+                    past_tail.defer(c, past // k * len(cols) + at, cm1)
+                    head[past] = np.inf  # out of the tail piece's cut
+                tally[0] += rows * len(imgs)
+                tally[1] += past.size
+                # the tail piece's terms are evaluated a group of at least
+                # `_TERM_BLOCK` products at a time: small columns share calls
+                if size >= _TERM_BLOCK:
+                    tails(size)
+                    size = 0
+            if group:
+                tails(size)
+            past_tail.add_to()
+
+        return loop
+
+    first = 1 if same else 0  # a same-set j = 0 has no pair i < j
+    pairs = n * (n - 1) // 2 if same else n * m
+    if pairs * len(kept) < _POOL_MIN_PRODUCTS * (m - first):
+        threads = 1
+    # a same-set column j sums j pairs, every other column n
+    workers = _map_blocks(task, range(first, m), threads, np.arange(first, m) if same else None)
+    out = np.zeros((n, m))
+    out[:, first:] = np.concatenate([sums for sums, _ in runs], axis=1)
     if same:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]
         np.fill_diagonal(out, np.inf)
+    scanned, terms = np.sum([tally for _, tally in runs], axis=0, dtype=int)
     logger.debug(
         "image_sum_block %dx%d points, %d pairs, %d images passed, %d kept by reach, "
-        "%d products scanned, %d terms summed, %.4f s",
-        n, m, n * (n - 1) // 2 if same else n * m, len(mats), len(kept), scanned, terms,
+        "%d products scanned, %d terms summed, %d workers, %.4f s",
+        n, m, pairs, len(mats), len(kept), scanned, terms, workers,
         time.perf_counter() - t_start,
     )
     return out
 
 
-def image_sum_self(xs, mats, rmax, mp):
+def image_sum_self(xs, mats, rmax, mp, *, threads=None):
     """Per point x: sum of G_plus over non-identity images gamma(x) within rmax.
 
     Returns (sums, nearest) where nearest[i] is the smallest included
@@ -611,49 +762,98 @@ def image_sum_self(xs, mats, rmax, mp):
     Images out of reach of every point are dropped first, the terms past
     the tail piece are evaluated together, and those next to the diagonal
     take c - 1 from <x - gamma x, x - gamma x>/2, as in `image_sum_block`.
+    An image is left out as the identity when that product is exactly 0,
+    gamma x = x in every digit; any other image is summed, however close
+    to x, so the sum grows like -ln(gap)/(2 pi) as x nears a side.  The
+    points run on `threads` workers (None: one per core) in contiguous
+    runs when each has `_POOL_MIN_IMAGES` images or more, with the same
+    result for any number.
     """
     t_start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
     kept, near = _within_reach(mats, xs, xs, rmax)
     cosh_max = math.cosh(rmax)
+    past_cut = min(_TAIL_COSH, math.nextafter(cosh_max, math.inf))  # as in `image_sum_block`
     n = xs.shape[0]
-    sums = np.zeros(n)
-    past_tail = _PastTail(mp.gplus_interp, sums)
-    nearest = np.full(n, np.inf)
-    terms = 0
-    for i in range(n):
-        x = xs[i]
-        imgs = _images(kept, x)
-        coshes = -(imgs @ (x * ETA_DIAG))
-        # identity (and any fixed-point) images: cosh - 1 below the fp noise
-        # floor of the Lorentz product, which scales like x3^2
-        skip = 1.0 + max(1e-12, 1e-13 * x[2] * x[2])
-        # those images and the terms past the tail piece come from the
-        # leading images alone, and leave the tail piece's cut
-        head = coshes[:near]
-        past = (head < _TAIL_COSH) & (head <= cosh_max)
-        take = np.flatnonzero(past & (head > skip))
-        c = head[take]
-        head[past] = np.inf
-        t = coshes[coshes <= cosh_max]
-        if c.size:
-            # next to the diagonal, c - 1 = <x - gamma x, x - gamma x>/2, as
-            # in `image_sum_block`; rho = 2 asinh(sqrt((c - 1)/2))
-            cm1 = c - 1.0
-            close = np.flatnonzero(c < _NEAR_COSH)
-            if close.size:
-                diff = x - imgs[take[close]]
-                cm1[close] = 0.5 * lorentz_dot(diff, diff)
-            nearest[i] = 2.0 * math.asinh(math.sqrt(max(cm1.min(), 0.0) / 2.0))
-            past_tail.defer(c, np.full(c.size, i), cm1)
-        elif t.size:
-            nearest[i] = np.arccosh(t.min())
-        if t.size:
-            sums[i] += mp.gplus_interp.tail_cosh(t, t).sum()
-        terms += c.size + t.size
-    past_tail.add_to()
+    kept_rows = kept.reshape(-1, 3)
+    interp = mp.gplus_interp
+    nearest = np.full(n, np.inf)  # each point's entry is written by one worker
+    runs = []  # per run of points: its sums, [terms summed]
+
+    def task(points):
+        # made here, in the calling thread, as in `image_sum_block`
+        sums = np.zeros(len(points))
+        tally = [0]
+        runs.append((sums, tally))
+        past_tail = _PastTail(interp, sums, near)
+        imgs = np.empty((len(kept), 3))
+        buf = np.empty(len(kept) + _TERM_BLOCK)  # the products of a group of points
+        within = np.empty(len(buf), dtype=bool)
+        scratch = np.empty((2, _TERM_BLOCK))
+        group = []  # (point in the run, point, whether it has past-tail terms)
+
+        def tails(size):
+            """Sum the tail piece's terms of each of the group's points, whose
+            products fill buf[:size]; a point without past-tail terms takes
+            its nearest image from them."""
+            sel = np.less_equal(buf[:size], cosh_max, out=within[:size])
+            counts = np.count_nonzero(sel.reshape(len(group), -1), axis=1)
+            t = np.compress(sel, buf[:size])
+            runs_t = np.split(t, np.cumsum(counts)[:-1])
+            for (_, i, past), ti in zip(group, runs_t):
+                if not past and ti.size:
+                    nearest[i] = np.arccosh(ti.min())
+            interp.tail_cosh(t, t, scratch)
+            for (at, _, _), ti in zip(group, runs_t):
+                if ti.size:
+                    sums[at] += ti.sum()
+            tally[0] += t.size
+            group.clear()
+
+        def loop():
+            size = 0
+            for at, i in enumerate(points):
+                x = xs[i]
+                np.matmul(kept_rows, x, out=imgs.reshape(-1))  # `_images`
+                coshes = buf[size : size + len(kept)]
+                np.negative(np.matmul(imgs, x * ETA_DIAG, out=coshes), out=coshes)
+                size += len(kept)
+                # the terms past the tail piece, the identity among them, come
+                # from the leading images alone, and leave the tail piece's cut
+                head = coshes[:near]
+                past = np.flatnonzero(head < past_cut)
+                c = head[past]
+                head[past] = np.inf
+                # next to the diagonal, c - 1 = <x - gamma x, x - gamma x>/2,
+                # as in `image_sum_block`; rho = 2 asinh(sqrt((c - 1)/2))
+                cm1 = c - 1.0
+                close = np.flatnonzero(c < _NEAR_COSH)
+                if close.size:
+                    diff = x - imgs[past[close]]
+                    cm1[close] = 0.5 * lorentz_dot(diff, diff)
+                    moved = cm1 != 0.0
+                    c, cm1 = c[moved], cm1[moved]
+                if c.size:
+                    nearest[i] = 2.0 * math.asinh(math.sqrt(max(cm1.min(), 0.0) / 2.0))
+                    past_tail.defer(c, at, cm1)
+                group.append((at, i, c.size > 0))
+                tally[0] += c.size
+                # as in `image_sum_block`, a group of points at a time
+                if size >= _TERM_BLOCK:
+                    tails(size)
+                    size = 0
+            if group:
+                tails(size)
+            past_tail.add_to()
+
+        return loop
+
+    workers = _map_blocks(task, range(n), 1 if len(kept) < _POOL_MIN_IMAGES else threads)
+    sums = np.concatenate([sums for sums, _ in runs])
     logger.debug(
-        "image_sum_self %d points, %d images passed, %d kept by reach, %d terms summed, %.4f s",
-        n, len(mats), len(kept), terms, time.perf_counter() - t_start,
+        "image_sum_self %d points, %d images passed, %d kept by reach, %d terms summed, "
+        "%d workers, %.4f s",
+        n, len(mats), len(kept), sum(tally[0] for _, tally in runs), workers,
+        time.perf_counter() - t_start,
     )
     return sums, nearest

@@ -198,7 +198,7 @@ def _cmd_neumann_audit(args):
     nt = greens.NeumannTruncation(tess, args.orbit_radius, tail_tol=args.tail_tol)
     reports = [
         greens.neumann_symmetry_audit(mp, nt, side_index=0),
-        greens.domination_audit(mp, nt, n_pairs=args.pairs, seed=args.seed),
+        greens.domination_audit(mp, nt, n_pairs=args.pairs, seed=args.seed, threads=args.threads),
     ]
     _write_json(args.json, reports)
     ok = all(r["passed"] for r in reports)
@@ -246,7 +246,7 @@ def _cmd_sample_audit(args):
     tess = generate(TriangleParams(args.p, args.q, args.r), args.orbit_radius + 2.0)
     nt = greens.NeumannTruncation(tess, args.orbit_radius, tail_tol=args.tail_tol)
     quad = fm.build_quadrature(tess, [0], args.resolution)
-    cov = fm.build_covariance(mp, nt, quad, "neumann")
+    cov = fm.build_covariance(mp, nt, quad, "neumann", threads=args.threads)
     samples = fm.sample_fields(cov, args.n, args.seed, threads=args.threads)
     x = fm.wick_exp(samples, cov, quad, args.alpha, threads=args.threads)
     n = len(x)
@@ -341,9 +341,10 @@ def _cmd_triviality(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="hypfield", description=__doc__)
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads of the Monte Carlo sampling and reductions "
-                             "(sample-audit: 0 or 1 serial; triviality: 0 keeps the config's "
-                             "threads, default 1); results are byte-identical for any count")
+                        help="worker threads of the image sums and of the Monte Carlo sampling "
+                             "and reductions (neumann-audit, sample-audit: 0 or 1 serial; "
+                             "triviality: 0 keeps the config's threads, default 1); results are "
+                             "byte-identical for any count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tessellate", help="generate a (p,q,r) tessellation, export CSV/SVG")

@@ -47,22 +47,23 @@ and sums the squared deviations from it on the chunk tree.
 
 Threads.  Every Monte Carlo block loop (the sampling batches, the Wick
 reductions, the squared deviations and the Laplace weights) runs through
-`_map_blocks`, which hands each worker thread one contiguous run of
-blocks; numpy releases the GIL inside the ufuncs and the matrix
-products, so the workers run on separate cores.  Each worker allocates
-its buffers once; the loops over one value per sample divide their
-`_FLAT`-times longer blocks among the workers, so that the buffers
-together stay one serial block.  A block writes only its
-own slice of the output and its own chunk slots, and the chunk tree is
-combined in one thread afterwards, so every result is byte-identical for
-any thread count.  The public functions take `threads`: None means one
-worker per core this process may run on, 1 the plain loop in the
-calling thread.  `triviality_run` passes its config's `threads`.
+`_kernels._map_blocks`, the package's one worker pool, which hands each
+worker thread one contiguous run of blocks; numpy releases the GIL
+inside the ufuncs and the matrix products, so the workers run on
+separate cores.  The image sums of a Neumann covariance run on the same
+pool (see `_kernels`).  Each worker allocates its buffers once; the
+loops over one value per sample divide their `_FLAT`-times longer
+blocks among the workers, so that the buffers together stay one serial
+block.  A block writes only its own slice of the output and its own
+chunk slots, and the chunk tree is combined in one thread afterwards,
+so every result is byte-identical for any thread count.  The public
+functions take `threads`: None means one worker per core this process
+may run on, 1 the plain loop in the calling thread.  `triviality_run`
+passes its config's `threads`, to `build_covariance` too.
 """
 
 import logging
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -71,6 +72,7 @@ import numpy as np
 
 from . import boundary as bd
 from . import greens
+from ._kernels import _map_blocks, _worker_count
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
 from .geometry import ETA_DIAG, dist, lorentz_dot, normalize, outward_normals, pairwise_dist, triangle_area
 from .tessellation import TriangleParams, conical_sequence, generate
@@ -186,14 +188,15 @@ class CovarianceModel:
         return np.diag(self.matrix)
 
 
-def build_covariance(mp, nt, quad, kind):
+def build_covariance(mp, nt, quad, kind, *, threads=None):
     """Covariance of the cell-regularized field.
 
     Off-diagonal entries are the kernel values; the diagonal is the
     same-kind kernel at the cell's effective radius r_i = sqrt(w_i/pi)
     (free part) plus the image-sum defect Delta G for the Neumann kind.
     Cross-tile Neumann entries are exact zeros.  Only the Neumann kind
-    reads the truncation `nt`.
+    reads the truncation `nt`, and runs its image sums on `threads`
+    workers (None: one per core), with the same result for any number.
     """
     if kind not in ("free", "neumann"):
         raise ValueError("kind must be 'free' or 'neumann'")
@@ -214,8 +217,8 @@ def build_covariance(mp, nt, quad, kind):
         # pattern mapped by its isometry, so all tiles share the first block
         first = quad.tile_ids[0]
         sub = pts[quad.tile_mask(first)]
-        block = greens.g_neumann_block(mp, nt, sub, sub, first)
-        dgt = greens.delta_g_many(mp, nt, sub, tile_id=first)
+        block = greens.g_neumann_block(mp, nt, sub, sub, first, threads=threads)
+        dgt = greens.delta_g_many(mp, nt, sub, tile_id=first, threads=threads)
         dg = np.zeros(n)
         for tid in dict.fromkeys(quad.tile_ids.tolist()):
             mask = quad.tile_mask(tid)
@@ -242,47 +245,6 @@ def _factor_with_ridge(c):
         "covariance not positive definite even with ridge 1e-8; "
         "check truncation radius and mesh"
     )
-
-
-def _worker_count(threads, jobs):
-    """Workers for `jobs` independent pieces of work: `threads`, or one
-    per core this process may run on when None; at least 1, at most jobs."""
-    if threads is None:
-        threads = len(os.sched_getaffinity(0))
-    return max(1, min(threads, jobs))
-
-
-def _map_blocks(task, spans, threads):
-    """Run the block loops of task on consecutive runs of spans, one run
-    per worker; returns the number of workers.
-
-    task(run) allocates the scratch of a run once and returns the loop
-    over the run's blocks.  It is called in the calling thread, so the
-    scratch comes from that thread's malloc arena, which later
-    allocations reuse; a pool thread's arena would keep it resident.
-    `threads` is as in `_worker_count`, with the spans as the jobs.  One
-    worker runs task(spans)() in the calling thread, with no executor.
-    Otherwise the spans are cut into one contiguous run per worker; the
-    calling thread loops over the first run and a thread pool over the
-    others, since a pool thread's start-up is of the order of a short
-    reduction's work.  A loop's exception is raised here, after every
-    loop ended.
-    """
-    spans = list(spans)
-    workers = _worker_count(threads, len(spans))
-    if workers == 1:
-        task(spans)()
-        return 1
-    from concurrent.futures import ThreadPoolExecutor
-
-    cuts = [len(spans) * w // workers for w in range(workers + 1)]
-    loops = [task(spans[a:b]) for a, b in zip(cuts, cuts[1:])]
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        pending = [pool.submit(loop) for loop in loops[1:]]
-        loops[0]()
-        for future in pending:
-            future.result()
-    return workers
 
 
 def sample_fields(cov, n, seed, batch_size=8192, threads=None):
@@ -818,8 +780,8 @@ def triviality_run(cfg):
     involves the continuum mass mu(X_1 = 0), which has no finite-mesh
     counterpart; the run certifies the bound-chain decay itself and
     reports the Laplace plateau at the largest k as the empirical proxy.
-    Every Monte Carlo loop runs on `cfg.threads` workers; at 1 (the
-    default) no thread pool is started.
+    The image sums of the covariance and every Monte Carlo loop run on
+    `cfg.threads` workers; at 1 (the default) no thread pool is started.
     """
     if cfg.lam <= 0:
         raise ConfigurationError("triviality run needs lambda > 0")
@@ -836,7 +798,7 @@ def triviality_run(cfg):
         raise ConfigurationError("conical point p_angle must lie inside the bump support")
 
     quad = build_quadrature(tess, [0], cfg.resolution)
-    cov = build_covariance(mp, nt, quad, "neumann")
+    cov = build_covariance(mp, nt, quad, "neumann", threads=cfg.threads)
     samples = sample_fields(cov, cfg.n_mc, cfg.seed, threads=cfg.threads)
     # The Laplace variable is the per-tile Neumann exponential ordered by
     # its own covariance: E[X_1] equals the tile area exactly, so Jensen

@@ -87,8 +87,10 @@ def hyp2f1(a, b, c, z, u=None):
     so it loses digits as a b u grows: at a = b = 32.1 it is 2e-15 off at
     u = 1.1e-3, 2e-13 at 2.4e-3 and 4e-7 at 0.03, while at a = b <= 5 it
     holds 2e-15 up to u = 0.03.  PrecisionLossError is raised where its
-    Gamma(a + b) overflows, past a + b = 171.6, and PoleError where a or b
-    is 0, -1, -2, ..., a pole of psi.
+    Gamma(a + b) overflows, past a + b = 171.6.
+    Where a or b is 0, -1, -2, ..., F is a polynomial in z, and its
+    terminating Gauss series is summed whatever c and z (the log form's
+    psi(a) or psi(b) has a pole there).
     Otherwise, for z > 0.75 or z < 0, c = 2b takes the quadratic argument
     transformation, a series in (z / (z - 2))^2 < 1 whose terms are
     positive for a, b > 0; next to z = 1 it needs about 1/(4u) terms and
@@ -100,6 +102,8 @@ def hyp2f1(a, b, c, z, u=None):
     u = 1.0 - z if u is None else u
     if not (z > -1.0 and u > 0.0):
         raise ValueError("series evaluation requires -1 < z < 1")
+    if any(p <= 0 and float(p).is_integer() for p in (a, b)):
+        return _kernels.hyp2f1_series(a, b, c, z)
     if abs(c - a - b) < 1e-13 and u <= min(0.03, 1.44 / (a * b)):
         try:
             coef = _kernels.log_case_coef(a, b, u)
@@ -237,12 +241,13 @@ def g_neumann(mp, nt, x, y):
     return float(block[0, 0])
 
 
-def g_neumann_block(mp, nt, xs, ys, tile_id):
-    """Image-sum matrix for cell arrays known to lie in one tile."""
+def g_neumann_block(mp, nt, xs, ys, tile_id, *, threads=None):
+    """Image-sum matrix for cell arrays known to lie in one tile, on
+    `threads` workers (None: one per core), the same for any number."""
     nt.check_tail(mp)
     xv = _pull_back(nt.tess, tile_id, xs)
     yv = _pull_back(nt.tess, tile_id, ys)
-    return _kernels.image_sum_block(xv, yv, nt._mats, nt.max_orbit_radius, mp)
+    return _kernels.image_sum_block(xv, yv, nt._mats, nt.max_orbit_radius, mp, threads=threads)
 
 
 def delta_g(mp, nt, x):
@@ -256,7 +261,10 @@ def delta_g(mp, nt, x):
     return float(out[0])
 
 
-def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
+def delta_g_many(mp, nt, vecs, tile_id=None, warn=False, *, threads=None):
+    """Delta G at each Lorentz row of vecs, pulled back from its own tile
+    or, when given, from tile_id; the image sums run on `threads` workers
+    (None: one per core), the same for any number."""
     tess = nt.tess
     vecs = np.asarray(vecs, dtype=float)
     if tile_id is None:
@@ -267,7 +275,7 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
     else:
         pulled = _pull_back(tess, tile_id, vecs)
     nt.check_tail(mp)
-    sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp)
+    sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp, threads=threads)
     if warn:
         fund_normals = tess.fund_normals
         for v in pulled:
@@ -358,19 +366,20 @@ def neumann_symmetry_audit(mp, nt, side_index=0, t0=0.2, k=10):
     }
 
 
-def domination_audit(mp, nt, n_pairs=10_000, seed=0):
+def domination_audit(mp, nt, n_pairs=10_000, seed=0, *, threads=None):
     """Check G_plus(rho(x,y)) <= G_N(x,y) on same-tile pairs.
 
     Structural: the image sum contains the identity term G_plus plus
     nonnegative terms, so a violation flags a numerical defect.  Reports
     the empirical sup of G_N/G_plus as the estimate for the constant c
-    in G_N <= c G_plus.
+    in G_N <= c G_plus.  The image sums run on `threads` workers (None:
+    one per core); the report is the same for any number.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     m = max(2, int(math.isqrt(n_pairs)))
     xs = sample_tile_points(nt.tess, 0, m, rng)
     ys = sample_tile_points(nt.tess, 0, m, rng)
-    block = g_neumann_block(mp, nt, xs, ys, 0)
+    block = g_neumann_block(mp, nt, xs, ys, 0, threads=threads)
     rho = pairwise_dist(xs, ys)
     ok = rho >= 1e-3  # pairs next to the diagonal singularity are left out
     gp = np.zeros_like(rho)

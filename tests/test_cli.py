@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from hypfield import cli
+from hypfield import _kernels, cli
 from hypfield import fieldmc as fm
 from hypfield.errors import ConfigurationError
 from hypfield.greens import ModelParams, g_plus
@@ -114,6 +115,25 @@ def test_sample_audit_writes_report_and_manifest(tmp_path):
     assert report["passed"] and report["n_samples"] == 4000
     assert [w["k"] for w in report["wick_powers"]] == [1, 2, 3, 4]
     _assert_manifest_matches(tmp_path / "samples.json.manifest.json", "sample-audit", [json_path])
+
+
+@pytest.mark.parametrize("argv", [
+    ["neumann-audit", "--orbit-radius", "4", "--tail-tol", "1", "--pairs", "400"],
+    ["sample-audit", "--orbit-radius", "4", "--tail-tol", "1", "--n", "4000", "--resolution", "3"],
+])
+def test_audits_write_the_same_json_for_any_thread_count(monkeypatch, caplog, tmp_path, argv):
+    # every image-sum loop goes to the pool, however short its steps
+    monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
+    monkeypatch.setattr(_kernels, "_POOL_MIN_IMAGES", 0)
+    reports = []
+    for threads in ("1", "2"):
+        json_path = tmp_path / f"threads{threads}.json"
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
+            assert cli.main(["--threads", threads, *argv, "--json", str(json_path)]) == 0
+        assert f", {threads} workers, " in caplog.text
+        reports.append(json_path.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_propagator_writes_tables_and_manifest(tmp_path):

@@ -118,9 +118,27 @@ def test_hyp2f1_connection_formula_with_negative_parameters():
             with mpmath.workdps(30):
                 want = float(mpmath.hyp2f1(a, b, a + b, 1 - mpmath.mpf(u)))
             assert hyp2f1(a, b, a + b, 1.0 - u, u) == pytest.approx(want, rel=1e-13)
-    # psi has a pole at a = -1: a typed error, not NaN
+    # psi has a pole at a = -1: the log form raises a typed error, not NaN
     with pytest.raises(PoleError, match=r"pole at x = -1\.0"):
-        hyp2f1(-1.0, -0.5, -1.5, 1.0 - 1e-3, 1e-3)
+        _kernels.log_case_coef(-1.0, -0.5, 1e-3)
+
+
+@pytest.mark.parametrize("a, b, c, z, u", [
+    (-1.0, -0.5, -1.5, 1.0 - 1e-3, 1e-3),  # F = 1 - z/3, c = a + b next to z = 1
+    (-2.0, 3.1, 1.1, 0.999, None),
+    (-3.0, -0.25, -3.25, 0.9999, None),
+    (0.0, 2.5, 2.5, 0.99, None),
+    (-2.0, 1.5, 3.0, 0.9, None),  # c = 2b with z > 0.75
+    (-3.0, 0.5, 1.0, -0.7, None),  # c = 2b with z < 0
+    (0.7, -4.0, -3.3, 0.98, None),
+    (-5.0, 2.2, -2.8, -0.9, None),
+])
+def test_hyp2f1_terminating_series_matches_mpmath(a, b, c, z, u):
+    # a or b = 0, -1, -2, ...: F is a polynomial, summed by the Gauss series
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(mpmath.hyp2f1(a, b, c, mpmath.mpf(z) if u is None else 1 - mpmath.mpf(u)))
+    assert hyp2f1(a, b, c, z, u) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_digamma_matches_mpmath():
@@ -486,6 +504,21 @@ def test_delta_g_blows_up_toward_side(nt6, mp2):
     assert all(b > a for a, b in zip(vals[-5:], vals[-4:]))
 
 
+def test_delta_g_grows_like_the_log_of_the_side_gap(nt6, mp2):
+    # next to a side the reflected image lies at rho proportional to the gap,
+    # and G_plus ~ -ln(rho)/(2 pi): each decade of gap adds ln(10)/(2 pi);
+    # a cut at c - 1 < 1e-12 dropped that image from a gap of 1e-6 on
+    tess = nt6.tess
+    c1 = tess.centroids[0]
+    side_mid = normalize(tess.fund_vertices[0] + tess.fund_vertices[1])
+    vals = []
+    for gap in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearSingularWarning)
+            vals.append(delta_g(mp2, nt6, normalize(gap * c1 + (1.0 - gap) * side_mid)))
+    assert np.diff(vals) == pytest.approx(math.log(10.0) / (2.0 * math.pi), abs=1e-6)
+
+
 def test_delta_g_near_side_warns(nt6, mp2):
     tess = nt6.tess
     c1 = tess.centroids[0]
@@ -821,6 +854,92 @@ def test_image_sums_do_not_depend_on_the_blas_thread_count():
     assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
 
 
+def _thread_count_inputs(tess):
+    """The domination block's 50 x 50 points (seed 0) and the resolution-3
+    and resolution-6 cells of tile 0."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(7,)))
+    xs = sample_tile_points(tess, 0, 50, rng)
+    ys = sample_tile_points(tess, 0, 50, rng)
+    cells = [build_quadrature(tess, [0], res).points for res in (3, 6)]
+    return xs, ys, cells
+
+
+def test_image_sums_do_not_depend_on_the_thread_count(monkeypatch, caplog, nt6, mp2, tess344_big):
+    mats, rmax = nt6._mats, nt6.max_orbit_radius
+    xs, ys, cells = _thread_count_inputs(tess344_big)
+    shapes = [(xs, ys)] + [(c, c) for c in cells]
+
+    def run(threads):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
+            blocks = [_kernels.image_sum_block(a, b, mats, rmax, mp2, threads=threads) for a, b in shapes]
+            selfs = [_kernels.image_sum_self(c, mats, rmax, mp2, threads=threads) for c in (xs, *cells)]
+        workers = [int(re.search(r", (\d+) workers, ", r.getMessage())[1]) for r in caplog.records]
+        return blocks, selfs, workers
+
+    blocks, selfs, workers = run(1)
+    assert workers == [1] * 6
+    # a loop whose average step is less than _POOL_MIN_PRODUCTS products a
+    # column or _POOL_MIN_IMAGES images a point stays on one worker: the
+    # resolution-3 block (26k products a column at most) and the self sums
+    # (7-8k images a point); the domination and resolution-6 blocks (417k
+    # and 134k) go to the pool
+    assert run(2)[2] == [2, 1, 2, 1, 1, 1]
+    # every loop on the pool, and every column's (point's) past-tail terms
+    # added to its run's sums at once, so that each flush adds zeros to the
+    # run's other sums in between their tail-piece additions
+    monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
+    monkeypatch.setattr(_kernels, "_POOL_MIN_IMAGES", 0)
+    monkeypatch.setattr(_kernels, "_PAST_TAIL_TERMS", 1)
+    # a short switch interval interleaves the workers' Python steps finely
+    interval = sys.getswitchinterval()
+    for threads in (2, 3):
+        sys.setswitchinterval(1e-5)
+        try:
+            blocks_t, selfs_t, workers_t = run(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers_t == [threads] * 6
+        for got, want in zip(blocks_t, blocks):
+            assert got.tobytes() == want.tobytes()
+        for (sums, nearest), (sums_1, nearest_1) in zip(selfs_t, selfs):
+            assert sums.tobytes() == sums_1.tobytes() and nearest.tobytes() == nearest_1.tobytes()
+
+
+def test_map_blocks_balances_its_runs_by_weight():
+    runs = []
+
+    def task(run):
+        runs.append(run)
+        return lambda: None
+
+    # a same-set block's columns j = 1..49 sum j pairs each
+    assert _kernels._map_blocks(task, range(1, 50), 2, np.arange(1, 50)) == 2
+    assert runs[0] + runs[1] == list(range(1, 50))
+    assert abs(sum(runs[0]) - sum(runs[1])) <= 49
+    # equal weights: the runs differ in length by one at most, and a heavy
+    # last span still leaves every worker a run
+    runs.clear()
+    assert _kernels._map_blocks(task, range(10), 3) == 3
+    assert [len(r) for r in runs] == [3, 3, 4]
+    runs.clear()
+    assert _kernels._map_blocks(task, range(3), 3, [1, 1, 100]) == 3
+    assert runs == [[0], [1], [2]]
+
+
+def test_single_point_image_sums_start_no_executor(monkeypatch, nt6, mp2):
+    import concurrent.futures
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a one-column image sum started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
+    x, y = sample_tile_points(nt6.tess, 0, 2, np.random.default_rng(5), min_side_gap=0.05)
+    assert g_neumann(mp2, nt6, x, y) > 0.0
+    assert delta_g(mp2, nt6, x) > 0.0
+
+
 def test_leading_images_hold_every_term_past_the_tail_piece(nt6, tess344_big):
     # a term with rho < 3.45 comes from one of the first `near` images, so
     # the tail piece never sees it
@@ -836,16 +955,23 @@ def test_leading_images_hold_every_term_past_the_tail_piece(nt6, tess344_big):
 
 def test_past_tail_terms_are_evaluated_together(monkeypatch, nt6, mp2, tess344_big):
     # the near piece costs about 0.2 ms a call whatever its size: the terms
-    # past the tail piece are gathered over all columns (points) of a call
+    # past the tail piece are gathered over all columns (points) of a
+    # worker's run, one run per worker
     cells = build_quadrature(tess344_big, [0], 3).points
     mats, rmax = nt6._mats, nt6.max_orbit_radius
     interp = mp2.gplus_interp
     calls = []
     near = interp.near
     monkeypatch.setattr(interp, "near", lambda t: calls.append(len(t)) or near(t))
-    block = _kernels.image_sum_block(cells, cells, mats, rmax, mp2)
-    sums, _ = _kernels.image_sum_self(cells, mats, rmax, mp2)
+    block = _kernels.image_sum_block(cells, cells, mats, rmax, mp2, threads=1)
+    sums, _ = _kernels.image_sum_self(cells, mats, rmax, mp2, threads=1)
     assert len(calls) == 2 and min(calls) > 0
+    calls.clear()
+    monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
+    monkeypatch.setattr(_kernels, "_POOL_MIN_IMAGES", 0)
+    assert np.array_equal(_kernels.image_sum_block(cells, cells, mats, rmax, mp2, threads=2), block)
+    assert np.array_equal(_kernels.image_sum_self(cells, mats, rmax, mp2, threads=2)[0], sums)
+    assert len(calls) == 4 and min(calls) > 0
     # evaluating them after every column or point gives the same bits: each
     # sum takes one addition of its past-tail terms
     monkeypatch.setattr(_kernels, "_PAST_TAIL_TERMS", 1)
@@ -855,11 +981,12 @@ def test_past_tail_terms_are_evaluated_together(monkeypatch, nt6, mp2, tess344_b
 
 
 def _kernel_counts(caplog, name):
-    """(points, pairs or None, passed, kept, scanned or None, terms) from the one log line of `name`."""
+    """(points, pairs or None, passed, kept, scanned or None, terms, workers)
+    from the one log line of `name`."""
     [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith(name)]
     nums = re.match(
         rf"{name} (\S+) points, (?:(\d+) pairs, )?(\d+) images passed, (\d+) kept by reach, "
-        r"(?:(\d+) products scanned, )?(\d+) terms summed, [0-9.]+ s$",
+        r"(?:(\d+) products scanned, )?(\d+) terms summed, (\d+) workers, [0-9.]+ s$",
         msg,
     )
     assert nums, msg
@@ -873,8 +1000,9 @@ def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
     coshes = -np.einsum("ia,kja->ijk", cells, np.einsum("kab,jb->kja", mats, cells) * [1.0, 1.0, -1.0])
     within = (coshes <= math.cosh(rmax)).sum(axis=2)  # images per (i, j) pair
     with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
-        _kernels.image_sum_block(cells, cells, mats, rmax, mp2)
-    points, pairs, passed, kept, scanned, terms = _kernel_counts(caplog, "image_sum_block")
+        _kernels.image_sum_block(cells, cells, mats, rmax, mp2, threads=2)
+    points, pairs, passed, kept, scanned, terms, workers = _kernel_counts(caplog, "image_sum_block")
+    assert workers == 2
     assert points == f"{n}x{n}" and passed == len(mats)
     assert kept < 0.4 * len(mats)
     # the same-set block sums the pairs i < j and no other
@@ -884,9 +1012,9 @@ def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
     assert terms <= scanned < 0.8 * pairs * kept
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
-        _kernels.image_sum_self(cells, mats, rmax, mp2)
-    points, pairs, passed, kept_self, scanned, terms = _kernel_counts(caplog, "image_sum_self")
-    assert (points, pairs, passed, kept_self, scanned) == (str(n), None, len(mats), kept, None)
+        _kernels.image_sum_self(cells, mats, rmax, mp2, threads=1)
+    points, pairs, passed, kept_self, scanned, terms, workers = _kernel_counts(caplog, "image_sum_self")
+    assert (points, pairs, passed, kept_self, scanned, workers) == (str(n), None, len(mats), kept, None, 1)
     assert terms == np.diag(within).sum() - n  # all but the identity images
 
 

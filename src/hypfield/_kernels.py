@@ -39,38 +39,52 @@ one for the rest; each row's sum does not depend on the BLAS thread
 count, which a test checks.  The tail piece's terms are summed per
 column, and evaluated for a group of columns (points) of at least
 `_TERM_BLOCK` products at a time.  The terms past it, which only the
-leading images give, are gathered over a worker's columns, up to
+leading images give, are gathered over the columns (points), up to
 `_PAST_TAIL_TERMS` at a time, and evaluated together, so the near
 piece's fixed cost of about 0.2 ms is paid a few times a call, not once
 a column.  For those next to the diagonal, both kernels take c - 1 from
 <x - gamma y, x - gamma y>/2, which keeps the digits that c - 1 of the
-rounded Lorentz product loses.  Each call logs at DEBUG on the `hypfield._kernels` logger its
-points, the images passed in, the images kept by the reach test, for a
-block the (pair, image) products scanned after the per-column reach,
-the (pair, image) terms summed, its workers and its seconds.
+rounded Lorentz product loses.  Each call logs at DEBUG on the
+`hypfield._kernels` logger its points, the images passed in, the images
+kept by the reach test, for a block the (pair, image) products scanned
+after the per-column reach and its workers, the (pair, image) terms
+summed and its seconds.
 
 Threads.  `_map_blocks` runs block loops on `threads` workers, for the
-image sums here and for the Monte Carlo layer in `fieldmc`: None means
-one worker per core this process may run on, 1 the plain loop in the
-calling thread, with no executor.  numpy releases the interpreter lock
-inside its ufuncs and matrix products, so the workers run on separate
-cores.  `image_sum_block` cuts its columns into contiguous runs of
-about equal pair count (a same-set column j has j pairs),
-`image_sum_self` its points into runs of equal length.  Each run has
-its own partial sums, its own `_PastTail` and its own buffers, all made
-in the calling thread, so that no pool thread's malloc arena keeps them
-resident; the partial sums go into the result after every loop has
-ended.  A loop whose steps average less work than `_POOL_MIN_PRODUCTS`
-products a column or `_POOL_MIN_IMAGES` images a point stays on one
-worker, where the lock's hand-offs would cost more than a second core
-saves.  The result is byte-identical for any number of
-workers: a column's products come from the same matrix products in any
-run, and every S[i, j] (every self sum) receives its tail-piece row sum
-and its past-tail addition from one worker, from the same arrays in
-the same order, and only zeros from that worker's other past-tail
-flushes.  The runs cannot share one result array: `_PastTail.add_to`
-adds a bincount over the whole of its array, so two workers doing that
-on one array would lose each other's column writes.
+image-sum blocks here and for the Monte Carlo layer in `fieldmc`: None
+means one worker per core this process may run on, 1 the plain loop in
+the calling thread, with no executor.  numpy releases the interpreter
+lock inside its ufuncs and matrix products, so the workers run on
+separate cores.  `image_sum_block` cuts its columns into contiguous
+runs of about equal pair count (a same-set column j has j pairs), when
+they average `_POOL_MIN_PRODUCTS` products or more; below that the
+lock's hand-offs would cost more than a second core saves.
+`image_sum_self` runs in the calling thread.
+
+Each run has its own partial sums, its own `_PastTail` and its own
+buffers, all made in the calling thread, so that no pool thread's
+malloc arena keeps them resident; in its loop a worker makes only
+temporaries of at most a column's images or `_COMPACT_BLOCK` products.
+The partial sums go into the result after every loop has ended.  The
+runs share out one worker's product buffer (n x images, plus
+`_TERM_BLOCK`), and two workers' past-tail buffers and tail-piece
+scratch, so that their memory stays about that of one or two workers
+for any count: two workers share nothing out but the products, where a
+smaller past-tail buffer or tail-piece block costs time.  A column whose
+products or leading terms do not fit is taken in chunks of its rows, of
+two rows or more.
+
+The result is byte-identical for any number of workers.  A row's
+products come from the same two matrix products in any run or chunk:
+a product's value depends neither on the other rows of the call nor on
+the memory it sits in, which the tests check, but numpy takes a one-row
+product through a matrix-vector routine, so no chunk has one row unless
+the column has.  Every S[i, j] receives its tail-piece row sum and its
+past-tail addition from one worker, from the same arrays in the same
+order, and only zeros from that worker's other past-tail flushes.  The
+runs cannot share one result array: `_PastTail.add_to` adds a bincount
+over the whole of its array, so two workers doing that on one array
+would lose each other's column writes.
 
 Reference and build path.  `gplus_series` computes the node values and
 is the oracle the tests compare the interpolant against:
@@ -130,23 +144,23 @@ INTERP_RTOL = 2e-13
 # (50 x 50 points) took 115-155 ms on one worker at any block size, and on
 # two 107-117 ms at 8k, 92-96 at 32k and 73-88 at 64k.
 _TERM_BLOCK = 65536
-# past-tail terms a run of an image sum gathers before it evaluates them:
-# 768 KB of cosh values, c - 1 and sum indices.  On a 2-core host the
-# domination block on two workers took 74 ms at 64k terms, 75 at 32k and
-# 84 at 16k.  Six library iterations in one process peaked at 145-148 MB
-# at 64k and at 141 MB at 32k, where less stayed in the malloc heaps; the
-# benchmark's 60 s library runs read 144.6 and 144.2 MB (medians of 10)
-_PAST_TAIL_TERMS = 1 << 15
-# the least work of an average step of an image sum's loop (a block's
-# products of one column, a self sum's images of one point) for which the
-# loop goes to more than one worker: below it a step's numpy calls are so
-# short that the workers' hand-offs of the interpreter lock cost more than
-# the second core saves.  On 2 cores at R = 6, same-set blocks of 89k and
-# 134k products a column took 17-18 and 34-39 ms on one worker, 18.5-19
-# and 31 ms on two; self sums of 50 points over 8.9k, 18k and 30k images
-# a point 8, 15-19 and 29-30 ms on one, 8, 13-14 and 17-20 ms on two.
+# products per step of moving an image-sum block's tail-piece terms to the
+# front of its buffer: np.compress makes two temporaries of up to 256 KB
+# in the worker's thread, whose malloc arena keeps them.  On a 2-core host
+# the domination block on two workers took 117 ms at 8k, 104 at 16k, 99 at
+# 32k and 97.5 in one step; after four library iterations the pool
+# thread's arena held 0.64 MB at 16k and 0.81 MB at 32k
+_COMPACT_BLOCK = 32768
+# past-tail terms an image sum gathers before it evaluates them: 1.5 MB of
+# cosh values, c - 1 and sum indices, divided among the runs of its loop
+_PAST_TAIL_TERMS = 1 << 16
+# the least average products a column of an image-sum block for which its
+# columns go to more than one worker: below it a column's numpy calls are
+# so short that the workers' hand-offs of the interpreter lock cost more
+# than the second core saves.  On 2 cores at R = 6, same-set blocks of 89k
+# and 134k products a column took 17-18 and 34-39 ms on one worker, 18.5-19
+# and 31 ms on two.
 _POOL_MIN_PRODUCTS = 1 << 17
-_POOL_MIN_IMAGES = 1 << 14
 
 logger = logging.getLogger(__name__)
 
@@ -464,58 +478,70 @@ class GplusInterpolant:
 
         It runs over blocks of `_TERM_BLOCK` values with two scratch
         blocks, so that its temporaries stay in cache: the rows of scratch,
-        a (2, _TERM_BLOCK) array, when given.  Only the values at
-        c >= cosh 3.45 are G_plus.
+        a (2, block) array, when given, over blocks of their length.  Only
+        the values at c >= cosh 3.45 are G_plus.
         """
         if scratch is None:
             scratch = np.empty((2, min(len(c), _TERM_BLOCK)))
         w_buf, p_buf = scratch
-        for lo in range(0, len(c), _TERM_BLOCK):
-            block = c[lo : lo + _TERM_BLOCK]
+        for lo in range(0, len(c), max(1, len(w_buf))):
+            block = c[lo : lo + len(w_buf)]
             w = np.reciprocal(block, out=w_buf[: len(block)])
             np.multiply(w, w, out=w)  # (1/c)^2 underflows where c^2 would overflow
-            vals = np.power(block, -self.delta, out=out[lo : lo + _TERM_BLOCK])
+            vals = np.power(block, -self.delta, out=out[lo : lo + len(w_buf)])
             vals *= _horner(self.tail_coef, w, out=p_buf[: len(block)])
         return out
 
-    def past_tail_cosh(self, c, cm1=None):
+    def past_tail_cosh(self, c, cm1=None, out=None, scratch=None):
         """G_plus at an array of c = cosh rho below cosh 3.45 by the far,
-        near and diagonal pieces; inf at c <= 1.
+        near and diagonal pieces, written into out (a new array if None),
+        which may be c itself; inf at c <= 1.
 
         The far piece runs on every value, over blocks of `_TERM_BLOCK`
-        values as the tail piece does.  The values next to the diagonal,
-        t > 0.6, are then overwritten by the near and diagonal pieces, one
-        call each: the near piece costs about 0.2 ms a call whatever the
-        number of values, so callers gather these values and make few
-        calls.  On the diagonal piece u = 1 - t^2 = 2 t sinh rho.  These
-        two pieces read sinh rho from c - 1, which next to c = 1 has only
-        the digits of the rounded c; cm1, when given, is c - 1 at every
-        value to its own digits (an image sum takes it from
-        <x - gamma y, x - gamma y>/2), and is read instead.
+        values or of the length of scratch's two rows, as the tail piece
+        does.  The values next to the diagonal, t > 0.6, are then
+        overwritten by the near and diagonal pieces, one call each: the
+        near piece costs about 0.2 ms a call whatever the number of values,
+        so callers gather these values and make few calls.  On the
+        diagonal piece u = 1 - t^2 = 2 t sinh rho.  These two pieces read
+        sinh rho from c - 1, which next to c = 1 has only the digits of the
+        rounded c; cm1, when given, is c - 1 at every value to its own
+        digits (an image sum takes it from <x - gamma y, x - gamma y>/2),
+        and is read instead.
         """
-        out = np.empty_like(c)
-        for lo in range(0, len(c), _TERM_BLOCK):
-            t, _ = _t_sinh(c[lo : lo + _TERM_BLOCK])
-            vals = _horner(self.far_coef, t * t, out=out[lo : lo + _TERM_BLOCK])
-            vals *= t**self.delta
+        if out is None:
+            out = np.empty_like(c)
+        if scratch is None:
+            scratch = np.empty((2, min(len(c), _TERM_BLOCK)))
+        # taken before out, which may be c, is written
         rest = np.flatnonzero(c < _NEAR_COSH)
+        c_rest, cm1_rest = c[rest], None if cm1 is None else cm1[rest]
+        t_buf, s_buf = scratch
+        for lo in range(0, len(c), max(1, len(t_buf))):
+            block = c[lo : lo + len(t_buf)]
+            t, s = _t_sinh(block, out=(t_buf[: len(block)], s_buf[: len(block)]))
+            np.multiply(t, t, out=s)
+            vals = _horner(self.far_coef, s, out=out[lo : lo + len(t_buf)])
+            vals *= np.power(t, self.delta, out=t)
         if rest.size:
-            t, sinh = _t_sinh(c[rest], None if cm1 is None else cm1[rest])
+            t, sinh = _t_sinh(c_rest, cm1_rest)
             with np.errstate(divide="ignore"):  # ln 0 at a coincident point
                 vals = self._past_tail(t, t * t, lambda sel: 2.0 * t[sel] * sinh[sel])
             out[rest] = vals * t**self.delta
         return out
 
 
-def _t_sinh(c, cm1=None):
+def _t_sinh(c, cm1=None, out=(None, None)):
     """(t, sinh rho) at an array of c = cosh rho, t = e^(-rho), from
     sinh^2 rho = (c - 1)(c + 1), with c - 1 taken from cm1 when given; c
-    below 1 (rounding at a coincident point) counts as 1."""
-    sinh = np.subtract(c, 1.0) if cm1 is None else cm1.copy()
-    np.maximum(sinh, 0.0, out=sinh)
-    sinh *= c + 1.0
+    below 1 (rounding at a coincident point) counts as 1.  They are written
+    into the arrays out, when given."""
+    t, sinh = out
+    sinh = np.maximum(np.subtract(c, 1.0, out=sinh) if cm1 is None else cm1, 0.0, out=sinh)
+    t = np.add(c, 1.0, out=t)
+    sinh *= t
     np.sqrt(sinh, out=sinh)
-    t = np.add(c, sinh)
+    np.add(c, sinh, out=t)
     np.reciprocal(t, out=t)
     return t, sinh
 
@@ -575,35 +601,45 @@ def _row_sums(vals, counts):
 class _PastTail:
     """The past-tail terms of an image sum, deferred: their cosh values c,
     their c - 1 and the flat index of the sum each belongs to, held in
-    arrays made once, for `_PAST_TAIL_TERMS` terms and the `most` that one
-    `defer` adds.  `add_to` evaluates them with one `past_tail_cosh` call
-    and adds them to their sums; it runs when `_PAST_TAIL_TERMS` are
-    pending and at the end of the kernel's loop.  A sum's terms are
+    arrays made once for `capacity` terms.  `slots` hands out the next
+    terms' places, after `add_to` when they would not fit; `add_to`
+    evaluates the pending terms with one `past_tail_cosh` call, into their
+    own array and with the rows of scratch, and adds them to their sums.
+    It runs once more at the end of the kernel's loop.  A sum's terms are
     deferred together, so it gets one addition from here and one of its
     tail-piece terms, in either order with the same result."""
 
-    def __init__(self, interp, sums, most):
-        self.interp, self.sums = interp, sums.reshape(-1)
-        self.coshes, self.cm1s = np.empty((2, _PAST_TAIL_TERMS + most))
-        self.at = np.empty(_PAST_TAIL_TERMS + most, dtype=np.intp)
+    def __init__(self, interp, sums, capacity, scratch):
+        self.interp, self.sums, self.scratch = interp, sums.reshape(-1), scratch
+        self.coshes, self.cm1s = np.empty((2, capacity))
+        self.at = np.empty(capacity, dtype=np.intp)
         self.pending = 0
 
-    def defer(self, c, at, cm1):
-        """Keep the terms at the cosh values c, of the sums at, for `add_to`;
-        cm1 as in `past_tail_cosh`."""
-        lo, hi = self.pending, self.pending + c.size
-        self.coshes[lo:hi], self.cm1s[lo:hi], self.at[lo:hi] = c, cm1, at
-        self.pending = hi
-        if hi >= _PAST_TAIL_TERMS:
+    def slots(self, size):
+        """(c, c - 1, sum index) arrays for the next size terms, to be
+        filled in; cm1 as in `past_tail_cosh`.  size is at most capacity."""
+        if self.pending + size > len(self.at):
             self.add_to()
+        lo, self.pending = self.pending, self.pending + size
+        return self.coshes[lo : self.pending], self.cm1s[lo : self.pending], self.at[lo : self.pending]
 
     def add_to(self):
         if not self.pending:
             return
-        n = self.pending
-        vals = self.interp.past_tail_cosh(self.coshes[:n], self.cm1s[:n])
+        n, self.pending = self.pending, 0
+        c = self.coshes[:n]
+        vals = self.interp.past_tail_cosh(c, self.cm1s[:n], c, self.scratch)
         self.sums += np.bincount(self.at[:n], weights=vals, minlength=len(self.sums))
-        self.pending = 0
+
+
+def _row_chunks(rows, most):
+    """(first, end) of the fewest near-equal chunks of rows with at most
+    `most` rows each (most >= 3): every chunk has two rows or more unless
+    rows is 1, since numpy takes a one-row matrix product through a
+    matrix-vector routine, whose rounding differs."""
+    count = -(-rows // most)
+    cuts = [rows * p // count for p in range(count + 1)]
+    return zip(cuts, cuts[1:])
 
 
 def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
@@ -654,90 +690,116 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     neg_eta_x = xs * -ETA_DIAG
     kept_rows = kept.reshape(-1, 3)
     interp = mp.gplus_interp
+    first = 1 if same else 0  # a same-set j = 0 has no pair i < j
+    pairs = n * (n - 1) // 2 if same else n * m
+    workers = 1
+    if pairs * len(kept) >= _POOL_MIN_PRODUCTS * (m - first):
+        workers = _worker_count(threads, m - first)
+    # the product buffer of one worker, and the past-tail buffers and
+    # tail-piece blocks of two, shared out among the runs (see the module
+    # docstring)
+    share = -(-(n * len(kept) + _TERM_BLOCK) // workers)
+    past_share = max(3 * near, 2 * _PAST_TAIL_TERMS // max(2, workers))
+    term_block = 2 * _TERM_BLOCK // max(2, workers)
     runs = []  # per run of columns: its sums, [products scanned, terms summed]
 
     def task(cols):
         # made here, in the calling thread (see `_map_blocks`): the run's
-        # sums and buffers; a column makes no array larger than its images
+        # sums and buffers, the products' buffer sized by its largest column
         sums = np.zeros((n, len(cols)))
         tally = [0, 0]
         runs.append((sums, tally))
-        past_tail = _PastTail(interp, sums, n * near)
-        images = np.empty((len(kept), 3))
+        scratch = np.empty((2, term_block))
+        past_tail = _PastTail(interp, sums, past_share, scratch)
+        images, imgs_buf = np.empty((2, len(kept), 3))
         to_cx = np.empty(len(kept))
         reach = np.empty(len(kept), dtype=bool)
-        buf = np.empty(n * len(kept) + _TERM_BLOCK)  # the products of a group of columns
-        within = np.empty(len(buf), dtype=bool)
-        scratch = np.empty((2, _TERM_BLOCK))
-        group = []  # (column, rows, leading images, its products' span in buf)
+        cap = max(3 * len(kept), min(share, (max(cols, default=0) if same else n) * len(kept) + _TERM_BLOCK))
+        buf = np.empty(cap)  # the products of a group of columns' rows
+        within = np.empty(cap, dtype=bool)
+        group = []  # (column, first row, rows, leading images, its products' span in buf)
 
         def tails(size):
-            """Sum, row by row, the tail piece's terms of the group's columns,
-            whose products fill buf[:size]: in each column those with the
-            leading images, then the rest (np.compress outruns buf[sel])."""
+            """Sum, row by row, the tail piece's terms of the group, whose
+            products fill buf[:size]: in each chunk of a column's rows those
+            with the leading images, then the rest.  The terms are moved to
+            the front of buf first, in place."""
             sel = np.less_equal(buf[:size], cosh_max, out=within[:size])
             counts = np.concatenate([
                 np.count_nonzero(part.reshape(rows, -1), axis=1)
-                for _, rows, k, lo, hi in group
+                for _, _, rows, k, lo, hi in group
                 for part in (sel[lo : lo + rows * k], sel[lo + rows * k : hi])
             ])
-            t = np.compress(sel, buf[:size])
-            row_sums = _row_sums(interp.tail_cosh(t, t, scratch), counts)
-            for at, rows, _, _, _ in group:
+            terms = 0
+            for lo in range(0, size, _COMPACT_BLOCK):
+                piece = np.compress(sel[lo : lo + _COMPACT_BLOCK], buf[lo : lo + _COMPACT_BLOCK])
+                buf[terms : terms + len(piece)] = piece
+                terms += len(piece)
+            t = interp.tail_cosh(buf[:terms], buf[:terms], scratch)
+            row_sums = _row_sums(t, counts)
+            for at, r0, rows, _, _, _ in group:
                 part, row_sums = row_sums[: 2 * rows], row_sums[2 * rows :]
-                sums[:rows, at] += part[:rows] + part[rows:]
-            tally[1] += t.size
+                sums[r0 : r0 + rows, at] += part[:rows] + part[rows:]
+            tally[1] += terms
             group.clear()
 
         def loop():
             size = 0
             for at, j in enumerate(cols):
-                rows = j if same else n
                 np.matmul(kept_rows, ys[j], out=images.reshape(-1))  # `_images`
                 np.less_equal(np.matmul(images, neg_eta_cx, out=to_cx), column_reach, out=reach)
                 # the leading images stay in front
-                imgs = np.compress(reach, images, axis=0)
-                # the products with the k leading images and with the rest,
-                # each a contiguous (rows, images) block of buf after the
-                # group's earlier columns
+                hit = np.flatnonzero(reach)
+                imgs = np.take(images, hit, axis=0, out=imgs_buf[: len(hit)], mode="wrap")
                 k = np.count_nonzero(reach[:near])
-                lo, size = size, size + rows * len(imgs)
-                group.append((at, rows, k, lo, size))
-                head = buf[lo : lo + rows * k]
-                np.matmul(neg_eta_x[:rows], imgs[:k].T, out=head.reshape(rows, k))
-                np.matmul(neg_eta_x[:rows], imgs[k:].T, out=buf[lo + head.size : size].reshape(rows, -1))
-                past = np.flatnonzero(head < past_cut)
-                if past.size:
-                    c = head[past]
-                    # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
-                    # keeps the digits that c - 1 of the rounded product loses
-                    cm1 = c - 1.0
-                    close = np.flatnonzero(c < _NEAR_COSH)
-                    if close.size:
-                        row, img = np.divmod(past[close], k)
-                        diff = xs[row] - imgs[img]
-                        cm1[close] = 0.5 * lorentz_dot(diff, diff)
-                    past_tail.defer(c, past // k * len(cols) + at, cm1)
-                    head[past] = np.inf  # out of the tail piece's cut
-                tally[0] += rows * len(imgs)
-                tally[1] += past.size
-                # the tail piece's terms are evaluated a group of at least
-                # `_TERM_BLOCK` products at a time: small columns share calls
-                if size >= _TERM_BLOCK:
-                    tails(size)
-                    size = 0
+                # the column's rows in chunks that fit the run's buffers,
+                # each chunk's products with the k leading images and with
+                # the rest a contiguous (rows, images) block of buf after
+                # the group's earlier chunks
+                most = min(cap // max(len(imgs), 1), len(past_tail.at) // max(k, 1))
+                for r0, r1 in _row_chunks(j if same else n, most):
+                    rows = r1 - r0
+                    if size + rows * len(imgs) > cap:
+                        tails(size)
+                        size = 0
+                    lo, size = size, size + rows * len(imgs)
+                    group.append((at, r0, rows, k, lo, size))
+                    head = buf[lo : lo + rows * k]
+                    np.matmul(neg_eta_x[r0:r1], imgs[:k].T, out=head.reshape(rows, k))
+                    np.matmul(neg_eta_x[r0:r1], imgs[k:].T, out=buf[lo + head.size : size].reshape(rows, -1))
+                    past = np.flatnonzero(np.less(head, past_cut, out=within[lo : lo + head.size]))
+                    if past.size:
+                        c, cm1, to = past_tail.slots(past.size)
+                        np.take(head, past, out=c, mode="wrap")
+                        # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
+                        # keeps the digits that c - 1 of the rounded product loses
+                        np.subtract(c, 1.0, out=cm1)
+                        close = np.flatnonzero(c < _NEAR_COSH)
+                        if close.size:
+                            row, img = np.divmod(past[close], k)
+                            diff = xs[r0 + row] - imgs[img]
+                            cm1[close] = 0.5 * lorentz_dot(diff, diff)
+                        # the flat index of S[r0 + row, j] in the run's sums
+                        np.floor_divide(past, k, out=to)
+                        to += r0
+                        to *= len(cols)
+                        to += at
+                        head[past] = np.inf  # out of the tail piece's cut
+                    tally[0] += rows * len(imgs)
+                    tally[1] += past.size
+                    # the tail piece's terms are evaluated a group of at least
+                    # `_TERM_BLOCK` products at a time: small columns share calls
+                    if size >= _TERM_BLOCK:
+                        tails(size)
+                        size = 0
             if group:
                 tails(size)
             past_tail.add_to()
 
         return loop
 
-    first = 1 if same else 0  # a same-set j = 0 has no pair i < j
-    pairs = n * (n - 1) // 2 if same else n * m
-    if pairs * len(kept) < _POOL_MIN_PRODUCTS * (m - first):
-        threads = 1
     # a same-set column j sums j pairs, every other column n
-    workers = _map_blocks(task, range(first, m), threads, np.arange(first, m) if same else None)
+    workers = _map_blocks(task, range(first, m), workers, np.arange(first, m) if same else None)
     out = np.zeros((n, m))
     out[:, first:] = np.concatenate([sums for sums, _ in runs], axis=1)
     if same:
@@ -754,20 +816,18 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     return out
 
 
-def image_sum_self(xs, mats, rmax, mp, *, threads=None):
+def image_sum_self(xs, mats, rmax, mp):
     """Per point x: sum of G_plus over non-identity images gamma(x) within rmax.
 
     Returns (sums, nearest) where nearest[i] is the smallest included
     image distance (the divergence scale as x approaches a tile side).
     Images out of reach of every point are dropped first, the terms past
     the tail piece are evaluated together, and those next to the diagonal
-    take c - 1 from <x - gamma x, x - gamma x>/2, as in `image_sum_block`.
+    take c - 1 from <x - gamma x, x - gamma x>/2, as in `image_sum_block`;
+    the tail piece's terms are evaluated for a group of points at a time.
     An image is left out as the identity when that product is exactly 0,
     gamma x = x in every digit; any other image is summed, however close
-    to x, so the sum grows like -ln(gap)/(2 pi) as x nears a side.  The
-    points run on `threads` workers (None: one per core) in contiguous
-    runs when each has `_POOL_MIN_IMAGES` images or more, with the same
-    result for any number.
+    to x, so the sum grows like -ln(gap)/(2 pi) as x nears a side.
     """
     t_start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
@@ -777,83 +837,71 @@ def image_sum_self(xs, mats, rmax, mp, *, threads=None):
     n = xs.shape[0]
     kept_rows = kept.reshape(-1, 3)
     interp = mp.gplus_interp
-    nearest = np.full(n, np.inf)  # each point's entry is written by one worker
-    runs = []  # per run of points: its sums, [terms summed]
+    sums = np.zeros(n)
+    nearest = np.full(n, np.inf)
+    scratch = np.empty((2, _TERM_BLOCK))
+    past_tail = _PastTail(interp, sums, max(near, _PAST_TAIL_TERMS), scratch)
+    imgs = np.empty((len(kept), 3))
+    buf = np.empty(len(kept) + _TERM_BLOCK)  # the products of a group of points
+    within = np.empty(len(buf), dtype=bool)
+    group = []  # (point, whether it has past-tail terms)
+    terms = 0
 
-    def task(points):
-        # made here, in the calling thread, as in `image_sum_block`
-        sums = np.zeros(len(points))
-        tally = [0]
-        runs.append((sums, tally))
-        past_tail = _PastTail(interp, sums, near)
-        imgs = np.empty((len(kept), 3))
-        buf = np.empty(len(kept) + _TERM_BLOCK)  # the products of a group of points
-        within = np.empty(len(buf), dtype=bool)
-        scratch = np.empty((2, _TERM_BLOCK))
-        group = []  # (point in the run, point, whether it has past-tail terms)
+    def tails(size):
+        """Sum the tail piece's terms of each of the group's points, whose
+        products fill buf[:size]; a point without past-tail terms takes
+        its nearest image from them."""
+        sel = np.less_equal(buf[:size], cosh_max, out=within[:size])
+        counts = np.count_nonzero(sel.reshape(len(group), -1), axis=1)
+        t = np.compress(sel, buf[:size])
+        runs_t = np.split(t, np.cumsum(counts)[:-1])
+        for (i, past), ti in zip(group, runs_t):
+            if not past and ti.size:
+                nearest[i] = np.arccosh(ti.min())
+        interp.tail_cosh(t, t, scratch)
+        for (i, _), ti in zip(group, runs_t):
+            if ti.size:
+                sums[i] += ti.sum()
+        group.clear()
+        return t.size
 
-        def tails(size):
-            """Sum the tail piece's terms of each of the group's points, whose
-            products fill buf[:size]; a point without past-tail terms takes
-            its nearest image from them."""
-            sel = np.less_equal(buf[:size], cosh_max, out=within[:size])
-            counts = np.count_nonzero(sel.reshape(len(group), -1), axis=1)
-            t = np.compress(sel, buf[:size])
-            runs_t = np.split(t, np.cumsum(counts)[:-1])
-            for (_, i, past), ti in zip(group, runs_t):
-                if not past and ti.size:
-                    nearest[i] = np.arccosh(ti.min())
-            interp.tail_cosh(t, t, scratch)
-            for (at, _, _), ti in zip(group, runs_t):
-                if ti.size:
-                    sums[at] += ti.sum()
-            tally[0] += t.size
-            group.clear()
-
-        def loop():
+    size = 0
+    for i in range(n):
+        x = xs[i]
+        np.matmul(kept_rows, x, out=imgs.reshape(-1))  # `_images`
+        coshes = buf[size : size + len(kept)]
+        np.negative(np.matmul(imgs, x * ETA_DIAG, out=coshes), out=coshes)
+        size += len(kept)
+        # the terms past the tail piece, the identity among them, come
+        # from the leading images alone, and leave the tail piece's cut
+        head = coshes[:near]
+        past = np.flatnonzero(head < past_cut)
+        c = head[past]
+        head[past] = np.inf
+        # next to the diagonal, c - 1 = <x - gamma x, x - gamma x>/2,
+        # as in `image_sum_block`; rho = 2 asinh(sqrt((c - 1)/2))
+        cm1 = c - 1.0
+        close = np.flatnonzero(c < _NEAR_COSH)
+        if close.size:
+            diff = x - imgs[past[close]]
+            cm1[close] = 0.5 * lorentz_dot(diff, diff)
+            moved = cm1 != 0.0
+            c, cm1 = c[moved], cm1[moved]
+        if c.size:
+            nearest[i] = 2.0 * math.asinh(math.sqrt(max(cm1.min(), 0.0) / 2.0))
+            slot_c, slot_cm1, slot_at = past_tail.slots(c.size)
+            slot_c[:], slot_cm1[:], slot_at[:] = c, cm1, i
+        group.append((i, c.size > 0))
+        terms += c.size
+        # as in `image_sum_block`, a group of points at a time
+        if size >= _TERM_BLOCK:
+            terms += tails(size)
             size = 0
-            for at, i in enumerate(points):
-                x = xs[i]
-                np.matmul(kept_rows, x, out=imgs.reshape(-1))  # `_images`
-                coshes = buf[size : size + len(kept)]
-                np.negative(np.matmul(imgs, x * ETA_DIAG, out=coshes), out=coshes)
-                size += len(kept)
-                # the terms past the tail piece, the identity among them, come
-                # from the leading images alone, and leave the tail piece's cut
-                head = coshes[:near]
-                past = np.flatnonzero(head < past_cut)
-                c = head[past]
-                head[past] = np.inf
-                # next to the diagonal, c - 1 = <x - gamma x, x - gamma x>/2,
-                # as in `image_sum_block`; rho = 2 asinh(sqrt((c - 1)/2))
-                cm1 = c - 1.0
-                close = np.flatnonzero(c < _NEAR_COSH)
-                if close.size:
-                    diff = x - imgs[past[close]]
-                    cm1[close] = 0.5 * lorentz_dot(diff, diff)
-                    moved = cm1 != 0.0
-                    c, cm1 = c[moved], cm1[moved]
-                if c.size:
-                    nearest[i] = 2.0 * math.asinh(math.sqrt(max(cm1.min(), 0.0) / 2.0))
-                    past_tail.defer(c, at, cm1)
-                group.append((at, i, c.size > 0))
-                tally[0] += c.size
-                # as in `image_sum_block`, a group of points at a time
-                if size >= _TERM_BLOCK:
-                    tails(size)
-                    size = 0
-            if group:
-                tails(size)
-            past_tail.add_to()
-
-        return loop
-
-    workers = _map_blocks(task, range(n), 1 if len(kept) < _POOL_MIN_IMAGES else threads)
-    sums = np.concatenate([sums for sums, _ in runs])
+    if group:
+        terms += tails(size)
+    past_tail.add_to()
     logger.debug(
-        "image_sum_self %d points, %d images passed, %d kept by reach, %d terms summed, "
-        "%d workers, %.4f s",
-        n, len(mats), len(kept), sum(tally[0] for _, tally in runs), workers,
-        time.perf_counter() - t_start,
+        "image_sum_self %d points, %d images passed, %d kept by reach, %d terms summed, %.4f s",
+        n, len(mats), len(kept), terms, time.perf_counter() - t_start,
     )
     return sums, nearest

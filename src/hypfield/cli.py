@@ -341,7 +341,7 @@ def _cmd_triviality(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="hypfield", description=__doc__)
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads of the image sums and of the Monte Carlo sampling "
+                        help="worker threads of the image-sum blocks and of the Monte Carlo sampling "
                              "and reductions (neumann-audit, sample-audit: 0 or 1 serial; "
                              "triviality: 0 keeps the config's threads, default 1); results are "
                              "byte-identical for any count")

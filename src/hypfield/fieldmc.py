@@ -50,8 +50,9 @@ reductions, the squared deviations and the Laplace weights) runs through
 `_kernels._map_blocks`, the package's one worker pool, which hands each
 worker thread one contiguous run of blocks; numpy releases the GIL
 inside the ufuncs and the matrix products, so the workers run on
-separate cores.  The image sums of a Neumann covariance run on the same
-pool (see `_kernels`).  Each worker allocates its buffers once; the
+separate cores.  The image-sum block of a Neumann covariance runs on
+the same pool, its diagonal defects in the calling thread (see
+`_kernels`).  Each worker allocates its buffers once; the
 loops over one value per sample divide their `_FLAT`-times longer
 blocks among the workers, so that the buffers together stay one serial
 block.  A block writes only its own slice of the output and its own
@@ -195,8 +196,9 @@ def build_covariance(mp, nt, quad, kind, *, threads=None):
     same-kind kernel at the cell's effective radius r_i = sqrt(w_i/pi)
     (free part) plus the image-sum defect Delta G for the Neumann kind.
     Cross-tile Neumann entries are exact zeros.  Only the Neumann kind
-    reads the truncation `nt`, and runs its image sums on `threads`
-    workers (None: one per core), with the same result for any number.
+    reads the truncation `nt`, and runs its block's image sums on
+    `threads` workers (None: one per core), with the same result for any
+    number.
     """
     if kind not in ("free", "neumann"):
         raise ValueError("kind must be 'free' or 'neumann'")
@@ -218,7 +220,7 @@ def build_covariance(mp, nt, quad, kind, *, threads=None):
         first = quad.tile_ids[0]
         sub = pts[quad.tile_mask(first)]
         block = greens.g_neumann_block(mp, nt, sub, sub, first, threads=threads)
-        dgt = greens.delta_g_many(mp, nt, sub, tile_id=first, threads=threads)
+        dgt = greens.delta_g_many(mp, nt, sub, tile_id=first)
         dg = np.zeros(n)
         for tid in dict.fromkeys(quad.tile_ids.tolist()):
             mask = quad.tile_mask(tid)

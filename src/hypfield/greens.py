@@ -261,10 +261,9 @@ def delta_g(mp, nt, x):
     return float(out[0])
 
 
-def delta_g_many(mp, nt, vecs, tile_id=None, warn=False, *, threads=None):
+def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
     """Delta G at each Lorentz row of vecs, pulled back from its own tile
-    or, when given, from tile_id; the image sums run on `threads` workers
-    (None: one per core), the same for any number."""
+    or, when given, from tile_id."""
     tess = nt.tess
     vecs = np.asarray(vecs, dtype=float)
     if tile_id is None:
@@ -275,7 +274,7 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False, *, threads=None):
     else:
         pulled = _pull_back(tess, tile_id, vecs)
     nt.check_tail(mp)
-    sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp, threads=threads)
+    sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp)
     if warn:
         fund_normals = tess.fund_normals
         for v in pulled:

@@ -124,7 +124,6 @@ def test_sample_audit_writes_report_and_manifest(tmp_path):
 def test_audits_write_the_same_json_for_any_thread_count(monkeypatch, caplog, tmp_path, argv):
     # every image-sum loop goes to the pool, however short its steps
     monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
-    monkeypatch.setattr(_kernels, "_POOL_MIN_IMAGES", 0)
     reports = []
     for threads in ("1", "2"):
         json_path = tmp_path / f"threads{threads}.json"

@@ -868,42 +868,89 @@ def test_image_sums_do_not_depend_on_the_thread_count(monkeypatch, caplog, nt6, 
     mats, rmax = nt6._mats, nt6.max_orbit_radius
     xs, ys, cells = _thread_count_inputs(tess344_big)
     shapes = [(xs, ys)] + [(c, c) for c in cells]
+    # every run's partial sums and the chunks of rows each column is cut into
+    run_sums, chunks = [], []
+    init, row_chunks = _kernels._PastTail.__init__, _kernels._row_chunks
+
+    def spy_init(self, interp, sums, *args):
+        run_sums.append(sums)
+        init(self, interp, sums, *args)
+
+    def spy_chunks(rows, most):
+        bounds = list(row_chunks(rows, most))
+        chunks.append([b - a for a, b in bounds])
+        return bounds
+
+    monkeypatch.setattr(_kernels._PastTail, "__init__", spy_init)
+    monkeypatch.setattr(_kernels, "_row_chunks", spy_chunks)
 
     def run(threads):
         caplog.clear()
+        chunks.clear()
+        blocks = []
         with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
-            blocks = [_kernels.image_sum_block(a, b, mats, rmax, mp2, threads=threads) for a, b in shapes]
-            selfs = [_kernels.image_sum_self(c, mats, rmax, mp2, threads=threads) for c in (xs, *cells)]
+            for a, b in shapes:
+                run_sums.clear()
+                blocks.append(_kernels.image_sum_block(a, b, mats, rmax, mp2, threads=threads))
+                # each run adds its past-tail terms to sums of its own
+                for i, sums in enumerate(run_sums):
+                    assert not np.shares_memory(sums, blocks[-1])
+                    assert not any(np.shares_memory(sums, other) for other in run_sums[i + 1 :])
         workers = [int(re.search(r", (\d+) workers, ", r.getMessage())[1]) for r in caplog.records]
-        return blocks, selfs, workers
+        return blocks, workers
 
-    blocks, selfs, workers = run(1)
-    assert workers == [1] * 6
-    # a loop whose average step is less than _POOL_MIN_PRODUCTS products a
-    # column or _POOL_MIN_IMAGES images a point stays on one worker: the
-    # resolution-3 block (26k products a column at most) and the self sums
-    # (7-8k images a point); the domination and resolution-6 blocks (417k
-    # and 134k) go to the pool
-    assert run(2)[2] == [2, 1, 2, 1, 1, 1]
-    # every loop on the pool, and every column's (point's) past-tail terms
-    # added to its run's sums at once, so that each flush adds zeros to the
-    # run's other sums in between their tail-piece additions
+    blocks, workers = run(1)
+    assert workers == [1] * 3
+    assert all(len(sizes) == 1 for sizes in chunks)  # one worker takes a column whole
+    # a block whose columns average less than _POOL_MIN_PRODUCTS products
+    # stays on one worker: the resolution-3 block (26k products a column at
+    # most); the domination and resolution-6 blocks (417k and 134k) go to
+    # the pool
+    assert run(2)[1] == [2, 1, 2]
+    # every block on the pool, and the past-tail terms added to a run's sums
+    # a few columns at a time, so that each flush adds zeros to the run's
+    # other sums in between their tail-piece additions
     monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
-    monkeypatch.setattr(_kernels, "_POOL_MIN_IMAGES", 0)
     monkeypatch.setattr(_kernels, "_PAST_TAIL_TERMS", 1)
     # a short switch interval interleaves the workers' Python steps finely
     interval = sys.getswitchinterval()
-    for threads in (2, 3):
+    for threads in (2, 3, 5):
         sys.setswitchinterval(1e-5)
         try:
-            blocks_t, selfs_t, workers_t = run(threads)
+            blocks_t, workers_t = run(threads)
         finally:
             sys.setswitchinterval(interval)
-        assert workers_t == [threads] * 6
+        assert workers_t == [threads] * 3
         for got, want in zip(blocks_t, blocks):
             assert got.tobytes() == want.tobytes()
-        for (sums, nearest), (sums_1, nearest_1) in zip(selfs_t, selfs):
-            assert sums.tobytes() == sums_1.tobytes() and nearest.tobytes() == nearest_1.tobytes()
+        # the runs' small past-tail buffers cut columns into chunks of two
+        # rows or more
+        assert max(map(len, chunks)) > 1
+        assert all(min(sizes) >= 2 for sizes in chunks if len(sizes) > 1)
+
+
+def test_image_sum_block_buffers_do_not_grow_with_the_workers(nt6, mp2, tess344_big):
+    # the runs share out one worker's product buffer and two workers'
+    # past-tail buffers and tail-piece scratch, so that past two workers a
+    # run adds only its images and temporaries: on the domination block
+    # three more workers add about 0.6 of one worker's n x images products
+    # (with a whole buffer per run, about 7), and three workers peak about
+    # 1.5 times as high as one (2.8)
+    import tracemalloc
+
+    mats, rmax = nt6._mats, nt6.max_orbit_radius
+    xs, ys, _ = _thread_count_inputs(tess344_big)
+    kept, _ = _kernels._within_reach(mats, xs, ys, rmax)
+    peaks = {}
+    for threads in (1, 3, 6):
+        tracemalloc.start()
+        try:
+            _kernels.image_sum_block(xs, ys, mats, rmax, mp2, threads=threads)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[6] - peaks[3] < len(xs) * len(kept) * 8
+    assert peaks[3] < 2 * peaks[1]
 
 
 def test_map_blocks_balances_its_runs_by_weight():
@@ -937,6 +984,8 @@ def test_single_point_image_sums_start_no_executor(monkeypatch, nt6, mp2):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
     x, y = sample_tile_points(nt6.tess, 0, 2, np.random.default_rng(5), min_side_gap=0.05)
     assert g_neumann(mp2, nt6, x, y) > 0.0
+    # a same-set block of one point has no pair i < j
+    assert _kernels.image_sum_block(x[None], x[None], nt6._mats, nt6.max_orbit_radius, mp2)[0, 0] == math.inf
     assert delta_g(mp2, nt6, x) > 0.0
 
 
@@ -964,29 +1013,29 @@ def test_past_tail_terms_are_evaluated_together(monkeypatch, nt6, mp2, tess344_b
     near = interp.near
     monkeypatch.setattr(interp, "near", lambda t: calls.append(len(t)) or near(t))
     block = _kernels.image_sum_block(cells, cells, mats, rmax, mp2, threads=1)
-    sums, _ = _kernels.image_sum_self(cells, mats, rmax, mp2, threads=1)
+    sums, _ = _kernels.image_sum_self(cells, mats, rmax, mp2)
     assert len(calls) == 2 and min(calls) > 0
     calls.clear()
     monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
-    monkeypatch.setattr(_kernels, "_POOL_MIN_IMAGES", 0)
     assert np.array_equal(_kernels.image_sum_block(cells, cells, mats, rmax, mp2, threads=2), block)
-    assert np.array_equal(_kernels.image_sum_self(cells, mats, rmax, mp2, threads=2)[0], sums)
-    assert len(calls) == 4 and min(calls) > 0
-    # evaluating them after every column or point gives the same bits: each
-    # sum takes one addition of its past-tail terms
+    assert len(calls) == 2 and min(calls) > 0
+    calls.clear()
+    # evaluating them whenever a few columns' or one point's terms are
+    # pending gives the same bits: each sum takes one addition of its
+    # past-tail terms
     monkeypatch.setattr(_kernels, "_PAST_TAIL_TERMS", 1)
     assert np.array_equal(_kernels.image_sum_block(cells, cells, mats, rmax, mp2), block)
     assert np.array_equal(_kernels.image_sum_self(cells, mats, rmax, mp2)[0], sums)
-    assert len(calls) > 4  # the patch is live: one near call per column or point
+    assert len(calls) > 4  # the patch is live
 
 
 def _kernel_counts(caplog, name):
-    """(points, pairs or None, passed, kept, scanned or None, terms, workers)
-    from the one log line of `name`."""
+    """(points, pairs or None, passed, kept, scanned or None, terms,
+    workers or None) from the one log line of `name`."""
     [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith(name)]
     nums = re.match(
         rf"{name} (\S+) points, (?:(\d+) pairs, )?(\d+) images passed, (\d+) kept by reach, "
-        r"(?:(\d+) products scanned, )?(\d+) terms summed, (\d+) workers, [0-9.]+ s$",
+        r"(?:(\d+) products scanned, )?(\d+) terms summed, (?:(\d+) workers, )?[0-9.]+ s$",
         msg,
     )
     assert nums, msg
@@ -1012,9 +1061,9 @@ def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
     assert terms <= scanned < 0.8 * pairs * kept
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
-        _kernels.image_sum_self(cells, mats, rmax, mp2, threads=1)
+        _kernels.image_sum_self(cells, mats, rmax, mp2)
     points, pairs, passed, kept_self, scanned, terms, workers = _kernel_counts(caplog, "image_sum_self")
-    assert (points, pairs, passed, kept_self, scanned, workers) == (str(n), None, len(mats), kept, None, 1)
+    assert (points, pairs, passed, kept_self, scanned, workers) == (str(n), None, len(mats), kept, None, None)
     assert terms == np.diag(within).sum() - n  # all but the identity images
 
 

@@ -27,52 +27,56 @@ past it, t = 1/(c + sqrt((c - 1)(c + 1))) and, on the diagonal piece,
 u = 2 t sqrt((c - 1)(c + 1)).  `tail_cosh` and `past_tail_cosh` are its
 two halves, and `__call__(rho)` goes through the same pieces.
 
-Image sums.  `image_sum_block` and `image_sum_self` drop, before they
-scan, every image that no pair of their points can reach (a triangle
-inequality about the points' Lorentz mean, exact for any set of
-images), and put first the images that can bring a pair within 3.45,
-the tail piece's edge; `image_sum_block` then drops, per column, the
-images out of reach of every row, and a same-set block sums only its
-pairs i < j and mirrors them.  A column's (rows, images) Lorentz
-products are two BLAS matrix products, one for the leading images and
-one for the rest; each row's sum does not depend on the BLAS thread
-count, which a test checks.  The tail piece's terms are summed per
-column, and evaluated for a group of columns (points) of at least
+Image sums.  `image_sum_block` and `image_sum_self` share one loop
+over columns j, which sums the rows i of a range per column: every row
+for a block of two point sets, i <= j for a same-set block (mirrored
+after), i = j for the self sums.  An image that coincides with x_i in
+every digit, <x_i - gamma y_j, x_i - gamma y_j> = 0 exactly, is the
+identity and left out, so a same-set block's diagonal and the self sums
+are Delta G = G_N - G_plus.  Before it scans, the loop drops every image
+that no pair of the points can reach (a triangle inequality about their
+Lorentz mean, exact for any set of images), puts first the images that
+can bring a pair within 3.45, the tail piece's edge, and then drops, per
+column, the images out of reach of every row.  A column's (rows, images)
+Lorentz products are two BLAS matrix products, one for the leading
+images and one for the rest; each row's sum does not depend on the BLAS
+thread count, which a test checks.  The tail piece's terms are summed
+per column, and evaluated for a group of columns of at least
 `_TERM_BLOCK` products at a time.  The terms past it, which only the
-leading images give, are gathered over the columns (points), up to
+leading images give, are gathered over the columns, up to
 `_PAST_TAIL_TERMS` at a time, and evaluated together, so the near
 piece's fixed cost of about 0.2 ms is paid a few times a call, not once
-a column.  For those next to the diagonal, both kernels take c - 1 from
+a column.  For those next to the diagonal, c - 1 is taken from
 <x - gamma y, x - gamma y>/2, which keeps the digits that c - 1 of the
-rounded Lorentz product loses.  Each call logs at DEBUG on the
-`hypfield._kernels` logger its points, the images passed in, the images
-kept by the reach test, for a block the (pair, image) products scanned
-after the per-column reach and its workers, the (pair, image) terms
-summed and its seconds.
+rounded Lorentz product loses.  Each call logs one line at DEBUG on the
+`hypfield._kernels` logger, under its own name: its points, pairs, the
+images passed in, the images kept by the reach test, the (pair, image)
+products scanned after the per-column reach, the (pair, image) terms
+summed, its workers and its seconds.
 
 Threads.  `_map_blocks` runs block loops on `threads` workers, for the
-image-sum blocks here and for the Monte Carlo layer in `fieldmc`: None
-means one worker per core this process may run on, 1 the plain loop in
-the calling thread, with no executor.  numpy releases the interpreter
-lock inside its ufuncs and matrix products, so the workers run on
-separate cores.  `image_sum_block` cuts its columns into contiguous
-runs of about equal pair count (a same-set column j has j pairs), when
-they average `_POOL_MIN_PRODUCTS` products or more; below that the
-lock's hand-offs would cost more than a second core saves.
-`image_sum_self` runs in the calling thread.
+image sums here and for the Monte Carlo layer in `fieldmc`: None means
+one worker per core this process may run on, 1 the plain loop in the
+calling thread, with no executor.  numpy releases the interpreter lock
+inside its ufuncs and matrix products, so the workers run on separate
+cores.  The image-sum loop cuts its columns into contiguous runs of
+about equal pair count (a same-set column j has j + 1 pairs), when they
+average `_POOL_MIN_PRODUCTS` products or more; below that the lock's
+hand-offs would cost more than a second core saves.  The self sums, one
+pair a column, reach it only with `_POOL_MIN_PRODUCTS` images or more.
 
 Each run has its own partial sums, its own `_PastTail` and its own
 buffers, all made in the calling thread, so that no pool thread's
 malloc arena keeps them resident; in its loop a worker makes only
 temporaries of at most a column's images or `_COMPACT_BLOCK` products.
 The partial sums go into the result after every loop has ended.  The
-runs share out one worker's product buffer (n x images, plus
-`_TERM_BLOCK`), and two workers' past-tail buffers and tail-piece
-scratch, so that their memory stays about that of one or two workers
-for any count: two workers share nothing out but the products, where a
-smaller past-tail buffer or tail-piece block costs time.  A column whose
-products or leading terms do not fit is taken in chunks of its rows, of
-two rows or more.
+runs share out one worker's product buffer (the most rows of a column
+times the images, plus `_TERM_BLOCK`), and two workers' past-tail
+buffers and tail-piece scratch, so that their memory stays about that
+of one or two workers for any count: two workers share nothing out but
+the products, where a smaller past-tail buffer or tail-piece block
+costs time.  A column whose products or leading terms do not fit is
+taken in chunks of its rows, of two rows or more.
 
 The result is byte-identical for any number of workers.  A row's
 products come from the same two matrix products in any run or chunk:
@@ -607,7 +611,9 @@ class _PastTail:
     own array and with the rows of scratch, and adds them to their sums.
     It runs once more at the end of the kernel's loop.  A sum's terms are
     deferred together, so it gets one addition from here and one of its
-    tail-piece terms, in either order with the same result."""
+    tail-piece terms, in either order with the same result.  A term whose
+    c - 1 is 0, an identity image (gamma y_j = x_i in every digit), adds
+    exactly 0, which leaves every bit of its sum as without it."""
 
     def __init__(self, interp, sums, capacity, scratch):
         self.interp, self.sums, self.scratch = interp, sums.reshape(-1), scratch
@@ -627,8 +633,9 @@ class _PastTail:
         if not self.pending:
             return
         n, self.pending = self.pending, 0
-        c = self.coshes[:n]
-        vals = self.interp.past_tail_cosh(c, self.cm1s[:n], c, self.scratch)
+        c, cm1 = self.coshes[:n], self.cm1s[:n]
+        vals = self.interp.past_tail_cosh(c, cm1, c, self.scratch)
+        vals[cm1 == 0.0] = 0.0  # identity images
         self.sums += np.bincount(self.at[:n], weights=vals, minlength=len(self.sums))
 
 
@@ -643,9 +650,18 @@ def _row_chunks(rows, most):
 
 
 def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
-    """S[i, j] = sum over images gamma(y_j) within distance rmax of x_i of G_plus.
+    """S[i, j] = sum over images gamma(y_j) within distance rmax of x_i of
+    G_plus, the identity image left out.
 
-    A coincident image (rho = 0) contributes inf, the diagonal singularity.
+    The identity image is the one that coincides with x_i in every digit,
+    <x_i - gamma y_j, x_i - gamma y_j> = 0 exactly; any other is summed,
+    however close to x_i.  When xs and ys hold the same points, only the
+    pairs i <= j are summed, S[i, i] is Delta G(x_i) as `image_sum_self`
+    gives it, and S[j, i] is set to S[i, j].  That is exact when `mats`
+    holds gamma^-1 for every gamma that brings a pair within rmax,
+    because the terms of S[j, i] are those of S[i, j] with gamma replaced
+    by its inverse.  A `NeumannTruncation`'s images do, for points of
+    tile 0.
 
     Images that no pair can reach are dropped first (`_within_reach`):
     with c the Lorentz mean of all the points, an image gamma is kept
@@ -653,32 +669,43 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     Then each column j scans only the kept images with rho(c_x, gamma y_j)
     <= rmax + max_i rho(c_x, x_i), c_x the Lorentz mean of the xs.  By
     the triangle inequality neither cut loses a term, for any `mats`.
-
-    The terms are G_plus of cosh rho.  Those past the tail piece's edge,
-    rho < 3.45, come from the leading images of `_within_reach` alone.
-    So a column's (rows, images) Lorentz products are two matrix
-    products, with the leading images and with the rest; the past-tail
-    terms are taken out of the first, gathered over the columns and
-    evaluated together (`_PastTail`).  The tail piece's terms are summed
-    row by row per column, and evaluated for a group of columns of at
-    least `_TERM_BLOCK` products at a time.
+    The terms past the tail piece's edge, rho < 3.45, come from the
+    leading images of `_within_reach` alone; they are gathered over the
+    columns and evaluated together (`_PastTail`).
 
     The columns run on `threads` workers (None: one per core), in
     contiguous runs of about equal pair count (`_map_blocks`), when they
     average `_POOL_MIN_PRODUCTS` products or more; S is the same for any
     number (see the module docstring).
-
-    When xs and ys hold the same points, S[i, i] is inf (the identity
-    image coincides), only the pairs i < j are summed and S[j, i] is set
-    to S[i, j].  That is exact when `mats` holds gamma^-1 for every
-    gamma that brings a pair within rmax, because the terms of S[j, i]
-    are those of S[i, j] with gamma replaced by its inverse.  A
-    `NeumannTruncation`'s images do, for points of tile 0.
     """
-    t_start = time.perf_counter()
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    same = xs.shape == ys.shape and np.array_equal(xs, ys)
+    n = len(xs)
+    if not (xs.shape == ys.shape and np.array_equal(xs, ys)):
+        return _image_sums("image_sum_block", xs, ys, mats, rmax, mp, lambda j: (0, n), threads)
+    out = _image_sums("image_sum_block", xs, ys, mats, rmax, mp, lambda j: (0, j + 1), threads)
+    lower = np.tril_indices(n, -1)
+    out[lower] = out.T[lower]
+    return out
+
+
+def image_sum_self(xs, mats, rmax, mp):
+    """Delta G at each point x_i: the sum of G_plus over the images gamma(x_i)
+    within rmax of x_i but the identity, the diagonal of
+    `image_sum_block(xs, xs, ...)` and computed by its loop, with each
+    column j given the one row i = j.  The sum grows like
+    -ln(gap)/(2 pi) as x_i nears a side.
+    """
+    xs = np.asarray(xs, dtype=float)
+    return _image_sums("image_sum_self", xs, xs, mats, rmax, mp, lambda j: (j, j + 1), None)[0]
+
+
+def _image_sums(name, xs, ys, mats, rmax, mp, rows, threads):
+    """The image-sum loop of `image_sum_block` and `image_sum_self`: over
+    the columns j, the sums S[i, j] of the rows rows(j) = (first, end) of
+    xs, returned as an array whose row i - first holds x_i, zero where a
+    column has no such row; it logs at DEBUG under name."""
+    t_start = time.perf_counter()
     kept, near = _within_reach(mats, xs, ys, rmax)
     cosh_max = math.cosh(rmax)
     # the terms past the tail piece's edge and within rmax: c < past_cut
@@ -686,19 +713,21 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     cx = normalize(xs.sum(axis=0))
     column_reach = math.cosh(rmax + _max_dist(cx, xs) + 1e-9)
     neg_eta_cx = cx * -ETA_DIAG
-    n, m = xs.shape[0], ys.shape[0]
+    m = len(ys)
+    spans = [rows(j) for j in range(m)]
+    col_rows = np.array([end - first for first, end in spans], dtype=int)
+    height = int(col_rows.max(initial=0))
+    pairs = int(col_rows.sum())
     neg_eta_x = xs * -ETA_DIAG
     kept_rows = kept.reshape(-1, 3)
     interp = mp.gplus_interp
-    first = 1 if same else 0  # a same-set j = 0 has no pair i < j
-    pairs = n * (n - 1) // 2 if same else n * m
     workers = 1
-    if pairs * len(kept) >= _POOL_MIN_PRODUCTS * (m - first):
-        workers = _worker_count(threads, m - first)
+    if pairs * len(kept) >= _POOL_MIN_PRODUCTS * m:
+        workers = _worker_count(threads, m)
     # the product buffer of one worker, and the past-tail buffers and
     # tail-piece blocks of two, shared out among the runs (see the module
     # docstring)
-    share = -(-(n * len(kept) + _TERM_BLOCK) // workers)
+    share = -(-(height * len(kept) + _TERM_BLOCK) // workers)
     past_share = max(3 * near, 2 * _PAST_TAIL_TERMS // max(2, workers))
     term_block = 2 * _TERM_BLOCK // max(2, workers)
     runs = []  # per run of columns: its sums, [products scanned, terms summed]
@@ -706,7 +735,7 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     def task(cols):
         # made here, in the calling thread (see `_map_blocks`): the run's
         # sums and buffers, the products' buffer sized by its largest column
-        sums = np.zeros((n, len(cols)))
+        sums = np.zeros((height, len(cols)))
         tally = [0, 0]
         runs.append((sums, tally))
         scratch = np.empty((2, term_block))
@@ -714,7 +743,7 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
         images, imgs_buf = np.empty((2, len(kept), 3))
         to_cx = np.empty(len(kept))
         reach = np.empty(len(kept), dtype=bool)
-        cap = max(3 * len(kept), min(share, (max(cols, default=0) if same else n) * len(kept) + _TERM_BLOCK))
+        cap = max(3 * len(kept), min(share, int(col_rows[cols].max(initial=0)) * len(kept) + _TERM_BLOCK))
         buf = np.empty(cap)  # the products of a group of columns' rows
         within = np.empty(cap, dtype=bool)
         group = []  # (column, first row, rows, leading images, its products' span in buf)
@@ -755,36 +784,39 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
                 # the column's rows in chunks that fit the run's buffers,
                 # each chunk's products with the k leading images and with
                 # the rest a contiguous (rows, images) block of buf after
-                # the group's earlier chunks
+                # the group's earlier chunks; r0 and r1 count from the
+                # column's first row
+                first = spans[j][0]
                 most = min(cap // max(len(imgs), 1), len(past_tail.at) // max(k, 1))
-                for r0, r1 in _row_chunks(j if same else n, most):
+                for r0, r1 in _row_chunks(col_rows[j], most):
                     rows = r1 - r0
+                    x = neg_eta_x[first + r0 : first + r1]
                     if size + rows * len(imgs) > cap:
                         tails(size)
                         size = 0
                     lo, size = size, size + rows * len(imgs)
                     group.append((at, r0, rows, k, lo, size))
                     head = buf[lo : lo + rows * k]
-                    np.matmul(neg_eta_x[r0:r1], imgs[:k].T, out=head.reshape(rows, k))
-                    np.matmul(neg_eta_x[r0:r1], imgs[k:].T, out=buf[lo + head.size : size].reshape(rows, -1))
+                    np.matmul(x, imgs[:k].T, out=head.reshape(rows, k))
+                    np.matmul(x, imgs[k:].T, out=buf[lo + head.size : size].reshape(rows, -1))
                     past = np.flatnonzero(np.less(head, past_cut, out=within[lo : lo + head.size]))
-                    if past.size:
-                        c, cm1, to = past_tail.slots(past.size)
-                        np.take(head, past, out=c, mode="wrap")
-                        # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
-                        # keeps the digits that c - 1 of the rounded product loses
-                        np.subtract(c, 1.0, out=cm1)
-                        close = np.flatnonzero(c < _NEAR_COSH)
-                        if close.size:
-                            row, img = np.divmod(past[close], k)
-                            diff = xs[r0 + row] - imgs[img]
-                            cm1[close] = 0.5 * lorentz_dot(diff, diff)
-                        # the flat index of S[r0 + row, j] in the run's sums
-                        np.floor_divide(past, k, out=to)
-                        to += r0
-                        to *= len(cols)
-                        to += at
-                        head[past] = np.inf  # out of the tail piece's cut
+                    c, cm1, to = past_tail.slots(past.size)
+                    np.take(head, past, out=c, mode="wrap")
+                    head[past] = np.inf  # out of the tail piece's cut
+                    # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
+                    # keeps the digits that c - 1 of the rounded product loses
+                    np.subtract(c, 1.0, out=cm1)
+                    close = np.flatnonzero(c < _NEAR_COSH)
+                    if close.size:
+                        row, img = np.divmod(past[close], k)
+                        diff = xs[first + r0 + row] - imgs[img]
+                        cm1[close] = 0.5 * lorentz_dot(diff, diff)
+                        tally[1] -= np.count_nonzero(cm1[close] == 0.0)  # identity images
+                    # the flat index of S[first + r0 + row, j] in the run's sums
+                    np.floor_divide(past, k, out=to)
+                    to += r0
+                    to *= len(cols)
+                    to += at
                     tally[0] += rows * len(imgs)
                     tally[1] += past.size
                     # the tail piece's terms are evaluated a group of at least
@@ -798,110 +830,13 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
 
         return loop
 
-    # a same-set column j sums j pairs, every other column n
-    workers = _map_blocks(task, range(first, m), workers, np.arange(first, m) if same else None)
-    out = np.zeros((n, m))
-    out[:, first:] = np.concatenate([sums for sums, _ in runs], axis=1)
-    if same:
-        lower = np.tril_indices(n, -1)
-        out[lower] = out.T[lower]
-        np.fill_diagonal(out, np.inf)
+    workers = _map_blocks(task, range(m), workers, col_rows)
+    out = np.concatenate([sums for sums, _ in runs], axis=1)
     scanned, terms = np.sum([tally for _, tally in runs], axis=0, dtype=int)
     logger.debug(
-        "image_sum_block %dx%d points, %d pairs, %d images passed, %d kept by reach, "
+        "%s %dx%d points, %d pairs, %d images passed, %d kept by reach, "
         "%d products scanned, %d terms summed, %d workers, %.4f s",
-        n, m, pairs, len(mats), len(kept), scanned, terms, workers,
+        name, len(xs), m, pairs, len(mats), len(kept), scanned, terms, workers,
         time.perf_counter() - t_start,
     )
     return out
-
-
-def image_sum_self(xs, mats, rmax, mp):
-    """Per point x: sum of G_plus over non-identity images gamma(x) within rmax.
-
-    Returns (sums, nearest) where nearest[i] is the smallest included
-    image distance (the divergence scale as x approaches a tile side).
-    Images out of reach of every point are dropped first, the terms past
-    the tail piece are evaluated together, and those next to the diagonal
-    take c - 1 from <x - gamma x, x - gamma x>/2, as in `image_sum_block`;
-    the tail piece's terms are evaluated for a group of points at a time.
-    An image is left out as the identity when that product is exactly 0,
-    gamma x = x in every digit; any other image is summed, however close
-    to x, so the sum grows like -ln(gap)/(2 pi) as x nears a side.
-    """
-    t_start = time.perf_counter()
-    xs = np.asarray(xs, dtype=float)
-    kept, near = _within_reach(mats, xs, xs, rmax)
-    cosh_max = math.cosh(rmax)
-    past_cut = min(_TAIL_COSH, math.nextafter(cosh_max, math.inf))  # as in `image_sum_block`
-    n = xs.shape[0]
-    kept_rows = kept.reshape(-1, 3)
-    interp = mp.gplus_interp
-    sums = np.zeros(n)
-    nearest = np.full(n, np.inf)
-    scratch = np.empty((2, _TERM_BLOCK))
-    past_tail = _PastTail(interp, sums, max(near, _PAST_TAIL_TERMS), scratch)
-    imgs = np.empty((len(kept), 3))
-    buf = np.empty(len(kept) + _TERM_BLOCK)  # the products of a group of points
-    within = np.empty(len(buf), dtype=bool)
-    group = []  # (point, whether it has past-tail terms)
-    terms = 0
-
-    def tails(size):
-        """Sum the tail piece's terms of each of the group's points, whose
-        products fill buf[:size]; a point without past-tail terms takes
-        its nearest image from them."""
-        sel = np.less_equal(buf[:size], cosh_max, out=within[:size])
-        counts = np.count_nonzero(sel.reshape(len(group), -1), axis=1)
-        t = np.compress(sel, buf[:size])
-        runs_t = np.split(t, np.cumsum(counts)[:-1])
-        for (i, past), ti in zip(group, runs_t):
-            if not past and ti.size:
-                nearest[i] = np.arccosh(ti.min())
-        interp.tail_cosh(t, t, scratch)
-        for (i, _), ti in zip(group, runs_t):
-            if ti.size:
-                sums[i] += ti.sum()
-        group.clear()
-        return t.size
-
-    size = 0
-    for i in range(n):
-        x = xs[i]
-        np.matmul(kept_rows, x, out=imgs.reshape(-1))  # `_images`
-        coshes = buf[size : size + len(kept)]
-        np.negative(np.matmul(imgs, x * ETA_DIAG, out=coshes), out=coshes)
-        size += len(kept)
-        # the terms past the tail piece, the identity among them, come
-        # from the leading images alone, and leave the tail piece's cut
-        head = coshes[:near]
-        past = np.flatnonzero(head < past_cut)
-        c = head[past]
-        head[past] = np.inf
-        # next to the diagonal, c - 1 = <x - gamma x, x - gamma x>/2,
-        # as in `image_sum_block`; rho = 2 asinh(sqrt((c - 1)/2))
-        cm1 = c - 1.0
-        close = np.flatnonzero(c < _NEAR_COSH)
-        if close.size:
-            diff = x - imgs[past[close]]
-            cm1[close] = 0.5 * lorentz_dot(diff, diff)
-            moved = cm1 != 0.0
-            c, cm1 = c[moved], cm1[moved]
-        if c.size:
-            nearest[i] = 2.0 * math.asinh(math.sqrt(max(cm1.min(), 0.0) / 2.0))
-            slot_c, slot_cm1, slot_at = past_tail.slots(c.size)
-            slot_c[:], slot_cm1[:], slot_at[:] = c, cm1, i
-        group.append((i, c.size > 0))
-        terms += c.size
-        # as in `image_sum_block`, a group of points at a time
-        if size >= _TERM_BLOCK:
-            terms += tails(size)
-            size = 0
-    if group:
-        terms += tails(size)
-    past_tail.add_to()
-    logger.debug(
-        "image_sum_self %d points, %d images passed, %d kept by reach, %d terms summed, %.4f s",
-        n, len(mats), len(kept), terms, time.perf_counter() - t_start,
-    )
-    return sums, nearest

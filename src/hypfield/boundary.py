@@ -16,7 +16,9 @@ turning the kernel peak into a smooth cos^(2 Delta - 2) profile on
 adaptive Gauss-Legendre pass in numpy (QUADPACK-style bisection,
 Piessens et al. 1983).  Each point starts from the theta-image of the
 support of h, split at theta = 0 and, for a tabulated source, at the
-spline's knots; panels are held as offsets from the
+spline's knots, and cut geometrically toward the support's end far from
+zeta where that end's image lies next to the pole (`_start_panels`);
+panels are held as offsets from the
 pole theta = +-pi/2 on their side, where supports far from zeta
 collapse.  A panel is accepted when a 16-node rule and the same rule on
 its two halves agree to 1e-13 of the point's value; the rest are
@@ -197,6 +199,14 @@ def _start_panels(h, z, zeta):
     theta = 0: one interval per side, or two when a bump's support wraps
     past beta = pi (eta = infinity, theta = +-pi/2), and one per side of
     each interval between a tabulated source's knots.
+
+    Each interval (a, b) is then graded toward a, the image of the
+    support's end far from zeta, cut at a 2^k while that is at most
+    (b - a) / 64.  There the mass sits at phi ~ z / |eta - zeta|, of order
+    a; when a is far below b - a, as for a point with zeta on one end of
+    a bump's support and z <= 1e-6, the 16 nodes of (a, b) all fall where
+    the bump is flat, and the panel would be accepted at 0.  An interval
+    with a > (b - a) / 128 is not cut.
     """
     idx = np.arange(z.size)
     pidx, side, lo, hi = [], [], [], []
@@ -211,7 +221,18 @@ def _start_panels(h, z, zeta):
             side.append(np.full(int(keep.sum()), s))
             lo.append(a[keep])
             hi.append(b[keep])
-    return tuple(np.concatenate(v) for v in (pidx, side, lo, hi))
+    pidx, side, lo, hi = (np.concatenate(v) for v in (pidx, side, lo, hi))
+    # a = 0 at a support that reaches eta = +-inf: nothing to grade toward
+    graded = np.flatnonzero((lo > 0.0) & (128.0 * lo <= hi - lo))
+    if not graded.size:
+        return pidx, side, lo, hi
+    counts = np.ones(len(lo), dtype=int)
+    counts[graded] += np.floor(np.log2(hi[graded] - lo[graded]) - np.log2(lo[graded]) - 6.0).astype(int)
+    at = np.repeat(np.arange(len(lo)), counts)
+    # k counts each interval's panels from a; a 2^k is exact
+    k = np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts)
+    last = k == counts[at] - 1
+    return pidx[at], side[at], np.ldexp(lo[at], k), np.where(last, hi[at], np.ldexp(lo[at], k + 1))
 
 
 def _gauss(power, h, signed_z, zeta, lo, hi):

@@ -51,16 +51,16 @@ reductions, the squared deviations and the Laplace weights) runs through
 worker thread one contiguous run of blocks; numpy releases the GIL
 inside the ufuncs and the matrix products, so the workers run on
 separate cores.  The image-sum block of a Neumann covariance runs on
-the same pool, its diagonal defects in the calling thread (see
-`_kernels`).  Each worker allocates its buffers once; the
-loops over one value per sample divide their `_FLAT`-times longer
-blocks among the workers, so that the buffers together stay one serial
-block.  A block writes only its own slice of the output and its own
-chunk slots, and the chunk tree is combined in one thread afterwards,
-so every result is byte-identical for any thread count.  The public
-functions take `threads`: None means one worker per core this process
-may run on, 1 the plain loop in the calling thread.  `triviality_run`
-passes its config's `threads`, to `build_covariance` too.
+the same pool, its diagonal defects Delta G included (see `_kernels`).
+Each worker allocates its buffers once; the loops over one value per
+sample divide their `_FLAT`-times longer blocks among the workers, so
+that the buffers together stay one serial block.  A block writes only
+its own slice of the output and its own chunk slots, and the chunk tree
+is combined in one thread afterwards, so every result is byte-identical
+for any thread count.  The public functions take `threads`: None means
+one worker per core this process may run on, 1 the plain loop in the
+calling thread.  `triviality_run` passes its config's `threads`, to
+`build_covariance` too.
 """
 
 import logging
@@ -75,7 +75,7 @@ from . import boundary as bd
 from . import greens
 from ._kernels import _map_blocks, _worker_count
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
-from .geometry import ETA_DIAG, dist, lorentz_dot, normalize, outward_normals, pairwise_dist, triangle_area
+from .geometry import ETA_DIAG, cross, dist, lorentz_dot, normalize, outward_normals, pairwise_dist, triangle_area
 from .tessellation import TriangleParams, conical_sequence, generate
 
 logger = logging.getLogger(__name__)
@@ -126,7 +126,7 @@ def _subtriangle_cells(vertices):
     area = triangle_area(vertices)
     normals = outward_normals(vertices)
     # incenter: equal signed distance to all three sides
-    w = np.cross(normals[0] - normals[1], normals[1] - normals[2])
+    w = cross(normals[0] - normals[1], normals[1] - normals[2])
     w = w * ETA_DIAG
     q = -lorentz_dot(w, w)
     inc = w / math.sqrt(q) if q > 0 else vertices.mean(axis=0)
@@ -196,9 +196,10 @@ def build_covariance(mp, nt, quad, kind, *, threads=None):
     same-kind kernel at the cell's effective radius r_i = sqrt(w_i/pi)
     (free part) plus the image-sum defect Delta G for the Neumann kind.
     Cross-tile Neumann entries are exact zeros.  Only the Neumann kind
-    reads the truncation `nt`, and runs its block's image sums on
-    `threads` workers (None: one per core), with the same result for any
-    number.
+    reads the truncation `nt`.  It makes one image-sum call, the same-set
+    block of the first tile's cells, whose diagonal is Delta G of each
+    cell, on `threads` workers (None: one per core), with the same result
+    for any number; every tile shares that block.
     """
     if kind not in ("free", "neumann"):
         raise ValueError("kind must be 'free' or 'neumann'")
@@ -219,15 +220,12 @@ def build_covariance(mp, nt, quad, kind, *, threads=None):
         # pattern mapped by its isometry, so all tiles share the first block
         first = quad.tile_ids[0]
         sub = pts[quad.tile_mask(first)]
+        # a same-set block: its diagonal holds Delta G of each cell
         block = greens.g_neumann_block(mp, nt, sub, sub, first, threads=threads)
-        dgt = greens.delta_g_many(mp, nt, sub, tile_id=first)
-        dg = np.zeros(n)
         for tid in dict.fromkeys(quad.tile_ids.tolist()):
-            mask = quad.tile_mask(tid)
-            idx = np.nonzero(mask)[0]
+            idx = np.nonzero(quad.tile_mask(tid))[0]
             c[np.ix_(idx, idx)] = block
-            dg[mask] = dgt
-        np.fill_diagonal(c, free_diag + dg)
+        np.fill_diagonal(c, free_diag + np.diag(c))
 
     c = 0.5 * (c + c.T)  # symmetrize fp noise
     factor, ridge = _factor_with_ridge(c)

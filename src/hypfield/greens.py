@@ -243,7 +243,8 @@ def g_neumann(mp, nt, x, y):
 
 def g_neumann_block(mp, nt, xs, ys, tile_id, *, threads=None):
     """Image-sum matrix for cell arrays known to lie in one tile, on
-    `threads` workers (None: one per core), the same for any number."""
+    `threads` workers (None: one per core), the same for any number;
+    when xs and ys hold the same points, its diagonal is Delta G."""
     nt.check_tail(mp)
     xv = _pull_back(nt.tess, tile_id, xs)
     yv = _pull_back(nt.tess, tile_id, ys)
@@ -274,7 +275,7 @@ def delta_g_many(mp, nt, vecs, tile_id=None, warn=False):
     else:
         pulled = _pull_back(tess, tile_id, vecs)
     nt.check_tail(mp)
-    sums, nearest = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp)
+    sums = _kernels.image_sum_self(pulled, nt._mats, nt.max_orbit_radius, mp)
     if warn:
         fund_normals = tess.fund_normals
         for v in pulled:

@@ -92,6 +92,12 @@ def test_h_plus_two_forms_agree(mp2):
                     direct, subst = h_plus_forms(mp, h, float(z), float(zeta))
                     worst = max(worst, abs(direct - subst) / max(abs(direct), 1e-300))
             assert worst < 1e-12, (mp.m2, h.kind)
+    # zeta on an end of the bump's support and z <= 1e-6: the mass sits at
+    # phi ~ z / |eta - zeta|, next to the far end of the start interval
+    for z in (1e-6, 1e-7, 1e-8):
+        for beta in (B0, B1):
+            direct, subst = h_plus_forms(mp2, sources[0], z, math.tan(beta / 2))
+            assert abs(subst / direct - 1.0) <= 1e-12, (z, beta)
 
 
 def test_h_plus_linearity(mp2):

@@ -15,6 +15,7 @@ import scipy.special
 from numpy.polynomial import hermite_e
 
 from hypfield import fieldmc as fm
+from hypfield import geometry
 from hypfield.boundary import BoundarySource
 
 ALPHA = 1.0
@@ -31,11 +32,16 @@ def cov_neumann(mp2, nt6, quad3):
     return fm.build_covariance(mp2, nt6, quad3, "neumann")
 
 
-@pytest.mark.parametrize("resolution", [1, 2, 3, 4])
-def test_quadrature_weights_sum_to_tile_area(tess344_small, resolution):
+@pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
+def test_quadrature_weights_sum_to_tile_area(monkeypatch, tess344_small, resolution):
     quad = fm.build_quadrature(tess344_small, [0], resolution)
     assert len(quad) == resolution**2
     assert quad.total_weight == pytest.approx(TILE_AREA_344, rel=1e-12)
+    # the written-out cross product gives the cells of np.cross bit for bit
+    monkeypatch.setattr(geometry, "cross", np.cross)
+    monkeypatch.setattr(fm, "cross", np.cross)
+    by_np = fm.build_quadrature(tess344_small, [0], resolution)
+    assert (quad.points.tobytes(), quad.weights.tobytes()) == (by_np.points.tobytes(), by_np.weights.tobytes())
 
 
 def test_wick_exp_mean_is_tile_area(cov_neumann, quad3):

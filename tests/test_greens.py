@@ -19,13 +19,14 @@ from hypfield.errors import (
     TruncationError,
 )
 from hypfield import _kernels
-from hypfield.fieldmc import build_quadrature
+from hypfield.fieldmc import build_covariance, build_quadrature
 from hypfield.geometry import dist, lorentz_dot, normalize
 from hypfield.greens import (
     ALPHA_MAX,
     ModelParams,
     NeumannTruncation,
     delta_g,
+    delta_g_many,
     domination_audit,
     exp_kernel_integral,
     g_neumann,
@@ -480,6 +481,12 @@ def test_delta_g_nonnegative_and_interior(nt6, mp2):
     rng = np.random.default_rng(7)
     for v in sample_tile_points(tess, 0, 50, rng):
         assert delta_g(mp2, nt6, normalize(v)) >= 0.0
+    # the Neumann covariance's cell diagonal, read off its same-set block in
+    # each tile: G_plus at the effective radius plus Delta G
+    quad = build_quadrature(tess, [0, 1], 3)
+    cov = build_covariance(mp2, nt6, quad, "neumann")
+    want = g_plus(mp2, np.sqrt(quad.weights / math.pi)) + delta_g_many(mp2, nt6, quad.points)
+    assert np.max(np.abs(cov.diag / want - 1.0)) <= 1e-15
 
 
 def test_delta_g_truncation_stability(tess344_big, mp2):
@@ -602,11 +609,10 @@ def test_image_sums_match_per_image_oracle(nt6, mp2):
             rho = _image_distances(mats, x, y, rmax)
             assert 0 < rho.size < len(mats)  # the radius cut drops images
             assert block[i, j] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
-    sums, nearest = _kernels.image_sum_self(pts, mats, rmax, mp2)
+    sums = _kernels.image_sum_self(pts, mats, rmax, mp2)
     for i, x in enumerate(pts):
         rho = _image_distances(mats, x, x, rmax, skip_identity=True)
         assert sums[i] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
-        assert nearest[i] == pytest.approx(rho.min(), rel=1e-12)
 
 
 def _edge_points(tess):
@@ -625,9 +631,9 @@ def test_same_set_block_matches_per_image_oracle(nt6, mp2):
     block = _kernels.image_sum_block(pts, pts, mats, rmax, mp2)
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
-            if i != j:
-                rho = _image_distances(mats, x, y, rmax)
-                assert block[i, j] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
+            # the diagonal leaves out the identity image: S[i, i] = Delta G(x_i)
+            rho = _image_distances(mats, x, y, rmax, skip_identity=i == j)
+            assert block[i, j] == pytest.approx(_kernels.gplus_series(rho, mp2).sum(), rel=1e-12)
 
 
 def _unpruned_block(xs, ys, mats, rmax, mp):
@@ -650,9 +656,9 @@ def test_reach_pruned_block_equals_unpruned_sum(nt8, mp2, tess344_big):
         want = _unpruned_block(xs, ys, mats, rmax, mp2)
         off = np.ones(want.shape, dtype=bool)
         if xs is ys:
-            # the identity image of a same-set diagonal coincides with x_i,
-            # whatever distance rounding gives it
-            assert np.isinf(np.diag(block)).all()
+            # a same-set diagonal leaves out the identity image, mats[0]
+            without = [_unpruned_block(x[None], x[None], mats[1:], rmax, mp2)[0, 0] for x in xs]
+            assert np.max(np.abs(np.diag(block) / without - 1.0)) <= 1e-13
             off = ~np.eye(len(xs), dtype=bool)
         assert np.max(np.abs(block[off] / want[off] - 1.0)) <= 1e-13
     # the two-element strip group {e, reflection in side 0}
@@ -770,8 +776,8 @@ def test_self_sums_next_to_a_side_keep_their_digits(mp2, tess344_small):
     rng = np.random.default_rng(0)
     xs = sample_tile_points(tess344_small, 0, 400, rng)
     mats = tess344_small.mats
-    sums, nearest = _kernels.image_sum_self(xs, mats, 0.1, mp2)
-    close = np.flatnonzero(nearest < 0.0527)
+    sums = _kernels.image_sum_self(xs, mats, 0.1, mp2)
+    close = [i for i, x in enumerate(xs) if (_image_distances(mats, x, x, 0.1, skip_identity=True) < 0.0527).any()]
     assert len(close) >= 50
 
     def dot(a, b):
@@ -809,8 +815,7 @@ def test_image_sums_evaluate_tail_and_far_distances_without_chebval(monkeypatch,
     monkeypatch.setattr(chebyshev, "chebval", fail)
     monkeypatch.setattr(Chebyshev, "_val", staticmethod(fail))
     assert np.array_equal(_kernels.image_sum_block(c[None], verts, mats, rmax, mp2), want_block)
-    sums, nearest = _kernels.image_sum_self(c[None], mats, rmax, mp2)
-    assert np.array_equal(sums, want_self[0]) and np.array_equal(nearest, want_self[1])
+    assert np.array_equal(_kernels.image_sum_self(c[None], mats, rmax, mp2), want_self)
     # the patch is live: the near piece still goes through chebval
     with pytest.raises(AssertionError, match="chebval"):
         g_plus(mp2, 0.3)
@@ -984,9 +989,9 @@ def test_single_point_image_sums_start_no_executor(monkeypatch, nt6, mp2):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
     x, y = sample_tile_points(nt6.tess, 0, 2, np.random.default_rng(5), min_side_gap=0.05)
     assert g_neumann(mp2, nt6, x, y) > 0.0
-    # a same-set block of one point has no pair i < j
-    assert _kernels.image_sum_block(x[None], x[None], nt6._mats, nt6.max_orbit_radius, mp2)[0, 0] == math.inf
-    assert delta_g(mp2, nt6, x) > 0.0
+    # a same-set block of one point holds Delta G, the image sum without the identity
+    one = _kernels.image_sum_block(x[None], x[None], nt6._mats, nt6.max_orbit_radius, mp2)[0, 0]
+    assert one > 0.0 and one == delta_g(mp2, nt6, x)
 
 
 def test_leading_images_hold_every_term_past_the_tail_piece(nt6, tess344_big):
@@ -1013,7 +1018,7 @@ def test_past_tail_terms_are_evaluated_together(monkeypatch, nt6, mp2, tess344_b
     near = interp.near
     monkeypatch.setattr(interp, "near", lambda t: calls.append(len(t)) or near(t))
     block = _kernels.image_sum_block(cells, cells, mats, rmax, mp2, threads=1)
-    sums, _ = _kernels.image_sum_self(cells, mats, rmax, mp2)
+    sums = _kernels.image_sum_self(cells, mats, rmax, mp2)
     assert len(calls) == 2 and min(calls) > 0
     calls.clear()
     monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
@@ -1025,21 +1030,21 @@ def test_past_tail_terms_are_evaluated_together(monkeypatch, nt6, mp2, tess344_b
     # past-tail terms
     monkeypatch.setattr(_kernels, "_PAST_TAIL_TERMS", 1)
     assert np.array_equal(_kernels.image_sum_block(cells, cells, mats, rmax, mp2), block)
-    assert np.array_equal(_kernels.image_sum_self(cells, mats, rmax, mp2)[0], sums)
+    assert np.array_equal(_kernels.image_sum_self(cells, mats, rmax, mp2), sums)
     assert len(calls) > 4  # the patch is live
 
 
 def _kernel_counts(caplog, name):
-    """(points, pairs or None, passed, kept, scanned or None, terms,
-    workers or None) from the one log line of `name`."""
+    """(points, pairs, passed, kept, scanned, terms, workers) from the one
+    log line of `name`."""
     [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith(name)]
     nums = re.match(
-        rf"{name} (\S+) points, (?:(\d+) pairs, )?(\d+) images passed, (\d+) kept by reach, "
-        r"(?:(\d+) products scanned, )?(\d+) terms summed, (?:(\d+) workers, )?[0-9.]+ s$",
+        rf"{name} (\S+) points, (\d+) pairs, (\d+) images passed, (\d+) kept by reach, "
+        r"(\d+) products scanned, (\d+) terms summed, (\d+) workers, [0-9.]+ s$",
         msg,
     )
     assert nums, msg
-    return nums.group(1), *(None if g is None else int(g) for g in nums.groups()[1:])
+    return nums.group(1), *(int(g) for g in nums.groups()[1:])
 
 
 def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
@@ -1054,17 +1059,20 @@ def test_image_sum_kernels_log_their_work(caplog, nt8, mp2, tess344_big):
     assert workers == 2
     assert points == f"{n}x{n}" and passed == len(mats)
     assert kept < 0.4 * len(mats)
-    # the same-set block sums the pairs i < j and no other
-    assert pairs == n * (n - 1) // 2
-    assert terms == within[np.triu_indices(n, 1)].sum()
+    # the same-set block sums the pairs i <= j and no other, each diagonal
+    # pair without its identity image
+    assert pairs == n * (n + 1) // 2
+    assert terms == within[np.triu_indices(n)].sum() - n
     # the per-column reach scans fewer products than every pair times every kept image
     assert terms <= scanned < 0.8 * pairs * kept
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
         _kernels.image_sum_self(cells, mats, rmax, mp2)
     points, pairs, passed, kept_self, scanned, terms, workers = _kernel_counts(caplog, "image_sum_self")
-    assert (points, pairs, passed, kept_self, scanned, workers) == (str(n), None, len(mats), kept, None, None)
+    # the self sums are the same loop with one pair a column, below the pool's threshold
+    assert (points, pairs, passed, kept_self, workers) == (f"{n}x{n}", n, len(mats), kept, 1)
     assert terms == np.diag(within).sum() - n  # all but the identity images
+    assert terms <= scanned <= n * kept
 
 
 def test_domination_audit(nt6, mp2):

@@ -64,6 +64,10 @@ about equal pair count (a same-set column j has j + 1 pairs), when they
 average `_POOL_MIN_PRODUCTS` products or more; below that the lock's
 hand-offs would cost more than a second core saves.  The self sums, one
 pair a column, reach it only with `_POOL_MIN_PRODUCTS` images or more.
+More than one worker needs BLAS held to one thread (OPENBLAS_NUM_THREADS=1
+or OMP_NUM_THREADS=1): left at its default, OpenBLAS starts its own threads
+inside each worker's matrix products, and on a 2-core host a pass of the
+benchmark's library workload took 0.79 s instead of 0.61 s (medians).
 
 Each run has its own partial sums, its own `_PastTail` and its own
 buffers, all made in the calling thread, so that no pool thread's

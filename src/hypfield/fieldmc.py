@@ -60,7 +60,11 @@ is combined in one thread afterwards, so every result is byte-identical
 for any thread count.  The public functions take `threads`: None means
 one worker per core this process may run on, 1 the plain loop in the
 calling thread.  `triviality_run` passes its config's `threads`, to
-`build_covariance` too.
+`build_covariance` too.  More than one worker needs BLAS held to one
+thread (OPENBLAS_NUM_THREADS=1 or OMP_NUM_THREADS=1): left at its default,
+OpenBLAS starts its own threads inside each worker's matrix products, and
+on a 2-core host `sample_fields(cov, 1_000_000, 0, threads=2)` on the
+resolution-3 covariance took 0.25 s instead of 0.13 s.
 """
 
 import logging

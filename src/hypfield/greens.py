@@ -164,6 +164,12 @@ class NeumannTruncation:
     G_plus ~ gamma_plus e^(-delta rho):
 
         tail <= gamma_plus * A * exp((1 - delta) R) / (delta - 1).
+
+    `_mats`, the group elements the image sums run over, are those of the
+    tiles with centroids within R + margin of the origin.  Tile ids run in
+    nondecreasing centroid distance, so it is a view of the prefix
+    `tess.mats[:k]`; only a cut inside a 1e-11 tie group, whose members
+    keep enumeration order, makes it a copy of the selection.
     """
 
     def __init__(self, tess, max_orbit_radius, tail_tol=1e-4):
@@ -181,7 +187,8 @@ class NeumannTruncation:
             )
         self.empirical_a = self._measure_orbit_constant()
         sel = tess.centroid_rho <= self.max_orbit_radius + margin
-        self._mats = np.ascontiguousarray(tess.mats[sel])
+        k = int(np.count_nonzero(sel))
+        self._mats = np.ascontiguousarray(tess.mats[:k] if sel[:k].all() else tess.mats[sel])
 
     def _measure_orbit_constant(self):
         c1 = self.tess.centroids[0]

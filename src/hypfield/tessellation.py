@@ -399,10 +399,12 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     No frontier padding and no duplicate check are needed.
 
     Tile 0 is the identity; the others follow in nondecreasing centroid
-    distance, ties (distances within 1e-11) in enumeration order.  The
-    cap counts the returned ball and is checked after every level; the
-    CapacityError carries the levels completed so far, a tessellation in
-    which every parent is present.
+    distance, ties (distances within 1e-11) in enumeration order.  Each
+    level's matrices are written in place at their final ids and dropped,
+    so the peak holds one extra copy of the matrices, the levels while
+    they are written, and the ids.  The cap counts the returned ball and
+    is checked after every level; the CapacityError carries the levels
+    completed so far, a tessellation in which every parent is present.
     """
     if not radius >= 0:  # also rejects NaN, whose comparisons are all false
         raise ValueError(f"radius must be a number >= 0, got {radius}")
@@ -430,14 +432,20 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
         # (group, enumeration index) is a unique key, so the plain sort on
         # it is the stable sort on the group
         order = np.concatenate([[0], 1 + np.argsort(group * len(r) + np.arange(len(r)))])
+        del r, by_rho, group  # before the levels are written, generate's peak
         new_id = np.empty_like(order)
         new_id[order] = np.arange(len(order))
         par = np.concatenate(parent)[order]
         par[1:] = new_id[par[1:]]
-        return Tessellation(
-            tp, radius, np.take(np.concatenate(mats), order, axis=0), par, np.concatenate(gen)[order],
-            fund_vertices, fund_normals, refl,
-        )
+        # each level is dropped once written at its final ids
+        out = np.empty((len(order), 3, 3))
+        lo = 0
+        while mats:
+            level = mats.pop(0)
+            out[new_id[lo:lo + len(level)]] = level
+            lo += len(level)
+        del level
+        return Tessellation(tp, radius, out, par, np.concatenate(gen)[order], fund_vertices, fund_normals, refl)
 
     # Descent and radius tests on 3-vectors: with u_w = (c1 eta) w, the
     # descent values of the child w s_i are u_w (s_i N^T) and its centroid
@@ -465,7 +473,7 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     tess = assemble()
     logger.info(
         "generate (%d,%d,%d) radius %g: %d tiles, %d levels, %.3f s",
-        tp.p, tp.q, tp.r, radius, len(tess), len(mats) - 1, time.perf_counter() - t_start,
+        tp.p, tp.q, tp.r, radius, len(tess), len(gen) - 1, time.perf_counter() - t_start,
     )
     return tess
 

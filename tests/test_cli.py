@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def test_tessellate_writes_outputs_and_manifest(tmp_path):
     for out in manifest["outputs"]:
         with open(out["path"], "rb") as fh:
             assert out["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_manifest_records_blas_threads_and_cpus(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    csv_path = tmp_path / "tiles.csv"
+    argv = ["tessellate", "--p", "3", "--q", "4", "--r", "4", "--radius", "2", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "tiles.csv.manifest.json").read_text())
+    want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+    assert manifest["blas_threads"] == want
+    assert manifest["cpus"] == len(os.sched_getaffinity(0))
 
 
 def test_tessellate_outputs_keep_their_bytes(tmp_path):

@@ -32,14 +32,22 @@ def cov_neumann(mp2, nt6, quad3):
     return fm.build_covariance(mp2, nt6, quad3, "neumann")
 
 
+def _broadcast_lorentz_dot(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
+
+
 @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
 def test_quadrature_weights_sum_to_tile_area(monkeypatch, tess344_small, resolution):
     quad = fm.build_quadrature(tess344_small, [0], resolution)
     assert len(quad) == resolution**2
     assert quad.total_weight == pytest.approx(TILE_AREA_344, rel=1e-12)
-    # the written-out cross product gives the cells of np.cross bit for bit
+    # the written-out cross product and the float lorentz_dot of two rows
+    # give the cells of np.cross and the broadcast lorentz_dot bit for bit
     monkeypatch.setattr(geometry, "cross", np.cross)
     monkeypatch.setattr(fm, "cross", np.cross)
+    monkeypatch.setattr(geometry, "lorentz_dot", _broadcast_lorentz_dot)
+    monkeypatch.setattr(fm, "lorentz_dot", _broadcast_lorentz_dot)
     by_np = fm.build_quadrature(tess344_small, [0], resolution)
     assert (quad.points.tobytes(), quad.weights.tobytes()) == (by_np.points.tobytes(), by_np.weights.tobytes())
 

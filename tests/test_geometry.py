@@ -39,6 +39,12 @@ def random_reflection(rng=RNG):
     return reflection(geodesic_normal(a, b))
 
 
+def test_lorentz_dot_of_two_rows_matches_the_broadcast_form():
+    a, b = RNG.normal(size=(2, 2000, 3)) * 10.0 ** RNG.uniform(-3, 3, size=(2, 2000, 1))
+    # two single rows take Python floats; the bits are the stacked ones
+    assert [lorentz_dot(x, y) for x, y in zip(a, b)] == lorentz_dot(a, b).tolist()
+
+
 def test_dist_identity():
     assert dist(O, O) == 0.0
 

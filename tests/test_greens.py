@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 import os
@@ -37,6 +38,7 @@ from hypfield.greens import (
     neumann_symmetry_audit,
     sample_tile_points,
 )
+from hypfield.tessellation import TriangleParams, generate
 
 
 def _masses_on_h2(masses):
@@ -413,6 +415,30 @@ def test_gplus_tail_piece_continuous_at_its_edge(m2):
 
 
 # ---------------------------------------------------------------- G_Neumann
+
+
+def test_truncation_views_the_prefix_of_the_ball(tess344_small, nt6, nt8):
+    decay = generate(TriangleParams(3, 4, 4), 8.0 + tess344_small.anchor_spread + tess344_small.circumradius)
+    nt_decay = NeumannTruncation(decay, 8.0)
+    for nt in (nt6, nt8, nt_decay):
+        assert np.shares_memory(nt._mats, nt.tess.mats)
+        sel = nt.tess.centroid_rho <= nt.max_orbit_radius + nt.tess.anchor_spread + nt.tess.circumradius
+        assert np.array_equal(nt._mats, nt.tess.mats[sel])
+    assert len(nt_decay._mats) == len(decay)  # the decay run sums over the whole ball
+
+
+def test_truncation_copies_a_selection_that_is_no_prefix(tess344_big):
+    tess = copy.copy(tess344_big)
+    rho = tess.centroid_rho.copy()
+    k = int(np.count_nonzero(rho <= 6.0 + tess.anchor_spread + tess.circumradius))
+    rho[[k - 1, k]] = rho[[k, k - 1]]
+    tess.centroid_rho = rho
+    nt = NeumannTruncation(tess, 6.0, tail_tol=1e-2)
+    sel = rho <= 6.0 + tess.anchor_spread + tess.circumradius
+    assert not sel[k - 1] and sel[k]
+    assert not np.shares_memory(nt._mats, tess.mats)
+    assert nt._mats.flags.c_contiguous
+    assert nt._mats.tobytes() == tess.mats[sel].tobytes()
 
 
 def test_neumann_truncation_requires_enumeration(tess344_small):

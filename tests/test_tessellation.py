@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -505,6 +506,20 @@ def test_generate_equals_previous_level_loop(pqr, radius, tiles):
     assert np.array_equal(tess.mats, mats)
     assert np.array_equal(tess.parent, parent)
     assert np.array_equal(tess.gen, gen)
+
+
+def test_generate_holds_the_matrices_once_more_at_most():
+    # the levels are written in place at their final ids, the sort keys
+    # dropped first: beyond what it returns, generate's peak holds the
+    # levels (one more copy of the matrices) and the ids, 1.11 copies
+    radius = _decay_radius()
+    tracemalloc.start()
+    try:
+        tess = generate(TriangleParams(3, 4, 4), radius)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 1.3 * tess.mats.nbytes
 
 
 def test_side_normals_are_built_on_first_use():

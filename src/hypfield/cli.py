@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, boundary as bd, fieldmc as fm, greens, render
 from .errors import ConfigurationError, HypfieldError
 from .geometry import Sector
-from .tessellation import DEFAULT_TILE_CAP, TriangleParams, generate
+from .tessellation import DEFAULT_TILE_CAP, TriangleParams, ball_radius, generate
 
 # required keys of a triviality config; the other TrivialityConfig fields
 # keep their dataclass defaults when absent
@@ -200,7 +200,8 @@ def _cmd_green(args):
 def _cmd_neumann_audit(args):
     t0 = time.time()
     mp = greens.ModelParams(args.m2)
-    tess = generate(TriangleParams(args.p, args.q, args.r), args.radius or (args.orbit_radius + 2.0))
+    tp = TriangleParams(args.p, args.q, args.r)
+    tess = generate(tp, args.radius or ball_radius(tp, args.orbit_radius))
     nt = greens.NeumannTruncation(tess, args.orbit_radius, tail_tol=args.tail_tol)
     reports = [
         greens.neumann_symmetry_audit(mp, nt, side_index=0),
@@ -249,7 +250,8 @@ def _cmd_propagator(args):
 def _cmd_sample_audit(args):
     t0 = time.time()
     mp = greens.ModelParams(args.m2)
-    tess = generate(TriangleParams(args.p, args.q, args.r), args.orbit_radius + 2.0)
+    tp = TriangleParams(args.p, args.q, args.r)
+    tess = generate(tp, ball_radius(tp, args.orbit_radius))
     nt = greens.NeumannTruncation(tess, args.orbit_radius, tail_tol=args.tail_tol)
     quad = fm.build_quadrature(tess, [0], args.resolution)
     cov = fm.build_covariance(mp, nt, quad, "neumann", threads=args.threads)
@@ -386,7 +388,7 @@ def build_parser():
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--orbit-radius", type=float, default=6.0)
-    p.add_argument("--radius", type=float, default=None, help="tessellation radius (default orbit+2)")
+    p.add_argument("--radius", type=float, default=None, help="tessellation radius (default: the ball the orbit radius needs)")
     p.add_argument("--tail-tol", type=float, default=1e-2)
     p.add_argument("--pairs", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)

@@ -79,8 +79,8 @@ from . import boundary as bd
 from . import greens
 from ._kernels import _map_blocks, _worker_count
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
-from .geometry import ETA_DIAG, cross, dist, lorentz_dot, normalize, outward_normals, pairwise_dist, triangle_area
-from .tessellation import TriangleParams, conical_sequence, generate
+from .geometry import ETA_DIAG, dist, lorentz_dot, normalize, outward_normals, pairwise_dist, triangle_area
+from .tessellation import TriangleParams, ball_radius, conical_sequence, generate
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +92,7 @@ _RIDGES = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # so that importing the module does not load scipy.special.
 SLOPE_BATCHES = 10
 T95 = 1.833112932656237
+_SAMPLE_BATCH = 8192  # samples per `sample_fields` Philox stream, keyed (seed, batch)
 # Samples per block of the Monte Carlo reductions; one (cells, block)
 # float buffer is 590 KB at the 9 cells of a resolution-3 tile.  On two
 # workers the Wick loops over 1M samples ran 25% faster than at 4096.
@@ -125,50 +126,37 @@ class Quadrature:
         return self.tile_ids == tile_id
 
 
-def _subtriangle_cells(vertices):
-    """Incenter and Gauss-Bonnet weight of one geodesic triangle."""
-    area = triangle_area(vertices)
-    normals = outward_normals(vertices)
-    # incenter: equal signed distance to all three sides
-    w = cross(normals[0] - normals[1], normals[1] - normals[2])
-    w = w * ETA_DIAG
-    q = -lorentz_dot(w, w)
-    inc = w / math.sqrt(q) if q > 0 else vertices.mean(axis=0)
-    if inc[2] < 0:
-        inc = -inc
-    return normalize(inc), area
-
-
 def build_quadrature(tess, tile_ids, resolution):
     """Barycentric refinement into geodesic cells: resolution^2 per tile.
 
-    Cells are built once on the fundamental tile and mapped by each
-    tile's group element `tess.mats[k]`, with no renormalisation after
-    the map, so every tile carries the same cell pattern and the
-    per-tile weight vectors are identical.
+    The cells are built once on the fundamental tile as one (cells, 3, 3)
+    stack of node rows, and their incenters and Gauss-Bonnet areas are
+    taken for the whole stack at once.  They are mapped by each tile's
+    group element `tess.mats[k]`, with no renormalisation after the map,
+    so every tile carries the same cell pattern and the per-tile weight
+    vectors are identical.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    verts = tess.fund_vertices
     res = int(resolution)
 
-    nodes = {}
-    for i in range(res + 1):
-        for j in range(res + 1 - i):
-            b = np.array([res - i - j, i, j], dtype=float) / res
-            nodes[(i, j)] = normalize(b @ verts)
+    i, j = np.nonzero(np.add.outer(np.arange(res + 1), np.arange(res + 1)) <= res)
+    nodes = normalize(np.stack([res - i - j, i, j], axis=-1) / res @ tess.fund_vertices)
+    node_id = np.full((res + 2, res + 2), -1)
+    node_id[i, j] = np.arange(len(i))
+    # node (i, j) and (i + 1, j), (i, j + 1), (i + 1, j + 1): its up cell is
+    # the first three, its down cell the last three, if inside the tile
+    corners = node_id[i[:, None] + [0, 1, 0, 1], j[:, None] + [0, 0, 1, 1]]
+    triples = np.stack([corners[:, :3], corners[:, 1:]], axis=1).reshape(-1, 3)
+    cells = nodes[triples[triples.min(axis=1) >= 0]]
 
-    cells = []
-    for i in range(res):
-        for j in range(res - i):
-            tri = np.stack([nodes[(i, j)], nodes[(i + 1, j)], nodes[(i, j + 1)]])
-            cells.append(_subtriangle_cells(tri))
-            if i + j <= res - 2:
-                tri = np.stack([nodes[(i + 1, j)], nodes[(i, j + 1)], nodes[(i + 1, j + 1)]])
-                cells.append(_subtriangle_cells(tri))
-
-    base_pts = np.stack([c[0] for c in cells])
-    base_wts = np.array([c[1] for c in cells])
+    base_wts = triangle_area(cells)
+    normals = outward_normals(cells)
+    # incenter: equal signed distance to all three sides
+    w = np.cross(normals[:, 0] - normals[:, 1], normals[:, 1] - normals[:, 2]) * ETA_DIAG
+    q = -lorentz_dot(w, w)
+    inc = np.where((q > 0)[:, None], w / np.sqrt(np.where(q > 0, q, 1.0))[:, None], cells.mean(axis=1))
+    base_pts = normalize(np.where(inc[:, 2:] < 0, -inc, inc))
 
     ids = np.asarray(tile_ids, dtype=int)
     return Quadrature(
@@ -251,7 +239,7 @@ def _factor_with_ridge(c):
     )
 
 
-def sample_fields(cov, n, seed, batch_size=8192, threads=None):
+def sample_fields(cov, n, seed, threads=None):
     """n covariance-distributed Gaussian vectors, bit-reproducible from seed.
 
     Returns an (n, cells) array whose row s is sample s.  It is the
@@ -261,20 +249,20 @@ def sample_fields(cov, n, seed, batch_size=8192, threads=None):
     (take, cells) @ factor.T product and lands at a fixed offset, so the
     result is independent of worker count and scheduling.  The batches
     run on `threads` workers (None: one per core; see the module
-    docstring), each drawing and multiplying in its own two (batch_size,
-    cells) buffers, allocated once.
+    docstring), each drawing and multiplying in its own two
+    (`_SAMPLE_BATCH`, cells) buffers, allocated once.
     """
     t_start = time.perf_counter()
     m = cov.factor.shape[0]
     cells = np.empty((m, n))
-    spans = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    spans = [(start, min(start + _SAMPLE_BATCH, n)) for start in range(0, n, _SAMPLE_BATCH)]
 
     def task(run):
         draws, prods = np.empty((2, _widest(run), m))
 
         def loop():
             for start, stop in run:
-                key = np.random.SeedSequence(entropy=seed, spawn_key=(start // batch_size,))
+                key = np.random.SeedSequence(entropy=seed, spawn_key=(start // _SAMPLE_BATCH,))
                 z = np.random.Generator(np.random.Philox(key)).standard_normal(out=draws[: stop - start])
                 cells[:, start:stop] = np.matmul(z, cov.factor.T, out=prods[: stop - start]).T
 
@@ -791,9 +779,7 @@ def triviality_run(cfg):
         raise ConfigurationError("triviality run needs lambda > 0")
     mp = greens.ModelParams(cfg.m2)
     tp = TriangleParams(cfg.p, cfg.q, cfg.r)
-    probe = generate(tp, 0.0)  # fundamental tile only
-    margin = probe.anchor_spread + probe.circumradius
-    tess = generate(tp, cfg.orbit_radius + margin)
+    tess = generate(tp, ball_radius(tp, cfg.orbit_radius))
     nt = greens.NeumannTruncation(tess, cfg.orbit_radius, tail_tol=cfg.tail_tol)
 
     control = cfg.amplitude == 0.0
@@ -893,7 +879,7 @@ def _fit_decay(qs, us):
     return -float(slope)
 
 
-def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=SLOPE_BATCHES, threads=None):
+def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, threads=None):
     """Standard error of the fitted decay rate by sample batching.
 
     The U(q) points share one sample set and are nested partial sums, so
@@ -902,11 +888,11 @@ def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=SLOPE
     """
     x1 = np.asarray(x1)
     n = len(x1)
-    if n < 2 * n_batches:
+    if n < 2 * SLOPE_BATCHES:
         return float("inf")
     slopes = []
-    for b in range(n_batches):
-        xb = np.ascontiguousarray(x1[b::n_batches])  # one copy for its len(log_ks) calls
+    for b in range(SLOPE_BATCHES):
+        xb = np.ascontiguousarray(x1[b::SLOPE_BATCHES])  # one copy for its len(log_ks) calls
         terms = []
         for lk in log_ks:
             ll, _, _ = log_laplace_stable(xb, log_lam + lk, threads=threads)
@@ -915,4 +901,4 @@ def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, n_batches=SLOPE
         if not all(math.isfinite(u) for u in us):
             return float("inf")
         slopes.append(_fit_decay(fit_qs, us))
-    return float(np.std(slopes, ddof=1) / math.sqrt(n_batches))
+    return float(np.std(slopes, ddof=1) / math.sqrt(SLOPE_BATCHES))

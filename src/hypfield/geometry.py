@@ -5,9 +5,13 @@ Lorentz quadric; isometries are 3x3 matrices preserving the form
 eta = diag(1, 1, -1).  Points are Lorentz rows, a set of them an (n, 3)
 array, and a geodesic is its unit spacelike normal v, the set
 {x : (x, v)_L = 0}.  There are no point, geodesic or isometry objects:
-the functions here take and return rows and matrices.  The Poincare
-disk and the upper half-plane are views given by closed-form charts,
-whose images land on the sheet with no renormalisation:
+the functions here take and return rows and matrices.  A function of
+rows takes one row (one triangle: a (3, 3) array of vertex rows) or a
+stack along leading axes, with the same numpy operations and so the same
+bits for both: there is no scalar path.  Only `dist` takes one pair of
+rows; `pairwise_dist` is its stacked form.  The Poincare disk and the
+upper half-plane are views given by closed-form charts, whose images
+land on the sheet with no renormalisation:
 
     disk:       u = (x1, x2) / (1 + x3),  x = (2 u1, 2 u2, 1 + |u|^2) / (1 - |u|^2)
     half-plane: (z, zeta) = (1, x2) / (x1 + x3),
@@ -39,27 +43,20 @@ ETA = np.diag(ETA_DIAG)
 
 
 def lorentz_dot(a, b):
-    """Lorentz inner product on stacked 3-vectors (broadcasts over leading
-    axes).  Two single 3-vectors take plain float arithmetic in the same
-    order, so the same bits, without numpy's per-index cost, about 2 us a
-    call."""
+    """Lorentz inner product of two rows, or of each pair of rows of two
+    stacks (broadcasts over leading axes)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape == b.shape == (3,):
-        a0, a1, a2 = a.tolist()
-        b0, b1, b2 = b.tolist()
-        return a0 * b0 + a1 * b1 - a2 * b2
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
 
 
 def normalize(v):
-    """v / sqrt(-<v, v>): a timelike row, or each row of an (n, 3) array,
-    scaled onto the hyperboloid."""
+    """v / sqrt(-<v, v>): a timelike row, or each row of a stack, scaled
+    onto the hyperboloid."""
     q = -lorentz_dot(v, v)
     if np.any(q <= 0):
         raise ChartOverflowError("vector left the timelike cone; cannot renormalize")
-    v = v / np.sqrt(q)[..., None] if v.ndim > 1 else v / math.sqrt(q)
-    return v
+    return v / np.sqrt(q)[..., None]
 
 
 def point_at(theta, rho):
@@ -122,35 +119,26 @@ def disk_to_lorentz(x, y):
     return np.stack([2.0 * x / s, 2.0 * y / s, (2.0 - s) / s], axis=-1)
 
 
-def cross(a, b):
-    """a x b for two 3-vectors: the products and differences of np.cross,
-    so the same bits, without its axis handling, which costs about 20 us
-    a call."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def geodesic_normal(a, b):
     """Unit spacelike normal v of the geodesic through the rows a and b,
-    {x : (x, v)_L = 0}; -v is the same geodesic with the sides swapped."""
-    scale = max(1.0, np.abs(a).max(), np.abs(b).max())
-    if np.abs(a - b).max() <= 1e-12 * scale:
+    {x : (x, v)_L = 0}, or of each pair of rows of two stacks; -v is the
+    same geodesic with the sides swapped."""
+    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1)))
+    if np.any(np.abs(a - b).max(axis=-1) <= 1e-12 * scale):
         raise DegenerateGeodesicError("coincident points do not determine a geodesic")
     # Lorentz cross product: (a x_L b, c)_L = det[a; b; c]
-    w = ETA @ cross(a, b)
-    return w / math.sqrt(lorentz_dot(w, w))
+    w = np.cross(a, b) @ ETA
+    return w / np.sqrt(lorentz_dot(w, w))[..., None]
 
 
 def outward_normals(vertices):
     """Outward unit side normals of the geodesic triangle with Lorentz
-    vertex rows `vertices`, one row per side in the order v0-v1, v0-v2, v1-v2."""
+    vertex rows `vertices`, one row per side in the order v0-v1, v0-v2,
+    v1-v2; a (..., 3, 3) stack of triangles gives one (3, 3) block each."""
     pts = normalize(vertices)
-    normals = []
-    for ia, ib, iopp in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        v = geodesic_normal(pts[ia], pts[ib])
-        normals.append(v if lorentz_dot(v, vertices[iopp]) < 0 else -v)
-    return np.stack(normals)
+    v = geodesic_normal(pts[..., [0, 0, 1], :], pts[..., [1, 2, 2], :])
+    outward = lorentz_dot(v, vertices[..., [2, 1, 0], :]) < 0
+    return np.where(outward[..., None], v, -v)
 
 
 def reflection(v):
@@ -162,30 +150,33 @@ def reflection(v):
 
 def angle_at(vertex, p, q):
     """Interior angle at the row `vertex` between the geodesic rays toward
-    the rows p and q."""
+    the rows p and q, or at each row of a stack."""
 
     def tangent(toward):
-        t = toward + lorentz_dot(vertex, toward) * vertex
+        t = toward + lorentz_dot(vertex, toward)[..., None] * vertex
         n2 = lorentz_dot(t, t)
-        if n2 <= 0:
+        if np.any(n2 <= 0):
             raise DegenerateGeodesicError("tangent direction degenerate at vertex")
-        return t / math.sqrt(n2)
+        return t / np.sqrt(n2)[..., None]
 
-    t1, t2 = tangent(p), tangent(q)
-    c = lorentz_dot(t1, t2)
-    return math.acos(min(1.0, max(-1.0, c)))
+    c = lorentz_dot(tangent(p), tangent(q))
+    return np.arccos(np.clip(c, -1.0, 1.0))
 
 
 def triangle_angles(rows):
-    """The interior angles at the three vertex rows of a geodesic triangle."""
+    """The interior angles at the three vertex rows of a geodesic triangle,
+    an array (..., 3) for a (..., 3, 3) stack of triangles."""
     v = normalize(np.asarray(rows, dtype=float))
-    return angle_at(v[0], v[1], v[2]), angle_at(v[1], v[0], v[2]), angle_at(v[2], v[0], v[1])
+    v0, v1, v2 = v[..., 0, :], v[..., 1, :], v[..., 2, :]
+    return np.stack([angle_at(v0, v1, v2), angle_at(v1, v0, v2), angle_at(v2, v0, v1)], axis=-1)
 
 
 def triangle_area(rows):
-    """Area of the geodesic triangle with vertex rows `rows`, by the
-    Gauss-Bonnet defect pi minus its measured angles."""
-    return math.pi - sum(triangle_angles(rows))
+    """Area of the geodesic triangle with vertex rows `rows`, or of each
+    triangle of a (..., 3, 3) stack, by the Gauss-Bonnet defect pi minus
+    its measured angles."""
+    a = triangle_angles(rows)
+    return math.pi - ((a[..., 0] + a[..., 1]) + a[..., 2])
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .errors import (
     TruncationError,
 )
 from .geometry import ETA_DIAG, dist, normalize, pairwise_dist, reflection
-from .tessellation import orbital_count
+from .tessellation import ball_radius, orbital_count
 
 ALPHA_MAX = math.sqrt(4.0 * math.pi)
 
@@ -166,7 +166,7 @@ class NeumannTruncation:
         tail <= gamma_plus * A * exp((1 - delta) R) / (delta - 1).
 
     `_mats`, the group elements the image sums run over, are those of the
-    tiles with centroids within R + margin of the origin.  Tile ids run in
+    tiles with centroids within `ball_radius(params, R)`.  Tile ids run in
     nondecreasing centroid distance, so it is a view of the prefix
     `tess.mats[:k]`; only a cut inside a 1e-11 tie group, whose members
     keep enumeration order, makes it a copy of the selection.
@@ -176,17 +176,14 @@ class NeumannTruncation:
         self.tess = tess
         self.max_orbit_radius = float(max_orbit_radius)
         self.tail_tol = float(tail_tol)
-        # orbit elements reached from pulled-back same-tile pairs satisfy
-        # rho(o, gamma c1) <= rho(o, x') + R + rho(y', c1)
-        margin = tess.anchor_spread + tess.circumradius
-        need = self.max_orbit_radius + margin
+        need = ball_radius(tess.params, self.max_orbit_radius)
         if tess.radius < need:
             raise TruncationError(
                 f"tessellation radius {tess.radius} too small for orbit radius "
                 f"{max_orbit_radius}; need >= {need:.2f}"
             )
         self.empirical_a = self._measure_orbit_constant()
-        sel = tess.centroid_rho <= self.max_orbit_radius + margin
+        sel = tess.centroid_rho <= need
         k = int(np.count_nonzero(sel))
         self._mats = np.ascontiguousarray(tess.mats[:k] if sel[:k].all() else tess.mats[sel])
 

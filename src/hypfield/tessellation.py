@@ -53,6 +53,7 @@ from .geometry import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_TILE_CAP = 200_000
+_LOCATE_SLACK = 1e-13  # `Tessellation.locate`'s side tolerance, per x3^2
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,28 @@ def fundamental_triangle(tp):
     return vertices, outward_normals(vertices)
 
 
+def _anchor_spread(vertices):
+    """Max distance from the origin to the vertex rows of a triangle."""
+    return max(math.acosh(max(v[2], 1.0)) for v in normalize(vertices))
+
+
+def _circumradius(vertices):
+    """Max distance from a triangle's centroid row to its vertex rows; the
+    centroid is the vertex sum normalised twice, and ball radii carry the
+    bits of the second step."""
+    c = normalize(normalize(vertices.sum(axis=0)))
+    return max(dist(c, v) for v in normalize(vertices))
+
+
+def ball_radius(tp, orbit_radius):
+    """The tessellation radius image sums out to orbit radius R need: orbit
+    elements reached from pulled-back same-tile pairs satisfy rho(o, gamma
+    c1) <= rho(o, x') + R + rho(y', c1), so R plus the fundamental
+    triangle's anchor spread and circumradius (2.39 for (4,4,4))."""
+    vertices, _ = fundamental_triangle(tp)
+    return orbit_radius + (_anchor_spread(vertices) + _circumradius(vertices))
+
+
 class Tessellation:
     """The enumerated tile ball, stored as arrays indexed by tile id.
 
@@ -162,19 +185,18 @@ class Tessellation:
     @cached_property
     def anchor_spread(self):
         """Max distance from the origin to points of the fundamental tile."""
-        return max(math.acosh(max(v[2], 1.0)) for v in normalize(self.fund_vertices))
+        return _anchor_spread(self.fund_vertices)
 
     @cached_property
     def circumradius(self):
-        c = normalize(self.centroids[0])
-        return max(dist(c, v) for v in normalize(self.fund_vertices))
+        return _circumradius(self.fund_vertices)
 
     @cached_property
     def tile_area(self):
         """Area of every tile, by the Gauss-Bonnet defect of tile 0."""
-        return triangle_area(self.fund_vertices)
+        return float(triangle_area(self.fund_vertices))
 
-    def locate(self, x, slack=1e-13):
+    def locate(self, x):
         """Id of the tile holding the Lorentz row x, or None outside the ball.
 
         Folds x into the fundamental triangle C: while x lies beyond a
@@ -186,8 +208,8 @@ class Tessellation:
         subgroup those sides generate (two tiles across a side, 2m around
         a vertex of angle pi/m), and the smallest enumerated id among
         them wins.  The tolerance on sinh of the distance to a side is
-        slack * x3^2: folding a point of height x3 rounds the folded
-        point by about 1e-16 x3^2 (at most 10.4 eps x3^2 on 24,000
+        `_LOCATE_SLACK` * x3^2: folding a point of height x3 rounds the
+        folded point by about 1e-16 x3^2 (at most 10.4 eps x3^2 on 24,000
         vertices and side midpoints of a (3,4,4) ball of radius 9.86).
 
         Raises ChartOverflowError for a row that is not a point of H^2:
@@ -202,7 +224,7 @@ class Tessellation:
             raise ChartOverflowError(f"cannot locate {x}: x3 <= 0, not on the upper sheet")
         if not lorentz_dot(x, x) < 0.0:
             raise ChartOverflowError(f"cannot locate {x}: the row is not timelike, <x, x> >= 0")
-        tol = slack * max(1.0, float(x[2])) ** 2
+        tol = _LOCATE_SLACK * max(1.0, float(x[2])) ** 2
         _, normals_eta, refl = self._letters
         x0, x1, x2 = x.tolist()
         word = []

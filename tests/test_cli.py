@@ -132,6 +132,16 @@ def test_sample_audit_writes_report_and_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["neumann-audit", "--tail-tol", "1", "--pairs", "200"],
+    ["sample-audit", "--tail-tol", "1", "--n", "2000", "--resolution", "2"],
+])
+def test_audits_size_the_ball_their_orbit_radius_needs(tmp_path, argv):
+    # the (4,4,4) ball reaches 2.39 beyond the orbit radius, more than 2
+    argv = argv + ["--p", "4", "--q", "4", "--r", "4", "--orbit-radius", "4"]
+    assert cli.main(argv + ["--json", str(tmp_path / "audit.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
     ["neumann-audit", "--orbit-radius", "4", "--tail-tol", "1", "--pairs", "400"],
     ["sample-audit", "--orbit-radius", "4", "--tail-tol", "1", "--n", "4000", "--resolution", "3"],
 ])

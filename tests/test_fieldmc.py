@@ -32,24 +32,48 @@ def cov_neumann(mp2, nt6, quad3):
     return fm.build_covariance(mp2, nt6, quad3, "neumann")
 
 
-def _broadcast_lorentz_dot(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
-
-
 @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 6])
-def test_quadrature_weights_sum_to_tile_area(monkeypatch, tess344_small, resolution):
+def test_quadrature_weights_sum_to_tile_area(tess344_small, resolution):
     quad = fm.build_quadrature(tess344_small, [0], resolution)
     assert len(quad) == resolution**2
     assert quad.total_weight == pytest.approx(TILE_AREA_344, rel=1e-12)
-    # the written-out cross product and the float lorentz_dot of two rows
-    # give the cells of np.cross and the broadcast lorentz_dot bit for bit
-    monkeypatch.setattr(geometry, "cross", np.cross)
-    monkeypatch.setattr(fm, "cross", np.cross)
-    monkeypatch.setattr(geometry, "lorentz_dot", _broadcast_lorentz_dot)
-    monkeypatch.setattr(fm, "lorentz_dot", _broadcast_lorentz_dot)
-    by_np = fm.build_quadrature(tess344_small, [0], resolution)
-    assert (quad.points.tobytes(), quad.weights.tobytes()) == (by_np.points.tobytes(), by_np.weights.tobytes())
+
+
+def _cells_one_by_one(tess, res):
+    """The quadrature cells of tile 0 one cell at a time: the incenter and
+    the Gauss-Bonnet weight of each triangle, in `build_quadrature` order."""
+    verts = tess.fund_vertices
+    nodes = {}
+    for i in range(res + 1):
+        for j in range(res + 1 - i):
+            nodes[i, j] = geometry.normalize(np.array([res - i - j, i, j], dtype=float) / res @ verts)
+    tris = []
+    for i in range(res):
+        for j in range(res - i):
+            tris.append(np.stack([nodes[i, j], nodes[i + 1, j], nodes[i, j + 1]]))
+            if i + j <= res - 2:
+                tris.append(np.stack([nodes[i + 1, j], nodes[i, j + 1], nodes[i + 1, j + 1]]))
+    points = []
+    for tri in tris:
+        n = geometry.outward_normals(tri)
+        w = np.cross(n[0] - n[1], n[1] - n[2]) * geometry.ETA_DIAG
+        q = -geometry.lorentz_dot(w, w)
+        inc = w / math.sqrt(q) if q > 0 else tri.mean(axis=0)
+        points.append(geometry.normalize(-inc if inc[2] < 0 else inc))
+    return np.stack(tris), np.stack(points), np.array([geometry.triangle_area(tri) for tri in tris])
+
+
+@pytest.mark.parametrize("resolution", range(1, 9))
+def test_quadrature_cells_equal_the_cell_by_cell_construction(tess344_small, resolution):
+    quad = fm.build_quadrature(tess344_small, [0], resolution)
+    tris, points, weights = _cells_one_by_one(tess344_small, resolution)
+    assert quad.points.tobytes() == points.tobytes()
+    # a weight is pi minus three angles: its rounding is about eps * pi
+    assert np.abs(quad.weights - weights).max() <= 4.0 * np.finfo(float).eps * math.pi
+    # each point is the incenter: sinh of its distance to the three sides agrees
+    sides = -geometry.lorentz_dot(geometry.outward_normals(tris), quad.points[:, None, :])
+    assert (sides > 0.0).all()
+    assert np.abs(np.arcsinh(sides) - np.arcsinh(sides[:, :1])).max() < 1e-13
 
 
 def test_wick_exp_mean_is_tile_area(cov_neumann, quad3):
@@ -76,10 +100,11 @@ def test_shift_identity(cov_neumann, quad3):
     assert float(np.abs(lhs - rhs).max() / np.abs(lhs).max()) < 1e-12
 
 
-def test_sampling_bit_identical_across_threads(cov_neumann, quad3):
+def test_sampling_bit_identical_across_threads(monkeypatch, cov_neumann, quad3):
     # 1000 samples in batches of 300: four batches, the last one short
-    serial = fm.sample_fields(cov_neumann, 1_000, seed=9, batch_size=300, threads=1)
-    pooled = fm.sample_fields(cov_neumann, 1_000, seed=9, batch_size=300, threads=2)
+    monkeypatch.setattr(fm, "_SAMPLE_BATCH", 300)
+    serial = fm.sample_fields(cov_neumann, 1_000, seed=9, threads=1)
+    pooled = fm.sample_fields(cov_neumann, 1_000, seed=9, threads=2)
     x1 = fm.wick_exp(serial, cov_neumann, quad3, ALPHA)
     x2 = fm.wick_exp(pooled, cov_neumann, quad3, ALPHA)
     assert len(x1) == 1_000
@@ -97,8 +122,9 @@ def _row_major_samples(cov, n, seed, batch_size):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_samples_equal_the_row_major_product_and_are_never_written(cov_neumann, quad3, threads):
-    samples = fm.sample_fields(cov_neumann, 1_000, seed=9, batch_size=300, threads=threads)
+def test_samples_equal_the_row_major_product_and_are_never_written(monkeypatch, cov_neumann, quad3, threads):
+    monkeypatch.setattr(fm, "_SAMPLE_BATCH", 300)
+    samples = fm.sample_fields(cov_neumann, 1_000, seed=9, threads=threads)
     assert samples.shape == (1_000, len(quad3))
     assert np.array_equal(samples, _row_major_samples(cov_neumann, 1_000, 9, 300))
     # cell-major: each cell's values are contiguous
@@ -407,9 +433,10 @@ def test_statistics_allocate_no_sample_columns(monkeypatch, cov_neumann, quad3):
     assert _traced_peak(lambda: fm.wick_power_estimate(samples, cov_neumann, quad3, 4)) < 1.5 * column
 
 
-def test_sample_fields_logs_its_work(caplog, cov_neumann):
+def test_sample_fields_logs_its_work(monkeypatch, caplog, cov_neumann):
+    monkeypatch.setattr(fm, "_SAMPLE_BATCH", 300)
     with caplog.at_level(logging.INFO, logger="hypfield.fieldmc"):
-        fm.sample_fields(cov_neumann, 1_000, seed=9, batch_size=300, threads=2)
+        fm.sample_fields(cov_neumann, 1_000, seed=9, threads=2)
     [record] = [r for r in caplog.records if r.name == "hypfield.fieldmc"]
     assert record.levelno == logging.INFO
     assert record.getMessage().startswith("sample_fields 1000 samples x 9 cells: 4 batches, 2 threads, ")
@@ -476,7 +503,8 @@ def test_reductions_do_not_depend_on_thread_count(monkeypatch, caplog, cov_neuma
     # at 1024-row blocks every loop over 13,065 samples has three blocks or more
     if rows is not None:
         monkeypatch.setattr(fm, "_BLOCK_ROWS", rows)
-    samples = fm.sample_fields(cov_neumann, n, seed=21, batch_size=1_000, threads=1)
+    monkeypatch.setattr(fm, "_SAMPLE_BATCH", 1_000)
+    samples = fm.sample_fields(cov_neumann, n, seed=21, threads=1)
     samples.flags.writeable = False
     f = np.random.default_rng(22).normal(scale=0.5, size=len(quad3))
     x, wick, lhs, rhs, laplace = _mc_results(samples, cov_neumann, quad3, cell_g, f, 1)
@@ -486,7 +514,7 @@ def test_reductions_do_not_depend_on_thread_count(monkeypatch, caplog, cov_neuma
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pooled = fm.sample_fields(cov_neumann, n, seed=21, batch_size=1_000, threads=threads)
+            pooled = fm.sample_fields(cov_neumann, n, seed=21, threads=threads)
             with caplog.at_level(logging.DEBUG, logger="hypfield.fieldmc"):
                 x_t, wick_t, lhs_t, rhs_t, laplace_t = _mc_results(samples, cov_neumann, quad3, cell_g, f, threads)
         finally:

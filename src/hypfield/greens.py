@@ -6,7 +6,10 @@ that is exact next to the diagonal (see `_kernels`).  The Neumann kernel
 G_N on a reflection tessellation is the image sum over the group orbit,
 truncated by orbit radius rho(x, gamma(y)) <= R with a reported tail
 bound.  Between distinct tiles G_N is identically zero, which is what
-decouples the field.
+decouples the field.  The decay chain takes its Neumann covariance from
+the Galerkin solve of `fieldmc.build_covariance` instead; the image sums
+serve the audits (`neumann_symmetry_audit`, `domination_audit`) and the
+tests that check that solve.
 
 The two printed closed forms of G_plus differ by a factor 2^(-Delta) in
 the source; the form implemented here (prefactor 2^(-2*Delta) in both)

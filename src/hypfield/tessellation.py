@@ -183,17 +183,8 @@ class Tessellation:
         return max(dist(a, b) for a in vs for b in vs)
 
     @cached_property
-    def anchor_spread(self):
-        """Max distance from the origin to points of the fundamental tile."""
-        return _anchor_spread(self.fund_vertices)
-
-    @cached_property
-    def circumradius(self):
-        return _circumradius(self.fund_vertices)
-
-    @cached_property
     def tile_area(self):
-        """Area of every tile, by the Gauss-Bonnet defect of tile 0."""
+        """Area of every tile, the closed-form area of tile 0."""
         return float(triangle_area(self.fund_vertices))
 
     def locate(self, x):

@@ -143,16 +143,18 @@ def test_audits_size_the_ball_their_orbit_radius_needs(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["neumann-audit", "--orbit-radius", "4", "--tail-tol", "1", "--pairs", "400"],
-    ["sample-audit", "--orbit-radius", "4", "--tail-tol", "1", "--n", "4000", "--resolution", "3"],
+    ["sample-audit", "--orbit-radius", "4", "--tail-tol", "1", "--n", "20000", "--resolution", "3"],
 ])
 def test_audits_write_the_same_json_for_any_thread_count(monkeypatch, caplog, tmp_path, argv):
-    # every image-sum loop goes to the pool, however short its steps
+    # every image-sum loop goes to the pool, however short its steps; the
+    # sample audit's pooled loops are the Monte Carlo ones, three blocks
+    # of its 20,000 samples each
     monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
     reports = []
     for threads in ("1", "2"):
         json_path = tmp_path / f"threads{threads}.json"
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
+        with caplog.at_level(logging.DEBUG, logger="hypfield"):
             assert cli.main(["--threads", threads, *argv, "--json", str(json_path)]) == 0
         assert f", {threads} workers, " in caplog.text
         reports.append(json_path.read_bytes())

@@ -14,6 +14,7 @@ import pytest
 import scipy.special
 from numpy.polynomial import hermite_e
 
+from hypfield import _kernels, galerkin, greens
 from hypfield import fieldmc as fm
 from hypfield import geometry
 from hypfield.boundary import BoundarySource
@@ -41,7 +42,7 @@ def test_quadrature_weights_sum_to_tile_area(tess344_small, resolution):
 
 def _cells_one_by_one(tess, res):
     """The quadrature cells of tile 0 one cell at a time: the incenter and
-    the Gauss-Bonnet weight of each triangle, in `build_quadrature` order."""
+    the closed-form weight of each triangle, in `build_quadrature` order."""
     verts = tess.fund_vertices
     nodes = {}
     for i in range(res + 1):
@@ -68,12 +69,114 @@ def test_quadrature_cells_equal_the_cell_by_cell_construction(tess344_small, res
     quad = fm.build_quadrature(tess344_small, [0], resolution)
     tris, points, weights = _cells_one_by_one(tess344_small, resolution)
     assert quad.points.tobytes() == points.tobytes()
-    # a weight is pi minus three angles: its rounding is about eps * pi
+    # the same closed form on one triangle and on the stack; a vectorised
+    # ufunc loop may round its arctan2 differently, by far less than this
     assert np.abs(quad.weights - weights).max() <= 4.0 * np.finfo(float).eps * math.pi
     # each point is the incenter: sinh of its distance to the three sides agrees
     sides = -geometry.lorentz_dot(geometry.outward_normals(tris), quad.points[:, None, :])
     assert (sides > 0.0).all()
     assert np.abs(np.arcsinh(sides) - np.arcsinh(sides[:, :1])).max() < 1e-13
+
+
+def _gauss_bonnet_40_digits(rows):
+    """pi minus the three angles of the geodesic triangle of three float
+    rows, each scaled onto the hyperboloid, at 40 digits."""
+    with mpmath.workdps(40):
+        def dot(a, b):
+            return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
+
+        pts = [[mpmath.mpf(float(x)) for x in row] for row in rows]
+        pts = [[x / mpmath.sqrt(-dot(p, p)) for x in p] for p in pts]
+
+        def angle(v, p, q):
+            def tangent(t):
+                u = [t[k] + dot(v, t) * v[k] for k in range(3)]
+                norm = mpmath.sqrt(dot(u, u))
+                return [x / norm for x in u]
+
+            return mpmath.acos(dot(tangent(p), tangent(q)))
+
+        a, b, c = pts
+        return mpmath.pi - angle(a, b, c) - angle(b, a, c) - angle(c, a, b)
+
+
+def test_quadrature_weights_keep_their_digits_at_resolution_24(tess344_small):
+    # the closed form keeps 1e-14 of each small cell's area, where the
+    # float Gauss-Bonnet defect kept 1e-11
+    res = 24
+    quad = fm.build_quadrature(tess344_small, [0], res)
+    i, j, triples, inside = galerkin.barycentric_grid(res)
+    cells = galerkin.grid_rows(tess344_small.fund_vertices, res, i, j)[triples[inside]]
+    want = np.array([float(_gauss_bonnet_40_digits(cell)) for cell in cells])
+    assert np.abs(quad.weights / want - 1.0).max() <= 1e-14
+
+
+# --- the Neumann covariance: Galerkin cell averages ------------------------
+
+
+@pytest.mark.parametrize("resolution", range(2, 13))
+def test_neumann_covariance_integrates_to_one_over_m2_and_factors(mp2, tess344_small, resolution):
+    # K 1 = m^2 M 1 gives m^2 C w = 1 in every row on every mesh, and the
+    # Richardson mix of two meshes keeps it; C factors with no ridge
+    quad = fm.build_quadrature(tess344_small, [0], resolution)
+    cov = fm.build_covariance(mp2, None, quad, "neumann")
+    assert cov.ridge == 0.0
+    assert np.abs(mp2.m2 * cov.matrix @ quad.weights - 1.0).max() <= 1e-12
+    assert 0.0 < cov.estimate < 1e-2
+
+
+def test_neumann_covariance_logs_its_solve(caplog, mp2, quad3):
+    with caplog.at_level(logging.INFO, logger="hypfield.fieldmc"):
+        cov = fm.build_covariance(mp2, None, quad3, "neumann")
+    [record] = [r for r in caplog.records if r.name == "hypfield.fieldmc"]
+    # 24 and 12 cuts of the tile's side: 325 and 91 nodes
+    assert record.getMessage().startswith(
+        f"neumann covariance resolution 3: Galerkin on 325 and 91 nodes, estimate {cov.estimate:.2e}, "
+    )
+
+
+def test_the_chain_needs_no_truncation_and_no_image_sum(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the decay chain reached the image sums")
+
+    monkeypatch.setattr(greens, "NeumannTruncation", refused)
+    monkeypatch.setattr(_kernels, "image_sum_block", refused)
+    monkeypatch.setattr(_kernels, "image_sum_self", refused)
+    run = _small_run()
+    assert run.passed is True
+
+
+def test_light_mass_runs_to_a_verdict():
+    # m^2 = 0.5 needs no orbit radius: its image-sum tail bound at R = 8
+    # is 0.23, and the run used to stop there
+    run = fm.triviality_run(dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, m2=0.5))
+    assert run.passed is True
+    assert run.eps_hat == pytest.approx(0.744, abs=0.01)
+
+
+def test_z_ratio_stays_finite_where_every_weight_underflows():
+    # at m^2 = 6 on the decay config every exp(-v_h) underflows
+    run = fm.triviality_run(dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, m2=6.0))
+    direct = run.direct_ratio
+    assert math.isfinite(direct.log_ratio) and direct.log_ratio < -700.0
+    assert math.isfinite(direct.stderr) and math.isfinite(direct.ess)
+    assert direct.unreliable is True
+
+
+def test_z_ratio_in_log_space_equals_the_plain_ratio(mp2, tess344_big):
+    # where nothing underflows, the shifted means give the plain ratio
+    quad = fm.build_quadrature(tess344_big, [0], 2)
+    h = BoundarySource.bump(math.pi / 6, math.pi / 3)
+    res = fm.z_ratio(mp2, quad, ALPHA, 0.1, h, 5_000, seed=3)
+    cov = fm.build_covariance(mp2, None, quad, "free")
+    samples = fm.sample_fields(cov, 5_000, 3)
+    g = np.exp(ALPHA * fm.bd.h_plus_at_points(mp2, h, quad.points))
+    a = np.exp(-0.1 * fm.wick_exp(samples, cov, quad, ALPHA, g=g))
+    b = np.exp(-0.1 * fm.wick_exp(samples, cov, quad, ALPHA))
+    assert res.ratio == pytest.approx(a.mean() / b.mean(), rel=1e-12)
+    assert res.log_ratio == pytest.approx(math.log(a.mean() / b.mean()), rel=1e-12)
+    assert res.ess == pytest.approx(a.sum() ** 2 / (a**2).sum(), rel=1e-12)
+    assert res.unreliable is False
 
 
 def test_wick_exp_mean_is_tile_area(cov_neumann, quad3):
@@ -206,7 +309,9 @@ def test_wick_power_matches_hermite_formula(cov_neumann, quad3, blocked_samples,
     g = cell_g if with_g else None
     wg = quad3.weights if g is None else quad3.weights * g
     terms = _hermite_wick_terms(blocked_samples, cov_neumann, k)
-    oracle = terms @ wg
+    # in fixed cell order, as the package sums: at k = 0 every sample then
+    # has the same value, and the statistics compare no BLAS rounding
+    oracle = _cell_sum(terms, wg)
     got = fm._wick_power_samples(blocked_samples, cov_neumann, wg, k)
     # per sample, relative to the sum of the absolute terms, which is the
     # scale of the rounding in a sum that cancels
@@ -453,13 +558,13 @@ def test_shift_audit_needs_no_samples_copy(cov_neumann, quad3):
 
 
 def test_z_ratio_marks_underflow_unreliable(mp2, tess344_big):
-    # at lambda = 1e4 every exp(-v_h) underflows: the ratio is 0/0 or 0 and
-    # the ESS NaN, which must not pass as reliable
+    # at lambda = 1e4 every exp(-v_h) underflows; in log space the ratio,
+    # its stderr and its ESS stay finite, and a few samples carry it
     quad = fm.build_quadrature(tess344_big, [0], 2)
     h = BoundarySource.bump(math.pi / 6, math.pi / 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = fm.z_ratio(mp2, quad, ALPHA, 1e4, h, 200, seed=3)
-    assert math.isnan(res.ess)
+    res = fm.z_ratio(mp2, quad, ALPHA, 1e4, h, 200, seed=3)
+    assert math.isfinite(res.log_ratio) and math.isfinite(res.stderr)
+    assert 1.0 <= res.ess < 100.0
     assert res.unreliable is True
 
 

@@ -27,7 +27,6 @@ from hypfield.greens import (
     ModelParams,
     NeumannTruncation,
     delta_g,
-    delta_g_many,
     domination_audit,
     exp_kernel_integral,
     g_neumann,
@@ -38,7 +37,7 @@ from hypfield.greens import (
     neumann_symmetry_audit,
     sample_tile_points,
 )
-from hypfield.tessellation import TriangleParams, generate
+from hypfield.tessellation import TriangleParams, ball_radius, generate
 
 
 def _masses_on_h2(masses):
@@ -418,11 +417,11 @@ def test_gplus_tail_piece_continuous_at_its_edge(m2):
 
 
 def test_truncation_views_the_prefix_of_the_ball(tess344_small, nt6, nt8):
-    decay = generate(TriangleParams(3, 4, 4), 8.0 + tess344_small.anchor_spread + tess344_small.circumradius)
+    decay = generate(TriangleParams(3, 4, 4), ball_radius(TriangleParams(3, 4, 4), 8.0))
     nt_decay = NeumannTruncation(decay, 8.0)
     for nt in (nt6, nt8, nt_decay):
         assert np.shares_memory(nt._mats, nt.tess.mats)
-        sel = nt.tess.centroid_rho <= nt.max_orbit_radius + nt.tess.anchor_spread + nt.tess.circumradius
+        sel = nt.tess.centroid_rho <= ball_radius(nt.tess.params, nt.max_orbit_radius)
         assert np.array_equal(nt._mats, nt.tess.mats[sel])
     assert len(nt_decay._mats) == len(decay)  # the decay run sums over the whole ball
 
@@ -430,11 +429,12 @@ def test_truncation_views_the_prefix_of_the_ball(tess344_small, nt6, nt8):
 def test_truncation_copies_a_selection_that_is_no_prefix(tess344_big):
     tess = copy.copy(tess344_big)
     rho = tess.centroid_rho.copy()
-    k = int(np.count_nonzero(rho <= 6.0 + tess.anchor_spread + tess.circumradius))
+    need = ball_radius(tess.params, 6.0)
+    k = int(np.count_nonzero(rho <= need))
     rho[[k - 1, k]] = rho[[k, k - 1]]
     tess.centroid_rho = rho
     nt = NeumannTruncation(tess, 6.0, tail_tol=1e-2)
-    sel = rho <= 6.0 + tess.anchor_spread + tess.circumradius
+    sel = rho <= need
     assert not sel[k - 1] and sel[k]
     assert not np.shares_memory(nt._mats, tess.mats)
     assert nt._mats.flags.c_contiguous
@@ -507,12 +507,15 @@ def test_delta_g_nonnegative_and_interior(nt6, mp2):
     rng = np.random.default_rng(7)
     for v in sample_tile_points(tess, 0, 50, rng):
         assert delta_g(mp2, nt6, normalize(v)) >= 0.0
-    # the Neumann covariance's cell diagonal, read off its same-set block in
-    # each tile: G_plus at the effective radius plus Delta G
+    # the Neumann covariance of two tiles: each carries the same block of
+    # Galerkin cell averages, which integrate to 1/m^2 against the cell
+    # weights, and the tiles decouple
     quad = build_quadrature(tess, [0, 1], 3)
     cov = build_covariance(mp2, nt6, quad, "neumann")
-    want = g_plus(mp2, np.sqrt(quad.weights / math.pi)) + delta_g_many(mp2, nt6, quad.points)
-    assert np.max(np.abs(cov.diag / want - 1.0)) <= 1e-15
+    first, second = quad.tile_mask(0), quad.tile_mask(1)
+    assert np.array_equal(cov.matrix[np.ix_(first, first)], cov.matrix[np.ix_(second, second)])
+    assert not cov.matrix[np.ix_(first, second)].any()
+    assert np.abs(mp2.m2 * cov.matrix @ quad.weights - 1.0).max() <= 1e-12
 
 
 def test_delta_g_truncation_stability(tess344_big, mp2):

@@ -33,6 +33,7 @@ from hypfield.geometry import (
 )
 from hypfield.tessellation import (
     TriangleParams,
+    ball_radius,
     conical_sequence,
     fundamental_triangle,
     generate,
@@ -57,9 +58,9 @@ def test_fundamental_angles_and_area():
     for got, expect in zip(triangle_angles(verts), want):
         assert got == pytest.approx(expect, abs=1e-10)
     assert triangle_area(verts) == pytest.approx(math.pi / 6, abs=1e-9)
-    # the defect of the measured angles, bit for bit; pi / 6 is 3 ulp off it
-    assert triangle_area(verts) == 0.5235987755982991
-    assert generate(TriangleParams(3, 4, 4), 0.0).tile_area == 0.5235987755982991
+    # the closed form, bit for bit; math.pi / 6 is 2 ulp below it
+    assert triangle_area(verts) == 0.523598775598299
+    assert generate(TriangleParams(3, 4, 4), 0.0).tile_area == 0.523598775598299
     assert triangle_area(fundamental_triangle(TriangleParams(2, 3, 7))[0]) == pytest.approx(
         math.pi / 42, abs=1e-9
     )
@@ -487,8 +488,7 @@ def _previous_generate(tp, radius):
 
 
 def _decay_radius():
-    probe = generate(TriangleParams(3, 4, 4), 0.0)
-    return 8.0 + probe.anchor_spread + probe.circumradius
+    return ball_radius(TriangleParams(3, 4, 4), 8.0)
 
 
 @pytest.mark.parametrize(

@@ -27,32 +27,35 @@ past it, t = 1/(c + sqrt((c - 1)(c + 1))) and, on the diagonal piece,
 u = 2 t sqrt((c - 1)(c + 1)).  `tail_cosh` and `past_tail_cosh` are its
 two halves, and `__call__(rho)` goes through the same pieces.
 
-Image sums.  `image_sum_block` and `image_sum_self` share one loop
-over columns j, which sums the rows i of a range per column: every row
-for a block of two point sets, i <= j for a same-set block (mirrored
-after), i = j for the self sums.  An image that coincides with x_i in
-every digit, <x_i - gamma y_j, x_i - gamma y_j> = 0 exactly, is the
-identity and left out, so a same-set block's diagonal and the self sums
-are Delta G = G_N - G_plus.  Before it scans, the loop drops every image
-that no pair of the points can reach (a triangle inequality about their
-Lorentz mean, exact for any set of images), puts first the images that
-can bring a pair within 3.45, the tail piece's edge, and then drops, per
-column, the images out of reach of every row.  A column's (rows, images)
-Lorentz products are two BLAS matrix products, one for the leading
-images and one for the rest; each row's sum does not depend on the BLAS
-thread count, which a test checks.  The tail piece's terms are summed
-per column, and evaluated for a group of columns of at least
-`_TERM_BLOCK` products at a time.  The terms past it, which only the
-leading images give, are gathered over the columns, up to
-`_PAST_TAIL_TERMS` at a time, and evaluated together, so the near
-piece's fixed cost of about 0.2 ms is paid a few times a call, not once
-a column.  For those next to the diagonal, c - 1 is taken from
-<x - gamma y, x - gamma y>/2, which keeps the digits that c - 1 of the
-rounded Lorentz product loses.  Each call logs one line at DEBUG on the
-`hypfield._kernels` logger, under its own name: its points, pairs, the
-images passed in, the images kept by the reach test, the (pair, image)
-products scanned after the per-column reach, the (pair, image) terms
-summed, its workers and its seconds.
+Image sums.  They serve the audits and the oracles; the chain's Neumann
+covariance is the Galerkin solve of `galerkin`.  `image_sum_block` and
+`image_sum_self` share one loop over columns j, which sums the rows i of
+a range per column: every row for a block of two point sets, i <= j for
+a same-set block (mirrored after), i = j for the self sums.  An image
+that coincides with x_i in every digit, <x_i - gamma y_j, x_i - gamma
+y_j> = 0 exactly, is the identity and left out, so a same-set block's
+diagonal and the self sums are Delta G = G_N - G_plus.  Before it scans,
+the loop drops every image that no pair of the points can reach (a
+triangle inequality about their Lorentz mean, exact for any set of
+images), puts first the images that can bring a pair within 3.45, the
+tail piece's edge, and then drops, per column, the images out of reach
+of every row.  It cuts a column's rows into chunks of at most
+`_CHUNK_PRODUCTS` products divided by the workers, and of two rows or
+more: numpy takes a one-row matrix product through a matrix-vector
+routine, whose rounding differs.  A chunk's (rows, images) Lorentz
+products are one BLAS matrix product, whose values depend neither on the
+chunk's other rows nor on the BLAS thread count, which tests check.  Its
+tail-piece terms are compressed into a buffer, evaluated and summed row
+by row.  The terms past the tail piece, which only the leading images
+give, go into a list, evaluated by one `past_tail_cosh` call whenever it
+holds `_PAST_TAIL_TERMS` terms (divided by the workers) and at the end:
+the near piece costs about 0.2 ms a call.  For those next to the
+diagonal, c - 1 is taken from <x - gamma y, x - gamma y>/2, which keeps
+the digits that c - 1 of the rounded Lorentz product loses.  Each call
+logs one line at DEBUG on the `hypfield._kernels` logger, under its own
+name: its points, pairs, the images passed in, the images kept by the
+reach test, the (pair, image) products scanned after the per-column
+reach, the (pair, image) terms summed, its workers and its seconds.
 
 Threads.  `_map_blocks` runs block loops on `threads` workers, for the
 image sums here and for the Monte Carlo layer in `fieldmc`: None means
@@ -64,35 +67,22 @@ about equal pair count (a same-set column j has j + 1 pairs), when they
 average `_POOL_MIN_PRODUCTS` products or more; below that the lock's
 hand-offs would cost more than a second core saves.  The self sums, one
 pair a column, reach it only with `_POOL_MIN_PRODUCTS` images or more.
-More than one worker needs BLAS held to one thread (OPENBLAS_NUM_THREADS=1
-or OMP_NUM_THREADS=1): left at its default, OpenBLAS starts its own threads
+In a pass of the benchmark's library workload the domination audit's
+block of 50 x 50 points at R = 6 (8,345 images kept, 11.1M products)
+goes to the pool, and four rows of 1 x 10 points do not.  More than one
+worker needs BLAS held to one thread (OPENBLAS_NUM_THREADS=1 or
+OMP_NUM_THREADS=1): left at its default, OpenBLAS starts its own threads
 inside each worker's matrix products, and on a 2-core host a pass of the
 benchmark's library workload took 0.79 s instead of 0.61 s (medians).
 
-Each run has its own partial sums, its own `_PastTail` and its own
-buffers, all made in the calling thread, so that no pool thread's
-malloc arena keeps them resident; in its loop a worker makes only
-temporaries of at most a column's images or `_COMPACT_BLOCK` products.
-The partial sums go into the result after every loop has ended.  The
-runs share out one worker's product buffer (the most rows of a column
-times the images, plus `_TERM_BLOCK`), and two workers' past-tail
-buffers and tail-piece scratch, so that their memory stays about that
-of one or two workers for any count: two workers share nothing out but
-the products, where a smaller past-tail buffer or tail-piece block
-costs time.  A column whose products or leading terms do not fit is
-taken in chunks of its rows, of two rows or more.
-
-The result is byte-identical for any number of workers.  A row's
-products come from the same two matrix products in any run or chunk:
-a product's value depends neither on the other rows of the call nor on
-the memory it sits in, which the tests check, but numpy takes a one-row
-product through a matrix-vector routine, so no chunk has one row unless
-the column has.  Every S[i, j] receives its tail-piece row sum and its
-past-tail addition from one worker, from the same arrays in the same
-order, and only zeros from that worker's other past-tail flushes.  The
-runs cannot share one result array: `_PastTail.add_to` adds a bincount
-over the whole of its array, so two workers doing that on one array
-would lose each other's column writes.
+Each run's partial sums and buffers are made in the calling thread, so
+that no pool thread's malloc arena keeps them resident.  The result is
+byte-identical for any number of workers: a row's products come from
+one matrix product with its column's images in any chunk, and each
+S[i, j] receives its tail-piece row sum and its past-tail terms once
+each, from one worker, and only zeros from that worker's other
+past-tail additions.  The runs cannot share one result array: a
+past-tail addition adds a bincount over the whole of its run's sums.
 
 Reference and build path.  `gplus_series` computes the node values and
 is the oracle the tests compare the interpolant against:
@@ -148,26 +138,20 @@ INTERP_RTOL = 2e-13
 # lock's hand-offs between workers.  On a 2-core host the tail piece alone
 # took 8.8-12.7 ns a value on one thread at any block from 8k to 256k
 # values; two threads at once, 9.5-10.3 ns at 8k, 6.5-7.5 at 16k, 5.8-6.4
-# at 32k, 5.4-5.8 at 64k and 4.8-6.3 at 128k.  The R = 6 domination block
-# (50 x 50 points) took 115-155 ms on one worker at any block size, and on
-# two 107-117 ms at 8k, 92-96 at 32k and 73-88 at 64k.
+# at 32k, 5.4-5.8 at 64k and 4.8-6.3 at 128k.
 _TERM_BLOCK = 65536
-# products per step of moving an image-sum block's tail-piece terms to the
-# front of its buffer: np.compress makes two temporaries of up to 256 KB
-# in the worker's thread, whose malloc arena keeps them.  On a 2-core host
-# the domination block on two workers took 117 ms at 8k, 104 at 16k, 99 at
-# 32k and 97.5 in one step; after four library iterations the pool
-# thread's arena held 0.64 MB at 16k and 0.81 MB at 32k
-_COMPACT_BLOCK = 32768
+# (pair, image) products of a chunk of an image-sum column, divided among
+# the workers.  On a 2-core host the 50 x 50 domination block took 100-125
+# ms on one worker from 128k to 1M and, on two, 96 ms at 128k and 74-85 ms
+# at 256k and 512k: smaller chunks mean more hand-offs of the lock
+_CHUNK_PRODUCTS = 1 << 18
 # past-tail terms an image sum gathers before it evaluates them: 1.5 MB of
 # cosh values, c - 1 and sum indices, divided among the runs of its loop
 _PAST_TAIL_TERMS = 1 << 16
 # the least average products a column of an image-sum block for which its
 # columns go to more than one worker: below it a column's numpy calls are
 # so short that the workers' hand-offs of the interpreter lock cost more
-# than the second core saves.  On 2 cores at R = 6, same-set blocks of 89k
-# and 134k products a column took 17-18 and 34-39 ms on one worker, 18.5-19
-# and 31 ms on two.
+# than the second core saves
 _POOL_MIN_PRODUCTS = 1 << 17
 
 logger = logging.getLogger(__name__)
@@ -500,31 +484,28 @@ class GplusInterpolant:
             vals *= _horner(self.tail_coef, w, out=p_buf[: len(block)])
         return out
 
-    def past_tail_cosh(self, c, cm1=None, out=None, scratch=None):
+    def past_tail_cosh(self, c, cm1=None, out=None):
         """G_plus at an array of c = cosh rho below cosh 3.45 by the far,
         near and diagonal pieces, written into out (a new array if None),
         which may be c itself; inf at c <= 1.
 
         The far piece runs on every value, over blocks of `_TERM_BLOCK`
-        values or of the length of scratch's two rows, as the tail piece
-        does.  The values next to the diagonal, t > 0.6, are then
-        overwritten by the near and diagonal pieces, one call each: the
-        near piece costs about 0.2 ms a call whatever the number of values,
-        so callers gather these values and make few calls.  On the
-        diagonal piece u = 1 - t^2 = 2 t sinh rho.  These two pieces read
-        sinh rho from c - 1, which next to c = 1 has only the digits of the
-        rounded c; cm1, when given, is c - 1 at every value to its own
-        digits (an image sum takes it from <x - gamma y, x - gamma y>/2),
-        and is read instead.
+        values, as the tail piece does.  The values next to the diagonal,
+        t > 0.6, are then overwritten by the near and diagonal pieces, one
+        call each: the near piece costs about 0.2 ms a call whatever the
+        number of values, so callers gather these values and make few
+        calls.  On the diagonal piece u = 1 - t^2 = 2 t sinh rho.  These two
+        pieces read sinh rho from c - 1, which next to c = 1 has only the
+        digits of the rounded c; cm1, when given, is c - 1 at every value to
+        its own digits (an image sum takes it from <x - gamma y, x - gamma
+        y>/2), and is read instead.
         """
         if out is None:
             out = np.empty_like(c)
-        if scratch is None:
-            scratch = np.empty((2, min(len(c), _TERM_BLOCK)))
         # taken before out, which may be c, is written
         rest = np.flatnonzero(c < _NEAR_COSH)
         c_rest, cm1_rest = c[rest], None if cm1 is None else cm1[rest]
-        t_buf, s_buf = scratch
+        t_buf, s_buf = np.empty((2, min(len(c), _TERM_BLOCK)))
         for lo in range(0, len(c), max(1, len(t_buf))):
             block = c[lo : lo + len(t_buf)]
             t, s = _t_sinh(block, out=(t_buf[: len(block)], s_buf[: len(block)]))
@@ -606,53 +587,6 @@ def _row_sums(vals, counts):
     return sums
 
 
-class _PastTail:
-    """The past-tail terms of an image sum, deferred: their cosh values c,
-    their c - 1 and the flat index of the sum each belongs to, held in
-    arrays made once for `capacity` terms.  `slots` hands out the next
-    terms' places, after `add_to` when they would not fit; `add_to`
-    evaluates the pending terms with one `past_tail_cosh` call, into their
-    own array and with the rows of scratch, and adds them to their sums.
-    It runs once more at the end of the kernel's loop.  A sum's terms are
-    deferred together, so it gets one addition from here and one of its
-    tail-piece terms, in either order with the same result.  A term whose
-    c - 1 is 0, an identity image (gamma y_j = x_i in every digit), adds
-    exactly 0, which leaves every bit of its sum as without it."""
-
-    def __init__(self, interp, sums, capacity, scratch):
-        self.interp, self.sums, self.scratch = interp, sums.reshape(-1), scratch
-        self.coshes, self.cm1s = np.empty((2, capacity))
-        self.at = np.empty(capacity, dtype=np.intp)
-        self.pending = 0
-
-    def slots(self, size):
-        """(c, c - 1, sum index) arrays for the next size terms, to be
-        filled in; cm1 as in `past_tail_cosh`.  size is at most capacity."""
-        if self.pending + size > len(self.at):
-            self.add_to()
-        lo, self.pending = self.pending, self.pending + size
-        return self.coshes[lo : self.pending], self.cm1s[lo : self.pending], self.at[lo : self.pending]
-
-    def add_to(self):
-        if not self.pending:
-            return
-        n, self.pending = self.pending, 0
-        c, cm1 = self.coshes[:n], self.cm1s[:n]
-        vals = self.interp.past_tail_cosh(c, cm1, c, self.scratch)
-        vals[cm1 == 0.0] = 0.0  # identity images
-        self.sums += np.bincount(self.at[:n], weights=vals, minlength=len(self.sums))
-
-
-def _row_chunks(rows, most):
-    """(first, end) of the fewest near-equal chunks of rows with at most
-    `most` rows each (most >= 3): every chunk has two rows or more unless
-    rows is 1, since numpy takes a one-row matrix product through a
-    matrix-vector routine, whose rounding differs."""
-    count = -(-rows // most)
-    cuts = [rows * p // count for p in range(count + 1)]
-    return zip(cuts, cuts[1:])
-
-
 def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     """S[i, j] = sum over images gamma(y_j) within distance rmax of x_i of
     G_plus, the identity image left out.
@@ -675,7 +609,7 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     the triangle inequality neither cut loses a term, for any `mats`.
     The terms past the tail piece's edge, rho < 3.45, come from the
     leading images of `_within_reach` alone; they are gathered over the
-    columns and evaluated together (`_PastTail`).
+    columns and evaluated together.
 
     The columns run on `threads` workers (None: one per core), in
     contiguous runs of about equal pair count (`_map_blocks`), when they
@@ -717,120 +651,86 @@ def _image_sums(name, xs, ys, mats, rmax, mp, rows, threads):
     cx = normalize(xs.sum(axis=0))
     column_reach = math.cosh(rmax + _max_dist(cx, xs) + 1e-9)
     neg_eta_cx = cx * -ETA_DIAG
+    neg_eta_x = xs * -ETA_DIAG
+    interp = mp.gplus_interp
     m = len(ys)
     spans = [rows(j) for j in range(m)]
     col_rows = np.array([end - first for first, end in spans], dtype=int)
     height = int(col_rows.max(initial=0))
     pairs = int(col_rows.sum())
-    neg_eta_x = xs * -ETA_DIAG
-    kept_rows = kept.reshape(-1, 3)
-    interp = mp.gplus_interp
     workers = 1
     if pairs * len(kept) >= _POOL_MIN_PRODUCTS * m:
         workers = _worker_count(threads, m)
-    # the product buffer of one worker, and the past-tail buffers and
-    # tail-piece blocks of two, shared out among the runs (see the module
-    # docstring)
-    share = -(-(height * len(kept) + _TERM_BLOCK) // workers)
-    past_share = max(3 * near, 2 * _PAST_TAIL_TERMS // max(2, workers))
-    term_block = 2 * _TERM_BLOCK // max(2, workers)
+    # the products of a chunk of a column's rows: three rows or more, so
+    # that every chunk of a column of two rows or more has two or more
+    cap = max(_CHUNK_PRODUCTS // workers, 3 * len(kept))
+    past_terms = _PAST_TAIL_TERMS // workers
     runs = []  # per run of columns: its sums, [products scanned, terms summed]
 
     def task(cols):
-        # made here, in the calling thread (see `_map_blocks`): the run's
-        # sums and buffers, the products' buffer sized by its largest column
+        # made here, in the calling thread (see `_map_blocks`)
         sums = np.zeros((height, len(cols)))
         tally = [0, 0]
         runs.append((sums, tally))
-        scratch = np.empty((2, term_block))
-        past_tail = _PastTail(interp, sums, past_share, scratch)
         images, imgs_buf = np.empty((2, len(kept), 3))
         to_cx = np.empty(len(kept))
         reach = np.empty(len(kept), dtype=bool)
-        cap = max(3 * len(kept), min(share, int(col_rows[cols].max(initial=0)) * len(kept) + _TERM_BLOCK))
-        buf = np.empty(cap)  # the products of a group of columns' rows
+        buf, tail_buf = np.empty((2, cap))
         within = np.empty(cap, dtype=bool)
-        group = []  # (column, first row, rows, leading images, its products' span in buf)
+        scratch = buf[: cap // 2 * 2].reshape(2, -1)  # for the tail piece, once buf is read
+        pending = []  # past-tail terms: (c, c - 1, flat index of their sum in sums)
 
-        def tails(size):
-            """Sum, row by row, the tail piece's terms of the group, whose
-            products fill buf[:size]: in each chunk of a column's rows those
-            with the leading images, then the rest.  The terms are moved to
-            the front of buf first, in place."""
-            sel = np.less_equal(buf[:size], cosh_max, out=within[:size])
-            counts = np.concatenate([
-                np.count_nonzero(part.reshape(rows, -1), axis=1)
-                for _, _, rows, k, lo, hi in group
-                for part in (sel[lo : lo + rows * k], sel[lo + rows * k : hi])
-            ])
-            terms = 0
-            for lo in range(0, size, _COMPACT_BLOCK):
-                piece = np.compress(sel[lo : lo + _COMPACT_BLOCK], buf[lo : lo + _COMPACT_BLOCK])
-                buf[terms : terms + len(piece)] = piece
-                terms += len(piece)
-            t = interp.tail_cosh(buf[:terms], buf[:terms], scratch)
-            row_sums = _row_sums(t, counts)
-            for at, r0, rows, _, _, _ in group:
-                part, row_sums = row_sums[: 2 * rows], row_sums[2 * rows :]
-                sums[r0 : r0 + rows, at] += part[:rows] + part[rows:]
-            tally[1] += terms
-            group.clear()
+        def add_pending():
+            c, cm1, to = map(np.concatenate, zip(*pending))
+            pending.clear()
+            vals = interp.past_tail_cosh(c, cm1, c)
+            vals[cm1 == 0.0] = 0.0  # identity images
+            flat = sums.reshape(-1)
+            flat += np.bincount(to, weights=vals, minlength=len(flat))
 
         def loop():
-            size = 0
             for at, j in enumerate(cols):
-                np.matmul(kept_rows, ys[j], out=images.reshape(-1))  # `_images`
+                np.matmul(kept.reshape(-1, 3), ys[j], out=images.reshape(-1))  # `_images`
                 np.less_equal(np.matmul(images, neg_eta_cx, out=to_cx), column_reach, out=reach)
                 # the leading images stay in front
                 hit = np.flatnonzero(reach)
                 imgs = np.take(images, hit, axis=0, out=imgs_buf[: len(hit)], mode="wrap")
                 k = np.count_nonzero(reach[:near])
-                # the column's rows in chunks that fit the run's buffers,
-                # each chunk's products with the k leading images and with
-                # the rest a contiguous (rows, images) block of buf after
-                # the group's earlier chunks; r0 and r1 count from the
-                # column's first row
                 first = spans[j][0]
-                most = min(cap // max(len(imgs), 1), len(past_tail.at) // max(k, 1))
-                for r0, r1 in _row_chunks(col_rows[j], most):
-                    rows = r1 - r0
-                    x = neg_eta_x[first + r0 : first + r1]
-                    if size + rows * len(imgs) > cap:
-                        tails(size)
-                        size = 0
-                    lo, size = size, size + rows * len(imgs)
-                    group.append((at, r0, rows, k, lo, size))
-                    head = buf[lo : lo + rows * k]
-                    np.matmul(x, imgs[:k].T, out=head.reshape(rows, k))
-                    np.matmul(x, imgs[k:].T, out=buf[lo + head.size : size].reshape(rows, -1))
-                    past = np.flatnonzero(np.less(head, past_cut, out=within[lo : lo + head.size]))
-                    c, cm1, to = past_tail.slots(past.size)
-                    np.take(head, past, out=c, mode="wrap")
-                    head[past] = np.inf  # out of the tail piece's cut
+                # the column's rows in near-equal chunks of at most cap products
+                count = -(-col_rows[j] // (cap // max(len(imgs), 1)))
+                cuts = [col_rows[j] * p // count for p in range(count + 1)]
+                for r0, r1 in zip(cuts, cuts[1:]):
+                    prod = buf[: (r1 - r0) * len(imgs)]
+                    mat = prod.reshape(r1 - r0, -1)
+                    np.matmul(neg_eta_x[first + r0 : first + r1], imgs.T, out=mat)
+                    # the leading images' terms past the tail piece's edge,
+                    # then out of the tail piece's cut
+                    row, img = np.divmod(np.flatnonzero(mat[:, :k] < past_cut), max(k, 1))
+                    past = row * len(imgs) + img
+                    c = prod[past]
+                    prod[past] = np.inf
                     # next to the diagonal, c - 1 = <x - gamma y, x - gamma y>/2
                     # keeps the digits that c - 1 of the rounded product loses
-                    np.subtract(c, 1.0, out=cm1)
+                    cm1 = c - 1.0
                     close = np.flatnonzero(c < _NEAR_COSH)
                     if close.size:
-                        row, img = np.divmod(past[close], k)
-                        diff = xs[first + r0 + row] - imgs[img]
+                        diff = xs[first + r0 + row[close]] - imgs[img[close]]
                         cm1[close] = 0.5 * lorentz_dot(diff, diff)
                         tally[1] -= np.count_nonzero(cm1[close] == 0.0)  # identity images
-                    # the flat index of S[first + r0 + row, j] in the run's sums
-                    np.floor_divide(past, k, out=to)
-                    to += r0
-                    to *= len(cols)
-                    to += at
-                    tally[0] += rows * len(imgs)
-                    tally[1] += past.size
-                    # the tail piece's terms are evaluated a group of at least
-                    # `_TERM_BLOCK` products at a time: small columns share calls
-                    if size >= _TERM_BLOCK:
-                        tails(size)
-                        size = 0
-            if group:
-                tails(size)
-            past_tail.add_to()
+                    pending.append((c, cm1, (r0 + row) * len(cols) + at))
+                    # the tail piece's terms, row by row, moved to their own buffer
+                    sel = np.less_equal(prod, cosh_max, out=within[: prod.size])
+                    counts = np.count_nonzero(sel.reshape(mat.shape), axis=1)
+                    terms = np.compress(sel, prod, out=tail_buf[: counts.sum()])
+                    interp.tail_cosh(terms, terms, scratch)
+                    sums[r0:r1, at] += _row_sums(terms, counts)
+                    tally[0] += prod.size
+                    tally[1] += len(terms) + len(c)
+                    if sum(len(p[0]) for p in pending) >= past_terms:
+                        add_pending()
+            if pending:
+                add_pending()
 
         return loop
 

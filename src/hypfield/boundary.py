@@ -34,6 +34,7 @@ import time
 
 import numpy as np
 
+from . import galerkin
 from .errors import ConfigurationError, PrecisionLossError
 from .geometry import disk_to_lorentz, halfplane_coords, normalize
 
@@ -436,15 +437,6 @@ def sector_lower_bound_audit(mp, h, sector, n, seed=0):
     }
 
 
-def _barycentric_grid(grid):
-    pts = []
-    for i in range(grid + 1):
-        for j in range(grid + 1 - i):
-            k = grid - i - j
-            pts.append((i / grid, j / grid, k / grid))
-    return np.asarray(pts)
-
-
 def _k_search(mp, h, alpha, fund_vertices, mats, grid):
     """Extremum of H_plus h over each tile m(C), m in the (tiles, 3, 3)
     `mats` and C the triangle with vertex rows `fund_vertices`, all tiles
@@ -485,7 +477,8 @@ def _k_search(mp, h, alpha, fund_vertices, mats, grid):
         return out
 
     n = len(mats)
-    bary = _barycentric_grid(grid)
+    i, j, _, _ = galerkin.barycentric_grid(grid)
+    bary = np.stack([i, j, grid - i - j], axis=1) / grid
     scores = scores_at([(m, bary) for m in mats]).reshape(n, len(bary))
     best = np.argmin(scores, axis=1)
     b_best, s_best = bary[best], scores[np.arange(n), best]

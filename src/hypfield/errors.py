@@ -69,7 +69,8 @@ class DivergentTailError(HypfieldError):
 
 
 class CovarianceInvalidError(HypfieldError):
-    """Covariance factorization failed even after ridge escalation."""
+    """A cell covariance matrix is not positive definite: its Cholesky
+    factorization failed."""
 
 
 class ConfigurationError(HypfieldError):

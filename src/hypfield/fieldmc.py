@@ -88,7 +88,6 @@ from .tessellation import TriangleParams, ball_radius, conical_sequence, generat
 logger = logging.getLogger(__name__)
 
 WICK_POWER_CAP = 8
-_RIDGES = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # The decay rate's standard error comes from this many sample batches;
 # its one-sided 95% bound uses the Student t quantile on n - 1 degrees
 # of freedom: T95 is float(scipy.special.stdtrit(9, 0.95)), written out
@@ -173,7 +172,7 @@ class CovarianceModel:
     kind: str  # "free" | "neumann"
     matrix: np.ndarray
     factor: np.ndarray  # lower triangular
-    ridge: float
+    ridge: float  # always 0.0: the factor is a plain Cholesky of the matrix
     estimate: float | None = None
 
     @property
@@ -226,23 +225,14 @@ def build_covariance(mp, nt, quad, kind):
         for tid in dict.fromkeys(quad.tile_ids.tolist()):
             idx = np.nonzero(quad.tile_mask(tid))[0]
             c[np.ix_(idx, idx)] = block
-    factor, ridge = _factor_with_ridge(c)
-    return CovarianceModel(kind=kind, matrix=c, factor=factor, ridge=ridge, estimate=estimate)
-
-
-def _factor_with_ridge(c):
-    for ridge in _RIDGES:
-        try:
-            factor = np.linalg.cholesky(c + ridge * np.eye(len(c)))
-            if ridge > 0.0:
-                logger.info("covariance factorization needed ridge %.1e", ridge)
-            return factor, ridge
-        except np.linalg.LinAlgError:
-            continue
-    raise CovarianceInvalidError(
-        "covariance not positive definite even with ridge 1e-8; "
-        "check truncation radius and mesh"
-    )
+    try:
+        factor = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        raise CovarianceInvalidError(
+            f"{kind} covariance at resolution {quad.resolution} is not positive definite "
+            "(see ROADMAP item 4)"
+        ) from None
+    return CovarianceModel(kind=kind, matrix=c, factor=factor, ridge=0.0, estimate=estimate)
 
 
 def sample_fields(cov, n, seed, threads=None):

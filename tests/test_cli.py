@@ -122,7 +122,7 @@ def test_neumann_audit_writes_report_and_manifest(tmp_path):
 
 def test_sample_audit_writes_report_and_manifest(tmp_path):
     json_path = tmp_path / "samples.json"
-    argv = ["sample-audit", "--orbit-radius", "4", "--tail-tol", "1", "--n", "4000", "--resolution", "2"]
+    argv = ["sample-audit", "--n", "4000", "--resolution", "2"]
     assert cli.main(argv + ["--json", str(json_path)]) == 0
 
     report = json.loads(json_path.read_text())
@@ -132,18 +132,19 @@ def test_sample_audit_writes_report_and_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["neumann-audit", "--tail-tol", "1", "--pairs", "200"],
-    ["sample-audit", "--tail-tol", "1", "--n", "2000", "--resolution", "2"],
+    ["neumann-audit", "--tail-tol", "1", "--pairs", "200", "--orbit-radius", "4"],
+    ["sample-audit", "--n", "2000", "--resolution", "2"],
 ])
 def test_audits_size_the_ball_their_orbit_radius_needs(tmp_path, argv):
-    # the (4,4,4) ball reaches 2.39 beyond the orbit radius, more than 2
-    argv = argv + ["--p", "4", "--q", "4", "--r", "4", "--orbit-radius", "4"]
+    # the (4,4,4) ball reaches 2.39 beyond the orbit radius, more than 2;
+    # the sample audit needs tile 0 alone
+    argv = argv + ["--p", "4", "--q", "4", "--r", "4"]
     assert cli.main(argv + ["--json", str(tmp_path / "audit.json")]) == 0
 
 
 @pytest.mark.parametrize("argv", [
     ["neumann-audit", "--orbit-radius", "4", "--tail-tol", "1", "--pairs", "400"],
-    ["sample-audit", "--orbit-radius", "4", "--tail-tol", "1", "--n", "20000", "--resolution", "3"],
+    ["sample-audit", "--n", "20000", "--resolution", "3"],
 ])
 def test_audits_write_the_same_json_for_any_thread_count(monkeypatch, caplog, tmp_path, argv):
     # every image-sum loop goes to the pool, however short its steps; the

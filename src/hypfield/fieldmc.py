@@ -641,16 +641,17 @@ def z_ratio(mp, quad, alpha, lam, h, n, seed, threads=None):
     `log_ratio` stays finite where every exp(-v_h) underflows (at
     m^2 = 6 on the decay config); `ratio` is its exp and may underflow
     to 0.  The stderr of the ratio and the ESS of the numerator's weights
-    do not depend on the shift.  `threads` goes to `sample_fields` and
-    `wick_exp`, whose results do not depend on it.
+    do not depend on the shift.  At lambda = 0 the ratio is 1 exactly,
+    and no covariance is built and no sample drawn.  `threads` goes to
+    `sample_fields` and `wick_exp`, whose results do not depend on it.
     """
     _check_alpha(alpha)
     if lam < 0:
         raise ValueError("need lambda >= 0")
-    cov = build_covariance(mp, None, quad, "free")
-    samples = sample_fields(cov, n, seed, threads=threads)
     if lam == 0.0:
         return ZRatioResult(ratio=1.0, log_ratio=0.0, stderr=0.0, ess=float(n), unreliable=False)
+    cov = build_covariance(mp, None, quad, "free")
+    samples = sample_fields(cov, n, seed, threads=threads)
     if h is None or h.is_zero:
         f = np.zeros(len(quad))
     else:
@@ -761,6 +762,42 @@ class TrivialityRun:
         }
 
 
+def _geometry(cfg, mp, h, control):
+    """The geometry stage of `triviality_run`, the only one that reads the ball.
+
+    Enumerates the ball of radius `ball_radius(tp, cfg.orbit_radius)`,
+    finds the conical sequence and its k_j, and cuts the quadratures of
+    tile 0 and of the direct ratio's tiles (None when that check is too
+    large to run).  Returns (ids, log k_j, quadrature, direct quadrature,
+    tile area): no reference to the ball leaves it, so the ball is freed
+    on return, before any covariance is built or sample drawn.
+    """
+    tp = TriangleParams(cfg.p, cfg.q, cfg.r)
+    tess = generate(tp, ball_radius(tp, cfg.orbit_radius))
+    ids = conical_sequence(tess, cfg.p_angle, tess.centroids[0], cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
+    log_ks = [row["log_k_j"] for row in bd.k_table(mp, h, cfg.alpha, tess, ids, grid=cfg.k_grid)]
+    if not control and (np.diff(log_ks) <= 0).any():
+        raise ConfigurationError(
+            "k_j not strictly increasing along the conical sequence; "
+            "h support misaligned with the conical point"
+        )
+    quad = build_quadrature(tess, [0], cfg.resolution)
+
+    # direct ratio check on a small region: the anchor tile plus the first
+    # conical tile separated enough that the cell-averaged free covariance
+    # stays positive definite (adjacent tiles put cells across a shared
+    # side closer than the effective regularization radius)
+    direct_quad = None
+    if len(quad) * 2 <= 80:
+        direct_ids = [ids[0]]
+        for tid in ids[1:]:
+            if dist(tess.centroids[ids[0]], tess.centroids[tid]) >= 1.0:
+                direct_ids.append(tid)
+                break
+        direct_quad = build_quadrature(tess, direct_ids, cfg.resolution)
+    return ids, log_ks, quad, direct_quad, tess.tile_area
+
+
 def triviality_run(cfg):
     """The decay experiment: certify U(q) <= -eps*q along a conical tile
     sequence approaching a boundary point inside the support of h.
@@ -770,45 +807,36 @@ def triviality_run(cfg):
     so one Laplace-transform sample set (X_1 on the fundamental tile)
     serves every factor.  Its covariance is the Galerkin cell average of
     the Neumann Green's function on one tile (`build_covariance`), so no
-    image sum and no truncation enter the chain; the ball of radius
-    `ball_radius(tp, cfg.orbit_radius)` is enumerated for the conical
-    sequence and the k_j alone.  h = 0 runs are the control: all k_j = 1 and no
-    decay should be certified.  The smallness condition on lambda
-    involves the continuum mass mu(X_1 = 0), which has no finite-mesh
-    counterpart; the run certifies the bound-chain decay itself and
-    reports the Laplace plateau at the largest k as the empirical proxy.
-    Every Monte Carlo loop runs on `cfg.threads` workers; at 1 (the
-    default) no thread pool is started.
+    image sum and no truncation enter the chain.  h = 0 runs are the
+    control: all k_j = 1 and no decay should be certified.  The
+    smallness condition on lambda involves the continuum mass
+    mu(X_1 = 0), which has no finite-mesh counterpart; the run certifies
+    the bound-chain decay itself and reports the Laplace plateau at the
+    largest k as the empirical proxy.
+
+    The stages run in this order: geometry (`_geometry`: the ball, the
+    conical sequence, the k_j and the quadratures), the Neumann
+    covariance, sampling and X_1, the Laplace terms and the fit with its
+    batched stderr, then the direct ratio (`z_ratio`).  The ball lives
+    only in the geometry stage.  Every Monte Carlo loop runs on
+    `cfg.threads` workers; at 1 (the default) no thread pool is started.
     """
     if cfg.lam <= 0:
         raise ConfigurationError("triviality run needs lambda > 0")
     mp = greens.ModelParams(cfg.m2)
-    tp = TriangleParams(cfg.p, cfg.q, cfg.r)
-    tess = generate(tp, ball_radius(tp, cfg.orbit_radius))
-
     control = cfg.amplitude == 0.0
     h = bd.BoundarySource.bump(cfg.beta0, cfg.beta1, amplitude=cfg.amplitude)
     if not control and not (cfg.beta0 < cfg.p_angle < cfg.beta1):
         raise ConfigurationError("conical point p_angle must lie inside the bump support")
 
-    quad = build_quadrature(tess, [0], cfg.resolution)
+    ids, log_ks, quad, direct_quad, area = _geometry(cfg, mp, h, control)
+
     cov = build_covariance(mp, None, quad, "neumann")
     samples = sample_fields(cov, cfg.n_mc, cfg.seed, threads=cfg.threads)
     # The Laplace variable is the per-tile Neumann exponential ordered by
     # its own covariance: E[X_1] equals the tile area exactly, so Jensen
     # pins the h = 0 control terms at >= 0 and no decay gets certified.
     x1 = wick_exp(samples, cov, quad, cfg.alpha, threads=cfg.threads)
-    area = tess.tile_area
-
-    ids = conical_sequence(tess, cfg.p_angle, tess.centroids[0], cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
-    log_ks = [row["log_k_j"] for row in bd.k_table(mp, h, cfg.alpha, tess, ids, grid=cfg.k_grid)]
-    if not control:
-        diffs = np.diff(log_ks)
-        if (diffs <= 0).any():
-            raise ConfigurationError(
-                "k_j not strictly increasing along the conical sequence; "
-                "h support misaligned with the conical point"
-            )
 
     records = []
     log_lam = math.log(cfg.lam)
@@ -840,20 +868,10 @@ def triviality_run(cfg):
     ci95_low = eps_hat - T95 * eps_se  # one-sided 95%
     plateau = laplace[-1][0]
 
-    # direct ratio check on a small region: the anchor tile plus the first
-    # conical tile separated enough that the cell-averaged free covariance
-    # stays positive definite (adjacent tiles put cells across a shared
-    # side closer than the effective regularization radius)
     direct = None
-    if len(quad) * 2 <= 80:
-        direct_ids = [ids[0]]
-        for tid in ids[1:]:
-            if dist(tess.centroids[ids[0]], tess.centroids[tid]) >= 1.0:
-                direct_ids.append(tid)
-                break
-        dq = build_quadrature(tess, direct_ids, cfg.resolution)
+    if direct_quad is not None:
         direct = z_ratio(
-            mp, dq, cfg.alpha, cfg.lam, None if control else h, cfg.n_mc, cfg.seed + 101,
+            mp, direct_quad, cfg.alpha, cfg.lam, None if control else h, cfg.n_mc, cfg.seed + 101,
             threads=cfg.threads,
         )
 

@@ -4,9 +4,11 @@ import json
 import logging
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from hypfield import _kernels, cli
 from hypfield import fieldmc as fm
@@ -44,6 +46,8 @@ def test_manifest_records_blas_threads_and_cpus(tmp_path, monkeypatch):
     want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
     assert manifest["blas_threads"] == want
     assert manifest["cpus"] == len(os.sched_getaffinity(0))
+    # a process with scipy loaded records the loaded version
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_tessellate_outputs_keep_their_bytes(tmp_path):
@@ -207,7 +211,10 @@ def _config_text(cfg, **extra):
     return "\n".join(lines) + "\n"
 
 
-def test_triviality_writes_outputs_and_manifest(tmp_path):
+def test_triviality_writes_outputs_and_manifest(tmp_path, monkeypatch):
+    # as in a fresh process: the decay run loads no scipy, and its manifest
+    # records none (this process has scipy loaded for other tests)
+    monkeypatch.delitem(sys.modules, "scipy", raising=False)
     cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6, n_mc=2_000)
     cfg_path, out = tmp_path / "run.cfg", tmp_path / "out"
     cfg_path.write_text(_config_text(cfg))
@@ -216,6 +223,7 @@ def test_triviality_writes_outputs_and_manifest(tmp_path):
     outputs = [out / name for name in ("decay.csv", "report.json", "decay.svg", "config.echo")]
     assert all(p.is_file() for p in outputs)
     _assert_manifest_matches(out / "manifest.json", "triviality", outputs)
+    assert json.loads((out / "manifest.json").read_text())["versions"]["scipy"] is None
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert math.isfinite(report["eps_hat"])

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -19,6 +21,7 @@ from hypfield import fieldmc as fm
 from hypfield import geometry
 from hypfield.boundary import BoundarySource
 from hypfield.errors import CovarianceInvalidError
+from hypfield.tessellation import TriangleParams, ball_radius, conical_sequence, generate
 
 ALPHA = 1.0
 TILE_AREA_344 = math.pi / 6  # pi - (pi/3 + pi/4 + pi/4)
@@ -192,6 +195,18 @@ def test_z_ratio_in_log_space_equals_the_plain_ratio(mp2, tess344_big):
     assert res.unreliable is False
 
 
+def test_z_ratio_at_lambda_zero_draws_no_samples(monkeypatch, mp2, tess344_big):
+    def refused(*args, **kwargs):
+        raise AssertionError("z_ratio built a covariance or drew samples at lambda = 0")
+
+    quad = fm.build_quadrature(tess344_big, [0], 2)
+    monkeypatch.setattr(fm, "build_covariance", refused)
+    monkeypatch.setattr(fm, "sample_fields", refused)
+    h = BoundarySource.bump(math.pi / 6, math.pi / 3)
+    res = fm.z_ratio(mp2, quad, ALPHA, 0.0, h, 5_000, seed=3)
+    assert res == fm.ZRatioResult(ratio=1.0, log_ratio=0.0, stderr=0.0, ess=5_000.0, unreliable=False)
+
+
 def test_wick_exp_mean_is_tile_area(cov_neumann, quad3):
     samples = fm.sample_fields(cov_neumann, 20_000, seed=3)
     x = fm.wick_exp(samples, cov_neumann, quad3, ALPHA)
@@ -272,6 +287,33 @@ def test_triviality_control_does_not_certify():
     run = _small_run(amplitude=0.0)
     assert run.passed is False
     assert run.control is True
+
+
+def test_the_ball_is_freed_before_sampling(monkeypatch):
+    # only the geometry stage reads the ball: it is freed, by reference
+    # counting alone, before either sampling stage draws
+    balls, draws = [], []
+    make_ball, draw = fm.generate, fm.sample_fields
+
+    def kept(*args, **kwargs):
+        tess = make_ball(*args, **kwargs)
+        balls.append(weakref.ref(tess))
+        return tess
+
+    def checked(*args, **kwargs):
+        assert [ref() for ref in balls] == [None], "the ball is alive at sampling"
+        draws.append(args[1])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(fm, "generate", kept)
+    monkeypatch.setattr(fm, "sample_fields", checked)
+    gc.disable()
+    try:
+        run = _small_run()
+    finally:
+        gc.enable()
+    assert run.passed is True
+    assert len(balls) == 1 and draws == [2_000, 2_000]  # X_1, then the direct ratio
 
 
 def test_ci95_low_uses_student_t():
@@ -680,7 +722,7 @@ def test_decay_at_one_thread_starts_no_executor(monkeypatch):
 def test_decay_matches_golden_seeds():
     # tests/data/eps_hat_seeds.json pins the decay run on seeds 0-9; a change
     # meant to move the physics regenerates it on purpose
-    golden = json.loads((pathlib.Path(__file__).parent / "data" / "eps_hat_seeds.json").read_text())
+    golden = _golden()
     assert [g["seed"] for g in golden["runs"]] == list(range(10))
     for g in golden["runs"]:
         cfg = dataclasses.replace(fm.TrivialityConfig(), seed=g["seed"], **golden["triviality_run"])
@@ -688,3 +730,36 @@ def test_decay_matches_golden_seeds():
         assert run.records[-1].tile_ids == g["tile_ids"], g["seed"]
         assert run.summary().split(":")[0] == g["verdict"], g["seed"]
         assert run.eps_hat == pytest.approx(g["eps_hat"], rel=1e-12, abs=0.0), g["seed"]
+
+
+# --- ROADMAP item 17: a ball sized to the conical sequence ------------------
+
+def _golden():
+    return json.loads((pathlib.Path(__file__).parent / "data" / "eps_hat_seeds.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def decay_ball():
+    cfg = fm.TrivialityConfig()
+    tp = TriangleParams(cfg.p, cfg.q, cfg.r)
+    return generate(tp, ball_radius(tp, cfg.orbit_radius))
+
+
+@pytest.mark.parametrize("radius", [7.0, 7.77, 8.0])
+def test_smaller_balls_are_prefixes_of_the_decay_ball(decay_ball, radius):
+    # a ball sized to the conical sequence keeps the decay ball's tile ids
+    assert len(decay_ball) == 114_990
+    ball = generate(decay_ball.params, radius)
+    n = len(ball)
+    assert n < len(decay_ball)
+    for name in ("mats", "parent", "gen"):
+        assert getattr(ball, name).tobytes() == getattr(decay_ball, name)[:n].tobytes(), name
+
+
+def test_the_radius_7_77_ball_holds_the_golden_conical_ids():
+    golden = _golden()
+    cfg = dataclasses.replace(fm.TrivialityConfig(), **golden["triviality_run"])
+    ball = generate(TriangleParams(cfg.p, cfg.q, cfg.r), 7.77)
+    ids = conical_sequence(ball, cfg.p_angle, ball.centroids[0], cfg.q_max, cfg.cone_c, min_step=cfg.min_step)
+    assert ids == [0, 6, 13, 37, 67, 121, 415, 1693]
+    assert all(g["tile_ids"] == ids for g in golden["runs"])

@@ -108,7 +108,7 @@ _IMPORT_PROBE = textwrap.dedent("""
 
 # the chain's paths: the library's boundary and symmetry audits, then a
 # small decay run at the cone_c the benchmark uses, through the CLI, which
-# also writes the run's manifest
+# also writes the run's manifest without loading importlib.metadata
 _CHAIN_PROBE = textwrap.dedent("""
     import dataclasses, math, os, sys, tempfile
     from hypfield import boundary as bd, cli, fieldmc as fm, greens, tessellation as ts
@@ -128,6 +128,8 @@ _CHAIN_PROBE = textwrap.dedent("""
             for f in dataclasses.fields(cfg):
                 fh.write(f"{'lambda' if f.name == 'lam' else f.name}={getattr(cfg, f.name)!r}\\n")
         assert cli.main(["triviality", "--config", path, "--out", out]) == 0
+    # the manifest reads versions from the loaded modules, not from metadata
+    assert "importlib.metadata" not in sys.modules and "email" not in sys.modules
     print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
 

@@ -332,6 +332,26 @@ def test_conical_sequence_matches_locate_walk(tess344_big, tile, cone_c):
     assert ids == _conical_by_locate(tess, math.pi / 4, a, 8, cone_c, 0.35)
 
 
+def test_one_product_images_equal_the_stacked_product(tess344_big):
+    # orbital_count and conical_sequence take every image g(v) as one
+    # (3n, 3) @ (3,) product, not the stacked mats @ v: the images, and so
+    # the counts and the ids, are the stacked product's bit for bit
+    tess = tess344_big
+    c1, x = tess.centroids[0], point_at(0.4, 1.1)
+    a = tess.mats[3] @ normalize(0.8 * c1 + 0.2 * tess.fund_vertices[1])
+    for v in (c1, x, a, tess.fund_vertices[2]):
+        assert np.array_equal((tess.mats.reshape(-1, 3) @ v).reshape(-1, 3), tess.mats @ v)
+    imgs = tess.mats @ c1
+    coshes = np.sort(-(imgs[:, 0] * x[0] + imgs[:, 1] * x[1] - imgs[:, 2] * x[2]))
+    # thresholds at the image distances themselves, where one ulp flips a count
+    thetas = np.arccosh(coshes[coshes < math.cosh(tess.radius - 1.2)][::97])
+    want = np.searchsorted(coshes, [math.cosh(t) for t in thetas], side="left")
+    assert np.array_equal(orbital_count(tess, thetas, x, c1), want)
+    for cone_c in (0.6, 1.2):
+        ids = conical_sequence(tess, math.pi / 4, c1, 8, cone_c, min_step=0.35)
+        assert ids == _conical_by_locate(tess, math.pi / 4, c1, 8, cone_c, 0.35)
+
+
 def test_tile_area_invariance(tess344_small):
     tess = tess344_small
     areas = [triangle_area(t.vertex_vecs) for t in tess.tiles[::11]]

@@ -58,7 +58,8 @@ reach test, the (pair, image) products scanned after the per-column
 reach, the (pair, image) terms summed, its workers and its seconds.
 
 Threads.  `_map_blocks` runs block loops on `threads` workers, for the
-image sums here and for the Monte Carlo layer in `fieldmc`: None means
+image-sum blocks here and for the sampling batches and per-cell Wick
+loops of `fieldmc`: None means
 one worker per core this process may run on, 1 the plain loop in the
 calling thread, with no executor.  numpy releases the interpreter lock
 inside its ufuncs and matrix products, so the workers run on separate
@@ -66,7 +67,8 @@ cores.  The image-sum loop cuts its columns into contiguous runs of
 about equal pair count (a same-set column j has j + 1 pairs), when they
 average `_POOL_MIN_PRODUCTS` products or more; below that the lock's
 hand-offs would cost more than a second core saves.  The self sums, one
-pair a column, reach it only with `_POOL_MIN_PRODUCTS` images or more.
+pair a column, run on one worker: they would need `_POOL_MIN_PRODUCTS`
+images kept, more than the whole 114,990-tile decay ball holds.
 In a pass of the benchmark's library workload the domination audit's
 block of 50 x 50 points at R = 6 (8,345 images kept, 11.1M products)
 goes to the pool, and four rows of 1 x 10 points do not.  More than one
@@ -635,7 +637,7 @@ def image_sum_self(xs, mats, rmax, mp):
     -ln(gap)/(2 pi) as x_i nears a side.
     """
     xs = np.asarray(xs, dtype=float)
-    return _image_sums("image_sum_self", xs, xs, mats, rmax, mp, lambda j: (j, j + 1), None)[0]
+    return _image_sums("image_sum_self", xs, xs, mats, rmax, mp, lambda j: (j, j + 1), 1)[0]
 
 
 def _image_sums(name, xs, ys, mats, rmax, mp, rows, threads):

@@ -251,6 +251,8 @@ def _cmd_propagator(args):
 
 def _cmd_sample_audit(args):
     t0 = time.time()
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2 for the audit's standard errors, got {args.n}")
     mp = greens.ModelParams(args.m2)
     # tile 0 alone: the Neumann covariance is the Galerkin solve on it
     tess = generate(TriangleParams(args.p, args.q, args.r), 0.0)
@@ -349,8 +351,9 @@ def _cmd_triviality(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="hypfield", description=__doc__)
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads of the image-sum blocks and of the Monte Carlo sampling "
-                             "and reductions (neumann-audit, sample-audit: 0 or 1 serial; "
+                        help="worker threads of the image-sum blocks, the Monte Carlo sampling batches "
+                             "and the per-cell Wick loops; the statistics over samples run in the "
+                             "calling thread (neumann-audit, sample-audit: 0 or 1 serial; "
                              "triviality: 0 keeps the config's threads, default 1); results are "
                              "byte-identical for any count.  Set OPENBLAS_NUM_THREADS=1 (or "
                              "OMP_NUM_THREADS=1) with more than one: otherwise BLAS starts its own "

@@ -49,21 +49,22 @@ for computing the sample variance", Amer. Statist. 37, 1983).
 `wick_power_estimate` has its samples stored, so it takes numpy's mean
 and sums the squared deviations from it on the chunk tree.
 
-Threads.  Every Monte Carlo block loop (the sampling batches, the Wick
-reductions, the squared deviations and the Laplace weights) runs through
-`_kernels._map_blocks`, the package's one worker pool, which hands each
-worker thread one contiguous run of blocks; numpy releases the GIL
-inside the ufuncs and the matrix products, so the workers run on
-separate cores.  Each worker allocates its buffers once; the loops over
-one value per sample divide their `_FLAT`-times longer blocks among the
-workers, so that the buffers together stay one serial block.  A block
-writes only its own slice of the output and its own chunk slots, and the
-chunk tree is combined in one thread afterwards, so every result is
-byte-identical for any thread count.  The public functions take
-`threads`: None means one worker per core this process may run on, 1 the
-plain loop in the calling thread.  `triviality_run` passes its config's
-`threads`; the covariance is built in the calling thread.  More than one
-worker needs BLAS held to one thread (OPENBLAS_NUM_THREADS=1 or
+Threads.  The loops over (cells, block) buffers, the sampling batches and
+the per-cell Wick loops (`wick_exp`, `_wick_power_samples`, and so
+`shift_audit`), run through `_kernels._map_blocks`, the package's one
+worker pool, which hands each worker thread one contiguous run of
+blocks; numpy releases the GIL inside the ufuncs and the matrix products,
+so the workers run on separate cores.  Each worker allocates its buffers
+once, and a block writes only its own slice of the output, so every
+result is byte-identical for any thread count.  The statistics over one
+value per sample (`_sum_sq_dev` and `log_laplace_stable`) run in the
+calling thread, one plain loop each; a second worker takes about a fifth
+off them (32 Laplace calls on 1M samples: 0.20 s serial, 0.16 s on two
+workers of a 2-core host).  The pooled functions
+take `threads`: None means one worker per core this process may run on,
+1 the plain loop in the calling thread.  `triviality_run` passes its
+config's `threads`; the covariance is built in the calling thread.  More
+than one worker needs BLAS held to one thread (OPENBLAS_NUM_THREADS=1 or
 OMP_NUM_THREADS=1): left at its default, OpenBLAS starts its own threads
 inside each worker's matrix products, and on a 2-core host
 `sample_fields(cov, 1_000_000, 0, threads=2)` on the resolution-3
@@ -80,7 +81,7 @@ import numpy as np
 
 from . import boundary as bd
 from . import galerkin, greens
-from ._kernels import _map_blocks, _worker_count
+from ._kernels import _map_blocks
 from .errors import ConfigurationError, CovarianceInvalidError, ThresholdError
 from .geometry import ETA_DIAG, dist, lorentz_dot, normalize, outward_normals, pairwise_dist, triangle_area
 from .tessellation import TriangleParams, ball_radius, conical_sequence, generate
@@ -284,16 +285,9 @@ def _row_blocks(n, align=1, scale=1):
     return [(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _flat_blocks(n, threads):
-    """The blocks of a loop over one value per sample: `_FLAT` times the
-    cell loops' blocks in whole chunks, shared among the workers, so that
-    their buffers together hold about one serial block."""
-    return _row_blocks(n, _CHUNK, _FLAT / _worker_count(threads, -(-n // _CHUNK)))
-
-
 def _widest(run):
     """Rows of the longest (start, stop) block of a run of consecutive
-    blocks, its first: the size of a task's buffers."""
+    blocks, its first: the size of a loop's buffers."""
     return run[0][1] - run[0][0] if run else 0
 
 
@@ -314,29 +308,23 @@ def _chunk_rows(v):
     return parts
 
 
-def _sum_sq_dev(v, center, threads=None):
-    """sum (v - center)^2, block by block over the fixed chunk tree."""
+def _sum_sq_dev(v, center):
+    """sum (v - center)^2, block by block over the fixed chunk tree, in
+    the calling thread."""
     t_start = time.perf_counter()
     n = len(v)
     sums = np.empty(-(-n // _CHUNK))
-    blocks = _flat_blocks(n, threads)
-
-    def task(run):
-        buf = np.empty(_widest(run))
-
-        def loop():
-            for start, stop in run:
-                dev = buf[: stop - start]
-                np.subtract(v[start:stop], center, out=dev)
-                np.square(dev, out=dev)
-                c = start // _CHUNK
-                for rows in _chunk_rows(dev):
-                    np.add.reduce(rows, axis=1, out=sums[c : c + len(rows)])
-                    c += len(rows)
-
-        return loop
-
-    _log_blocks("squared deviations", n, blocks, _map_blocks(task, blocks, threads), t_start)
+    blocks = _row_blocks(n, _CHUNK, _FLAT)
+    buf = np.empty(_widest(blocks))
+    for start, stop in blocks:
+        dev = buf[: stop - start]
+        np.subtract(v[start:stop], center, out=dev)
+        np.square(dev, out=dev)
+        c = start // _CHUNK
+        for rows in _chunk_rows(dev):
+            np.add.reduce(rows, axis=1, out=sums[c : c + len(rows)])
+            c += len(rows)
+    logger.debug("squared deviations %d samples: %d blocks, %.4f s", n, len(blocks), time.perf_counter() - t_start)
     return float(sums.sum())
 
 
@@ -345,8 +333,8 @@ class _ChunkMoments:
     fixed `_CHUNK`-value chunks counted from value 0 and combined by the
     parallel-axis formula, so they do not depend on how the values
     arrive in blocks.  Holds three floats per chunk (sum, mean, M2),
-    nothing per value; blocks that record disjoint chunks may be added
-    from different threads."""
+    nothing per value; `log_laplace_stable` adds its blocks in the
+    calling thread."""
 
     def __init__(self, n):
         self.n = n
@@ -515,8 +503,9 @@ def wick_power_estimate(samples, cov, quad, k, g=None, threads=None):
 
     The moments of w and then of w^2 (squared in place) are numpy's
     mean and the squared deviations from it summed on the fixed chunk
-    tree, so no array beyond w is allocated.  The block loops run on
-    `threads` workers, with the same result for any number.
+    tree, so no array beyond w is allocated.  The Wick loop runs on
+    `threads` workers, with the same result for any number; the squared
+    deviations run in the calling thread.
     """
     if not 0 <= k <= WICK_POWER_CAP:
         raise ValueError(f"need 0 <= k <= {WICK_POWER_CAP} for conditioning")
@@ -524,10 +513,10 @@ def wick_power_estimate(samples, cov, quad, k, g=None, threads=None):
     w = _wick_power_samples(samples, cov, wg, k, threads)
     s = len(w)
     mean = float(w.mean())
-    m2 = _sum_sq_dev(w, mean, threads)
+    m2 = _sum_sq_dev(w, mean)
     np.square(w, out=w)
     second = float(w.mean())
-    m2_sq = _sum_sq_dev(w, second, threads)
+    m2_sq = _sum_sq_dev(w, second)
     variance = m2 / (s - 1) if s > 1 else 0.0
     return WickPowerEstimate(
         k=k,
@@ -565,7 +554,7 @@ def _laplace_weights(x, xmin, log_s, out=None):
     return np.exp(out, out=out)
 
 
-def log_laplace_stable(x, log_s, threads=None):
+def log_laplace_stable(x, log_s):
     """(log L(s), stderr of log L, saturated) for possibly huge s = e^log_s.
 
     Shifts by the sample minimum so the estimate stays representable as
@@ -580,44 +569,37 @@ def log_laplace_stable(x, log_s, threads=None):
     `saturated` marks estimates carried by a handful of samples (weight
     ESS below 10), which the decay fit drops.  The weights and their
     statistics are taken block by block in one pass, on the fixed chunk
-    tree of the module docstring, by `threads` workers; no (n,) array is
-    allocated, and one block is one call in the calling thread.  Logs n,
-    log s, ESS, `saturated`, blocks, workers and the time at DEBUG.
+    tree of the module docstring, in the calling thread; no (n,) array is
+    allocated.  Empty x is a ValueError.  Logs n, log s, ESS,
+    `saturated`, blocks and the time at DEBUG.
     """
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
     n = len(x)
+    if n == 0:
+        raise ValueError("log_laplace_stable needs at least one sample")
     xmin = float(np.minimum.reduce(x))
     if xmin <= 0.0:
         raise ValueError("Laplace argument must be positive (wick_exp output)")
     lead = log_s + math.log(xmin)
-    blocks, workers = [], 0
+    blocks = []
     if lead > 700.0:
         result, ess = (-math.inf, math.inf, True), math.nan
     else:
         moments = _ChunkMoments(n)
-        blocks = _flat_blocks(n, threads)
-
-        def task(run):
-            buf = np.empty(_widest(run))
-
-            def loop():
-                with np.errstate(over="ignore"):  # numpy's error state is per thread
-                    for start, stop in run:
-                        moments.add(start, _laplace_weights(x[start:stop], xmin, log_s, out=buf[: stop - start]))
-
-            return loop
-
-        workers = _map_blocks(task, blocks, threads)
+        blocks = _row_blocks(n, _CHUNK, _FLAT)
+        buf = np.empty(_widest(blocks))
+        with np.errstate(over="ignore"):
+            for start, stop in blocks:
+                moments.add(start, _laplace_weights(x[start:stop], xmin, log_s, out=buf[: stop - start]))
         total, mean_w, m2 = moments.result()
         log_l = -math.exp(lead) + math.log(mean_w)
         se = math.sqrt(m2 / (n - 1)) / (mean_w * math.sqrt(n)) if n > 1 else 0.0
         ess = total**2 / (m2 + n * mean_w**2)
         result = (log_l, se, bool(ess < 10.0))
     logger.debug(
-        "log_laplace_stable %d samples at log s = %.6g: ESS %.4g, saturated %s, "
-        "%d blocks, %d workers, %.4f s",
-        n, log_s, ess, result[2], len(blocks), workers, time.perf_counter() - t_start,
+        "log_laplace_stable %d samples at log s = %.6g: ESS %.4g, saturated %s, %d blocks, %.4f s",
+        n, log_s, ess, result[2], len(blocks), time.perf_counter() - t_start,
     )
     return result
 
@@ -641,13 +623,16 @@ def z_ratio(mp, quad, alpha, lam, h, n, seed, threads=None):
     `log_ratio` stays finite where every exp(-v_h) underflows (at
     m^2 = 6 on the decay config); `ratio` is its exp and may underflow
     to 0.  The stderr of the ratio and the ESS of the numerator's weights
-    do not depend on the shift.  At lambda = 0 the ratio is 1 exactly,
-    and no covariance is built and no sample drawn.  `threads` goes to
-    `sample_fields` and `wick_exp`, whose results do not depend on it.
+    do not depend on the shift; they need n >= 2.  At lambda = 0 the
+    ratio is 1 exactly, and no covariance is built and no sample drawn.
+    `threads` goes to `sample_fields` and `wick_exp`, whose results do
+    not depend on it.
     """
     _check_alpha(alpha)
     if lam < 0:
         raise ValueError("need lambda >= 0")
+    if n < 2:
+        raise ValueError(f"z_ratio needs n >= 2 samples for its stderr, got n = {n}")
     if lam == 0.0:
         return ZRatioResult(ratio=1.0, log_ratio=0.0, stderr=0.0, ess=float(n), unreliable=False)
     cov = build_covariance(mp, None, quad, "free")
@@ -818,11 +803,17 @@ def triviality_run(cfg):
     conical sequence, the k_j and the quadratures), the Neumann
     covariance, sampling and X_1, the Laplace terms and the fit with its
     batched stderr, then the direct ratio (`z_ratio`).  The ball lives
-    only in the geometry stage.  Every Monte Carlo loop runs on
-    `cfg.threads` workers; at 1 (the default) no thread pool is started.
+    only in the geometry stage.  The sampling and the Wick loops run on
+    `cfg.threads` workers, the statistics in the calling thread; at 1
+    (the default) no thread pool is started.
     """
     if cfg.lam <= 0:
         raise ConfigurationError("triviality run needs lambda > 0")
+    if cfg.n_mc < 2 * SLOPE_BATCHES:
+        raise ConfigurationError(
+            f"n_mc = {cfg.n_mc} is below 2 * SLOPE_BATCHES = {2 * SLOPE_BATCHES}: "
+            "the decay rate's stderr needs two samples in each batch"
+        )
     mp = greens.ModelParams(cfg.m2)
     control = cfg.amplitude == 0.0
     h = bd.BoundarySource.bump(cfg.beta0, cfg.beta1, amplitude=cfg.amplitude)
@@ -840,7 +831,7 @@ def triviality_run(cfg):
 
     records = []
     log_lam = math.log(cfg.lam)
-    laplace = [log_laplace_stable(x1, log_lam + lk, threads=cfg.threads) for lk in log_ks]
+    laplace = [log_laplace_stable(x1, log_lam + lk) for lk in log_ks]
     terms = [ll + cfg.lam * area for ll, _, _ in laplace]
     ses = [se for _, se, _ in laplace]
     sat_flags = [sat for _, _, sat in laplace]
@@ -864,7 +855,7 @@ def triviality_run(cfg):
         raise ConfigurationError("too few unsaturated U(q) points to fit a decay rate")
     fit_qs = [r.q for r in fit]
     eps_hat = _fit_decay(fit_qs, [r.u for r in fit])
-    eps_se = _slope_se_by_batches(x1, log_ks, log_lam, cfg.lam * area, fit_qs, threads=cfg.threads)
+    eps_se = _slope_se_by_batches(x1, log_ks, log_lam, cfg.lam * area, fit_qs)
     ci95_low = eps_hat - T95 * eps_se  # one-sided 95%
     plateau = laplace[-1][0]
 
@@ -900,23 +891,21 @@ def _fit_decay(qs, us):
     return -float(slope)
 
 
-def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs, threads=None):
+def _slope_se_by_batches(x1, log_ks, log_lam, area_term, fit_qs):
     """Standard error of the fitted decay rate by sample batching.
 
     The U(q) points share one sample set and are nested partial sums, so
     their errors are strongly correlated; refitting the slope on disjoint
-    sample batches captures that without modeling the covariance.
+    sample batches captures that without modeling the covariance.  x1
+    holds at least 2 * `SLOPE_BATCHES` samples (`triviality_run` checks).
     """
     x1 = np.asarray(x1)
-    n = len(x1)
-    if n < 2 * SLOPE_BATCHES:
-        return float("inf")
     slopes = []
     for b in range(SLOPE_BATCHES):
         xb = np.ascontiguousarray(x1[b::SLOPE_BATCHES])  # one copy for its len(log_ks) calls
         terms = []
         for lk in log_ks:
-            ll, _, _ = log_laplace_stable(xb, log_lam + lk, threads=threads)
+            ll, _, _ = log_laplace_stable(xb, log_lam + lk)
             terms.append(ll + area_term)
         us = [float(sum(terms[:qi])) for qi in fit_qs]
         if not all(math.isfinite(u) for u in us):

@@ -152,8 +152,8 @@ def test_audits_size_the_ball_their_orbit_radius_needs(tmp_path, argv):
 ])
 def test_audits_write_the_same_json_for_any_thread_count(monkeypatch, caplog, tmp_path, argv):
     # every image-sum loop goes to the pool, however short its steps; the
-    # sample audit's pooled loops are the Monte Carlo ones, three blocks
-    # of its 20,000 samples each
+    # sample audit's pooled loops are the sampling batches and the Wick
+    # loops, three blocks of its 20,000 samples each
     monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
     reports = []
     for threads in ("1", "2"):
@@ -199,6 +199,18 @@ def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_sample_audit_needs_two_samples(monkeypatch, tmp_path, capsys, n):
+    def refused(*args, **kwargs):
+        raise AssertionError("sample-audit sampled before checking --n")
+
+    monkeypatch.setattr(fm, "sample_fields", refused)
+    json_path = tmp_path / "samples.json"
+    assert cli.main(["sample-audit", "--n", n, "--json", str(json_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: --n must be at least 2")
+    assert not json_path.exists()
 
 
 def _config_text(cfg, **extra):

@@ -20,7 +20,7 @@ from hypfield import _kernels, galerkin, greens
 from hypfield import fieldmc as fm
 from hypfield import geometry
 from hypfield.boundary import BoundarySource
-from hypfield.errors import CovarianceInvalidError
+from hypfield.errors import ConfigurationError, CovarianceInvalidError
 from hypfield.tessellation import TriangleParams, ball_radius, conical_sequence, generate
 
 ALPHA = 1.0
@@ -205,6 +205,23 @@ def test_z_ratio_at_lambda_zero_draws_no_samples(monkeypatch, mp2, tess344_big):
     h = BoundarySource.bump(math.pi / 6, math.pi / 3)
     res = fm.z_ratio(mp2, quad, ALPHA, 0.0, h, 5_000, seed=3)
     assert res == fm.ZRatioResult(ratio=1.0, log_ratio=0.0, stderr=0.0, ess=5_000.0, unreliable=False)
+
+
+@pytest.mark.parametrize("n_mc", [0, 2 * fm.SLOPE_BATCHES - 1])
+def test_triviality_run_needs_two_samples_per_slope_batch(monkeypatch, n_mc):
+    def refused(*args, **kwargs):
+        raise AssertionError("the run enumerated a ball before checking n_mc")
+
+    monkeypatch.setattr(fm, "generate", refused)
+    with pytest.raises(ConfigurationError, match="n_mc = .* below 2 \\* SLOPE_BATCHES"):
+        fm.triviality_run(dataclasses.replace(fm.TrivialityConfig(), n_mc=n_mc))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_z_ratio_needs_two_samples(mp2, tess344_big, n):
+    quad = fm.build_quadrature(tess344_big, [0], 2)
+    with pytest.raises(ValueError, match="n >= 2"):
+        fm.z_ratio(mp2, quad, ALPHA, 0.1, None, n, seed=3)
 
 
 def test_wick_exp_mean_is_tile_area(cov_neumann, quad3):
@@ -457,6 +474,8 @@ def test_log_laplace_edge_cases():
         fm.log_laplace_stable(np.array([0.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
         fm.log_laplace_stable(np.array([-1.0, 1.0]), 0.0)
+    with pytest.raises(ValueError, match="needs at least one sample"):
+        fm.log_laplace_stable(np.array([]), 1.0)
     log_l, se, _ = fm.log_laplace_stable(np.array([0.3]), 1.0)
     assert se == 0.0
     assert log_l == -math.exp(1.0 + math.log(0.3))
@@ -643,17 +662,18 @@ N_THREADED = (3 * 4096 + 777, 1_000)
 
 
 def _mc_results(samples, cov, quad, g, f, threads):
-    """Every Monte Carlo reduction of the samples, on `threads` workers."""
+    """Every Monte Carlo reduction of the samples, the pooled loops on
+    `threads` workers."""
     x = fm.wick_exp(samples, cov, quad, ALPHA, g=g, threads=threads)
     wick = [fm.wick_power_estimate(samples, cov, quad, k, g=g, threads=threads) for k in range(5)]
     lhs, rhs = fm.shift_audit(samples, cov, quad, ALPHA, f, g=g, threads=threads)
     # lead = log s + log x_min below 700, past it (no weights), and on
     # x * 1e-6 below it with s = e^712 past the largest float
     log_xmin = math.log(float(x.min()))
-    laplace = [fm.log_laplace_stable(x, log_s, threads=threads) for log_s in (-6.0, 0.0, 6.0, 700.5 - log_xmin)]
+    laplace = [fm.log_laplace_stable(x, log_s) for log_s in (-6.0, 0.0, 6.0, 700.5 - log_xmin)]
     tiny = x * 1e-6
     assert 712.0 + math.log(float(tiny.min())) < 700.0
-    laplace.append(fm.log_laplace_stable(tiny, 712.0, threads=threads))
+    laplace.append(fm.log_laplace_stable(tiny, 712.0))
     return x, wick, lhs, rhs, laplace
 
 
@@ -684,13 +704,25 @@ def test_reductions_do_not_depend_on_thread_count(monkeypatch, caplog, cov_neuma
         assert wick_t == wick
         assert np.array_equal(lhs_t, lhs) and np.array_equal(rhs_t, rhs)
         assert laplace_t == laplace
-        # each loop ran on as many workers as it had blocks, up to `threads`
+        # each pooled loop (wick_exp, the five Wick powers, shift_audit's
+        # two) ran on as many workers as it had blocks, up to `threads`
         loops = [re.search(r"(\d+) blocks, (\d+) workers", r.getMessage()) for r in caplog.records]
         counts = [(int(m[1]), int(m[2])) for m in loops if m]
-        assert len(counts) == 1 + 5 * 3 + 2 + 5
+        assert len(counts) == 1 + 5 + 2
         assert all(workers == min(blocks, threads) for blocks, workers in counts)
         if rows is not None and n > rows * threads:
             assert all(workers == threads for blocks, workers in counts if blocks)
+
+
+def test_statistics_run_in_the_calling_thread(monkeypatch, cov_neumann, quad3, blocked_samples):
+    def refused(*args, **kwargs):
+        raise AssertionError("a statistic went to the worker pool")
+
+    x = fm.wick_exp(blocked_samples, cov_neumann, quad3, ALPHA)
+    monkeypatch.setattr(fm, "_map_blocks", refused)
+    assert fm.log_laplace_stable(x, 1.0)[1] > 0.0
+    assert fm._sum_sq_dev(x, float(x.mean())) > 0.0
+    assert math.isfinite(fm._slope_se_by_batches(x, [0.0, 1.0, 2.0], math.log(0.1), 0.05, [1, 2, 3]))
 
 
 def test_decay_at_one_thread_starts_no_executor(monkeypatch):

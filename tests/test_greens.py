@@ -573,6 +573,8 @@ def test_symmetry_audit_exact_evenness(nt6, mp2):
     rep = neumann_symmetry_audit(mp2, nt6, side_index=0, t0=0.2, k=8)
     assert rep["max_violation"] < 1e-10  # orbit-radius truncation is exactly even
     assert rep["passed"]
+    # f'(0) on the orbit would read only the rounding max_violation bounds
+    assert "fprime0" not in rep and "fixed_set_fprime0" in rep
 
 
 def test_symmetry_audit_fixed_set_shrinks(tess344_big, mp2):
@@ -950,12 +952,12 @@ def test_image_sums_do_not_depend_on_the_thread_count(monkeypatch, caplog, nt6, 
 
 
 def test_image_sum_block_buffers_do_not_grow_with_the_workers(nt6, mp2, tess344_big):
-    # the runs share out one worker's product buffer and two workers'
-    # past-tail buffers and tail-piece scratch, so that past two workers a
-    # run adds only its images and temporaries: on the domination block
-    # three more workers add about 0.6 of one worker's n x images products
-    # (with a whole buffer per run, about 7), and three workers peak about
-    # 1.5 times as high as one (2.8)
+    # a run's chunk buffers hold `_CHUNK_PRODUCTS` products and its
+    # past-tail list `_PAST_TAIL_TERMS` terms, both divided by the
+    # workers, so that the runs' buffers together stay one worker's and a
+    # run adds only its copies of the kept images and its own column sums:
+    # on the domination block three more workers add less than one n x
+    # images product matrix, and three workers peak below twice one's
     import tracemalloc
 
     mats, rmax = nt6._mats, nt6.max_orbit_radius
@@ -1007,6 +1009,20 @@ def test_single_point_image_sums_start_no_executor(monkeypatch, nt6, mp2):
     # a same-set block of one point holds Delta G, the image sum without the identity
     one = _kernels.image_sum_block(x[None], x[None], nt6._mats, nt6.max_orbit_radius, mp2)[0, 0]
     assert one > 0.0 and one == delta_g(mp2, nt6, x)
+
+
+def test_self_sums_start_no_executor_even_past_the_pool_threshold(monkeypatch, nt6, mp2, tess344_big):
+    import concurrent.futures
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("image_sum_self started a thread pool")
+
+    cells = build_quadrature(tess344_big, [0], 3).points
+    want = _kernels.image_sum_self(cells, nt6._mats, nt6.max_orbit_radius, mp2)
+    monkeypatch.setattr(_kernels, "_POOL_MIN_PRODUCTS", 0)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
+    assert np.array_equal(_kernels.image_sum_self(cells, nt6._mats, nt6.max_orbit_radius, mp2), want)
 
 
 def test_leading_images_hold_every_term_past_the_tail_piece(nt6, tess344_big):

@@ -4,10 +4,13 @@ This is the package's only kernel; greens.py calls it for every
 evaluation.  Each kernel takes the model as one `greens.ModelParams`
 argument `mp` and reads delta_plus, gamma_plus and gplus_interp from it.
 
-Production path.  `gplus_array` calls `mp.gplus_interp`, the
-`GplusInterpolant` built once per model in `ModelParams.__init__`.  It
-holds G_plus in four pieces, with c = cosh rho, t = e^(-rho), s = t^2,
-u = 1 - s and w = 1/c^2, fitted through 82 nodes:
+Production path.  Every value of G_plus comes from
+`GplusInterpolant.from_cosh(c, cm1)`, at c = cosh rho and cm1 = c - 1 to
+its own digits: `gplus_array` and the build's self-check pass cosh rho
+and 2 sinh^2(rho/2), the image sums their Lorentz products.
+`mp.gplus_interp`, built once per model in `ModelParams.__init__`, holds
+G_plus in four pieces, with t = e^(-rho), s = t^2, u = 1 - s and
+w = 1/c^2, fitted through 82 nodes:
 
     piece     range                   held                        rho
     tail      s in [0, 1e-3]          c^Delta G, degree 5 in w    rho >= 3.45
@@ -18,14 +21,11 @@ u = 1 - s and w = 1/c^2, fitted through 82 nodes:
 The tail and far pieces are power series, evaluated by an in-place
 Horner loop; the near piece is a Chebyshev series.  The diagonal piece
 is the reference's own log form, so G_plus keeps its exact
--ln(rho)/(2 pi) singularity.
-
-Cosh entry.  `GplusInterpolant.from_cosh` evaluates G_plus from
-c = cosh rho, the Lorentz product the image sums compute, without
-arccosh or exp: the tail piece is P(w) c^(-Delta), with no square root;
-past it, t = 1/(c + sqrt((c - 1)(c + 1))) and, on the diagonal piece,
-u = 2 t sqrt((c - 1)(c + 1)).  `tail_cosh` and `past_tail_cosh` are its
-two halves, and `__call__(rho)` goes through the same pieces.
+-ln(rho)/(2 pi) singularity.  No piece needs arccosh or exp:
+`tail_cosh` runs the tail piece, P(w) c^(-Delta), on every value, and
+`past_tail_cosh` overwrites those below cosh 3.45 from
+t = 1/(c + sqrt(cm1 (c + 1))) and, on the diagonal piece,
+u = 2 t sqrt(cm1 (c + 1)).
 
 Image sums.  They serve the audits and the oracles; the chain's Neumann
 covariance is the Galerkin solve of `galerkin`.  `image_sum_block` and
@@ -50,7 +50,7 @@ by row.  The terms past the tail piece, which only the leading images
 give, go into a list, evaluated by one `past_tail_cosh` call whenever it
 holds `_PAST_TAIL_TERMS` terms (divided by the workers) and at the end:
 the near piece costs about 0.2 ms a call.  For those next to the
-diagonal, c - 1 is taken from <x - gamma y, x - gamma y>/2, which keeps
+diagonal, cm1 is taken from <x - gamma y, x - gamma y>/2, which keeps
 the digits that c - 1 of the rounded Lorentz product loses.  Each call
 logs one line at DEBUG on the `hypfield._kernels` logger, under its own
 name: its points, pairs, the images passed in, the images kept by the
@@ -64,7 +64,7 @@ one worker per core this process may run on, 1 the plain loop in the
 calling thread, with no executor.  numpy releases the interpreter lock
 inside its ufuncs and matrix products, so the workers run on separate
 cores.  The image-sum loop cuts its columns into contiguous runs of
-about equal pair count (a same-set column j has j + 1 pairs), when they
+near-equal length (a two-set block's columns hold equal pairs), when they
 average `_POOL_MIN_PRODUCTS` products or more; below that the lock's
 hand-offs would cost more than a second core saves.  The self sums, one
 pair a column, run on one worker: they would need `_POOL_MIN_PRODUCTS`
@@ -104,7 +104,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial, chebyshev, polyutils
 
 from .errors import PoleError, PrecisionLossError
-from .geometry import ETA_DIAG, lorentz_dot, normalize
+from .geometry import ETA_DIAG, image_rows, lorentz_dot, normalize, pairwise_dist
 
 _SERIES_TOL = 5e-16
 _SERIES_MAXITER = 200000
@@ -131,8 +131,8 @@ _TAIL_COSH = 0.5 * (_TAIL_PIECE[1] ** -0.5 + _TAIL_PIECE[1] ** 0.5)
 _TAIL_W = _TAIL_COSH**-2
 _TAIL_RHO = math.acosh(_TAIL_COSH)
 # cosh rho at the far piece's edge t = 0.6, raised by a margin over
-# rounding: every c that `_past_tail` may give the near or diagonal piece
-# lies below it
+# rounding: every c that `past_tail_cosh` may give the near or diagonal
+# piece lies below it
 _NEAR_COSH = 0.5 * (1.0 / _FAR_PIECE[1] + _FAR_PIECE[1]) * (1.0 + 1e-12)
 INTERP_RTOL = 2e-13
 # values per block of the tail and far pieces: 512 KB arrays, which stay in
@@ -167,7 +167,7 @@ def _worker_count(threads, jobs):
     return max(1, min(threads, jobs))
 
 
-def _map_blocks(task, spans, threads, weights=None):
+def _map_blocks(task, spans, threads):
     """Run the block loops of task on consecutive runs of spans, one run
     per worker; returns the number of workers.
 
@@ -178,8 +178,7 @@ def _map_blocks(task, spans, threads, weights=None):
     it resident.  `threads` is as in `_worker_count`, with the spans as
     the jobs.  One worker runs task(spans)() in the calling thread, with
     no executor.  Otherwise the spans are cut into one contiguous,
-    non-empty run per worker, of about equal total weight (`weights`,
-    integers, one per span; all 1 when None); the calling thread loops
+    non-empty run per worker, lengths within one; the calling thread loops
     over the first run and a thread pool over the others, since a pool
     thread's start-up is of the order of a short loop's work.  A loop's
     exception is raised here, after every loop ended.
@@ -191,12 +190,7 @@ def _map_blocks(task, spans, threads, weights=None):
         return 1
     from concurrent.futures import ThreadPoolExecutor
 
-    cum = np.cumsum(np.ones(len(spans), dtype=int) if weights is None else weights)
-    cuts = [0]
-    for w in range(1, workers):
-        cut = int(np.searchsorted(cum, cum[-1] * w // workers, side="right"))
-        cuts.append(min(max(cut, cuts[-1] + 1), len(spans) - workers + w))
-    cuts.append(len(spans))
+    cuts = [len(spans) * w // workers for w in range(workers + 1)]
     loops = [task(spans[a:b]) for a, b in zip(cuts, cuts[1:])]
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         pending = [pool.submit(loop) for loop in loops[1:]]
@@ -360,12 +354,9 @@ class GplusInterpolant:
     then P(w) c^(-Delta), from c with no square root.
 
     The node values come from `gplus_series`.  The build compares the
-    interpolant with the series midway between consecutive nodes of each
-    fitted piece and raises PrecisionLossError when the largest relative
-    error exceeds INTERP_RTOL.
-
-    `__call__` takes rho; `from_cosh` takes c = cosh rho and reaches the
-    same pieces without arccosh or exp.
+    interpolant, by `from_cosh` as `gplus_array` calls it, with the series
+    midway between consecutive nodes of each fitted piece and raises
+    PrecisionLossError when the largest relative error exceeds INTERP_RTOL.
     """
 
     def __init__(self, mp):
@@ -402,7 +393,8 @@ class GplusInterpolant:
         self.tail_coef = tail.convert(kind=Polynomial).coef
         self.far_coef = far.convert(kind=Polynomial).coef
         check = slice(self.nodes, None)
-        self.max_rel_err = float(np.max(np.abs(self(rho[check]) / series[check] - 1.0)))
+        got = self.from_cosh(*_cosh_pair(rho[check]))
+        self.max_rel_err = float(np.max(np.abs(got / series[check] - 1.0)))
         if not self.max_rel_err <= INTERP_RTOL:
             raise PrecisionLossError(
                 f"G_plus interpolant for m2={mp.m2} misses the series by "
@@ -410,51 +402,9 @@ class GplusInterpolant:
                 f"a mass this large needs more interpolation nodes"
             )
 
-    def tail(self, s):
-        """The tail piece as e^(Delta rho) G_plus, like `far` and `near`, at
-        an array of s = e^(-2 rho): c t = (1 + s)/2 and w = 4 s / (1 + s)^2,
-        so it is P(w) ((1 + s)/2)^(-Delta)."""
-        half = 0.5 * (1.0 + s)
-        return _horner(self.tail_coef, s / (half * half)) * half**-self.delta
-
-    def far(self, t):
-        """The far piece at t = e^(-rho) (a float or an array)."""
-        return _horner(self.far_coef, np.square(t))
-
-    def diagonal(self, u):
-        """gamma (A(u) - B(u) ln u) at an array of u = 1 - e^(-2 rho) <= U_DIAG."""
-        return log_form(self.log_coef, u)
-
-    def _past_tail(self, t, s, diag_u):
-        """e^(Delta rho) G_plus at arrays t = e^(-rho) and s = t^2 > 1e-3,
-        by the far, near and diagonal pieces; diag_u(sel) gives u = 1 - s
-        at the points sel of the diagonal piece."""
-        out = np.empty_like(t)
-        far = t <= _FAR_PIECE[1]
-        diag = t > _NEAR_PIECE[1]
-        near = ~(far | diag)
-        out[far] = _horner(self.far_coef, s[far])
-        if near.any():
-            out[near] = self.near(t[near])
-        if diag.any():
-            out[diag] = self.diagonal(diag_u(diag))
-        return out
-
-    def __call__(self, rho):
-        """G_plus at an array of distances rho > 0: the tail piece from
-        c = cosh rho, the other pieces from t = e^(-rho)."""
-        with np.errstate(over="ignore"):  # cosh rho = inf past rho = 710: G_plus 0
-            c = np.cosh(rho)
-        out = self.tail_cosh(c, np.empty_like(c))
-        rest = np.flatnonzero(c < _TAIL_COSH)
-        if rest.size:
-            t = np.exp(-rho[rest])
-            vals = self._past_tail(t, t * t, lambda sel: -np.expm1(-2.0 * rho[rest[sel]]))
-            out[rest] = vals * t**self.delta
-        return out
-
-    def from_cosh(self, c):
-        """G_plus at an array of c = cosh rho; inf at c <= 1, a coincident point.
+    def from_cosh(self, c, cm1):
+        """G_plus at an array of c = cosh rho, with cm1 = c - 1 to its own
+        digits; inf at c <= 1, a coincident point.
 
         The tail piece runs on every point (`tail_cosh`); the points past
         it (in an image sum, the few images next to a point) are then
@@ -463,7 +413,7 @@ class GplusInterpolant:
         out = self.tail_cosh(c, np.empty_like(c))
         rest = np.flatnonzero(c < _TAIL_COSH)
         if rest.size:
-            out[rest] = self.past_tail_cosh(c[rest])
+            out[rest] = self.past_tail_cosh(c[rest], cm1[rest])
         return out
 
     def tail_cosh(self, c, out, scratch=None):
@@ -486,7 +436,7 @@ class GplusInterpolant:
             vals *= _horner(self.tail_coef, w, out=p_buf[: len(block)])
         return out
 
-    def past_tail_cosh(self, c, cm1=None, out=None):
+    def past_tail_cosh(self, c, cm1, out=None):
         """G_plus at an array of c = cosh rho below cosh 3.45 by the far,
         near and diagonal pieces, written into out (a new array if None),
         which may be c itself; inf at c <= 1.
@@ -497,16 +447,14 @@ class GplusInterpolant:
         call each: the near piece costs about 0.2 ms a call whatever the
         number of values, so callers gather these values and make few
         calls.  On the diagonal piece u = 1 - t^2 = 2 t sinh rho.  These two
-        pieces read sinh rho from c - 1, which next to c = 1 has only the
-        digits of the rounded c; cm1, when given, is c - 1 at every value to
-        its own digits (an image sum takes it from <x - gamma y, x - gamma
-        y>/2), and is read instead.
+        pieces read sinh rho from cm1, c - 1 to its own digits, which the
+        rounded c has lost next to c = 1.
         """
         if out is None:
             out = np.empty_like(c)
         # taken before out, which may be c, is written
         rest = np.flatnonzero(c < _NEAR_COSH)
-        c_rest, cm1_rest = c[rest], None if cm1 is None else cm1[rest]
+        c_rest, cm1_rest = c[rest], cm1[rest]
         t_buf, s_buf = np.empty((2, min(len(c), _TERM_BLOCK)))
         for lo in range(0, len(c), max(1, len(t_buf))):
             block = c[lo : lo + len(t_buf)]
@@ -516,8 +464,16 @@ class GplusInterpolant:
             vals *= np.power(t, self.delta, out=t)
         if rest.size:
             t, sinh = _t_sinh(c_rest, cm1_rest)
-            with np.errstate(divide="ignore"):  # ln 0 at a coincident point
-                vals = self._past_tail(t, t * t, lambda sel: 2.0 * t[sel] * sinh[sel])
+            vals = np.empty_like(t)
+            far = t <= _FAR_PIECE[1]
+            diag = t > _NEAR_PIECE[1]
+            near = ~(far | diag)
+            vals[far] = _horner(self.far_coef, (t * t)[far])
+            if near.any():
+                vals[near] = self.near(t[near])
+            if diag.any():
+                with np.errstate(divide="ignore"):  # ln 0 at a coincident point
+                    vals[diag] = log_form(self.log_coef, 2.0 * t[diag] * sinh[diag])
             out[rest] = vals * t**self.delta
         return out
 
@@ -537,25 +493,16 @@ def _t_sinh(c, cm1=None, out=(None, None)):
     return t, sinh
 
 
+def _cosh_pair(rho):
+    """(cosh rho, 2 sinh^2(rho/2)), c and c - 1 to its own digits, at an array rho."""
+    with np.errstate(over="ignore"):  # inf past rho = 710: G_plus 0
+        half = np.sinh(0.5 * rho)
+        return np.cosh(rho), 2.0 * half * half
+
+
 def gplus_array(rho, mp):
     """Free Green's function on an array of geodesic distances (all > 0)."""
-    return mp.gplus_interp(np.atleast_1d(np.asarray(rho, dtype=float)))
-
-
-def _images(mats, y):
-    """All g(y) for the rows g of mats, as a (K, 3) array, by one product."""
-    return (mats.reshape(-1, 3) @ y).reshape(-1, 3)
-
-
-def _max_dist(c, pts):
-    """Largest distance from c to the rows of pts.
-
-    Uses <x - c, x - c> = 4 sinh^2(rho/2), which keeps its digits where
-    acosh of the Lorentz product loses them, at small rho.
-    """
-    diff = pts - c
-    q = np.maximum(lorentz_dot(diff, diff), 0.0)
-    return float(2.0 * np.arcsinh(np.sqrt(q.max()) / 2.0))
+    return mp.gplus_interp.from_cosh(*_cosh_pair(np.atleast_1d(np.asarray(rho, dtype=float))))
 
 
 def _within_reach(mats, xs, ys, rmax):
@@ -572,8 +519,8 @@ def _within_reach(mats, xs, ys, rmax):
     from dropping an image that lies on a cut.
     """
     c = normalize(xs.sum(axis=0) + ys.sum(axis=0))
-    spread = _max_dist(c, xs) + _max_dist(c, ys) + 1e-9
-    coshes = -(_images(mats, c) @ (c * ETA_DIAG))
+    spread = pairwise_dist(c[None], xs).max() + pairwise_dist(c[None], ys).max() + 1e-9
+    coshes = -(image_rows(mats, c) @ (c * ETA_DIAG))
     kept = coshes <= math.cosh(rmax + spread)
     near = np.flatnonzero(coshes <= math.cosh(min(rmax, _TAIL_RHO) + spread))
     kept[near] = False
@@ -614,7 +561,7 @@ def image_sum_block(xs, ys, mats, rmax, mp, *, threads=None):
     columns and evaluated together.
 
     The columns run on `threads` workers (None: one per core), in
-    contiguous runs of about equal pair count (`_map_blocks`), when they
+    contiguous runs of near-equal length (`_map_blocks`), when they
     average `_POOL_MIN_PRODUCTS` products or more; S is the same for any
     number (see the module docstring).
     """
@@ -651,7 +598,7 @@ def _image_sums(name, xs, ys, mats, rmax, mp, rows, threads):
     # the terms past the tail piece's edge and within rmax: c < past_cut
     past_cut = min(_TAIL_COSH, math.nextafter(cosh_max, math.inf))
     cx = normalize(xs.sum(axis=0))
-    column_reach = math.cosh(rmax + _max_dist(cx, xs) + 1e-9)
+    column_reach = math.cosh(rmax + pairwise_dist(cx[None], xs).max() + 1e-9)
     neg_eta_cx = cx * -ETA_DIAG
     neg_eta_x = xs * -ETA_DIAG
     interp = mp.gplus_interp
@@ -692,7 +639,7 @@ def _image_sums(name, xs, ys, mats, rmax, mp, rows, threads):
 
         def loop():
             for at, j in enumerate(cols):
-                np.matmul(kept.reshape(-1, 3), ys[j], out=images.reshape(-1))  # `_images`
+                np.matmul(kept.reshape(-1, 3), ys[j], out=images.reshape(-1))  # `image_rows`
                 np.less_equal(np.matmul(images, neg_eta_cx, out=to_cx), column_reach, out=reach)
                 # the leading images stay in front
                 hit = np.flatnonzero(reach)
@@ -736,7 +683,7 @@ def _image_sums(name, xs, ys, mats, rmax, mp, rows, threads):
 
         return loop
 
-    workers = _map_blocks(task, range(m), workers, col_rows)
+    workers = _map_blocks(task, range(m), workers)
     out = np.concatenate([sums for sums, _ in runs], axis=1)
     scanned, terms = np.sum([tally for _, tally in runs], axis=0, dtype=int)
     logger.debug(

@@ -9,9 +9,10 @@ the functions here take and return rows and matrices.  A function of
 rows takes one row (one triangle: a (3, 3) array of vertex rows) or a
 stack along leading axes, with the same numpy operations and so the same
 bits for both: there is no scalar path.  Only `dist` takes one pair of
-rows; `pairwise_dist` is its stacked form.  The Poincare disk and the
-upper half-plane are views given by closed-form charts, whose images
-land on the sheet with no renormalisation:
+rows; `pairwise_dist` takes every pair of two sets and keeps the digits
+that `dist` loses next to rho = 0.  The Poincare disk and the upper
+half-plane are views given by closed-form charts, whose images land on
+the sheet with no renormalisation:
 
     disk:       u = (x1, x2) / (1 + x3),  x = (2 u1, 2 u2, 1 + |u|^2) / (1 - |u|^2)
     half-plane: (z, zeta) = (1, x2) / (x1 + x3),
@@ -68,16 +69,30 @@ def point_at(theta, rho):
 
 
 def dist(a, b):
-    """The geodesic distance between two Lorentz rows."""
+    """The geodesic distance between two Lorentz rows, by acosh, which
+    loses digits next to rho = 0; it stays so, since the decay ball's size
+    comes from its bits (`tessellation.ball_radius`, `tile_diameter`)."""
     c = -lorentz_dot(a, b)
     # rounding can push the cosh argument a hair below 1 for nearby points
     return math.acosh(max(c, 1.0))
 
 
 def pairwise_dist(xs, ys):
-    """rho[i, j] = rho(xs[i], ys[j]) for (n, 3) and (m, 3) Lorentz rows."""
-    # rounding can push a cosh a hair below 1 for nearby points
-    return np.arccosh(np.maximum(-(xs * ETA_DIAG) @ ys.T, 1.0))
+    """rho[i, j] = rho(xs[i], ys[j]) for (n, 3) and (m, 3) Lorentz rows,
+    as 2 asinh(sqrt(<x - y, x - y>) / 2): <x - y, x - y> = 4 sinh^2(rho/2)
+    keeps its digits where acosh of the Lorentz product loses them, next
+    to rho = 0."""
+    diff = xs[:, None, :] - ys[None, :, :]
+    # rounding can push <x - y, x - y> a hair below 0 for nearby points
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(lorentz_dot(diff, diff), 0.0)))
+
+
+def image_rows(mats, v):
+    """g(v) for each matrix g of a (k, 3, 3) stack, as a (k, 3) array: one
+    (3k, 3) @ (3,) product, `mats @ v` bit for bit and eight times faster on
+    one BLAS thread (0.6 against 4.7 ms, 114,990 tiles), though OpenBLAS at
+    its default thread count took 7.8 against 4.4 ms on a busy 2-core host."""
+    return (mats.reshape(-1, 3) @ v).reshape(-1, 3)
 
 
 def halfplane_coords(vecs):

@@ -41,6 +41,7 @@ from .geometry import (
     ETA_DIAG,
     disk_coords,
     dist,
+    image_rows,
     lorentz_dot,
     normalize,
     outward_normals,
@@ -159,8 +160,7 @@ class Tessellation:
         self.fund_vertices = fund_vertices
         self.fund_normals = fund_normals
         self.reflections = reflections
-        # one (3n, 3) @ (3,) product: ten times faster than the stacked one
-        self.centroids = (mats.reshape(-1, 3) @ normalize(fund_vertices.sum(axis=0))).reshape(-1, 3)
+        self.centroids = image_rows(mats, normalize(fund_vertices.sum(axis=0)))
         self.centroid_rho = np.arccosh(np.maximum(self.centroids[:, 2], 1.0))
 
     def __len__(self):
@@ -509,9 +509,7 @@ def orbital_count(tess, theta, x, y):
         raise IncompleteOrbitError(
             f"theta={thetas.max()} exceeds the completeness guard {guard:.3f} of this enumeration"
         )
-    # one (3n, 3) @ (3,) product: the stacked mats @ yv bit for bit, and
-    # eight times faster on one BLAS thread (0.6 against 4.7 ms, 114,990 tiles)
-    imgs = (tess.mats.reshape(-1, 3) @ yv).reshape(-1, 3)
+    imgs = image_rows(tess.mats, yv)
     coshes = np.sort(-(imgs[:, 0] * xv[0] + imgs[:, 1] * xv[1] - imgs[:, 2] * xv[2]))
     # side="left" counts the coshes strictly below each threshold
     limits = np.array([math.cosh(t) for t in thetas.ravel()]).reshape(thetas.shape)
@@ -536,8 +534,7 @@ def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
     ray_normal = np.array([-math.sin(p_angle), math.cos(p_angle), 0.0])
     ray_dir = np.array([math.cos(p_angle), math.sin(p_angle), 0.0])
 
-    # all gamma(a) as one (3n, 3) @ (3,) product, as in `orbital_count`
-    pts = (tess.mats.reshape(-1, 3) @ av).reshape(-1, 3)
+    pts = image_rows(tess.mats, av)
     off = pts @ (ray_normal * ETA_DIAG)
     forward = pts @ (ray_dir * ETA_DIAG) > 0.0
     in_tube = (np.abs(np.arcsinh(off)) <= c) & forward

@@ -19,6 +19,7 @@ from hypfield.geometry import (
     lorentz_dot,
     normalize,
     outward_normals,
+    pairwise_dist,
     point_at,
     reflection,
     triangle_area,
@@ -48,6 +49,24 @@ def test_dist_halfplane_example():
     # u = 1/2 for the pair (1,0),(1,1): rho = arccosh(1.5)
     a, b = halfplane_to_lorentz(1.0, 0.0), halfplane_to_lorentz(1.0, 1.0)
     assert dist(a, b) == pytest.approx(0.9624236501192069, abs=1e-12)
+
+
+def test_pairwise_dist_keeps_its_digits_next_to_the_diagonal():
+    # against 50-digit acosh of the float rows normalised at 50 digits; acosh
+    # of the float Lorentz product is 2.65 relative off at rho = 1e-8
+    xs = np.array([point_at(theta, 1.3) for theta in (0.2, 2.5, 4.0)])
+    ys = np.array([point_at(0.2, 1.3 + r) for r in (1e-8, 1e-6, 1e-4, 1e-2)])
+    got = pairwise_dist(xs, ys)
+    with mpmath.workdps(50):
+
+        def row(v):
+            v = [mpmath.mpf(float(a)) for a in v]
+            return [a / mpmath.sqrt(v[2] ** 2 - v[0] ** 2 - v[1] ** 2) for a in v]
+
+        for i, x in enumerate(map(row, xs)):
+            for j, y in enumerate(map(row, ys)):
+                want = mpmath.acosh(x[2] * y[2] - x[0] * y[0] - x[1] * y[1])
+                assert abs(got[i, j] / want - 1) <= 1e-14, (i, j)
 
 
 def test_dist_isometry_invariance():

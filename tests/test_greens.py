@@ -341,11 +341,13 @@ def test_gplus_interpolant_matches_series(m2):
 def test_gplus_continuous_at_splice(m2):
     # the far and near pieces meet at t = 0.6, the near and diagonal ones at
     # u = 1 - t^2 = U_DIAG; the tail piece's edge has a test of its own
+    # each piece read from its coefficients, as e^(Delta rho) G_plus
     interp = ModelParams(m2).gplus_interp
     t_far = _kernels._FAR_PIECE[1]
-    assert abs(interp.far(t_far) - interp.near(t_far)) <= 1e-13 * interp.near(t_far)
+    far = np.polynomial.polynomial.polyval(t_far**2, interp.far_coef)
+    assert abs(far - interp.near(t_far)) <= 1e-13 * interp.near(t_far)
     t_diag = _kernels._NEAR_PIECE[1]
-    diag = interp.diagonal(np.array([1.0 - t_diag**2]))[0]
+    diag = _kernels.log_form(interp.log_coef, 1.0 - t_diag**2)
     assert abs(interp.near(t_diag) - diag) <= 1e-13 * diag
 
 
@@ -391,6 +393,22 @@ def test_interpolant_self_check_names_the_model(monkeypatch):
         ModelParams(1000.0)
 
 
+def test_interpolant_self_check_runs_the_cosh_path(monkeypatch):
+    # the self-check evaluates as gplus_array and the image sums do, so a
+    # 1e-9 skew of the t = e^(-rho) they take from cosh rho fails the build
+    t_sinh = _kernels._t_sinh
+
+    def skewed(*args, **kwargs):
+        t, sinh = t_sinh(*args, **kwargs)
+        t *= 1.0 + 1e-9
+        sinh *= 1.0 + 1e-9
+        return t, sinh
+
+    monkeypatch.setattr(_kernels, "_t_sinh", skewed)
+    with pytest.raises(PrecisionLossError, match=r"m2=2\.0 misses"):
+        ModelParams(2.0)
+
+
 _MASSES = [1e-12, 0.5, 2.0, 6.0, 20.0, 50.0, 80.0, 100.0, 120.0, 140.0, 150.0, 159.0, 200.0]
 
 
@@ -406,10 +424,14 @@ def test_model_params_builds_for_every_supported_mass(m2):
 
 @_masses_on_h2([1e-12, 2.0, 20.0, 159.0])
 def test_gplus_tail_piece_continuous_at_its_edge(m2):
+    # both pieces as e^(Delta rho) G_plus: c t = (1 + s)/2 and
+    # w = 4 s / (1 + s)^2, so the tail piece is P(w) ((1 + s)/2)^(-Delta)
     interp = ModelParams(m2).gplus_interp
     s_edge = _kernels._TAIL_PIECE[1]
-    tail = interp.tail(np.array([s_edge]))[0]
-    far = interp.far(math.sqrt(s_edge))
+    polyval = np.polynomial.polynomial.polyval
+    half = 0.5 * (1.0 + s_edge)
+    tail = polyval(s_edge / half**2, interp.tail_coef) * half**-interp.delta
+    far = polyval(s_edge, interp.far_coef)
     assert abs(tail - far) <= 1e-13 * far
 
 
@@ -748,25 +770,32 @@ def _in_every_piece():
 
 
 @pytest.mark.parametrize("m2", [1e-12, 2.0, 20.0])
-def test_gplus_cosh_entry_equals_rho_entry(m2):
-    interp = ModelParams(m2).gplus_interp
-    c = np.cosh(_in_every_piece())
-    got = interp.from_cosh(c)
-    want = interp(np.arccosh(c))
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+def test_gplus_cosh_entry_equals_rho_entry(m2, monkeypatch):
+    # gplus_array is the cosh entry at c = cosh rho and c - 1 = 2 sinh^2(rho/2)
+    mp = ModelParams(m2)
+    rho = _in_every_piece()
+    half = np.sinh(0.5 * rho)
+    want = mp.gplus_interp.from_cosh(np.cosh(rho), 2.0 * half * half)
+    calls = []
+    from_cosh = mp.gplus_interp.from_cosh
+    monkeypatch.setattr(mp.gplus_interp, "from_cosh", lambda *a: calls.append(a) or from_cosh(*a))
+    assert np.array_equal(_kernels.gplus_array(rho, mp), want)
+    assert len(calls) == 1
 
 
 @_masses_on_h2([1e-12, 0.5, 2.0, 6.0, 20.0, 140.0, 1000.0])
 def test_gplus_cosh_matches_series(m2):
     mp = ModelParams(m2)
     c = np.cosh(_in_every_piece())
-    got = mp.gplus_interp.from_cosh(c)
+    # c - 1 of a float c next to 1 is exact
+    got = mp.gplus_interp.from_cosh(c, c - 1.0)
     want = _kernels.gplus_series(np.arccosh(c), mp)
     assert np.max(np.abs(got / want - 1.0)) <= 2e-13
     # a coincident point, c = 1 or rounded below it, is the diagonal singularity
+    c = np.array([1.0, 1.0 - 2.0**-53, 5.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isinf(mp.gplus_interp.from_cosh(np.array([1.0, 1.0 - 2.0**-53, 5.0]))[:2]).all()
+        assert np.isinf(mp.gplus_interp.from_cosh(c, c - 1.0)[:2]).all()
 
 
 def test_near_diagonal_terms_keep_their_digits(mp2, tess344_small):
@@ -975,24 +1004,19 @@ def test_image_sum_block_buffers_do_not_grow_with_the_workers(nt6, mp2, tess344_
     assert peaks[3] < 2 * peaks[1]
 
 
-def test_map_blocks_balances_its_runs_by_weight():
+def test_map_blocks_splits_its_spans_evenly():
     runs = []
 
     def task(run):
         runs.append(run)
         return lambda: None
 
-    # a same-set block's columns j = 1..49 sum j pairs each
-    assert _kernels._map_blocks(task, range(1, 50), 2, np.arange(1, 50)) == 2
-    assert runs[0] + runs[1] == list(range(1, 50))
-    assert abs(sum(runs[0]) - sum(runs[1])) <= 49
-    # equal weights: the runs differ in length by one at most, and a heavy
-    # last span still leaves every worker a run
-    runs.clear()
+    # the runs differ in length by one at most, and as many spans as
+    # workers leave every worker a run
     assert _kernels._map_blocks(task, range(10), 3) == 3
     assert [len(r) for r in runs] == [3, 3, 4]
     runs.clear()
-    assert _kernels._map_blocks(task, range(3), 3, [1, 1, 100]) == 3
+    assert _kernels._map_blocks(task, range(3), 3) == 3
     assert runs == [[0], [1], [2]]
 
 

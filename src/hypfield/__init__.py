@@ -6,9 +6,11 @@ boundary generating functional.
 Importing any hypfield module loads numpy and no scipy module, and the
 chain loads none either: ``greens.ModelParams``, the image sums,
 ``h_plus``, ``h_plus_forms``, ``k_table``, the audits,
-``fieldmc.triviality_run`` on a bump source and ``hypfield triviality``,
-whose run manifest reads scipy's version from the installed package's
-metadata.  Each scipy module loads in the function that uses it:
+``fieldmc.triviality_run`` on a bump source and ``hypfield triviality``.
+A run manifest takes scipy's version from the loaded module in
+``sys.modules`` and records null when the run loaded no scipy, so the
+decay run's manifest reads null.  Each scipy module loads in the function
+that uses it:
 
 - ``scipy.integrate`` (``quad``) in ``greens.gk_norm`` and
   ``greens.exp_kernel_integral``;

@@ -219,6 +219,8 @@ def _cmd_neumann_audit(args):
 
 def _cmd_propagator(args):
     t0 = time.time()
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}: an empty grid audits nothing")
     mp = greens.ModelParams(args.m2)
     h = bd.BoundarySource.bump(args.beta0, args.beta1, amplitude=args.amplitude, smoothness=args.smoothness)
     zs = np.geomspace(args.z_min, args.z_max, args.grid)

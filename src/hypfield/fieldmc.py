@@ -755,7 +755,11 @@ def _geometry(cfg, mp, h, control):
     tile 0 and of the direct ratio's tiles (None when that check is too
     large to run).  Returns (ids, log k_j, quadrature, direct quadrature,
     tile area): no reference to the ball leaves it, so the ball is freed
-    on return, before any covariance is built or sample drawn.
+    on return, before any covariance is built or sample drawn.  At its
+    peak the stage holds the ball's arrays and 0.17 of them more (15.4 MB
+    traced for the 13.2 MB decay ball): `generate` forms each matrix once
+    at its final id, `conical_sequence` scans the images in blocks, and
+    the child table `locate` builds is int32.
     """
     tp = TriangleParams(cfg.p, cfg.q, cfg.r)
     tess = generate(tp, ball_radius(tp, cfg.orbit_radius))
@@ -814,6 +818,17 @@ def triviality_run(cfg):
             f"n_mc = {cfg.n_mc} is below 2 * SLOPE_BATCHES = {2 * SLOPE_BATCHES}: "
             "the decay rate's stderr needs two samples in each batch"
         )
+    # NaN fails every comparison, so `not ok` rejects it too
+    for key, ok, allowed in (
+        ("q_max", cfg.q_max >= 2, ">= 2: the decay rate is a slope over two U(q) points at least"),
+        ("k_grid", cfg.k_grid >= 1, ">= 1"),
+        ("seed", cfg.seed >= 0, ">= 0"),
+        ("m2", cfg.m2 > 0, "> 0"),
+        ("threads", cfg.threads >= 1, ">= 1"),
+    ):
+        if not ok:
+            value = getattr(cfg, key)
+            raise ConfigurationError(f"config key {key} = {value!r} is out of range: it must be {allowed}")
     mp = greens.ModelParams(cfg.m2)
     control = cfg.amplitude == 0.0
     h = bd.BoundarySource.bump(cfg.beta0, cfg.beta1, amplitude=cfg.amplitude)

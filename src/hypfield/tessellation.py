@@ -55,6 +55,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TILE_CAP = 200_000
 _LOCATE_SLACK = 1e-13  # `Tessellation.locate`'s side tolerance, per x3^2
+_ASSEMBLE_CHUNK = 8192  # tiles per stacked product when `generate` forms the matrices
+_CONICAL_BLOCK = 8192  # tiles per block of `conical_sequence`'s image scan
 
 
 @dataclass(frozen=True)
@@ -261,8 +263,9 @@ class Tessellation:
 
     @cached_property
     def _children(self):
-        # _children[k, i] is the id of the tree child mats[k] @ R[i], or -1
-        out = np.full((len(self), 3), -1)
+        # _children[k, i] is the id of the tree child mats[k] @ R[i], or -1;
+        # ids stay below DEFAULT_TILE_CAP, so int32 holds them
+        out = np.full((len(self), 3), -1, dtype=np.int32)
         out[self.parent[1:], self.gen[1:]] = np.arange(1, len(self))
         return out
 
@@ -397,8 +400,7 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     once, at depth l(w).  The tree is walked level by level: the children
     of w are the w s_i whose largest right descent is i (which makes i a
     non-descent of w), kept when rho(o, w s_i c1) <= radius (+1e-9).
-    Both tests run on 3-vectors of the frontier tile w, and the matrix
-    w s_i is formed only for the kept children.
+    Both tests run on two 3-vectors of the frontier tile w.
 
     Completeness: the ball is closed under descent parents, so pruning
     the children outside it loses no tile.  If j is a right descent of
@@ -412,12 +414,18 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     No frontier padding and no duplicate check are needed.
 
     Tile 0 is the identity; the others follow in nondecreasing centroid
-    distance, ties (distances within 1e-11) in enumeration order.  Each
-    level's matrices are written in place at their final ids and dropped,
-    so the peak holds one extra copy of the matrices, the levels while
-    they are written, and the ids.  The cap counts the returned ball and
-    is checked after every level; the CapacityError carries the levels
-    completed so far, a tessellation in which every parent is present.
+    distance, ties (distances within 1e-11) in enumeration order.  The
+    walk keeps no matrix: a frontier tile w is carried as two Lorentz
+    rows, u_w = (c1 eta) w for the descent tests and w[2] for the
+    centroid heights, and each level keeps only its parent ids,
+    generators and distances.  After the sort every matrix is formed once
+    at its final id as mats[parent] @ R[gen], level by level, parents
+    first.  So the peak holds the returned matrices, the ids and one
+    chunk of `_ASSEMBLE_CHUNK` products, 0.22 copies of the matrices
+    beyond what is returned on the decay ball.  The cap counts the
+    returned ball and is checked after every level; the CapacityError
+    carries the levels completed so far, a tessellation in which every
+    parent is present.
     """
     if not radius >= 0:  # also rejects NaN, whose comparisons are all false
         raise ValueError(f"radius must be a number >= 0, got {radius}")
@@ -429,8 +437,8 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     refl = reflection(fund_normals / np.sqrt(lorentz_dot(fund_normals, fund_normals))[:, None])
     c1 = normalize(fund_vertices.sum(axis=0))
 
-    # one entry per level: matrices, parent ids, generators, centroid distances
-    mats, parent, gen = [np.eye(3)[None]], [np.array([-1])], [np.array([-1])]
+    # one entry per level: tiles, parent ids, generators, centroid distances
+    sizes, parent, gen = [1], [np.array([-1])], [np.array([-1])]
     rho = [np.array([math.acosh(c1[2])])]
 
     def assemble():
@@ -439,43 +447,55 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
         # by under 4e-15 here, distinct ones differ by 6e-8 or more ((3,4,4)
         # to radius 9.86, (2,3,7) to radius 6).
         r = np.concatenate(rho)[1:]
+        rho.clear()
         by_rho = np.argsort(r)
         group = np.empty_like(by_rho)
         group[by_rho] = np.cumsum(np.diff(r[by_rho], prepend=-np.inf) > 1e-11)
         # (group, enumeration index) is a unique key, so the plain sort on
         # it is the stable sort on the group
         order = np.concatenate([[0], 1 + np.argsort(group * len(r) + np.arange(len(r)))])
-        del r, by_rho, group  # before the levels are written, generate's peak
+        del r, by_rho, group
         new_id = np.empty_like(order)
         new_id[order] = np.arange(len(order))
         par = np.concatenate(parent)[order]
+        parent.clear()
         par[1:] = new_id[par[1:]]
-        # each level is dropped once written at its final ids
-        out = np.empty((len(order), 3, 3))
-        lo = 0
-        while mats:
-            level = mats.pop(0)
-            out[new_id[lo:lo + len(level)]] = level
-            lo += len(level)
-        del level
-        return Tessellation(tp, radius, out, par, np.concatenate(gen)[order], fund_vertices, fund_normals, refl)
+        g = np.concatenate(gen)[order]
+        gen.clear()
+        del order
+        # Each matrix is its parent's times one reflection, one stacked
+        # (n, 3, 3) @ (n, 3, 3) product per chunk: a grouped or broadcast
+        # product may round differently on other BLAS kernels.  A level's
+        # parents lie in the levels before it.
+        out = np.empty((len(new_id), 3, 3))
+        out[0] = np.eye(3)
+        lo = 1
+        for size in sizes[1:]:
+            for a in range(lo, lo + size, _ASSEMBLE_CHUNK):
+                ids = new_id[a:min(a + _ASSEMBLE_CHUNK, lo + size)]
+                out[ids] = np.take(out, par[ids], axis=0) @ np.take(refl, g[ids], axis=0)
+            lo += size
+        return Tessellation(tp, radius, out, par, g, fund_vertices, fund_normals, refl)
 
-    # Descent and radius tests on 3-vectors: with u_w = (c1 eta) w, the
-    # descent values of the child w s_i are u_w (s_i N^T) and its centroid
-    # height is w[2] (s_i c1), so a level needs an (F, 3) @ (3, 9) and an
-    # (F, 3) @ (3, 3) product, and a matrix only for each kept child.
+    # Descent and radius tests on the two rows: the descent values of the
+    # child w s_i are u_w (s_i N^T) and its centroid height is w[2] (s_i c1),
+    # and the child's rows are u_w s_i and w[2] s_i, so a level needs three
+    # (F, 3) @ (3, 9) products and an (F, 3) @ (3, 3) one.
     desc_of_child = np.concatenate([r @ fund_normals.T for r in refl], axis=1)
     height_of_child = (refl @ c1).T
-    frontier, first, n = mats[0], 0, 1
+    step = np.concatenate(refl, axis=1)  # row @ step = [row s_0, row s_1, row s_2]
+    u, w2 = (c1 * ETA_DIAG)[None], np.array([[0.0, 0.0, 1.0]])
+    first, n = 0, 1
     while True:
-        desc_vals = ((c1 * ETA_DIAG) @ frontier @ desc_of_child).reshape(-1, 3, 3)
-        kid_rho = np.arccosh(np.maximum(frontier[:, 2, :] @ height_of_child, 1.0))
+        desc_vals = (u @ desc_of_child).reshape(-1, 3, 3)
+        kid_rho = np.arccosh(np.maximum(w2 @ height_of_child, 1.0))
         keep = (_largest_descent(desc_vals) == np.arange(3)) & (kid_rho <= radius + 1e-9)
         f, i = np.nonzero(keep)
         if len(f) == 0:
             break
-        frontier = frontier[f] @ refl[i]
-        mats.append(frontier)
+        u = (u @ step).reshape(-1, 3, 3)[f, i]
+        w2 = (w2 @ step).reshape(-1, 3, 3)[f, i]
+        sizes.append(len(f))
         parent.append(first + f)
         gen.append(i)
         rho.append(kid_rho[f, i])
@@ -486,7 +506,7 @@ def generate(tp, radius, cap=DEFAULT_TILE_CAP):
     tess = assemble()
     logger.info(
         "generate (%d,%d,%d) radius %g: %d tiles, %d levels, %.3f s",
-        tp.p, tp.q, tp.r, radius, len(tess), len(gen) - 1, time.perf_counter() - t_start,
+        tp.p, tp.q, tp.r, radius, len(tess), len(sizes) - 1, time.perf_counter() - t_start,
     )
     return tess
 
@@ -523,7 +543,9 @@ def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
     tile of the Lorentz row a.
 
     Returned depths rho(o, gamma_i(a)) are strictly increasing (by at
-    least min_step); tiles are reported in increasing depth.
+    least min_step); tiles are reported in increasing depth.  The images
+    gamma(a) are scanned in blocks of `_CONICAL_BLOCK` tiles, so beyond
+    the candidates in the tube the scan holds a few arrays of one block.
     """
     if n == 0:
         return []
@@ -534,27 +556,32 @@ def conical_sequence(tess, p_angle, a, n, c, min_step=0.0):
     ray_normal = np.array([-math.sin(p_angle), math.cos(p_angle), 0.0])
     ray_dir = np.array([math.cos(p_angle), math.sin(p_angle), 0.0])
 
-    pts = image_rows(tess.mats, av)
-    off = pts @ (ray_normal * ETA_DIAG)
-    forward = pts @ (ray_dir * ETA_DIAG) > 0.0
-    in_tube = (np.abs(np.arcsinh(off)) <= c) & forward
-    depth = np.arccosh(np.maximum(pts[:, 2], 1.0))
-    usable = in_tube & (depth <= tess.radius - tess.tile_diameter)
-
-    order = np.argsort(depth[usable], kind="stable")
-    cand = np.nonzero(usable)[0][order]
+    limit = tess.radius - tess.tile_diameter
+    found, found_depth = [], []
+    for lo in range(0, len(tess), _CONICAL_BLOCK):
+        pts = image_rows(tess.mats[lo:lo + _CONICAL_BLOCK], av)
+        forward = pts @ (ray_dir * ETA_DIAG) > 0.0
+        in_tube = (np.abs(np.arcsinh(pts @ (ray_normal * ETA_DIAG))) <= c) & forward
+        depth = np.arccosh(np.maximum(pts[:, 2], 1.0))
+        k = np.nonzero(in_tube & (depth <= limit))[0]
+        found.append(lo + k)
+        found_depth.append(depth[k])
+    depth = np.concatenate(found_depth)
+    # the blocks keep id order, so the stable sort is the whole-ball one
+    order = np.argsort(depth, kind="stable")
+    cand, depth = np.concatenate(found)[order], depth[order]
     # gamma_k(a) lies in the tile gamma_k g_a, with g_a the element of a's tile
     g_a = tess.mats[tile_a]
     ids = []
     deepest = -math.inf
-    for k in cand:
-        if depth[k] <= deepest + max(min_step, 1e-12):
+    for k, d in zip(cand, depth.tolist()):
+        if d <= deepest + max(min_step, 1e-12):
             continue
         tid = tess._id_of(tess.mats[k] @ g_a)
         if tid is None:
             continue
         ids.append(tid)
-        deepest = depth[k]
+        deepest = d
         if len(ids) == n:
             return ids
     raise EnumerationTooSmallError(

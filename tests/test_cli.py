@@ -213,6 +213,17 @@ def test_sample_audit_needs_two_samples(monkeypatch, tmp_path, capsys, n):
     assert not json_path.exists()
 
 
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_propagator_rejects_an_empty_grid(tmp_path, capsys, grid):
+    # an empty grid would write a header-only CSV and pass an audit of nothing
+    csv_path = tmp_path / "prop.csv"
+    assert cli.main(["propagator", "--grid", grid, "--csv", str(csv_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --grid must be at least 1")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _config_text(cfg, **extra):
     # the layout of a full config: one key=repr(value) line per field
     lines = [
@@ -277,3 +288,13 @@ def test_config_value_of_wrong_type_is_an_error():
     text = _config_text(fm.TrivialityConfig()).replace("n_mc=20000", "n_mc=2e4")
     with pytest.raises(ConfigurationError, match="n_mc"):
         cli.RunConfig(text).to_triviality()
+
+
+def test_out_of_range_config_value_exits_1(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(_config_text(dataclasses.replace(fm.TrivialityConfig(), q_max=0)))
+    assert cli.main(["triviality", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key q_max = 0 is out of range")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -217,6 +217,22 @@ def test_triviality_run_needs_two_samples_per_slope_batch(monkeypatch, n_mc):
         fm.triviality_run(dataclasses.replace(fm.TrivialityConfig(), n_mc=n_mc))
 
 
+@pytest.mark.parametrize(
+    "key, value, allowed",
+    [
+        ("q_max", 0, ">= 2"), ("q_max", 1, ">= 2"), ("k_grid", 0, ">= 1"), ("seed", -1, ">= 0"),
+        ("m2", 0.0, "> 0"), ("m2", -1.0, "> 0"), ("m2", math.nan, "> 0"), ("threads", 0, ">= 1"),
+    ],
+)
+def test_triviality_run_checks_its_config_before_the_ball(monkeypatch, key, value, allowed):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"the run enumerated a ball before checking {key}")
+
+    monkeypatch.setattr(fm, "generate", refused)
+    with pytest.raises(ConfigurationError, match=f"config key {key} = .* must be {allowed}"):
+        fm.triviality_run(dataclasses.replace(fm.TrivialityConfig(), **{key: value}))
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_z_ratio_needs_two_samples(mp2, tess344_big, n):
     quad = fm.build_quadrature(tess344_big, [0], 2)
@@ -775,6 +791,20 @@ def decay_ball():
     cfg = fm.TrivialityConfig()
     tp = TriangleParams(cfg.p, cfg.q, cfg.r)
     return generate(tp, ball_radius(tp, cfg.orbit_radius))
+
+
+def test_geometry_stage_holds_the_ball_once(decay_ball):
+    # generate forms each matrix once at its final id and conical_sequence
+    # scans the images in blocks, so the stage's peak is the ball's own
+    # arrays and 0.17 of them more
+    ball = sum(
+        a.nbytes
+        for a in (decay_ball.mats, decay_ball.parent, decay_ball.gen, decay_ball.centroids, decay_ball.centroid_rho)
+    )
+    cfg = dataclasses.replace(fm.TrivialityConfig(), cone_c=0.6)
+    mp = greens.ModelParams(cfg.m2)
+    h = BoundarySource.bump(cfg.beta0, cfg.beta1, amplitude=cfg.amplitude)
+    assert _traced_peak(lambda: fm._geometry(cfg, mp, h, False)) <= 1.25 * ball
 
 
 @pytest.mark.parametrize("radius", [7.0, 7.77, 8.0])

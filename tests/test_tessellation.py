@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from hypfield import tessellation
 from hypfield.errors import (
     CapacityError,
     ChartOverflowError,
@@ -332,15 +333,33 @@ def test_conical_sequence_matches_locate_walk(tess344_big, tile, cone_c):
     assert ids == _conical_by_locate(tess, math.pi / 4, a, 8, cone_c, 0.35)
 
 
+@pytest.mark.parametrize("block", [1000, None], ids=["blocks-of-1000", "one-block"])
+def test_conical_scan_gives_the_same_ids_in_any_block_size(tess344_big, monkeypatch, block):
+    # the image scan runs in blocks of _CONICAL_BLOCK tiles; one block of
+    # the whole ball is the unblocked scan
+    tess = tess344_big
+    a = tess.mats[3] @ normalize(0.8 * tess.centroids[0] + 0.2 * tess.fund_vertices[1])
+    cases = [(math.pi / 4, tess.centroids[0], 0.6), (math.pi / 4, a, 1.2), (1.0, tess.centroids[0], 0.8)]
+    want = [conical_sequence(tess, p, x, 8, c, min_step=0.35) for p, x, c in cases]
+    assert len(tess) > 8 * tessellation._CONICAL_BLOCK
+    monkeypatch.setattr(tessellation, "_CONICAL_BLOCK", block or len(tess))
+    assert [conical_sequence(tess, p, x, 8, c, min_step=0.35) for p, x, c in cases] == want
+
+
 def test_one_product_images_equal_the_stacked_product(tess344_big):
-    # orbital_count and conical_sequence take every image g(v) as one
-    # (3n, 3) @ (3,) product, not the stacked mats @ v: the images, and so
-    # the counts and the ids, are the stacked product's bit for bit
+    # orbital_count takes every image g(v) as one (3n, 3) @ (3,) product,
+    # and conical_sequence one such product per block, not the stacked
+    # mats @ v: the images, and so the counts and the ids, are the stacked
+    # product's bit for bit
     tess = tess344_big
     c1, x = tess.centroids[0], point_at(0.4, 1.1)
     a = tess.mats[3] @ normalize(0.8 * c1 + 0.2 * tess.fund_vertices[1])
+    block = tessellation._CONICAL_BLOCK
     for v in (c1, x, a, tess.fund_vertices[2]):
         assert np.array_equal((tess.mats.reshape(-1, 3) @ v).reshape(-1, 3), tess.mats @ v)
+        for lo in range(0, len(tess), block):
+            mats = tess.mats[lo:lo + block]
+            assert np.array_equal((mats.reshape(-1, 3) @ v).reshape(-1, 3), mats @ v)
     imgs = tess.mats @ c1
     coshes = np.sort(-(imgs[:, 0] * x[0] + imgs[:, 1] * x[1] - imgs[:, 2] * x[2]))
     # thresholds at the image distances themselves, where one ulp flips a count
@@ -529,9 +548,9 @@ def test_generate_equals_previous_level_loop(pqr, radius, tiles):
 
 
 def test_generate_holds_the_matrices_once_more_at_most():
-    # the levels are written in place at their final ids, the sort keys
-    # dropped first: beyond what it returns, generate's peak holds the
-    # levels (one more copy of the matrices) and the ids, 1.11 copies
+    # the walk keeps no matrix and each one is formed once at its final id:
+    # beyond what it returns, generate's peak holds the ids and one chunk of
+    # products, 0.22 copies of the matrices
     radius = _decay_radius()
     tracemalloc.start()
     try:
@@ -539,7 +558,7 @@ def test_generate_holds_the_matrices_once_more_at_most():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - held < 1.3 * tess.mats.nbytes
+    assert peak - held < 0.35 * tess.mats.nbytes
 
 
 def test_side_normals_are_built_on_first_use():
